@@ -508,14 +508,18 @@ def _check_germ(m, divisors, spec) -> CheckRecord:
     )
 
 
+#: Check kind -> (runner, keys its spec must carry).
 _CHECK_RUNNERS = {
-    "volume": _check_volume,
-    "zariski": _check_zariski,
-    "pullback": _check_pullback,
-    "pet": _check_pet,
-    "nt": _check_nt,
-    "contraction": _check_contraction,
-    "germ": _check_germ,
+    "volume": (_check_volume, ("divisor", "expect")),
+    "zariski": (_check_zariski, ("divisor", "expect_positive")),
+    "pullback": (_check_pullback, ("line_coeffs", "expect_coeffs")),
+    "pet": (_check_pet, ("contract", "boundary", "resolution", "expect_value")),
+    "nt": (_check_nt, ("contract", "boundary", "expect_value")),
+    "contraction": (
+        _check_contraction,
+        ("divisor", "expect_picard", "expect_contracted", "expect_clusters"),
+    ),
+    "germ": (_check_germ, ("cluster", "expect")),
 }
 
 
@@ -527,11 +531,17 @@ def run_scenario(source: str) -> Report:
     )
     m = build_from_recipe(recipe)
     records: list[CheckRecord] = []
-    for spec in obj.get("checks", []):
+    for i, spec in enumerate(obj.get("checks", [])):
+        if not isinstance(spec, dict):
+            raise ParseError(f"checks[{i}]: a check must be an object")
         kind = spec.get("kind")
-        runner = _CHECK_RUNNERS.get(kind)
-        if runner is None:
-            raise ParseError(f"unknown check kind {kind!r}")
+        entry = _CHECK_RUNNERS.get(kind) if isinstance(kind, str) else None
+        if entry is None:
+            raise ParseError(f"checks[{i}].kind: unknown check kind {kind!r}")
+        runner, required = entry
+        missing = next((key for key in required if key not in spec), None)
+        if missing is not None:
+            raise ParseError(f"checks[{i}].{missing}: missing for a {kind} check")
         t0 = time.perf_counter()
         rec = runner(m, divisors, spec)
         rec.seconds = time.perf_counter() - t0

@@ -571,7 +571,10 @@ def parse_graph(text: str) -> DualGraph:
             elif tok == "node":
                 node_count = 1
             elif tok.startswith("node="):
-                node_count = int(tok.split("=", 1)[1])
+                count = tok.split("=", 1)[1]
+                if not (count.isascii() and count.isdigit()):
+                    raise GraphFormatError(f"line {lineno}: bad node count {count!r}")
+                node_count = int(count)
             else:
                 raise GraphFormatError(f"line {lineno}: unknown flag {tok!r}")
         vertices.append(GraphVertex(label, self_int, genus, is_exceptional, node_count))

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra, LP feasibility, and 1-D quadratic minimization.
+"""Exact rational linear algebra, linear programming, and 1-D quadratic minimization.
 
 Everything in this module computes over fractions.Fraction. Floats are
 rejected at the boundary: a float carries rounding error that would poison
@@ -31,6 +31,10 @@ class DimensionMismatch(Exception):
 
 
 class NotStrictlyConvex(Exception):
+    pass
+
+
+class UnboundedObjective(Exception):
     pass
 
 
@@ -200,8 +204,10 @@ def is_negative_definite(m: QMatrix) -> bool:
 class FeasibilityResult:
     """Outcome of lp_feasible.
 
-    Exactly one of x, y is set. x is a nonnegative solution of A x = b;
-    y is a Farkas certificate with y^T A <= 0 and y^T b > 0.
+    When feasible, x is a nonnegative solution of A x = b; when infeasible,
+    y is a Farkas certificate with y^T A <= 0 and y^T b > 0. Under a cost
+    vector a feasible x is optimal and y is set too, as the optimal dual:
+    y^T A <= cost and y^T b = cost . x.
     """
 
     feasible: bool
@@ -209,83 +215,101 @@ class FeasibilityResult:
     y: tuple[Rational, ...] | None = None
 
 
-def lp_feasible(a: QMatrix, b: Sequence[Rational]) -> FeasibilityResult:
-    """Decide whether {x >= 0 : A x = b} is nonempty, exactly.
+def _pivot(tab: list[list[Rational]], r: int, j: int) -> None:
+    """Pivot on entry (r, j); every other row, the objective row included, follows."""
+    piv = tab[r][j]
+    prow = tab[r] = [v / piv for v in tab[r]]
+    for i, row in enumerate(tab):
+        f = row[j]
+        if i != r and f != 0:
+            tab[i] = [x - f * y for x, y in zip(row, prow)]
 
-    Phase-1 simplex with Bland's rule, so termination is guaranteed. On
-    infeasibility the returned y is read off the final basis inverse and
-    certifies the empty intersection via Farkas.
+
+def _simplex(tab: list[list[Rational]], basis: list[int], n: int) -> bool:
+    """Bland's rule on the structural columns 0..n-1 until the objective row
+    (the last row of tab) has no negative reduced cost. Returns False when
+    an entering column is bounded by no constraint row (the objective is
+    unbounded below), True at the optimum."""
+    m = len(basis)
+    while True:
+        entering = next((j for j in range(n) if tab[m][j] < 0), None)
+        if entering is None:
+            return True
+        leave = best = None
+        for i in range(m):
+            if tab[i][entering] > 0:
+                ratio = tab[i][-1] / tab[i][entering]
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return False
+        _pivot(tab, leave, entering)
+        basis[leave] = entering
+
+
+def lp_feasible(
+    a: QMatrix, b: Sequence[Rational], cost: Sequence[Rational] | None = None
+) -> FeasibilityResult:
+    """Decide whether {x >= 0 : A x = b} is nonempty, exactly; with ``cost``,
+    also minimize cost . x over it.
+
+    Two-phase simplex with Bland's rule, so termination is guaranteed. The
+    reduced costs are one tableau row, pivoted with the constraint rows, and
+    the artificial columns carry the basis inverse, so every dual is read off
+    that row. Phase 1 minimizes the sum of artificials; a departed artificial
+    never re-enters. A positive phase-1 optimum gives the Farkas vector.
+    Phase 2 starts from the phase-1 basis after pivoting every artificial
+    still basic (at level 0) out of its row; an artificial left behind sits on
+    a redundant row, whose structural entries stay zero, so it stays at 0.
+    Raises UnboundedObjective when cost . x has no lower bound.
     """
     if len(b) != a.rows:
         raise DimensionMismatch("b length does not match number of rows")
+    if cost is not None and len(cost) != a.cols:
+        raise DimensionMismatch("cost length does not match number of columns")
     m, n = a.rows, a.cols
-    rhs = [rat(x) for x in b]
-    tab = a.to_lists()
-    flipped = []
-    for i in range(m):
-        if rhs[i] < 0:
-            tab[i] = [-x for x in tab[i]]
-            rhs[i] = -rhs[i]
-            flipped.append(True)
-        else:
-            flipped.append(False)
-    # Tableau columns: n structural, m artificial (identity), m basis-inverse
-    # tracker (second identity copy), then rhs.
-    width = n + 2 * m
-    rows = []
-    for i in range(m):
-        row = list(tab[i]) + [Fraction(0)] * (2 * m)
-        row[n + i] = Fraction(1)
-        row[n + m + i] = Fraction(1)
-        rows.append(row + [rhs[i]])
-    basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)] * m
-
-    def reduced_cost(j: int) -> Rational:
-        return cost[j] - sum((cost[basis[i]] * rows[i][j] for i in range(m)), Fraction(0))
-
-    while True:
-        # Bland's rule over structural columns only; a departed artificial is
-        # never allowed back, which keeps both termination and the Farkas
-        # certificate valid.
-        entering = None
-        for j in range(n):
-            if reduced_cost(j) < 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        leave = None
-        best = None
+    # Columns: n structural, m artificial (identity), then the rhs. Rows with
+    # a negative rhs are negated so the artificial basis starts feasible.
+    rhs = [rat(v) for v in b]
+    signs = [-1 if v < 0 else 1 for v in rhs]
+    tab = [
+        [s * v for v in a.row(i)] + [Fraction(int(k == i)) for k in range(m)] + [s * rhs[i]]
+        for i, s in enumerate(signs)
+    ]
+    # Phase-1 costs are 1 on each artificial, 0 elsewhere.
+    obj = [-sum((row[j] for row in tab), Fraction(0)) for j in range(n + m + 1)]
+    obj[n : n + m] = [Fraction(0)] * m
+    tab.append(obj)
+    basis = list(range(n, n + m))
+    if not _simplex(tab, basis, n):
+        raise AssertionError("phase-1 objective is bounded; no unbounded ray can appear")
+    if tab[m][-1] != 0:
+        # y = (artificial costs) - (their reduced costs), with row flips undone.
+        return FeasibilityResult(
+            feasible=False, y=tuple(s * (1 - tab[m][n + i]) for i, s in enumerate(signs))
+        )
+    if cost is not None:
         for i in range(m):
-            if rows[i][entering] > 0:
-                ratio = rows[i][width] / rows[i][entering]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise AssertionError("phase-1 objective is bounded; no unbounded ray can appear")
-        piv = rows[leave][entering]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][entering] != 0:
-                f = rows[i][entering]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        basis[leave] = entering
-
-    objective = sum((rows[i][width] for i in range(m) if basis[i] >= n), Fraction(0))
-    if objective == 0:
-        x = [Fraction(0)] * n
-        for i in range(m):
-            if basis[i] < n:
-                x[basis[i]] = rows[i][width]
-        return FeasibilityResult(feasible=True, x=tuple(x))
-    # y^T = (phase-1 costs of basic vars)^T B^{-1}, then undo row flips.
-    y = []
-    for i in range(m):
-        yi = sum((rows[r][n + m + i] for r in range(m) if basis[r] >= n), Fraction(0))
-        y.append(-yi if flipped[i] else yi)
-    return FeasibilityResult(feasible=False, y=tuple(y))
+            if basis[i] >= n:
+                j = next((j for j in range(n) if tab[i][j] != 0), None)
+                if j is not None:
+                    _pivot(tab, i, j)
+                    basis[i] = j
+        full = [rat(c) for c in cost] + [Fraction(0)] * (m + 1)
+        for i, bi in enumerate(basis):
+            if bi < n and full[bi] != 0:
+                f = full[bi]
+                full = [x - f * y for x, y in zip(full, tab[i])]
+        tab[m] = full
+        if not _simplex(tab, basis, n):
+            raise UnboundedObjective("cost is unbounded below on the feasible set")
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tab[i][-1]
+    # Artificial costs are 0 in phase 2, so the dual is minus their reduced costs.
+    y = None if cost is None else tuple(-s * tab[m][n + i] for i, s in enumerate(signs))
+    return FeasibilityResult(feasible=True, x=tuple(x), y=y)
 
 
 @dataclass(frozen=True)

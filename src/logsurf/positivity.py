@@ -251,31 +251,6 @@ def nef_threshold(
     )
 
 
-def _simplest_between(lo: Rational, hi: Rational) -> Fraction:
-    """Smallest-denominator rational in the closed interval [lo, hi]."""
-    a, b = Fraction(lo), Fraction(hi)
-    if a > b:
-        raise ValueError("empty interval")
-
-    def rec(a: Fraction, b: Fraction) -> Fraction:
-        fl = a.numerator // a.denominator
-        if a == fl:
-            return Fraction(fl)
-        if fl + 1 <= b:
-            return Fraction(fl + 1)
-        return fl + 1 / rec(1 / (b - fl), 1 / (a - fl))
-
-    return rec(a, b)
-
-
-def _simplest_candidate(lo: Rational, hi: Rational) -> Fraction:
-    """Smallest-denominator rational in the half-open interval (lo, hi]."""
-    c = _simplest_between(lo, hi)
-    if c > lo:
-        return c
-    return _simplest_between((Fraction(lo) + Fraction(hi)) / 2, hi)
-
-
 def pet(
     m: SurfaceModel,
     base: QDivisor | Mapping,
@@ -283,18 +258,19 @@ def pet(
     resolution: Rational,
     plus_canonical: bool = False,
 ) -> ThresholdResult:
-    """Pseudo-effective threshold inf{t >= 0 : [K +] base + t*ray visible-effective}.
+    """Pseudo-effective threshold min{t >= 0 : [K +] base + t*ray visible-effective}.
 
-    Bisection on psef_test down to the requested bracket width, then
-    smallest-denominator candidates inside the bracket. A candidate c counts
-    as certified exact when the class at c is feasible and a Farkas vector y
-    from an infeasible probe p < c satisfies y.(class at c) >= 0: y.(class at
-    t) is linear in t and negative at p, so it is negative for all t < p as
-    well, while effectiveness of the ray makes the feasible set upward
-    closed. Without a certificate the bracket is returned and value is None.
+    One exact LP: minimize t subject to A x - t*ray = [K +] base, x, t >= 0,
+    where the columns of A are the visible classes. At the optimum t* the x
+    part is the effective witness at t*, and for t* > 0 the optimal dual y
+    certifies that nothing below t* is effective: y.C <= 0 for every visible
+    C, y.(class at 0) = t* and y.ray >= -1, so y.(class at t) >= t* - t > 0
+    for t < t*. When the LP is infeasible its Farkas vector y has y.C <= 0,
+    y.ray >= 0 and y.(class at 0) > 0, so no t >= 0 works. The ray must be
+    effective, which makes the feasible set upward closed. ``resolution``
+    must be positive but no longer affects the result: the optimum is exact.
     """
-    res = rat(resolution)
-    if res <= 0:
+    if rat(resolution) <= 0:
         raise ValueError("resolution must be positive")
     base_d, ray_d = qdiv(base), qdiv(ray)
     if not ray_d.is_effective():
@@ -303,90 +279,20 @@ def pet(
     ray_class = divisor_class(m, ray_d)
     labels = sorted(m.visible)
     a = QMatrix.from_rows(
-        [[m.visible_class(lbl)[i] for lbl in labels] for i in range(m.rank)]
+        [[m.visible_class(lbl)[i] for lbl in labels] + [-ray_class[i]] for i in range(m.rank)]
     )
-
-    def class_at(t: Rational) -> tuple[Rational, ...]:
-        return tuple(b + t * r for b, r in zip(base_class, ray_class))
-
-    def feas(t: Rational) -> FeasibilityResult:
-        return lp_feasible(a, class_at(t))
-
-    def lc_ok(t: Rational) -> bool:
-        return all(
+    res = lp_feasible(a, base_class, cost=(0,) * len(labels) + (1,))
+    if not res.feasible:
+        return ThresholdResult(value=None, certified=False, farkas_below=res.y)
+    t = res.x[-1]
+    return ThresholdResult(
+        value=t,
+        certificate_at_value=QDivisor.from_dict(dict(zip(labels, res.x))),
+        lc_bound_ok=all(
             base_d.coeff(lbl) + t * ray_d.coeff(lbl) <= 1
             for lbl in set(base_d.support()) | set(ray_d.support())
-        )
-
-    def witness(x: Sequence[Rational]) -> QDivisor:
-        return QDivisor.from_dict(dict(zip(labels, x)))
-
-    r0 = feas(Fraction(0))
-    if r0.feasible:
-        return ThresholdResult(
-            value=Fraction(0),
-            certificate_at_value=witness(r0.x),
-            lc_bound_ok=lc_ok(Fraction(0)),
-        )
-    if all(c == 0 for c in ray_class):
-        return ThresholdResult(value=None, certified=False, farkas_below=r0.y)
-
-    lo, lo_y = Fraction(0), r0.y
-    hi = Fraction(1)
-    hi_x = None
-    for _ in range(64):
-        r = feas(hi)
-        if r.feasible:
-            hi_x = r.x
-            break
-        lo, lo_y = hi, r.y
-        hi *= 2
-    if hi_x is None:
-        return ThresholdResult(value=None, bracket=(lo, None), certified=False, farkas_below=lo_y)
-
-    while hi - lo > res:
-        mid = (lo + hi) / 2
-        r = feas(mid)
-        if r.feasible:
-            hi, hi_x = mid, r.x
-        else:
-            lo, lo_y = mid, r.y
-
-    for _ in range(8):
-        cand = _simplest_candidate(lo, hi)
-        r_c = feas(cand)
-        if not r_c.feasible:
-            lo, lo_y = cand, r_c.y
-            continue
-        if cand < hi:
-            hi, hi_x = cand, r_c.x
-        probe = (lo + cand) / 2
-        for _ in range(40):
-            r_p = feas(probe)
-            if r_p.feasible:
-                # Threshold lies below the candidate; tighten and retry.
-                hi, hi_x = probe, r_p.x
-                break
-            lo, lo_y = probe, r_p.y
-            at_cand = sum(yi * ci for yi, ci in zip(r_p.y, class_at(cand)))
-            if at_cand >= 0:
-                return ThresholdResult(
-                    value=cand,
-                    bracket=(lo, hi),
-                    certificate_at_value=witness(r_c.x),
-                    certified=True,
-                    lc_bound_ok=lc_ok(cand),
-                    farkas_below=r_p.y,
-                )
-            probe = (probe + cand) / 2
-        else:
-            break
-    return ThresholdResult(
-        value=None,
-        bracket=(lo, hi),
-        certified=False,
-        farkas_below=lo_y,
-        certificate_at_value=witness(hi_x),
+        ),
+        farkas_below=res.y if t > 0 else None,
     )
 
 

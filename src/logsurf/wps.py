@@ -91,6 +91,8 @@ def _weight_seq(weights: Weights | Sequence[int]) -> tuple[int, ...]:
     if isinstance(weights, Weights):
         return weights.w
     ws = tuple(int(w) for w in weights)
+    if len(ws) != 4:
+        raise BadWeights(f"need exactly 4 weights, got {len(ws)}")
     if any(w <= 0 for w in ws):
         raise BadWeights(f"weights must be positive, got {ws}")
     return ws

@@ -17,8 +17,8 @@ from logsurf.dualgraph import (
     solve_discrepancies,
 )
 from logsurf.exact import QMatrix, is_negative_definite, lp_feasible
-from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe
-from logsurf.positivity import zariski
+from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe, divisor_class
+from logsurf.positivity import pet, zariski
 from logsurf.wps import (
     analyze_origin,
     apply_transform,
@@ -82,6 +82,41 @@ def zariski_invariants(seed: int, cases: int) -> int:
             assert other.positive_class == z.positive_class
         done += 1
     return done
+
+
+def pet_certificates(seed: int, cases: int, max_steps: int = 17) -> int:
+    """pet of K + base + t*ray along a ray positive on every visible curve:
+    the threshold is certified, the witness has the class at t*, and for
+    t* > 0 the optimal dual y has y.C <= 0 on visible curves, y.(class at 0)
+    = t* and y.(class at t*) >= 0. Returns how many thresholds were positive."""
+    rng = random.Random(seed)
+    positive = 0
+    for _ in range(cases):
+        m = build_from_recipe(random_recipe(rng, max_steps=max_steps))
+        labels = sorted(m.visible)
+        base = QDivisor.from_dict(
+            {lbl: Fraction(rng.randint(-2, 6)) for lbl in labels if rng.random() < 0.5}
+        )
+        ray = QDivisor.from_dict({lbl: Fraction(rng.randint(1, 3)) for lbl in labels})
+        r = pet(m, base, ray, Fraction(1, 1000), plus_canonical=True)
+        assert r.certified and r.value is not None and r.value >= 0
+        b_cls, r_cls = divisor_class(m, base), divisor_class(m, ray)
+
+        def at(t):
+            return tuple(k + b + t * c for k, b, c in zip(m.canonical_class, b_cls, r_cls))
+
+        assert r.certificate_at_value.is_effective()
+        assert divisor_class(m, r.certificate_at_value) == at(r.value)
+        if r.value == 0:
+            assert r.farkas_below is None
+            continue
+        y = r.farkas_below
+        for lbl in labels:
+            assert sum(a * c for a, c in zip(y, m.visible_class(lbl))) <= 0
+        assert sum(a * c for a, c in zip(y, at(0))) == r.value
+        assert sum(a * c for a, c in zip(y, at(r.value))) >= 0
+        positive += 1
+    return positive
 
 
 def random_tree(rng: random.Random, max_vertices: int = 7) -> DualGraph:

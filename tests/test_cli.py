@@ -95,6 +95,24 @@ def test_scenario_input_errors(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+def test_scenario_check_missing_key(tmp_path, capsys):
+    no_expect = tmp_path / "no-expect.json"
+    no_expect.write_text(
+        json.dumps({**TINY_SCENARIO, "checks": [{"kind": "volume", "divisor": "D"}]})
+    )
+    code, _, err = run(capsys, "scenario", str(no_expect))
+    assert code == 2
+    assert err.strip() == "error: checks[0].expect: missing for a volume check"
+
+    not_an_object = tmp_path / "not-an-object.json"
+    not_an_object.write_text(
+        json.dumps({**TINY_SCENARIO, "checks": [TINY_SCENARIO["checks"][0], 3]})
+    )
+    code, out, err = run(capsys, "scenario", str(not_an_object))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: checks[1]: a check must be an object"
+
+
 def test_json_report_round_trips(capsys):
     code, out, _ = run(capsys, "scenario", "ex-825", "--json")
     assert code == 0
@@ -163,6 +181,12 @@ def test_wps_volume_cmd(capsys):
         capsys, "wps", "volume", "--weights", "6,11,14,21", "--degree", "42", "--twist", "11"
     )
     assert code == 0 and "volume = 1/462" in out
+
+
+def test_wps_volume_needs_four_weights(capsys):
+    code, out, err = run(capsys, "wps", "volume", "--weights", "6,11,25", "--degree", "86")
+    assert code == 2 and out == ""
+    assert "need exactly 4 weights, got 3" in err
 
 
 def test_wps_hilbert_cmd(capsys):

@@ -386,3 +386,10 @@ def test_parse_graph_errors():
         parse_graph("a 2 wat")
     with pytest.raises(GraphFormatError):
         parse_graph("a -- b")
+
+
+def test_parse_graph_bad_node_count():
+    for bad in ("abc", "-1"):
+        with pytest.raises(GraphFormatError, match=rf"^line 2: bad node count '{bad}'$"):
+            parse_graph(f"B 2\nA 2 0 node={bad}\n")
+    assert parse_graph("A 2 0 node=3\n").vertex("A").node_count == 3

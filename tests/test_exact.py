@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from logsurf.exact import (
     QMatrix,
     QuadraticForm1D,
     SingularMatrix,
+    UnboundedObjective,
     determinant,
     is_negative_definite,
     lp_feasible,
@@ -152,27 +154,93 @@ def test_lp_no_columns_and_no_rows():
         lp_feasible(QMatrix.from_rows([[1]]), (F(1), F(2)))
 
 
+def brute_force_minimum(a: QMatrix, b, cost):
+    """Least cost over all basic feasible solutions, or None when there are none."""
+    best = None
+    for k in range(min(a.rows, a.cols) + 1):
+        for cols in combinations(range(a.cols), k):
+            sub = a.submatrix(range(a.rows), cols)
+            try:
+                xs = solve_linear(sub.transpose().matmul(sub), sub.transpose().apply(b))
+            except SingularMatrix:
+                continue  # dependent columns: not a basis
+            if any(v < 0 for v in xs) or sub.apply(xs) != tuple(b):
+                continue
+            val = sum((cost[j] * v for j, v in zip(cols, xs)), F(0))
+            best = val if best is None else min(best, val)
+    return best
+
+
 def test_lp_random_outcomes_reverified():
     # Acceptance-style property: every outcome re-verified from scratch.
     rng = random.Random(424242)
-    feas = infeas = 0
+    feas = infeas = redundant = 0
     for _ in range(200):
         m = rng.randint(1, 4)
         n = rng.randint(1, 5)
-        a = QMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
-        b = tuple(F(rng.randint(-6, 6)) for _ in range(m))
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        b = [F(rng.randint(-6, 6)) for _ in range(m)]
+        if rng.random() < 0.3:
+            # rank-deficient A: phase 2 may start with an artificial basic at 0
+            rows.append(list(rows[-1]))
+            b.append(b[-1])
+            redundant += 1
+        a, b = QMatrix.from_rows(rows), tuple(b)
         res = lp_feasible(a, b)
         assert res.feasible == (res.x is not None)
         assert res.feasible == (res.y is None)
+        # a cost of the form A^T y0 + s with s >= 0 is bounded below by y0.b
+        y0 = [F(rng.randint(-3, 3)) for _ in range(len(b))]
+        cost = tuple(
+            sum((y0[i] * a.at(i, j) for i in range(a.rows)), F(0)) + rng.randint(0, 3)
+            for j in range(n)
+        )
+        opt = lp_feasible(a, b, cost=cost)
+        assert opt.feasible == res.feasible
         if res.feasible:
             feas += 1
-            assert all(xi >= 0 for xi in res.x)
-            assert a.apply(res.x) == b
+            for x in (res.x, opt.x):
+                assert all(xi >= 0 for xi in x)
+                assert a.apply(x) == b
+            value = sum((c * xi for c, xi in zip(cost, opt.x)), F(0))
+            assert value == brute_force_minimum(a, b, cost)
+            # optimal dual: y^T A <= cost and y.b = cost.x
+            assert all(p <= c for p, c in zip(a.transpose().apply(opt.y), cost))
+            assert sum(yi * bi for yi, bi in zip(opt.y, b)) == value
         else:
             infeas += 1
-            assert all(p <= 0 for p in a.transpose().apply(res.y))
-            assert sum(yi * bi for yi, bi in zip(res.y, b)) > 0
-    assert feas > 20 and infeas > 20
+            assert brute_force_minimum(a, b, cost) is None
+            for y in (res.y, opt.y):
+                assert all(p <= 0 for p in a.transpose().apply(y))
+                assert sum(yi * bi for yi, bi in zip(y, b)) > 0
+    assert feas > 20 and infeas > 20 and redundant > 20
+
+
+def test_lp_cost_with_artificial_left_at_zero():
+    # Phase 1 ends with the second artificial basic at 0 on a row with a -2
+    # under x1; entering x1 in phase 2 without first pivoting that artificial
+    # out would raise it to 2 and return the infeasible point (0, 1).
+    a = QMatrix.from_rows([[1, 1], [1, -1]])
+    res = lp_feasible(a, (F(1), F(1)), cost=(F(1), F(-1)))
+    assert res.x == (F(1), F(0))
+    assert all(p <= c for p, c in zip(a.transpose().apply(res.y), (1, -1)))
+    assert res.y[0] + res.y[1] == 1
+
+    # duplicated row: the artificial stays basic at 0 on a redundant row
+    a = QMatrix.from_rows([[1, 1, -1], [1, 1, -1], [0, 1, 1]])
+    b = (F(2), F(2), F(3))
+    res = lp_feasible(a, b, cost=(F(2), F(1), F(3)))
+    assert res.feasible and res.x == (F(0), F(5, 2), F(1, 2))
+    assert a.apply(res.x) == b
+    assert all(p <= c for p, c in zip(a.transpose().apply(res.y), (2, 1, 3)))
+    assert sum(yi * bi for yi, bi in zip(res.y, b)) == F(4)
+
+
+def test_lp_cost_unbounded_and_shape():
+    with pytest.raises(UnboundedObjective):
+        lp_feasible(QMatrix.from_rows([[1, -1]]), (F(0),), cost=(F(0), F(-1)))
+    with pytest.raises(DimensionMismatch):
+        lp_feasible(QMatrix.from_rows([[1, -1]]), (F(0),), cost=(F(1),))
 
 
 def test_quadratic_from_composite_and_minimum():

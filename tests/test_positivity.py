@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from logsurf import positivity
 from logsurf.dualgraph import NotNegativeDefinite
 from logsurf.lattice import (
     BlowupRecipe,
@@ -17,8 +18,6 @@ from logsurf.positivity import (
     EmptyInterval,
     NegativeIntersection,
     NoEffectiveRepresentative,
-    _simplest_between,
-    _simplest_candidate,
     contraction_report,
     nef_certificate,
     nef_threshold,
@@ -60,6 +59,10 @@ def line_model() -> SurfaceModel:
         rank=1, basis=("H",), visible={"A": (F(1),)},
         incidence=frozenset(), steps=(), num_lines=0,
     )
+
+
+def dot(y, c) -> Fraction:
+    return sum((a * b for a, b in zip(y, c)), F(0))
 
 
 def neg_curve_model() -> SurfaceModel:
@@ -204,6 +207,33 @@ def test_pet_flagship_value(ex462):
     assert all(x == 0 for x in at)
     # dichotomy guard: nothing hides in (10/11, 12/13)
     assert not (F(10, 11) < r.value < F(12, 13))
+    # the optimal dual certifies that nothing below 10/11 is effective
+    y = r.farkas_below
+    assert all(dot(y, m.visible_class(lbl)) <= 0 for lbl in m.visible)
+    assert dot(y, tuple(a + b for a, b in zip(k, base_cls))) == F(10, 11)
+    assert dot(y, at) >= 0
+
+
+@pytest.mark.parametrize("scenario", ["ex462", "ex825"])
+def test_pet_boundary_ray_is_one_farkas_lp(scenario, request, monkeypatch):
+    # K + t*(L0+L1+L2+L3) is visible-effective for no t >= 0; one LP says so
+    m = request.getfixturevalue(scenario).model
+    calls = []
+    real = positivity.lp_feasible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(positivity, "lp_feasible", counted)
+    ray = {"L0": 1, "L1": 1, "L2": 1, "L3": 1}
+    r = pet(m, {}, ray, F(1, 1000), plus_canonical=True)
+    assert r.value is None and not r.certified
+    assert len(calls) == 1
+    y = r.farkas_below
+    assert all(dot(y, m.visible_class(lbl)) <= 0 for lbl in m.visible)
+    assert dot(y, divisor_class(m, qdiv(ray))) >= 0
+    assert dot(y, m.canonical_class) > 0
 
 
 def test_pet_synthetic_line():
@@ -229,17 +259,6 @@ def test_pet_rejects_bad_inputs(ex462):
         pet(m, {}, {"L0": -1}, F(1, 10))
     with pytest.raises(ValueError):
         pet(m, {}, {"L0": 1}, 0)
-
-
-def test_simplest_rationals():
-    assert _simplest_between(F(1, 3), F(1, 2)) == F(1, 2)
-    assert _simplest_between(F(2, 3), F(3, 4)) == F(2, 3)
-    assert _simplest_between(F(0), F(1)) == 0
-    lo = F(10, 11) - F(1, 2048)
-    hi = F(10, 11) + F(1, 2048)
-    assert _simplest_between(lo, hi) == F(10, 11)
-    assert _simplest_candidate(F(2, 3), F(3, 4)) == F(3, 4)
-    assert _simplest_candidate(F(0), F(1)) == 1
 
 
 def test_nef_certificate_ex825(ex825):
@@ -337,3 +356,8 @@ def test_contraction_report_ex825(ex825):
 
 def test_zariski_random_invariants():
     assert _properties.zariski_invariants(seed=20260819, cases=200) == 200
+
+
+def test_pet_random_certificates():
+    # both branches: positive thresholds (dual checked) and t* = 0
+    assert 30 < _properties.pet_certificates(seed=20261018, cases=60) < 60
