@@ -542,6 +542,10 @@ def run_scenario(source: str) -> Report:
         missing = next((key for key in required if key not in spec), None)
         if missing is not None:
             raise ParseError(f"checks[{i}].{missing}: missing for a {kind} check")
+        if "divisor" in required:
+            name = spec["divisor"]
+            if not (isinstance(name, str) and name in divisors):
+                raise ParseError(f"checks[{i}].divisor: unknown divisor {name!r}")
         t0 = time.perf_counter()
         rec = runner(m, divisors, spec)
         rec.seconds = time.perf_counter() - t0

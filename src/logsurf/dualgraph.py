@@ -563,6 +563,8 @@ def parse_graph(text: str) -> DualGraph:
         node_count = 0
         rest = parts[2:]
         if rest and rest[0].lstrip("-").isdigit():
+            if not (rest[0].isascii() and rest[0].isdigit()):
+                raise GraphFormatError(f"line {lineno}: bad genus {rest[0]!r}")
             genus = int(rest[0])
             rest = rest[1:]
         for tok in rest:

@@ -10,8 +10,9 @@ lines and of the exceptional curves) together with which pairs still meet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components, intersection_matrix
@@ -94,6 +95,58 @@ class BlowupRecipe:
             raise RecipeError("negative line count")
 
 
+@dataclass(frozen=True)
+class IntegralGram:
+    """Intersection numbers of the visible curves, as ints: ``products[a][b]``
+    is C_a.C_b and ``k_dot[a]`` is K.C_a. Intersections of divisors supported
+    on visible curves are taken in curve coordinates, D.C = sum_i d_i C_i.C."""
+
+    products: Mapping[str, Mapping[str, int]]
+    k_dot: Mapping[str, int]
+
+    @classmethod
+    def of_classes(cls, visible: Mapping[str, Sequence[Rational]], rank: int) -> IntegralGram:
+        ints: dict[str, list[int]] = {}
+        for lbl, vec in visible.items():
+            if len(vec) != rank or not all(
+                isinstance(c, (int, Fraction)) and c.denominator == 1 for c in vec
+            ):
+                raise ValueError(f"class of {lbl} is not an integral vector of length {rank}")
+            ints[lbl] = [int(c) for c in vec]
+        # nonzero entries of x against the form diag(1, -1, ..., -1)
+        signed = {
+            lbl: [(i, c if i == 0 else -c) for i, c in enumerate(x) if c] for lbl, x in ints.items()
+        }
+        products = {
+            a: {b: sum(c * y[i] for i, c in signed[a]) for b, y in ints.items()} for a in ints
+        }
+        return cls(products, {lbl: -3 * x[0] - sum(x[1:]) for lbl, x in ints.items()})
+
+    def at(self, a: str, b: str) -> int:
+        try:
+            return self.products[a][b]
+        except KeyError as err:
+            raise UnknownLabel(err.args[0]) from None
+
+    def matrix(self, labels: Sequence[str]) -> QMatrix:
+        return QMatrix.from_rows([[self.at(a, b) for b in labels] for a in labels])
+
+    def dots(
+        self, d: QDivisor, labels: Iterable[str], plus_canonical: bool = False
+    ) -> dict[str, Rational]:
+        """([K +] D).C for each label C, over one common denominator."""
+        q = lcm(*(c.denominator for _, c in d.coeffs))
+        k = q if plus_canonical else 0
+        try:
+            terms = [(self.products[lbl], c.numerator * q // c.denominator) for lbl, c in d.coeffs]
+            return {
+                lbl: Fraction(k * self.k_dot[lbl] + sum(a * row[lbl] for row, a in terms), q)
+                for lbl in labels
+            }
+        except KeyError as err:
+            raise UnknownLabel(err.args[0]) from None
+
+
 @dataclass
 class SurfaceModel:
     rank: int
@@ -102,6 +155,15 @@ class SurfaceModel:
     incidence: frozenset[frozenset[str]]
     steps: tuple[tuple[str, str], ...]
     num_lines: int
+    #: Integer Gram matrix and K.C of the visible curves, computed once.
+    gram: IntegralGram = field(init=False, repr=False, compare=False)
+    #: Zariski decompositions already computed, keyed by (divisor, plus_canonical).
+    decompositions: dict[tuple[QDivisor, bool], object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.gram = IntegralGram.of_classes(self.visible, self.rank)
 
     @property
     def form_diagonal(self) -> tuple[int, ...]:
@@ -228,25 +290,20 @@ def germ_of_cluster(
     cl = list(dict.fromkeys(cluster))
     bd = [b for b in dict.fromkeys(boundary) if b not in cl]
     labels = cl + bd
-    classes = {lbl: m.visible_class(lbl) for lbl in labels}
-    gram = QMatrix.from_rows(
-        [[m.pairing(classes[a], classes[b]) for b in cl] for a in cl]
-    )
-    if not is_negative_definite(gram):
+    gram = m.gram
+    verts = [
+        GraphVertex(lbl, gram.at(lbl, lbl), genus=0, is_exceptional=i < len(cl))
+        for i, lbl in enumerate(labels)
+    ]
+    if not is_negative_definite(gram.matrix(cl)):
         raise NotContractible("cluster intersection matrix is not negative definite")
-    verts = []
-    for lbl in labels:
-        self_int = m.pairing(classes[lbl], classes[lbl])
-        if self_int.denominator != 1:
-            raise ValueError(f"{lbl} has non-integral self-intersection")
-        verts.append(GraphVertex(lbl, int(self_int), genus=0, is_exceptional=lbl in set(cl)))
     edges: list[tuple[str, str]] = []
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
-            prod = m.pairing(classes[a], classes[b])
-            if prod < 0 or prod.denominator != 1:
+            prod = gram.at(a, b)
+            if prod < 0:
                 raise ValueError(f"unexpected intersection {prod} between {a} and {b}")
-            edges.extend([(a, b)] * int(prod))
+            edges.extend([(a, b)] * prod)
     g = DualGraph(tuple(verts), tuple(edges))
     if len(_components(g)) > 1:
         raise Disconnected("cluster plus boundary is not connected")

@@ -71,12 +71,6 @@ def _target_class(m: SurfaceModel, d, plus_canonical: bool) -> tuple[Rational, .
     return cls
 
 
-def _visible_gram(m: SurfaceModel, labels: Sequence[str]) -> QMatrix:
-    return QMatrix.from_rows(
-        [[m.pairing(m.visible_class(a), m.visible_class(b)) for b in labels] for a in labels]
-    )
-
-
 @dataclass(frozen=True)
 class ZariskiResult:
     positive_coeffs: QDivisor
@@ -99,21 +93,34 @@ def zariski(
     visible curve the current candidate still meets negatively, until none is
     left. The result does not depend on the scan order; ``one_at_a_time``
     adds only the first violator per round, which is how the order-independence
-    property gets exercised.
+    property gets exercised. The default-order decomposition is computed once
+    per model and (divisor, plus_canonical); the other orders always iterate.
     """
     dd = qdiv(d)
     if not dd.is_effective():
         raise ValueError("divisor must be effective on visible curves")
+    plus = bool(plus_canonical)
+    if scan_order is None and not one_at_a_time:
+        key = (dd, plus)
+        if key not in m.decompositions:
+            m.decompositions[key] = _fujita(m, dd, plus, sorted(m.visible), False)
+        return m.decompositions[key]
     labels = list(scan_order) if scan_order is not None else sorted(m.visible)
     if set(labels) != set(m.visible) or len(labels) != len(m.visible):
         raise ValueError("scan_order must be a permutation of the visible labels")
-    d_class = _target_class(m, dd, plus_canonical)
-    d_dot = {lbl: m.pairing(d_class, m.visible_class(lbl)) for lbl in labels}
+    return _fujita(m, dd, plus, labels, one_at_a_time)
 
+
+def _fujita(
+    m: SurfaceModel, dd: QDivisor, plus: bool, labels: list[str], one_at_a_time: bool
+) -> ZariskiResult:
+    """The iteration behind ``zariski``, in curve coordinates: P.C is D.C minus
+    the N coefficients against the integer Gram matrix."""
+    d_dot = m.gram.dots(dd, labels, plus)
     support: list[str] = []
     while True:
+        gram = m.gram.matrix(support)
         if support:
-            gram = _visible_gram(m, support)
             if not is_negative_definite(gram):
                 raise NotNegativeDefinite(f"support {support} has degenerate intersection matrix")
             n_vals = solve_linear(gram, tuple(d_dot[lbl] for lbl in support))
@@ -123,26 +130,22 @@ def zariski(
         else:
             n_vals = ()
         n_div = QDivisor.from_dict(dict(zip(support, n_vals)))
-        n_class = divisor_class(m, n_div)
-        p_class = tuple(a - b for a, b in zip(d_class, n_class))
-        violators = [
-            lbl
-            for lbl in labels
-            if lbl not in support and m.pairing(p_class, m.visible_class(lbl)) < 0
-        ]
+        n_dot = m.gram.dots(n_div, labels)
+        p_dot = {lbl: d_dot[lbl] - n_dot[lbl] for lbl in labels}
+        violators = [lbl for lbl in labels if lbl not in support and p_dot[lbl] < 0]
         if not violators:
             break
         support.extend(violators[:1] if one_at_a_time else violators)
 
-    for lbl in support:
-        if m.pairing(p_class, m.visible_class(lbl)) != 0:
-            raise AssertionError("positive part meets its own negative support")
+    if any(p_dot[lbl] != 0 for lbl in support):
+        raise AssertionError("positive part meets its own negative support")
+    n_class = divisor_class(m, n_div)
     return ZariskiResult(
         positive_coeffs=dd.sub(n_div),
-        positive_class=p_class,
+        positive_class=tuple(a - b for a, b in zip(_target_class(m, dd, plus), n_class)),
         negative_part=n_div,
-        support_gram=_visible_gram(m, support),
-        includes_canonical=plus_canonical,
+        support_gram=gram,
+        includes_canonical=plus,
     )
 
 
@@ -176,15 +179,19 @@ def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> NefCert
     curves on the surface: anything else meets the representative's support
     properly, hence non-negatively.
     """
-    target = _target_class(m, d, plus_canonical)
-    inters = {lbl: m.pairing(target, m.visible_class(lbl)) for lbl in sorted(m.visible)}
+    labels = sorted(m.visible)
+    if isinstance(d, (QDivisor, Mapping)):
+        inters = m.gram.dots(qdiv(d), labels, plus_canonical)
+    else:
+        target = _target_class(m, d, plus_canonical)
+        inters = {lbl: m.pairing(target, m.visible_class(lbl)) for lbl in labels}
     for lbl, v in inters.items():
         if v < 0:
             raise NegativeIntersection(f"{lbl}: intersection {v} < 0")
-    feas = psef_test(m, target)
+    feas = psef_test(m, d, plus_canonical)
     if not feas.feasible:
         raise NoEffectiveRepresentative("class is not a nonnegative visible combination")
-    rep = QDivisor.from_dict(dict(zip(sorted(m.visible), feas.x)))
+    rep = QDivisor.from_dict(dict(zip(labels, feas.x)))
     return NefCertificate(effective_rep=rep, visible_intersections=inters)
 
 
@@ -213,12 +220,10 @@ def nef_threshold(
     EmptyInterval when nothing survives.
     """
     base_d, ray_d = qdiv(base), qdiv(ray)
-    base_class = _target_class(m, base_d, plus_canonical)
-    ray_class = divisor_class(m, ray_d)
-    constraints: list[tuple[str, Rational, Rational]] = []
-    for lbl in sorted(m.visible):
-        c = m.visible_class(lbl)
-        constraints.append((lbl, m.pairing(base_class, c), m.pairing(ray_class, c)))
+    labels = sorted(m.visible)
+    base_dot = m.gram.dots(base_d, labels, plus_canonical)
+    ray_dot = m.gram.dots(ray_d, labels)
+    constraints = [(lbl, base_dot[lbl], ray_dot[lbl]) for lbl in labels]
     for lbl in sorted(set(base_d.support()) | set(ray_d.support())):
         # coefficient bound: base_l + s*ray_l <= 1
         constraints.append((f"coeff({lbl})", 1 - base_d.coeff(lbl), -ray_d.coeff(lbl)))
@@ -238,9 +243,8 @@ def nef_threshold(
     binding = tuple(
         name for name, alpha, beta in constraints if beta > 0 and -alpha / beta == lo
     )
-    value_class = tuple(b + lo * r for b, r in zip(base_class, ray_class))
     try:
-        cert = nef_certificate(m, value_class)
+        cert = nef_certificate(m, base_d.add(ray_d.scale(lo)), plus_canonical)
     except NoEffectiveRepresentative:
         cert = None
     return ThresholdResult(
@@ -313,12 +317,11 @@ def pullback_after_contraction(
     dd = qdiv(d) if d is not None else QDivisor(())
     if set(dd.support()) & set(cset):
         raise ValueError("divisor must be supported away from the contracted curves")
-    gram = _visible_gram(m, cset)
+    gram = m.gram.matrix(cset)
     if cset and not is_negative_definite(gram):
         raise NotNegativeDefinite("contracted set is not negative definite")
-    t_class = _target_class(m, dd, include_canonical)
-    rhs = tuple(-m.pairing(t_class, m.visible_class(lbl)) for lbl in cset)
-    sol = solve_linear(gram, rhs) if cset else ()
+    t_dot = m.gram.dots(dd, cset, include_canonical)
+    sol = solve_linear(gram, tuple(-t_dot[lbl] for lbl in cset)) if cset else ()
     total = dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
     return total, _target_class(m, total, include_canonical)
 
@@ -338,15 +341,12 @@ def contraction_report(
 ) -> ContractionReport:
     """What the ample model of [K +] d contracts, cluster by cluster."""
     z = zariski(m, d, plus_canonical)
-    contracted = tuple(
-        lbl
-        for lbl in sorted(m.visible)
-        if m.pairing(z.positive_class, m.visible_class(lbl)) == 0
-    )
+    p_dot = m.gram.dots(z.positive_coeffs, sorted(m.visible), z.includes_canonical)
+    contracted = tuple(lbl for lbl, v in p_dot.items() if v == 0)
     adj: dict[str, list[str]] = {lbl: [] for lbl in contracted}
     for i, x in enumerate(contracted):
         for y in contracted[i + 1 :]:
-            if m.pairing(m.visible_class(x), m.visible_class(y)) > 0:
+            if m.gram.at(x, y) > 0:
                 adj[x].append(y)
                 adj[y].append(x)
     seen: set[str] = set()

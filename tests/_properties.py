@@ -29,11 +29,15 @@ from logsurf.wps import (
 )
 
 
-def random_recipe(rng: random.Random, max_lines: int = 4, max_steps: int = 6) -> BlowupRecipe:
-    n = rng.randint(2, max_lines)
+def random_recipe(
+    rng: random.Random, max_lines: int = 4, max_steps: int = 6, full: bool = False
+) -> BlowupRecipe:
+    """Random blow-ups of meeting pairs; ``full`` takes exactly max_lines lines
+    and max_steps steps."""
+    n = max_lines if full else rng.randint(2, max_lines)
     incidence = {(f"L{i}", f"L{j}") for i in range(n) for j in range(i + 1, n)}
     steps: list[tuple[str, str]] = []
-    for s in range(1, rng.randint(0, max_steps) + 1):
+    for s in range(1, (max_steps if full else rng.randint(0, max_steps)) + 1):
         if not incidence:
             break
         pair = rng.choice(sorted(incidence))
@@ -53,13 +57,13 @@ def random_effective_divisor(rng: random.Random, labels) -> QDivisor:
     return QDivisor.from_dict(coeffs)
 
 
-def zariski_invariants(seed: int, cases: int) -> int:
+def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
     """Orthogonality, sign conditions, negative-definite support, and
     independence from the scan order, on random recipes."""
     rng = random.Random(seed)
     done = 0
     while done < cases:
-        m = build_from_recipe(random_recipe(rng))
+        m = build_from_recipe(random_recipe(rng, max_steps=max_steps))
         d = random_effective_divisor(rng, sorted(m.visible))
         z = zariski(m, d)
         assert z.negative_part.is_effective()
@@ -82,6 +86,28 @@ def zariski_invariants(seed: int, cases: int) -> int:
             assert other.positive_class == z.positive_class
         done += 1
     return done
+
+
+def gram_matches_pairing(seed: int, cases: int) -> int:
+    """The model's integer Gram matrix, its K.C and curve-coordinate D.C agree
+    with pairing class vectors, on random recipes of 4 lines and 17 steps."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        m = build_from_recipe(random_recipe(rng, max_steps=17, full=True))
+        labels = sorted(m.visible)
+        assert len(labels) == 21
+        for a in labels:
+            cls = m.visible_class(a)
+            assert m.gram.k_dot[a] == m.pairing(m.canonical_class, cls)
+            for b in labels:
+                assert m.gram.at(a, b) == m.pairing(cls, m.visible_class(b))
+        d = QDivisor.from_dict(
+            {lbl: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for lbl in labels}
+        )
+        k_d = tuple(k + c for k, c in zip(m.canonical_class, divisor_class(m, d)))
+        dots = m.gram.dots(d, labels, plus_canonical=True)
+        assert dots == {lbl: m.pairing(k_d, m.visible_class(lbl)) for lbl in labels}
+    return cases
 
 
 def pet_certificates(seed: int, cases: int, max_steps: int = 17) -> int:

@@ -113,6 +113,30 @@ def test_scenario_check_missing_key(tmp_path, capsys):
     assert err.strip() == "error: checks[1]: a check must be an object"
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"kind": "volume", "divisor": "Nope", "expect": "1"},
+        {"kind": "zariski", "divisor": "Nope", "expect_positive": {}},
+        {
+            "kind": "contraction",
+            "divisor": "Nope",
+            "expect_picard": 1,
+            "expect_contracted": [],
+            "expect_clusters": [],
+        },
+    ],
+)
+def test_scenario_check_unknown_divisor(tmp_path, capsys, check):
+    path = tmp_path / "unknown-divisor.json"
+    path.write_text(
+        json.dumps({**TINY_SCENARIO, "checks": [TINY_SCENARIO["checks"][0], check]})
+    )
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: checks[1].divisor: unknown divisor 'Nope'"
+
+
 def test_json_report_round_trips(capsys):
     code, out, _ = run(capsys, "scenario", "ex-825", "--json")
     assert code == 0

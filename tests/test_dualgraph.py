@@ -393,3 +393,10 @@ def test_parse_graph_bad_node_count():
         with pytest.raises(GraphFormatError, match=rf"^line 2: bad node count '{bad}'$"):
             parse_graph(f"B 2\nA 2 0 node={bad}\n")
     assert parse_graph("A 2 0 node=3\n").vertex("A").node_count == 3
+
+
+def test_parse_graph_bad_genus():
+    for bad in ("-1", "-0"):
+        with pytest.raises(GraphFormatError, match=rf"^line 2: bad genus '{bad}'$"):
+            parse_graph(f"B 2\nA 2 {bad}\n")
+    assert parse_graph("A 2 1\n").vertex("A").genus == 1

@@ -12,6 +12,7 @@ from logsurf.lattice import (
     PairNotIncident,
     QDivisor,
     RecipeError,
+    SurfaceModel,
     UnknownLabel,
     build_from_recipe,
     divisor_class,
@@ -21,6 +22,8 @@ from logsurf.lattice import (
     parse_recipe,
     qdiv,
 )
+
+from _properties import gram_matches_pairing
 
 F = Fraction
 
@@ -231,3 +234,33 @@ def test_unknown_label_lookup(ex462):
         ex462.model.visible_class("E99")
     with pytest.raises(UnknownLabel):
         divisor_class(ex462.model, qdiv({"E99": 1}))
+
+
+def test_gram_matches_pairing_flagship_size():
+    assert gram_matches_pairing(seed=20261020, cases=12) == 12
+
+
+def test_hand_built_model_gets_an_integral_gram():
+    m = SurfaceModel(
+        rank=2, basis=("H", "e1"), visible={"A": (F(1), F(-1)), "E": (0, 1)},
+        incidence=frozenset(), steps=(), num_lines=0,
+    )
+    assert m.gram.products == {"A": {"A": 0, "E": 1}, "E": {"A": 1, "E": -1}}
+    assert m.gram.k_dot == {"A": -2, "E": -1}
+    assert "gram" not in repr(m)
+    twin = SurfaceModel(m.rank, m.basis, dict(m.visible), m.incidence, m.steps, m.num_lines)
+    twin.decompositions["x"] = None
+    assert twin == m
+    with pytest.raises(UnknownLabel):
+        m.gram.at("A", "Z")
+
+
+@pytest.mark.parametrize(
+    "visible", [{"A": (F(1, 2), F(0))}, {"A": (F(1), F(0)), "B": (F(1), F(2, 3))}, {"A": (F(1),)}]
+)
+def test_model_rejects_non_integral_or_misshapen_classes(visible):
+    with pytest.raises(ValueError):
+        SurfaceModel(
+            rank=2, basis=("H", "e1"), visible=visible,
+            incidence=frozenset(), steps=(), num_lines=0,
+        )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from logsurf import positivity
+from logsurf.cli import main
 from logsurf.dualgraph import NotNegativeDefinite
 from logsurf.lattice import (
     BlowupRecipe,
@@ -356,6 +357,51 @@ def test_contraction_report_ex825(ex825):
 
 def test_zariski_random_invariants():
     assert _properties.zariski_invariants(seed=20260819, cases=200) == 200
+
+
+def test_zariski_random_invariants_flagship_size():
+    assert _properties.zariski_invariants(seed=20261019, cases=40, max_steps=17) == 40
+
+
+def test_scenario_replay_runs_each_decomposition_once(monkeypatch):
+    runs = []
+    real = positivity._fujita
+
+    def counted(m, dd, plus, labels, one_at_a_time):
+        runs.append((dd, plus))
+        return real(m, dd, plus, labels, one_at_a_time)
+
+    monkeypatch.setattr(positivity, "_fujita", counted)
+    for name in ("ex-462", "ex-825"):
+        runs.clear()
+        assert main(["scenario", name, "--json"]) == 0
+        # volume, zariski and contraction all ask for [K +] the same divisor
+        assert len(runs) == 1 and runs[0][1] is True
+
+
+def test_explicit_orders_bypass_the_memo(monkeypatch):
+    m = build_from_recipe(BlowupRecipe(3, (("L0", "L1"), ("E1", "L0"), ("L1", "L2"))))
+    d = qdiv({"L0": 3, "L1": 3, "L2": 3, "E1": 2, "E2": 1, "E3": F(1, 2)})
+    runs = []
+    real = positivity._fujita
+
+    def counted(*args):
+        runs.append(args[3:])
+        return real(*args)
+
+    monkeypatch.setattr(positivity, "_fujita", counted)
+    z = zariski(m, d)
+    assert zariski(m, QDivisor.from_dict(d.as_dict())) is z
+    assert volume(m, d) == m.pairing(z.positive_class, z.positive_class)
+    assert len(runs) == 1
+    order = sorted(m.visible, reverse=True)
+    assert zariski(m, d, scan_order=order).negative_part == z.negative_part
+    assert zariski(m, d, one_at_a_time=True).negative_part == z.negative_part
+    assert zariski(m, d, scan_order=order, one_at_a_time=True).positive_class == z.positive_class
+    assert runs[1:] == [(order, False), (sorted(m.visible), True), (order, True)]
+    # the canonical flag is part of the key
+    zariski(m, d, plus_canonical=True)
+    assert len(runs) == 5
 
 
 def test_pet_random_certificates():
