@@ -139,10 +139,10 @@ def _fujita(
 
     if any(p_dot[lbl] != 0 for lbl in support):
         raise AssertionError("positive part meets its own negative support")
-    n_class = divisor_class(m, n_div)
+    p_div = dd.sub(n_div)
     return ZariskiResult(
-        positive_coeffs=dd.sub(n_div),
-        positive_class=tuple(a - b for a, b in zip(_target_class(m, dd, plus), n_class)),
+        positive_coeffs=p_div,
+        positive_class=_target_class(m, p_div, plus),
         negative_part=n_div,
         support_gram=gram,
         includes_canonical=plus,
