@@ -179,19 +179,15 @@ def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> NefCert
     curves on the surface: anything else meets the representative's support
     properly, hence non-negatively.
     """
-    labels = sorted(m.visible)
-    if isinstance(d, (QDivisor, Mapping)):
-        inters = m.gram.dots(qdiv(d), labels, plus_canonical)
-    else:
-        target = _target_class(m, d, plus_canonical)
-        inters = {lbl: m.pairing(target, m.visible_class(lbl)) for lbl in labels}
+    target = _target_class(m, d, plus_canonical)
+    inters = {lbl: m.pairing(target, m.visible_class(lbl)) for lbl in sorted(m.visible)}
     for lbl, v in inters.items():
         if v < 0:
             raise NegativeIntersection(f"{lbl}: intersection {v} < 0")
-    feas = psef_test(m, d, plus_canonical)
+    feas = psef_test(m, target)
     if not feas.feasible:
         raise NoEffectiveRepresentative("class is not a nonnegative visible combination")
-    rep = QDivisor.from_dict(dict(zip(labels, feas.x)))
+    rep = QDivisor.from_dict(dict(zip(sorted(m.visible), feas.x)))
     return NefCertificate(effective_rep=rep, visible_intersections=inters)
 
 
