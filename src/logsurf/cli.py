@@ -74,6 +74,9 @@ BUILTIN_CHECKSUMS: dict[str, str] = {
     "ex-825": "90200a918d1d8d1c3b924cb5f9f4501b91fe437e2cf728c00928525bd699813d",
 }
 
+#: Largest ``wps hilbert --n``: the series is a list of n + 1 integers.
+HILBERT_MAX_N = 2_000_000
+
 _INPUT_ERRORS = (
     GraphFormatError,
     InvalidChain,
@@ -522,6 +525,9 @@ _CHECK_RUNNERS = {
     "germ": (_check_germ, ("cluster", "expect")),
 }
 
+#: Check kind -> its required keys that hold an exact rational.
+_RATIONAL_KEYS = {"volume": ("expect",), "pet": ("resolution", "expect_value"), "nt": ("expect_value",)}
+
 
 def run_scenario(source: str) -> Report:
     text, display = load_scenario_text(source)
@@ -542,6 +548,14 @@ def run_scenario(source: str) -> Report:
         missing = next((key for key in required if key not in spec), None)
         if missing is not None:
             raise ParseError(f"checks[{i}].{missing}: missing for a {kind} check")
+        for key in ("plus_canonical", "expect_class_zero"):
+            if key in spec and not isinstance(spec[key], bool):
+                raise ParseError(f"checks[{i}].{key}: expected true or false, got {spec[key]!r}")
+        for key in _RATIONAL_KEYS.get(kind, ()):
+            try:
+                rat(spec[key])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ParseError(f"checks[{i}].{key}: not an exact rational: {spec[key]!r}") from None
         if "divisor" in required:
             name = spec["divisor"]
             if not (isinstance(name, str) and name in divisors):
@@ -735,8 +749,10 @@ def wps_normal_form_cmd(args) -> Report:
 
 def wps_hilbert_cmd(args) -> Report:
     t0 = time.perf_counter()
-    weights = _parse_weights_arg(args.weights)
     n = args.n
+    if n > HILBERT_MAX_N:
+        raise ParseError(f"--n {n} is above the cap {HILBERT_MAX_N}")
+    weights = _parse_weights_arg(args.weights)
     series = _wps.hilbert_series(weights, args.degree, n)
     details = [f"h({n}) = {series[n]}"]
     outputs: dict[str, Any] = {"n": n, "h": str(series[n])}
@@ -864,7 +880,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_h = wps_sub.add_parser("hilbert", help="graded dimension counts")
     p_h.add_argument("--weights", default="6,11,25,43")
     p_h.add_argument("--degree", type=int, default=86)
-    p_h.add_argument("--n", type=int, required=True)
+    p_h.add_argument("--n", type=int, required=True, help=f"last degree, at most {HILBERT_MAX_N}")
     p_h.add_argument("--ratio", action="store_true", help="compare 2h(n)/n^2 with the volume")
     p_h.add_argument("--json", action="store_true")
 

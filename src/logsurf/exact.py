@@ -78,7 +78,7 @@ class QMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-        return cls(nrows, ncols, tuple(rat(e) for r in rows for e in r))
+        return cls(nrows, ncols, tuple(e for r in rows for e in r))
 
     @classmethod
     def identity(cls, n: int) -> QMatrix:
@@ -123,6 +123,32 @@ class QMatrix:
         return QMatrix(len(row_idx), len(col_idx), ent)
 
 
+def _eliminate(tab: list[list[Rational]], ncols: int) -> list[tuple[Rational, bool]]:
+    """Bring tab to row-echelon form in place over its first ncols columns.
+
+    Each column takes the first remaining row with a nonzero entry as its
+    pivot row, swapped up; only the rows below it are cleared, and a column
+    with no such row is skipped. Returns (pivot, swapped) for each pivot, in
+    order, so the number of pivots is the rank of those columns.
+    """
+    pivots: list[tuple[Rational, bool]] = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(tab)) if tab[i][col] != 0), None)
+        if piv is None:
+            continue
+        tab[r], tab[piv] = tab[piv], tab[r]
+        prow = tab[r]
+        p = prow[col]
+        for row in tab[r + 1 :]:
+            if row[col] != 0:
+                f = row[col] / p
+                row[col:] = [x - f * y for x, y in zip(row[col:], prow[col:])]
+        pivots.append((p, piv != r))
+        r += 1
+    return pivots
+
+
 def solve_linear(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...]:
     """Solve m @ x = v exactly. Raises SingularMatrix when no unique solution exists."""
     if m.rows != m.cols:
@@ -130,74 +156,49 @@ def solve_linear(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...]:
     if len(v) != m.rows:
         raise DimensionMismatch("right-hand side length does not match matrix")
     n = m.rows
-    a = m.to_lists()
-    rhs = [rat(x) for x in v]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"zero pivot column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                rhs[r] -= f * rhs[col]
-    return tuple(rhs)
+    tab = [row + [rat(x)] for row, x in zip(m.to_lists(), v)]
+    if len(_eliminate(tab, n)) < n:
+        raise SingularMatrix("matrix is singular")
+    # n pivots, so pivot i sits at (i, i): back-substitute.
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        known = sum((tab[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        x[i] = (tab[i][n] - known) / tab[i][i]
+    return tuple(x)
 
 
 def determinant(m: QMatrix) -> Rational:
     """Exact determinant. The empty 0x0 matrix has determinant 1."""
     if m.rows != m.cols:
         raise NonSquare(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = m.to_lists()
+    pivots = _eliminate(m.to_lists(), m.cols)
+    if len(pivots) < m.rows:
+        return Fraction(0)
     det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    for p, swapped in pivots:
+        det *= -p if swapped else p
     return det
 
 
 def is_negative_definite(m: QMatrix) -> bool:
     """Sylvester test via elimination pivots: every pivot must be negative.
 
-    A zero pivot means a vanishing leading principal minor, which already
-    rules out definiteness, so that case returns False rather than raising.
+    Without row swaps the k-th pivot is the ratio of the k-th and (k-1)-th
+    leading principal minors. A swap means a leading minor vanished, and
+    fewer than n pivots means the matrix is singular; either rules out
+    definiteness, so those cases return False rather than raising.
     """
     if m.rows != m.cols:
         raise NonSquare(f"definiteness needs a square matrix, got {m.rows}x{m.cols}")
     if not m.is_symmetric():
         raise NonSymmetric("definiteness is only defined for symmetric matrices here")
-    n = m.rows
-    a = m.to_lists()
-    for k in range(n):
-        piv = a[k][k]
-        if piv >= 0:
-            return False
-        inv = Fraction(1) / piv
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] * inv
-                for c in range(k, n):
-                    a[r][c] -= f * a[k][c]
-    return True
+    pivots = _eliminate(m.to_lists(), m.cols)
+    return len(pivots) == m.rows and all(p < 0 and not swapped for p, swapped in pivots)
+
+
+def matrix_rank(m: QMatrix) -> int:
+    """Exact rank of a (possibly rectangular) matrix."""
+    return len(_eliminate(m.to_lists(), m.cols))
 
 
 @dataclass(frozen=True)

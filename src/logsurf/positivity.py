@@ -35,6 +35,7 @@ from logsurf.exact import (
 from logsurf.lattice import (
     QDivisor,
     SurfaceModel,
+    _as_class,
     divisor_class,
     germ_of_cluster,
     qdiv,
@@ -58,14 +59,7 @@ class EmptyInterval(Exception):
 
 
 def _target_class(m: SurfaceModel, d, plus_canonical: bool) -> tuple[Rational, ...]:
-    if isinstance(d, (QDivisor, Mapping)):
-        cls = divisor_class(m, qdiv(d))
-    elif isinstance(d, (tuple, list)):
-        if len(d) != m.rank:
-            raise ValueError("class vector has wrong length")
-        cls = tuple(rat(c) for c in d)
-    else:
-        raise TypeError(f"cannot interpret {d!r} as a divisor or class")
+    cls = _as_class(m, d)
     if plus_canonical:
         cls = tuple(a + b for a, b in zip(m.canonical_class, cls))
     return cls

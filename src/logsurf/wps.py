@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import sympy
 
-from .exact import Rational, rat
+from .exact import QMatrix, Rational, matrix_rank, rat
 
 Exponents = tuple[int, int, int, int]
 
@@ -345,29 +345,6 @@ class ChartDossier:
     inconclusive: bool
 
 
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    n_rows, n_cols = len(m), len(m[0]) if m else 0
-    rank = 0
-    col = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
 def analyze_origin(
     p3: Mapping[tuple[int, int, int], Rational], chart_index: int = -1
 ) -> ChartDossier:
@@ -398,7 +375,7 @@ def analyze_origin(
         else:
             q[a][b] += c / 2
             q[b][a] += c / 2
-    rank = _matrix_rank(q)
+    rank = matrix_rank(QMatrix.from_rows(q))
     is_node = rank == 3
     return ChartDossier(
         chart_index, True, 2, rank, False, is_node, False, not is_node
@@ -522,6 +499,8 @@ def hilbert_series(
     subtracts the shifted sequence.
     """
     ws = _weight_seq(weights)
+    if d < 1:
+        raise ValueError(f"degree must be at least 1, got {d}")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     c = [0] * (n_max + 1)

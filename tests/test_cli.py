@@ -9,6 +9,7 @@ import pytest
 
 from logsurf.cli import (
     BUILTIN_CHECKSUMS,
+    HILBERT_MAX_N,
     Report,
     builtin_scenario_text,
     main,
@@ -137,6 +138,72 @@ def test_scenario_check_unknown_divisor(tmp_path, capsys, check):
     assert err.strip() == "error: checks[1].divisor: unknown divisor 'Nope'"
 
 
+THREE_LINES = {
+    "name": "three-lines",
+    "recipe": {"lines": 3, "steps": [["L0", "L1"]]},
+    "divisors": {"D": {"L0": "1", "L1": "1", "L2": "1"}},
+}
+
+
+def test_scenario_boolean_keys(tmp_path, capsys):
+    check = {"kind": "volume", "divisor": "D", "plus_canonical": False, "expect": "5"}
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps({**THREE_LINES, "checks": [check]}))
+    code, out, _ = run(capsys, "scenario", str(path))
+    assert code == 0 and "volume = 5" in out
+
+    # The string "false" is truthy; it must not be read as true.
+    path.write_text(json.dumps({**THREE_LINES, "checks": [{**check, "plus_canonical": "false"}]}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: checks[0].plus_canonical: expected true or false, got 'false'"
+
+    pullback = {
+        "kind": "pullback",
+        "line_coeffs": ["1", "1", "1"],
+        "expect_coeffs": {},
+        "expect_class_zero": 1,
+    }
+    path.write_text(json.dumps({**THREE_LINES, "checks": [check, pullback]}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: checks[1].expect_class_zero: expected true or false, got 1"
+
+
+@pytest.mark.parametrize(
+    "check, key, shown",
+    [
+        ({"kind": "volume", "divisor": "D", "expect": 0.5}, "expect", "0.5"),
+        ({"kind": "volume", "divisor": "D", "expect": "one"}, "expect", "'one'"),
+        ({"kind": "volume", "divisor": "D", "expect": "1/0"}, "expect", "'1/0'"),
+        (
+            {"kind": "nt", "contract": [], "boundary": {}, "expect_value": [1]},
+            "expect_value",
+            "[1]",
+        ),
+        (
+            {
+                "kind": "pet",
+                "contract": [],
+                "boundary": {},
+                "resolution": True,
+                "expect_value": "1",
+            },
+            "resolution",
+            "True",
+        ),
+    ],
+)
+def test_scenario_rational_keys(tmp_path, capsys, check, key, shown):
+    path = tmp_path / "rationals.json"
+    path.write_text(json.dumps({**THREE_LINES, "checks": [check]}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        f"error: checks[0].{key}: not an exact rational: {shown}"
+    )
+
+
 def test_json_report_round_trips(capsys):
     code, out, _ = run(capsys, "scenario", "ex-825", "--json")
     assert code == 0
@@ -218,6 +285,24 @@ def test_wps_hilbert_cmd(capsys):
     assert code == 0 and "h(6) = 1" in out
     code, out, _ = run(capsys, "wps", "hilbert", "--n", "860", "--ratio")
     assert code == 0 and "2*h(n)/n^2" in out
+
+
+def test_wps_hilbert_rejects_bad_sizes(capsys):
+    code, out, err = run(capsys, "wps", "hilbert", "--degree", "-5", "--n", "10")
+    assert code == 2 and out == ""
+    assert err.strip() == "error (ValueError): degree must be at least 1, got -5"
+    code, out, err = run(capsys, "wps", "hilbert", "--n", str(HILBERT_MAX_N + 1))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: --n {HILBERT_MAX_N + 1} is above the cap {HILBERT_MAX_N}"
+    code, out, err = run(capsys, "wps", "hilbert", "--n", "-1")
+    assert code == 2 and out == ""
+
+
+def test_wps_hilbert_help_states_the_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["wps", "hilbert", "--help"])
+    assert f"at most {HILBERT_MAX_N}" in " ".join(capsys.readouterr().out.split())
+    assert HILBERT_MAX_N == 2_000_000
 
 
 def test_wps_analyze_cmd(capsys):

@@ -20,6 +20,7 @@ from logsurf.exact import (
     determinant,
     is_negative_definite,
     lp_feasible,
+    matrix_rank,
     minimize_quadratic,
     rat,
     solve_linear,
@@ -27,6 +28,51 @@ from logsurf.exact import (
 
 
 F = Fraction
+
+
+def cofactor_det(rows) -> Fraction:
+    """Laplace expansion along the first row: a reference that shares no
+    code with the elimination kernel. Meant for n <= 5."""
+    if not rows:
+        return F(1)
+    return sum(
+        (
+            (-1) ** j * F(rows[0][j]) * cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+            for j in range(len(rows))
+            if rows[0][j] != 0
+        ),
+        F(0),
+    )
+
+
+def minor_rank(rows) -> int:
+    """Largest k with a nonzero k x k minor, by cofactor expansion."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for ri in combinations(range(nrows), k):
+            for ci in combinations(range(ncols), k):
+                if cofactor_det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+def random_symmetric(rng, n):
+    """Symmetric n x n: either small random entries, or -(B^T B) - D with
+    B of random rank and D >= 0 diagonal, so that definite, semidefinite
+    and indefinite matrices all occur."""
+    if rng.random() < 0.5:
+        sym = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                sym[i][j] = sym[j][i] = F(rng.randint(-3, 3))
+        return sym
+    k = rng.randint(1, n)
+    b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+    d = [rng.choice((0, 0, 1)) for _ in range(n)]
+    return [
+        [-sum(F(b[r][i] * b[r][j]) for r in range(k)) - (d[i] if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def test_rat_parses_and_rejects_floats():
@@ -37,6 +83,16 @@ def test_rat_parses_and_rejects_floats():
         rat(0.5)
     with pytest.raises(TypeError):
         rat(True)
+
+
+def test_qmatrix_from_rows_coerces_once_and_rejects_floats():
+    m = QMatrix.from_rows([[1, "2/4"], [F(3, 9), "-5"]])
+    assert m.entries == (F(1), F(1, 2), F(1, 3), F(-5))
+    assert all(type(e) is Fraction for e in m.entries)
+    with pytest.raises(TypeError):
+        QMatrix.from_rows([[1, 0.5]])
+    with pytest.raises(TypeError):
+        QMatrix.from_rows([[True]])
 
 
 def test_qmatrix_shape_checks():
@@ -59,6 +115,10 @@ def test_solve_linear_two_by_two():
 def test_solve_linear_singular_and_nonsquare():
     with pytest.raises(SingularMatrix):
         solve_linear(QMatrix.from_rows([[1, 2], [2, 4]]), (F(1), F(1)))
+    with pytest.raises(SingularMatrix):
+        solve_linear(QMatrix.from_rows([[0, 1], [0, 2]]), (F(1), F(2)))
+    with pytest.raises(DimensionMismatch):
+        solve_linear(QMatrix.from_rows([[0, 1], [1, 0]]), (F(1),))
     with pytest.raises(NonSquare):
         solve_linear(QMatrix.from_rows([[1, 2]]), (F(1),))
 
@@ -82,8 +142,36 @@ def test_determinant_values():
     assert determinant(QMatrix(0, 0, ())) == 1
     assert determinant(QMatrix.from_rows([[5]])) == 5
     assert determinant(QMatrix.from_rows([[-2, 1], [1, -2]])) == 3
+    # each row swap flips the sign
+    assert determinant(QMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert determinant(QMatrix.from_rows([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
+    assert determinant(QMatrix.from_rows([[0, 2, 0], [3, 0, 0], [0, 0, 5]])) == -30
+    assert determinant(QMatrix.from_rows([[0, 1], [0, 1]])) == 0
     with pytest.raises(NonSquare):
         determinant(QMatrix.from_rows([[1, 2, 3]]))
+
+
+def test_determinant_matches_cofactor_expansion():
+    rng = random.Random(31337)
+    singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            rows[-1] = list(rows[0])  # force a repeated row
+        want = cofactor_det(rows)
+        singular += want == 0
+        assert determinant(QMatrix.from_rows(rows)) == want
+    assert singular > 20
+
+
+def test_solve_linear_zero_leading_entry():
+    m = QMatrix.from_rows([[0, 1], [1, 0]])
+    assert solve_linear(m, (F(2), F(3))) == (F(3), F(2))
+    m = QMatrix.from_rows([[0, 2, 1], [1, 1, 0], [2, 0, 1]])
+    v = (F(1), F(2), F(3, 2))
+    assert m.apply(solve_linear(m, v)) == v
+    assert solve_linear(QMatrix(0, 0, ()), ()) == ()
 
 
 def test_determinant_multiplicative():
@@ -109,6 +197,11 @@ def test_negative_definiteness():
         [[-2 if i == j else (1 if (i - j) % 3 in (1, 2) else 0) for j in range(3)] for i in range(3)]
     )
     assert not is_negative_definite(cyc)
+    # a vanishing leading minor: False, not an exception
+    assert not is_negative_definite(QMatrix.from_rows([[0, 1], [1, -1]]))
+    assert not is_negative_definite(QMatrix.from_rows([[0, 0], [0, -1]]))
+    assert not is_negative_definite(QMatrix.from_rows([[-1, 0, 0], [0, 0, 0], [0, 0, -1]]))
+    assert is_negative_definite(QMatrix(0, 0, ()))
     with pytest.raises(NonSymmetric):
         is_negative_definite(QMatrix.from_rows([[-1, 2], [0, -1]]))
     with pytest.raises(NonSquare):
@@ -116,19 +209,36 @@ def test_negative_definiteness():
 
 
 def test_negative_definite_matches_minor_signs():
+    # Sylvester's criterion with leading minors from cofactor expansion, so
+    # the reference shares no code with the elimination kernel.
     rng = random.Random(99)
-    for _ in range(80):
+    outcomes = {True: 0, False: 0}
+    for _ in range(160):
         n = rng.randint(1, 5)
-        sym = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                val = F(rng.randint(-3, 3))
-                sym[i][j] = val
-                sym[j][i] = val
-        m = QMatrix.from_rows(sym)
-        minors = [determinant(m.submatrix(range(k + 1), range(k + 1))) for k in range(n)]
+        sym = random_symmetric(rng, n)
+        minors = [cofactor_det([r[: k + 1] for r in sym[: k + 1]]) for k in range(n)]
         expected = all((minors[k] > 0 if k % 2 else minors[k] < 0) for k in range(n))
-        assert is_negative_definite(m) == expected
+        assert is_negative_definite(QMatrix.from_rows(sym)) == expected
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 20
+
+
+def test_matrix_rank():
+    assert matrix_rank(QMatrix(0, 0, ())) == 0
+    assert matrix_rank(QMatrix(2, 3, (F(0),) * 6)) == 0
+    assert matrix_rank(QMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) == 1
+    assert matrix_rank(QMatrix.from_rows([[0, 1], [1, 0], [1, 1]])) == 2
+    assert matrix_rank(QMatrix.from_rows([[0, 0, 1], [0, 0, 2], [0, 3, 0]])) == 2
+    assert matrix_rank(QMatrix.identity(4)) == 4
+    rng = random.Random(2024)
+    for _ in range(80):
+        nrows, ncols, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 3)
+        # a product of nrows x k and k x ncols has rank at most k
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum(left[i][r] * right[r][j] for r in range(k)) for j in range(ncols)] for i in range(nrows)]
+        rank = matrix_rank(QMatrix.from_rows(rows))
+        assert rank == minor_rank(rows) <= k
 
 
 def test_lp_feasible_example():

@@ -287,6 +287,24 @@ def test_nef_certificate_rejections():
         nef_certificate(m2, (F(0), F(-1)))
 
 
+def test_nef_certificate_target_forms_agree():
+    # a divisor, its mapping, its class vector and a visible label name the
+    # same target; K is added on request
+    m = blown_plane()
+    d = qdiv({"L0": 4, "E1": 3})  # 4H - E, and K + D = H
+    cls = divisor_class(m, d)
+    for plus in (False, True):
+        want = nef_certificate(m, d, plus_canonical=plus).visible_intersections
+        for form in ({"L0": 4, "E1": 3}, cls, list(cls)):
+            assert nef_certificate(m, form, plus_canonical=plus).visible_intersections == want
+    label = nef_certificate(m, "L0").visible_intersections
+    assert label == nef_certificate(m, {"L0": 1}).visible_intersections
+    with pytest.raises(ValueError):
+        nef_certificate(m, (F(1),))
+    with pytest.raises(TypeError):
+        nef_certificate(m, 3)
+
+
 def test_nef_threshold_y_model(ex825):
     m = ex825.model
     contracted = tuple(sorted(set(EX825_CONTRACTED)))

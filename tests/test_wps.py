@@ -182,6 +182,20 @@ def test_analyze_origin_dossiers_for_flagship_member():
     assert not dossiers[3].on_surface
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(2, 0, 0): F(1), (0, 2, 0): F(1), (0, 0, 3): F(1)},
+        # x*y + z^3: the quadratic form has a zero leading entry
+        {(1, 1, 0): F(1), (0, 0, 3): F(1)},
+    ],
+)
+def test_analyze_origin_quadratic_rank_two(terms):
+    d = analyze_origin(terms, chart_index=0)
+    assert d.multiplicity == 2 and d.quadratic_rank == 2
+    assert d.inconclusive and not d.a1
+
+
 def test_analyze_origin_high_multiplicity():
     member = standard_member((0, 1, 1, 1), 1, 1)
     d = analyze_origin(chart_poly(member, 3), 3)
@@ -238,6 +252,9 @@ def test_hilbert_series_prefix():
     assert h[11] == 1 and h[12] == 1
     with pytest.raises(ValueError):
         hilbert_series((6, 11, 25, 43), 86, -1)
+    for degree in (0, -5):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            hilbert_series((6, 11, 25, 43), degree, 10)
 
 
 def test_coordinate_membership():
