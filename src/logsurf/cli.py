@@ -528,6 +528,40 @@ _CHECK_RUNNERS = {
 #: Check kind -> its required keys that hold an exact rational.
 _RATIONAL_KEYS = {"volume": ("expect",), "pet": ("resolution", "expect_value"), "nt": ("expect_value",)}
 
+#: Check kind -> its required key that holds a table {curve: {"value": rational}}.
+_TABLE_KEYS = {"zariski": "expect_positive", "pullback": "expect_coeffs"}
+
+
+def _exact_at(path: str, value: Any) -> None:
+    try:
+        rat(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParseError(f"{path}: not an exact rational: {value!r}") from None
+
+
+def _validate_tables(m, path: str, kind: str, spec: Mapping[str, Any]) -> None:
+    """Reject a malformed expectation table or line coefficient list, naming
+    the JSON path of the first bad entry."""
+    key = _TABLE_KEYS.get(kind)
+    if key is not None:
+        table = spec[key]
+        if not isinstance(table, dict):
+            raise ParseError(f"{path}.{key}: expected an object")
+        for lbl, entry in table.items():
+            if lbl not in m.visible:
+                raise ParseError(f"{path}.{key}.{lbl}: unknown curve")
+            if not (isinstance(entry, dict) and "value" in entry):
+                raise ParseError(f"{path}.{key}.{lbl}: expected an object with a 'value'")
+            _exact_at(f"{path}.{key}.{lbl}.value", entry["value"])
+    if kind == "pullback":
+        coeffs = spec["line_coeffs"]
+        if not isinstance(coeffs, list):
+            raise ParseError(f"{path}.line_coeffs: expected a list")
+        if len(coeffs) != m.num_lines:
+            raise ParseError(f"{path}.line_coeffs: need {m.num_lines} entries, got {len(coeffs)}")
+        for j, c in enumerate(coeffs):
+            _exact_at(f"{path}.line_coeffs[{j}]", c)
+
 
 def run_scenario(source: str) -> Report:
     text, display = load_scenario_text(source)
@@ -552,10 +586,8 @@ def run_scenario(source: str) -> Report:
             if key in spec and not isinstance(spec[key], bool):
                 raise ParseError(f"checks[{i}].{key}: expected true or false, got {spec[key]!r}")
         for key in _RATIONAL_KEYS.get(kind, ()):
-            try:
-                rat(spec[key])
-            except (TypeError, ValueError, ZeroDivisionError):
-                raise ParseError(f"checks[{i}].{key}: not an exact rational: {spec[key]!r}") from None
+            _exact_at(f"checks[{i}].{key}", spec[key])
+        _validate_tables(m, f"checks[{i}]", kind, spec)
         if "divisor" in required:
             name = spec["divisor"]
             if not (isinstance(name, str) and name in divisors):

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import sympy
-
 from .exact import QMatrix, Rational, matrix_rank, rat
 
 Exponents = tuple[int, int, int, int]
@@ -384,7 +382,26 @@ def analyze_origin(
 
 # --- node-only certificate -------------------------------------------------
 
-_SYM_U, _SYM_V = sympy.symbols("u v")
+# sympy takes most of a cold start and only the certificate below uses it,
+# so ``sympy`` and the symbols ``u, v`` are bound here on first use.
+
+
+def _load_sympy() -> None:
+    """Bind ``sympy``, ``_SYM_U`` and ``_SYM_V``; a ``sympy`` already bound
+    (the module, or a stand-in assigned to ``wps.sympy``) is kept."""
+    global sympy, _SYM_U, _SYM_V
+    if "_SYM_U" in globals():
+        return
+    if "sympy" not in globals():
+        import sympy
+    _SYM_U, _SYM_V = sympy.symbols("u v")
+
+
+def __getattr__(name: str):
+    if name in ("sympy", "_SYM_U", "_SYM_V"):
+        _load_sympy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _to_sympy_bivariate(terms: Mapping[tuple[int, int], Rational]):
@@ -436,6 +453,7 @@ def node_only_certificate(p: WeightedPoly, i: int) -> str:
     """
     if i not in (0, 1, 2):
         raise ValueError(f"chart index must be 0, 1 or 2, got {i}")
+    _load_sympy()
     chart = chart_poly(p, i)
     keep = tuple(j for j in range(4) if j != i)
     pos3 = keep.index(3)
@@ -485,6 +503,8 @@ def wps_volume(
     ambient weights that fail the pairwise-coprimality gate.
     """
     ws = _weight_seq(weights)
+    if d < 1:
+        raise ValueError(f"degree must be at least 1, got {d}")
     m = Fraction(d - sum(ws) + twist)
     return m * m * d / math.prod(ws)
 

@@ -204,6 +204,48 @@ def test_scenario_rational_keys(tmp_path, capsys, check, key, shown):
     )
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            {"kind": "zariski", "divisor": "D", "expect_positive": {"L0": {"value": 0.5}}},
+            "checks[1].expect_positive.L0.value: not an exact rational: 0.5",
+        ),
+        (
+            {"kind": "zariski", "divisor": "D", "expect_positive": {"E99": {"value": "1"}}},
+            "checks[1].expect_positive.E99: unknown curve",
+        ),
+        (
+            {"kind": "zariski", "divisor": "D", "expect_positive": ["L0"]},
+            "checks[1].expect_positive: expected an object",
+        ),
+        (
+            {"kind": "pullback", "line_coeffs": ["1", "1", "1"], "expect_coeffs": {"E1": "1"}},
+            "checks[1].expect_coeffs.E1: expected an object with a 'value'",
+        ),
+        (
+            {"kind": "pullback", "line_coeffs": ["1", 0.5, "1"], "expect_coeffs": {}},
+            "checks[1].line_coeffs[1]: not an exact rational: 0.5",
+        ),
+        (
+            {"kind": "pullback", "line_coeffs": "1,1,1", "expect_coeffs": {}},
+            "checks[1].line_coeffs: expected a list",
+        ),
+        (
+            {"kind": "pullback", "line_coeffs": ["1", "1"], "expect_coeffs": {}},
+            "checks[1].line_coeffs: need 3 entries, got 2",
+        ),
+    ],
+)
+def test_scenario_table_entries(tmp_path, capsys, check, message):
+    volume = {"kind": "volume", "divisor": "D", "expect": "5"}
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps({**THREE_LINES, "checks": [volume, check]}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
 def test_json_report_round_trips(capsys):
     code, out, _ = run(capsys, "scenario", "ex-825", "--json")
     assert code == 0
@@ -278,6 +320,13 @@ def test_wps_volume_needs_four_weights(capsys):
     code, out, err = run(capsys, "wps", "volume", "--weights", "6,11,25", "--degree", "86")
     assert code == 2 and out == ""
     assert "need exactly 4 weights, got 3" in err
+
+
+def test_wps_volume_rejects_degree_below_one(capsys):
+    for degree in ("0", "-5"):
+        code, out, err = run(capsys, "wps", "volume", "--weights", "6,11,25,43", "--degree", degree)
+        assert code == 2 and out == ""
+        assert err.strip() == f"error (ValueError): degree must be at least 1, got {degree}"
 
 
 def test_wps_hilbert_cmd(capsys):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +240,96 @@ def test_node_only_chart_validation():
         node_only_certificate(member, 3)
 
 
+# --- sympy is imported on the first node-only certificate ---------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_fresh(code: str) -> None:
+    """Run code in a new interpreter that imports logsurf from this tree."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sympy_stays_off_the_start_up_path():
+    run_fresh(
+        """
+        import contextlib, io, sys
+        import logsurf
+        assert "sympy" not in sys.modules, "import logsurf"
+        from logsurf import cli, wps
+        assert "sympy" not in sys.modules, "import logsurf.cli"
+        for argv in (
+            ["scenario", "ex-825", "--json"],
+            ["scenario", "ex-462"],
+            ["wps", "volume", "--weights", "6,11,25,43", "--degree", "86"],
+            ["wps", "hilbert", "--n", "860", "--ratio"],
+            ["wps", "analyze", "--eps", "1,0,1,1", "--s", "1", "--t", "0"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            assert "sympy" not in sys.modules, argv
+        member = wps.standard_member((1, 0, 1, 1), 1, 0)
+        assert wps.node_only_certificate(member, 1) == "certified"
+        assert "sympy" in sys.modules
+        """
+    )
+
+
+@pytest.mark.parametrize("read_first", [True, False])
+def test_sympy_stand_in_is_used_and_kept(read_first):
+    """A stand-in assigned to wps.sympy (as a tracer wrapping resultant and
+    gcd does) is what the certificate calls, whether or not wps.sympy was
+    read first; putting the module back gives the same results."""
+    run_fresh(
+        f"""
+        import sys
+        from logsurf import wps
+        assert "sympy" not in sys.modules
+        if {read_first}:
+            real = wps.sympy
+            import sympy
+            assert real is sympy
+        else:
+            import sympy as real
+
+        class StandIn:
+            def __init__(self, module):
+                self.module = module
+                self.calls = {{"resultant": 0, "gcd": 0}}
+
+            def __getattr__(self, name):
+                fn = getattr(self.module, name)
+                if name not in self.calls:
+                    return fn
+
+                def counted(*args, **kwargs):
+                    self.calls[name] += 1
+                    return fn(*args, **kwargs)
+
+                return counted
+
+        member = wps.standard_member((1, 0, 1, 1), 1, 0)
+        stand_in = StandIn(real)
+        wps.sympy = stand_in
+        assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
+        assert wps.sympy is stand_in
+        assert stand_in.calls["resultant"] > 0 and stand_in.calls["gcd"] > 0, stand_in.calls
+        counts = dict(stand_in.calls)
+        wps.sympy = real
+        assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
+        assert stand_in.calls == counts
+        """
+    )
+
+
 # --- global invariants -------------------------------------------------------
 
 
@@ -242,6 +337,9 @@ def test_wps_volume_values():
     assert wps_volume((6, 11, 25, 43), 86) == F(1, 825)
     assert wps_volume((6, 11, 14, 21), 42, twist=11) == F(1, 462)
     assert wps_volume((6, 11, 25, 43), 85) == 0
+    for degree in (0, -5):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            wps_volume((6, 11, 25, 43), degree)
 
 
 def test_hilbert_series_prefix():
