@@ -91,7 +91,6 @@ _INPUT_ERRORS = (
     NoEffectiveRepresentative,
     KeyError,
     ValueError,
-    ZeroDivisionError,
     OSError,
 )
 
@@ -535,7 +534,7 @@ _TABLE_KEYS = {"zariski": "expect_positive", "pullback": "expect_coeffs"}
 def _exact_at(path: str, value: Any) -> None:
     try:
         rat(value)
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError):
         raise ParseError(f"{path}: not an exact rational: {value!r}") from None
 
 
@@ -566,6 +565,9 @@ def _validate_tables(m, path: str, kind: str, spec: Mapping[str, Any]) -> None:
 def run_scenario(source: str) -> Report:
     text, display = load_scenario_text(source)
     obj = _load_scenario_obj(text)
+    for name, table in dict(obj.get("divisors", {})).items():
+        for curve, c in table.items() if isinstance(table, dict) else ():
+            _exact_at(f"divisors.{name}.{curve}", c)
     recipe, divisors = parse_recipe(
         {**obj["recipe"], "divisors": obj.get("divisors", {})}
     )

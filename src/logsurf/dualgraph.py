@@ -19,9 +19,8 @@ from logsurf.exact import (
     QMatrix,
     Rational,
     determinant,
-    is_negative_definite,
     rat,
-    solve_linear,
+    solve_negative_definite,
 )
 
 
@@ -275,16 +274,15 @@ def solve_discrepancies(
     if not exc:
         return {}
     sub = g.subgraph(exc)
-    m = intersection_matrix(sub)
-    if not is_negative_definite(m):
-        raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
     rhs = []
     for lbl in exc:
         v = g.vertex(lbl)
         k_dot = 2 * v.arithmetic_genus - 2 - v.self_int
         bterm = sum((coeffs[b] * g.edge_multiplicity(b, lbl) for b in bnd), Fraction(0))
         rhs.append(Fraction(-k_dot) - bterm)
-    sol = solve_linear(m, tuple(rhs))
+    sol = solve_negative_definite(intersection_matrix(sub), tuple(rhs))
+    if sol is None:
+        raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
     return dict(zip(exc, sol))
 
 
@@ -448,15 +446,11 @@ def contract_and_square(g: DualGraph, contracted: Iterable[str], curve: str) -> 
     if curve in cset:
         raise ValueError("curve to track cannot itself be contracted")
     sub = g.subgraph(cset)
-    m = intersection_matrix(sub)
-    if not is_negative_definite(m):
-        raise NotNegativeDefinite("contracted configuration is not negative definite")
     v = tuple(Fraction(g.edge_multiplicity(curve, lbl)) for lbl in cset)
-    c2 = Fraction(g.vertex(curve).self_int)
-    if not cset:
-        return c2
-    x = solve_linear(m, v)
-    return c2 - sum((xi * vi for xi, vi in zip(x, v)), Fraction(0))
+    x = solve_negative_definite(intersection_matrix(sub), v)
+    if x is None:
+        raise NotNegativeDefinite("contracted configuration is not negative definite")
+    return Fraction(g.vertex(curve).self_int) - sum((xi * vi for xi, vi in zip(x, v)), Fraction(0))
 
 
 def enumerate_fork_squares(target: Rational = Fraction(-1, 3)) -> frozenset[tuple[int, int, int, int, int, int]]:

@@ -1,14 +1,18 @@
 """Exact rational linear algebra, linear programming, and 1-D quadratic minimization.
 
-Everything in this module computes over fractions.Fraction. Floats are
-rejected at the boundary: a float carries rounding error that would poison
-every certificate built on top of it.
+Inputs and results are fractions.Fraction. Floats are rejected at the
+boundary: a float carries rounding error that would poison every
+certificate built on top of it. Inside, elimination and the simplex share
+one fraction-free pivot: an integer table over one common denominator,
+where every update is an exact integer division. Fractions are built only
+when a result is read out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Rational = Fraction
@@ -43,6 +47,8 @@ def rat(value: int | str | Rational) -> Rational:
 
     Accepts ints, Fractions, and strings like "3", "-2/7".
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
     if isinstance(value, float):
@@ -50,7 +56,10 @@ def rat(value: int | str | Rational) -> Rational:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
@@ -80,125 +89,123 @@ class QMatrix:
                 raise DimensionMismatch("ragged rows")
         return cls(nrows, ncols, tuple(e for r in rows for e in r))
 
-    @classmethod
-    def identity(cls, n: int) -> QMatrix:
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> Rational:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[Rational, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[Rational, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_lists(self) -> list[list[Rational]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> QMatrix:
-        return QMatrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-    def matmul(self, other: QMatrix) -> QMatrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ent = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                ent.append(sum((self.at(i, k) * other.at(k, j) for k in range(self.cols)), Fraction(0)))
-        return QMatrix(self.rows, other.cols, tuple(ent))
-
-    def apply(self, v: Sequence[Rational]) -> tuple[Rational, ...]:
-        if len(v) != self.cols:
-            raise DimensionMismatch("vector length does not match matrix columns")
-        return tuple(sum((self.at(i, j) * v[j] for j in range(self.cols)), Fraction(0)) for i in range(self.rows))
-
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i))
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> QMatrix:
-        ent = tuple(self.at(i, j) for i in row_idx for j in col_idx)
-        return QMatrix(len(row_idx), len(col_idx), ent)
+        return self.rows == self.cols and all(self.row(i) == self.entries[i :: self.cols] for i in range(self.rows))
 
 
-def _eliminate(tab: list[list[Rational]], ncols: int) -> list[tuple[Rational, bool]]:
-    """Bring tab to row-echelon form in place over its first ncols columns.
+def _integral(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
+    """(integer rows, multiplier): the rows times the lcm of every denominator."""
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
-    Each column takes the first remaining row with a nonzero entry as its
-    pivot row, swapped up; only the rows below it are cleared, and a column
-    with no such row is skipped. Returns (pivot, swapped) for each pivot, in
-    order, so the number of pivots is the rank of those columns.
+
+def _pivot(tab: list[list[int]], r: int, j: int, d: int) -> int:
+    """Fraction-free pivot on entry (r, j) of an integer table over the common
+    denominator d (J. Edmonds 1967; E. H. Bareiss 1968). Row r keeps its
+    entries; every other row becomes (p*x - f*y) // d, with p the pivot and f
+    the row's entry in column j. The division is exact, as every entry stays a
+    minor of the starting table. Returns p, the table's new denominator."""
+    prow = tab[r]
+    p = prow[j]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[j]
+            if f:
+                tab[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                tab[i] = [p * x // d for x in row]
+    return p
+
+
+def _eliminate(tab: list[list[int]], ncols: int) -> list[tuple[int, bool]]:
+    """Gauss-Jordan elimination of the integer table tab, in place, over its
+    first ncols columns. Each column takes the first remaining row with a nonzero entry as its
+    pivot row, swapped up; a column with no such row is skipped. Returns
+    (pivot, swapped) for each pivot, in order, so the number of pivots is the
+    rank of those columns. Pivot k is the k x k minor of the row-swapped table
+    on the pivot rows and columns so far, and the table ends over the last
+    pivot, which every pivot row then holds in its pivot column.
     """
-    pivots: list[tuple[Rational, bool]] = []
-    r = 0
+    pivots: list[tuple[int, bool]] = []
+    r, d = 0, 1
     for col in range(ncols):
-        piv = next((i for i in range(r, len(tab)) if tab[i][col] != 0), None)
+        piv = next((i for i in range(r, len(tab)) if tab[i][col]), None)
         if piv is None:
             continue
         tab[r], tab[piv] = tab[piv], tab[r]
-        prow = tab[r]
-        p = prow[col]
-        for row in tab[r + 1 :]:
-            if row[col] != 0:
-                f = row[col] / p
-                row[col:] = [x - f * y for x, y in zip(row[col:], prow[col:])]
-        pivots.append((p, piv != r))
+        d = _pivot(tab, r, col, d)
+        pivots.append((d, piv != r))
         r += 1
     return pivots
 
 
-def solve_linear(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...]:
-    """Solve m @ x = v exactly. Raises SingularMatrix when no unique solution exists."""
+def _solve(m: QMatrix, v: Sequence[Rational]) -> tuple[list[tuple[int, bool]], tuple[Rational, ...] | None]:
+    """Eliminate [m | v]: (pivots, the solution of m @ x = v, or None when m is singular)."""
     if m.rows != m.cols:
-        raise NonSquare(f"solve_linear needs a square matrix, got {m.rows}x{m.cols}")
+        raise NonSquare(f"solving needs a square matrix, got {m.rows}x{m.cols}")
     if len(v) != m.rows:
         raise DimensionMismatch("right-hand side length does not match matrix")
     n = m.rows
-    tab = [row + [rat(x)] for row, x in zip(m.to_lists(), v)]
-    if len(_eliminate(tab, n)) < n:
+    tab = _integral([row + [rat(x)] for row, x in zip(m.to_lists(), v)])[0]
+    pivots = _eliminate(tab, n)
+    d = pivots[-1][0] if pivots else 1
+    return pivots, tuple(Fraction(row[n], d) for row in tab) if len(pivots) == n else None
+
+
+def solve_linear(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...]:
+    """Solve m @ x = v exactly. Raises SingularMatrix when no unique solution exists."""
+    x = _solve(m, v)[1]
+    if x is None:
         raise SingularMatrix("matrix is singular")
-    # n pivots, so pivot i sits at (i, i): back-substitute.
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        known = sum((tab[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = (tab[i][n] - known) / tab[i][i]
-    return tuple(x)
+    return x
+
+
+def solve_negative_definite(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...] | None:
+    """Solve m @ x = v when the symmetric m is negative definite; None when it is not.
+
+    Sylvester's test reads the pivots of the same elimination. Without row
+    swaps pivot k is the k-th leading principal minor times a positive scale,
+    so m is negative definite exactly when the n pivots alternate in sign from
+    negative. A swap means a leading minor vanished, and fewer than n pivots
+    means m is singular; either rules out definiteness.
+    """
+    if not m.is_symmetric() and m.rows == m.cols:
+        raise NonSymmetric("definiteness is only defined for symmetric matrices here")
+    pivots, x = _solve(m, v)
+    if x is None or any(swapped or (p < 0) != (k % 2 == 0) for k, (p, swapped) in enumerate(pivots)):
+        return None
+    return x
 
 
 def determinant(m: QMatrix) -> Rational:
     """Exact determinant. The empty 0x0 matrix has determinant 1."""
     if m.rows != m.cols:
         raise NonSquare(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    pivots = _eliminate(m.to_lists(), m.cols)
+    tab, scale = _integral(m.to_lists())
+    pivots = _eliminate(tab, m.cols)
     if len(pivots) < m.rows:
         return Fraction(0)
-    det = Fraction(1)
-    for p, swapped in pivots:
-        det *= -p if swapped else p
-    return det
+    swaps = sum(swapped for _, swapped in pivots)
+    return Fraction((-1) ** swaps * (pivots[-1][0] if pivots else 1), scale**m.rows)
 
 
 def is_negative_definite(m: QMatrix) -> bool:
-    """Sylvester test via elimination pivots: every pivot must be negative.
-
-    Without row swaps the k-th pivot is the ratio of the k-th and (k-1)-th
-    leading principal minors. A swap means a leading minor vanished, and
-    fewer than n pivots means the matrix is singular; either rules out
-    definiteness, so those cases return False rather than raising.
-    """
-    if m.rows != m.cols:
-        raise NonSquare(f"definiteness needs a square matrix, got {m.rows}x{m.cols}")
-    if not m.is_symmetric():
-        raise NonSymmetric("definiteness is only defined for symmetric matrices here")
-    pivots = _eliminate(m.to_lists(), m.cols)
-    return len(pivots) == m.rows and all(p < 0 and not swapped for p, swapped in pivots)
+    """Sylvester test; see solve_negative_definite."""
+    return solve_negative_definite(m, (0,) * m.rows) is not None
 
 
 def matrix_rank(m: QMatrix) -> int:
     """Exact rank of a (possibly rectangular) matrix."""
-    return len(_eliminate(m.to_lists(), m.cols))
+    return len(_eliminate(_integral(m.to_lists())[0], m.cols))
 
 
 @dataclass(frozen=True)
@@ -216,35 +223,28 @@ class FeasibilityResult:
     y: tuple[Rational, ...] | None = None
 
 
-def _pivot(tab: list[list[Rational]], r: int, j: int) -> None:
-    """Pivot on entry (r, j); every other row, the objective row included, follows."""
-    piv = tab[r][j]
-    prow = tab[r] = [v / piv for v in tab[r]]
-    for i, row in enumerate(tab):
-        f = row[j]
-        if i != r and f != 0:
-            tab[i] = [x - f * y for x, y in zip(row, prow)]
-
-
-def _simplex(tab: list[list[Rational]], basis: list[int], n: int) -> bool:
+def _simplex(tab: list[list[int]], basis: list[int], n: int, d: int) -> int | None:
     """Bland's rule on the structural columns 0..n-1 until the objective row
-    (the last row of tab) has no negative reduced cost. Returns False when
-    an entering column is bounded by no constraint row (the objective is
-    unbounded below), True at the optimum."""
+    (the last row of tab) has no negative reduced cost. The integer table sits
+    over the positive denominator d, so signs and ratios read off numerators.
+    Returns the final denominator at the optimum, or None when an entering
+    column is bounded by no constraint row (the objective is unbounded below)."""
     m = len(basis)
     while True:
         entering = next((j for j in range(n) if tab[m][j] < 0), None)
         if entering is None:
-            return True
-        leave = best = None
+            return d
+        leave = None
         for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = tab[i][-1] / tab[i][entering]
-                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = tab[i][entering]
+            # least ratio rhs_i / a, cross-multiplied; ties go to the lower basis index
+            if a > 0 and (
+                leave is None or (tab[i][-1] * tab[leave][entering], basis[i]) < (tab[leave][-1] * a, basis[leave])
+            ):
+                leave = i
         if leave is None:
-            return False
-        _pivot(tab, leave, entering)
+            return None
+        d = _pivot(tab, leave, entering, d)
         basis[leave] = entering
 
 
@@ -255,13 +255,15 @@ def lp_feasible(
     also minimize cost . x over it.
 
     Two-phase simplex with Bland's rule, so termination is guaranteed. The
-    reduced costs are one tableau row, pivoted with the constraint rows, and
-    the artificial columns carry the basis inverse, so every dual is read off
-    that row. Phase 1 minimizes the sum of artificials; a departed artificial
-    never re-enters. A positive phase-1 optimum gives the Farkas vector.
-    Phase 2 starts from the phase-1 basis after pivoting every artificial
-    still basic (at level 0) out of its row; an artificial left behind sits on
-    a redundant row, whose structural entries stay zero, so it stays at 0.
+    tableau is [A | b] times D0, the lcm of its denominators, beside identity
+    artificial columns, pivoted fraction-free (see _pivot). The reduced costs
+    are one tableau row, pivoted with the constraint rows, and the artificial
+    columns carry the basis inverse, so every dual is read off that row.
+    Phase 1 minimizes the sum of artificials; a departed artificial never
+    re-enters. A positive phase-1 optimum gives the Farkas vector. Phase 2
+    starts from the phase-1 basis after pivoting every artificial still basic
+    (at level 0) out of its row; an artificial left behind sits on a
+    redundant row, whose structural entries stay zero, so it stays at 0.
     Raises UnboundedObjective when cost . x has no lower bound.
     """
     if len(b) != a.rows:
@@ -273,43 +275,49 @@ def lp_feasible(
     # a negative rhs are negated so the artificial basis starts feasible.
     rhs = [rat(v) for v in b]
     signs = [-1 if v < 0 else 1 for v in rhs]
-    tab = [
-        [s * v for v in a.row(i)] + [Fraction(int(k == i)) for k in range(m)] + [s * rhs[i]]
-        for i, s in enumerate(signs)
-    ]
+    tab, scale = _integral([[s * v for v in a.row(i)] + [s * rhs[i]] for i, s in enumerate(signs)])
+    tab = [row[:n] + [int(k == i) for k in range(m)] + row[n:] for i, row in enumerate(tab)]
     # Phase-1 costs are 1 on each artificial, 0 elsewhere.
-    obj = [-sum((row[j] for row in tab), Fraction(0)) for j in range(n + m + 1)]
-    obj[n : n + m] = [Fraction(0)] * m
+    obj = [-sum(row[j] for row in tab) for j in range(n + m + 1)]
+    obj[n : n + m] = [0] * m
     tab.append(obj)
     basis = list(range(n, n + m))
-    if not _simplex(tab, basis, n):
+    d = _simplex(tab, basis, n, 1)
+    if d is None:
         raise AssertionError("phase-1 objective is bounded; no unbounded ray can appear")
     if tab[m][-1] != 0:
         # y = (artificial costs) - (their reduced costs), with row flips undone.
         return FeasibilityResult(
-            feasible=False, y=tuple(s * (1 - tab[m][n + i]) for i, s in enumerate(signs))
+            feasible=False, y=tuple(s * (1 - Fraction(tab[m][n + i], d)) for i, s in enumerate(signs))
         )
     if cost is not None:
         for i in range(m):
             if basis[i] >= n:
                 j = next((j for j in range(n) if tab[i][j] != 0), None)
                 if j is not None:
-                    _pivot(tab, i, j)
+                    d = _pivot(tab, i, j, d)
                     basis[i] = j
-        full = [rat(c) for c in cost] + [Fraction(0)] * (m + 1)
+                    if d < 0:
+                        tab[:] = [[-v for v in row] for row in tab]
+                        d = -d
+        # C * cost over the denominator d, C the lcm of the cost denominators,
+        # with the basic columns priced out.
+        (costs,), cscale = _integral([[rat(c) for c in cost]])
+        full = [c * d for c in costs] + [0] * (m + 1)
         for i, bi in enumerate(basis):
-            if bi < n and full[bi] != 0:
-                f = full[bi]
-                full = [x - f * y for x, y in zip(full, tab[i])]
+            if bi < n and costs[bi] != 0:
+                full = [x - costs[bi] * y for x, y in zip(full, tab[i])]
         tab[m] = full
-        if not _simplex(tab, basis, n):
+        d = _simplex(tab, basis, n, d)
+        if d is None:
             raise UnboundedObjective("cost is unbounded below on the feasible set")
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = tab[i][-1]
-    # Artificial costs are 0 in phase 2, so the dual is minus their reduced costs.
-    y = None if cost is None else tuple(-s * tab[m][n + i] for i, s in enumerate(signs))
+            x[bi] = Fraction(tab[i][-1], d)
+    # Artificial costs are 0 in phase 2, so the dual is minus their reduced
+    # costs, times D0 / C to undo the scaling of the rows and the costs.
+    y = None if cost is None else tuple(Fraction(-s * tab[m][n + i] * scale, d * cscale) for i, s in enumerate(signs))
     return FeasibilityResult(feasible=True, x=tuple(x), y=y)
 
 

@@ -166,10 +166,6 @@ class SurfaceModel:
         self.gram = IntegralGram.of_classes(self.visible, self.rank)
 
     @property
-    def form_diagonal(self) -> tuple[int, ...]:
-        return (1,) + (-1,) * (self.rank - 1)
-
-    @property
     def canonical_class(self) -> tuple[Rational, ...]:
         return (Fraction(-3),) + (Fraction(1),) * (self.rank - 1)
 

@@ -27,10 +27,9 @@ from logsurf.exact import (
     FeasibilityResult,
     QMatrix,
     Rational,
-    is_negative_definite,
     lp_feasible,
     rat,
-    solve_linear,
+    solve_negative_definite,
 )
 from logsurf.lattice import (
     QDivisor,
@@ -115,9 +114,9 @@ def _fujita(
     while True:
         gram = m.gram.matrix(support)
         if support:
-            if not is_negative_definite(gram):
+            n_vals = solve_negative_definite(gram, tuple(d_dot[lbl] for lbl in support))
+            if n_vals is None:
                 raise NotNegativeDefinite(f"support {support} has degenerate intersection matrix")
-            n_vals = solve_linear(gram, tuple(d_dot[lbl] for lbl in support))
             for lbl, v in zip(support, n_vals):
                 if v < 0:
                     raise NegativeCoefficient(f"negative part coefficient {v} at {lbl}")
@@ -307,11 +306,10 @@ def pullback_after_contraction(
     dd = qdiv(d) if d is not None else QDivisor(())
     if set(dd.support()) & set(cset):
         raise ValueError("divisor must be supported away from the contracted curves")
-    gram = m.gram.matrix(cset)
-    if cset and not is_negative_definite(gram):
-        raise NotNegativeDefinite("contracted set is not negative definite")
     t_dot = m.gram.dots(dd, cset, include_canonical)
-    sol = solve_linear(gram, tuple(-t_dot[lbl] for lbl in cset)) if cset else ()
+    sol = solve_negative_definite(m.gram.matrix(cset), tuple(-t_dot[lbl] for lbl in cset))
+    if sol is None:
+        raise NotNegativeDefinite("contracted set is not negative definite")
     total = dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
     return total, _target_class(m, total, include_canonical)
 

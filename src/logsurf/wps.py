@@ -685,7 +685,7 @@ def parse_poly_human(
             else:
                 try:
                     coeff *= rat(factor)
-                except (ValueError, ZeroDivisionError) as err:
+                except ValueError as err:
                     raise ValueError(f"bad factor {factor!r}") from err
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]

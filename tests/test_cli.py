@@ -424,6 +424,32 @@ def test_quadmin_rejects_concave(capsys):
     assert "not positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("quadmin", "--a", "1/0", "--b", "0", "--c", "0"), "error (ValueError): zero denominator in '1/0'"),
+        (
+            ("wps", "analyze", "--eps", "1,0,1,1", "--s", "1/0", "--t", "0"),
+            "error (ValueError): zero denominator in '1/0'",
+        ),
+        (("wps", "normal-form", "--coeffs", "1/0,1"), "error: bad coefficient list '1/0,1'"),
+    ],
+)
+def test_zero_denominator_is_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
+def test_scenario_divisor_zero_denominator(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    scenario = {**THREE_LINES, "divisors": {"D": {"L0": "1", "L1": "1/0"}}, "checks": []}
+    path.write_text(json.dumps(scenario))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: divisors.D.L1: not an exact rational: '1/0'"
+
+
 # --- presentation ------------------------------------------------------------
 
 

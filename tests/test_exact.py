@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,11 @@ from logsurf.exact import (
     minimize_quadratic,
     rat,
     solve_linear,
+    solve_negative_definite,
 )
+
+import _reference
+from _reference import apply, col, identity, matmul, submatrix, transpose
 
 
 F = Fraction
@@ -85,6 +90,12 @@ def test_rat_parses_and_rejects_floats():
         rat(True)
 
 
+def test_rat_zero_denominator_is_bad_input():
+    for text in ("1/0", " -3/0 "):
+        with pytest.raises(ValueError, match=repr(text)):
+            rat(text)
+
+
 def test_qmatrix_from_rows_coerces_once_and_rejects_floats():
     m = QMatrix.from_rows([[1, "2/4"], [F(3, 9), "-5"]])
     assert m.entries == (F(1), F(1, 2), F(1, 3), F(-5))
@@ -98,18 +109,18 @@ def test_qmatrix_from_rows_coerces_once_and_rejects_floats():
 def test_qmatrix_shape_checks():
     m = QMatrix.from_rows([[1, 2], [3, 4]])
     assert m.at(1, 0) == 3
-    assert m.col(1) == (F(2), F(4))
+    assert col(m, 1) == (F(2), F(4))
     with pytest.raises(DimensionMismatch):
         QMatrix(2, 2, (F(1), F(2), F(3)))
     with pytest.raises(DimensionMismatch):
-        m.apply((F(1),))
+        apply(m, (F(1),))
 
 
 def test_solve_linear_two_by_two():
     m = QMatrix.from_rows([[-2, 1], [1, -2]])
     x = solve_linear(m, (F(-1), F(0)))
     assert x == (F(2, 3), F(1, 3))
-    assert m.apply(x) == (F(-1), F(0))
+    assert apply(m, x) == (F(-1), F(0))
 
 
 def test_solve_linear_singular_and_nonsquare():
@@ -134,7 +145,7 @@ def test_solve_linear_roundtrip_random():
             x = solve_linear(m, v)
         except SingularMatrix:
             continue
-        assert m.apply(x) == v
+        assert apply(m, x) == v
         solved += 1
 
 
@@ -170,7 +181,7 @@ def test_solve_linear_zero_leading_entry():
     assert solve_linear(m, (F(2), F(3))) == (F(3), F(2))
     m = QMatrix.from_rows([[0, 2, 1], [1, 1, 0], [2, 0, 1]])
     v = (F(1), F(2), F(3, 2))
-    assert m.apply(solve_linear(m, v)) == v
+    assert apply(m, solve_linear(m, v)) == v
     assert solve_linear(QMatrix(0, 0, ()), ()) == ()
 
 
@@ -180,7 +191,7 @@ def test_determinant_multiplicative():
         n = rng.randint(1, 5)
         a = QMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
         b = QMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        assert determinant(a.matmul(b)) == determinant(a) * determinant(b)
+        assert determinant(matmul(a, b)) == determinant(a) * determinant(b)
 
 
 def test_negative_definiteness():
@@ -191,7 +202,7 @@ def test_negative_definiteness():
         [[-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
     )
     assert is_negative_definite(chain)
-    assert not is_negative_definite(QMatrix.identity(3))
+    assert not is_negative_definite(identity(3))
     # Negative semidefinite but singular: a cycle of (-2)-curves.
     cyc = QMatrix.from_rows(
         [[-2 if i == j else (1 if (i - j) % 3 in (1, 2) else 0) for j in range(3)] for i in range(3)]
@@ -223,13 +234,36 @@ def test_negative_definite_matches_minor_signs():
     assert min(outcomes.values()) > 20
 
 
+def test_solve_negative_definite_is_one_test_and_one_solve():
+    rng = random.Random(1968)
+    outcomes = {True: 0, False: 0}
+    for _ in range(160):
+        n = rng.randint(0, 6)
+        m = QMatrix.from_rows(random_symmetric(rng, n)) if n else QMatrix(0, 0, ())
+        v = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        definite = is_negative_definite(m)
+        x = solve_negative_definite(m, v)
+        assert (x is not None) == definite
+        if definite:
+            assert x == solve_linear(m, v)
+            assert apply(m, x) == v
+        outcomes[definite] += 1
+    assert min(outcomes.values()) > 20
+    with pytest.raises(NonSymmetric):
+        solve_negative_definite(QMatrix.from_rows([[-1, 2], [0, -1]]), (F(0), F(0)))
+    with pytest.raises(NonSquare):
+        solve_negative_definite(QMatrix.from_rows([[1, 2]]), (F(0),))
+    with pytest.raises(DimensionMismatch):
+        solve_negative_definite(QMatrix.from_rows([[-1]]), ())
+
+
 def test_matrix_rank():
     assert matrix_rank(QMatrix(0, 0, ())) == 0
     assert matrix_rank(QMatrix(2, 3, (F(0),) * 6)) == 0
     assert matrix_rank(QMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) == 1
     assert matrix_rank(QMatrix.from_rows([[0, 1], [1, 0], [1, 1]])) == 2
     assert matrix_rank(QMatrix.from_rows([[0, 0, 1], [0, 0, 2], [0, 3, 0]])) == 2
-    assert matrix_rank(QMatrix.identity(4)) == 4
+    assert matrix_rank(identity(4)) == 4
     rng = random.Random(2024)
     for _ in range(80):
         nrows, ncols, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 3)
@@ -251,7 +285,7 @@ def test_lp_infeasible_certificate():
     res = lp_feasible(QMatrix.from_rows([[1], [1]]), (F(1), F(2)))
     assert not res.feasible
     a = QMatrix.from_rows([[1], [1]])
-    prods = a.transpose().apply(res.y)
+    prods = apply(transpose(a), res.y)
     assert all(p <= 0 for p in prods)
     assert res.y[0] * 1 + res.y[1] * 2 > 0
 
@@ -269,12 +303,12 @@ def brute_force_minimum(a: QMatrix, b, cost):
     best = None
     for k in range(min(a.rows, a.cols) + 1):
         for cols in combinations(range(a.cols), k):
-            sub = a.submatrix(range(a.rows), cols)
+            sub = submatrix(a, range(a.rows), cols)
             try:
-                xs = solve_linear(sub.transpose().matmul(sub), sub.transpose().apply(b))
+                xs = solve_linear(matmul(transpose(sub), sub), apply(transpose(sub), b))
             except SingularMatrix:
                 continue  # dependent columns: not a basis
-            if any(v < 0 for v in xs) or sub.apply(xs) != tuple(b):
+            if any(v < 0 for v in xs) or apply(sub, xs) != tuple(b):
                 continue
             val = sum((cost[j] * v for j, v in zip(cols, xs)), F(0))
             best = val if best is None else min(best, val)
@@ -311,17 +345,17 @@ def test_lp_random_outcomes_reverified():
             feas += 1
             for x in (res.x, opt.x):
                 assert all(xi >= 0 for xi in x)
-                assert a.apply(x) == b
+                assert apply(a, x) == b
             value = sum((c * xi for c, xi in zip(cost, opt.x)), F(0))
             assert value == brute_force_minimum(a, b, cost)
             # optimal dual: y^T A <= cost and y.b = cost.x
-            assert all(p <= c for p, c in zip(a.transpose().apply(opt.y), cost))
+            assert all(p <= c for p, c in zip(apply(transpose(a), opt.y), cost))
             assert sum(yi * bi for yi, bi in zip(opt.y, b)) == value
         else:
             infeas += 1
             assert brute_force_minimum(a, b, cost) is None
             for y in (res.y, opt.y):
-                assert all(p <= 0 for p in a.transpose().apply(y))
+                assert all(p <= 0 for p in apply(transpose(a), y))
                 assert sum(yi * bi for yi, bi in zip(y, b)) > 0
     assert feas > 20 and infeas > 20 and redundant > 20
 
@@ -333,7 +367,7 @@ def test_lp_cost_with_artificial_left_at_zero():
     a = QMatrix.from_rows([[1, 1], [1, -1]])
     res = lp_feasible(a, (F(1), F(1)), cost=(F(1), F(-1)))
     assert res.x == (F(1), F(0))
-    assert all(p <= c for p, c in zip(a.transpose().apply(res.y), (1, -1)))
+    assert all(p <= c for p, c in zip(apply(transpose(a), res.y), (1, -1)))
     assert res.y[0] + res.y[1] == 1
 
     # duplicated row: the artificial stays basic at 0 on a redundant row
@@ -341,8 +375,8 @@ def test_lp_cost_with_artificial_left_at_zero():
     b = (F(2), F(2), F(3))
     res = lp_feasible(a, b, cost=(F(2), F(1), F(3)))
     assert res.feasible and res.x == (F(0), F(5, 2), F(1, 2))
-    assert a.apply(res.x) == b
-    assert all(p <= c for p, c in zip(a.transpose().apply(res.y), (2, 1, 3)))
+    assert apply(a, res.x) == b
+    assert all(p <= c for p, c in zip(apply(transpose(a), res.y), (2, 1, 3)))
     assert sum(yi * bi for yi, bi in zip(res.y, b)) == F(4)
 
 
@@ -377,3 +411,88 @@ def test_quadratic_not_convex():
         minimize_quadratic(QuadraticForm1D(F(0), F(1), F(0)))
     with pytest.raises(NotStrictlyConvex):
         minimize_quadratic(QuadraticForm1D(F(-1), F(0), F(0)))
+
+
+def random_lp(rng):
+    """Rational entries, negative right-hand sides, a duplicated row a third
+    of the time and a rational cost half of the time."""
+    m, n = rng.randint(1, 5), rng.randint(1, 6)
+    rows = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)] for _ in range(m)]
+    b = [F(rng.randint(-6, 6), rng.choice((1, 2, 5))) for _ in range(m)]
+    if rng.random() < 1 / 3:
+        rows.append(list(rows[-1]))
+        b.append(b[-1])
+    cost = None
+    if rng.random() < 0.5:
+        cost = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in range(n))
+    return QMatrix.from_rows(rows), tuple(b), cost
+
+
+def test_integer_simplex_matches_fraction_reference():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for _ in range(3000):
+        a, b, cost = random_lp(rng)
+        try:
+            want = _reference.lp_feasible(a, b, cost)
+        except UnboundedObjective:
+            with pytest.raises(UnboundedObjective):
+                lp_feasible(a, b, cost)
+            seen["unbounded"] += 1
+            continue
+        assert lp_feasible(a, b, cost) == want
+        seen[want.feasible, cost is not None] += 1
+    assert len(seen) == 5 and min(seen.values()) > 100, seen
+
+
+def recorded(calls: list, fn):
+    """fn, appending the arguments of every call to calls."""
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("scenario, pivots", [("ex-825", 18), ("ex-462", 19)])
+def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
+    from logsurf import exact, positivity
+    from logsurf.cli import run_scenario
+
+    lps: list = []
+    monkeypatch.setattr(positivity, "lp_feasible", recorded(lps, positivity.lp_feasible))
+    run_scenario(scenario)
+    assert len(lps) == 1
+    (args, kwargs), = lps
+    got, want = [], []
+    monkeypatch.setattr(exact, "_pivot", recorded(got, exact._pivot))
+    monkeypatch.setattr(_reference, "_pivot", recorded(want, _reference._pivot))
+    assert lp_feasible(*args, **kwargs) == _reference.lp_feasible(*args, **kwargs)
+    assert [call[0][1:3] for call in got] == [call[0][1:3] for call in want]
+    assert len(got) == pivots
+
+
+def test_rationals_come_out_as_fractions():
+    def fractions(values):
+        assert values is not None
+        assert all(type(v) is Fraction for v in values), values
+
+    one = QMatrix.from_rows([[-3]])
+    fractions(solve_linear(one, (6,)))
+    fractions(solve_linear(one, (0,)))
+    fractions(solve_negative_definite(one, (F(0),)))
+    fractions(solve_linear(QMatrix.from_rows([[2, 1], [1, 1]]), (0, 0)))
+    fractions(solve_negative_definite(QMatrix.from_rows([[-2, 1], [1, -2]]), (3, 0)))
+    fractions([determinant(one), determinant(QMatrix(0, 0, ())), determinant(QMatrix.from_rows([[1, 2], [2, 4]]))])
+    # an integral optimum, a zero right-hand side, and an infeasible LP
+    a = QMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    res = lp_feasible(a, (2, 3), cost=(1, 1, 1))
+    assert res.x == (0, 2, 1)
+    fractions(res.x)
+    fractions(res.y)
+    res = lp_feasible(a, (0, 0), cost=(1, 1, 1))
+    fractions(res.x)
+    fractions(res.y)
+    fractions(lp_feasible(QMatrix.from_rows([[1]]), (1,)).x)
+    fractions(lp_feasible(QMatrix.from_rows([[1], [1]]), (1, 2)).y)
