@@ -128,12 +128,12 @@ def _pivot(tab: list[list[int]], r: int, j: int, d: int) -> int:
 
 def _eliminate(tab: list[list[int]], ncols: int) -> list[tuple[int, bool]]:
     """Gauss-Jordan elimination of the integer table tab, in place, over its
-    first ncols columns. Each column takes the first remaining row with a nonzero entry as its
-    pivot row, swapped up; a column with no such row is skipped. Returns
-    (pivot, swapped) for each pivot, in order, so the number of pivots is the
-    rank of those columns. Pivot k is the k x k minor of the row-swapped table
-    on the pivot rows and columns so far, and the table ends over the last
-    pivot, which every pivot row then holds in its pivot column.
+    first ncols columns. Each column takes the first remaining row with a
+    nonzero entry as its pivot row, swapped up; a column with no such row is
+    skipped. Returns (pivot, swapped) for each pivot, in order, so the number
+    of pivots is the rank of those columns. Pivot k is the k x k minor of the
+    row-swapped table on the pivot rows and columns so far, and the table ends
+    over the last pivot, which every pivot row then holds in its pivot column.
     """
     pivots: list[tuple[int, bool]] = []
     r, d = 0, 1
@@ -178,7 +178,7 @@ def solve_negative_definite(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational
     negative. A swap means a leading minor vanished, and fewer than n pivots
     means m is singular; either rules out definiteness.
     """
-    if not m.is_symmetric() and m.rows == m.cols:
+    if m.rows == m.cols and not m.is_symmetric():
         raise NonSymmetric("definiteness is only defined for symmetric matrices here")
     pivots, x = _solve(m, v)
     if x is None or any(swapped or (p < 0) != (k % 2 == 0) for k, (p, swapped) in enumerate(pivots)):
