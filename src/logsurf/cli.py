@@ -49,7 +49,6 @@ from .lattice import (
     RecipeError,
     UnknownLabel,
     build_from_recipe,
-    divisor_class,
     germ_of_cluster,
     log_pullback,
     parse_recipe,
@@ -307,8 +306,8 @@ def _check_pullback(m, divisors, spec) -> CheckRecord:
 
 
 def _contraction_rays(m, contract: Sequence[str], boundary: Mapping[str, Any]):
-    base, _ = pullback_after_contraction(m, contract, include_canonical=True)
-    full, _ = pullback_after_contraction(
+    base = pullback_after_contraction(m, contract, include_canonical=True)
+    full = pullback_after_contraction(
         m, contract, qdiv({k: rat(v) for k, v in boundary.items()}), include_canonical=True
     )
     return base, full.sub(base)

@@ -7,8 +7,8 @@ representative supported on visible curves and meets every visible curve
 non-negatively, any curve outside the representative's support meets it
 non-negatively for free.
 
-Divisors that involve the canonical class are passed as their visible part
-plus ``plus_canonical=True``; the class computations add K = -3H + sum e_i.
+Divisors with K are passed as their visible part and ``plus_canonical=True``.
+Intersections come from ``m.gram``; only the LPs take class vectors.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from logsurf.exact import (
 from logsurf.lattice import (
     QDivisor,
     SurfaceModel,
-    _as_class,
     divisor_class,
     germ_of_cluster,
     qdiv,
@@ -58,7 +57,7 @@ class EmptyInterval(Exception):
 
 
 def _target_class(m: SurfaceModel, d, plus_canonical: bool) -> tuple[Rational, ...]:
-    cls = _as_class(m, d)
+    cls = divisor_class(m, d)
     if plus_canonical:
         cls = tuple(a + b for a, b in zip(m.canonical_class, cls))
     return cls
@@ -67,7 +66,8 @@ def _target_class(m: SurfaceModel, d, plus_canonical: bool) -> tuple[Rational, .
 @dataclass(frozen=True)
 class ZariskiResult:
     positive_coeffs: QDivisor
-    positive_class: tuple[Rational, ...]
+    #: ([K +] P).C for every visible curve C.
+    positive_dots: Mapping[str, Rational]
     negative_part: QDivisor
     support_gram: QMatrix
     includes_canonical: bool
@@ -135,7 +135,7 @@ def _fujita(
     p_div = dd.sub(n_div)
     return ZariskiResult(
         positive_coeffs=p_div,
-        positive_class=_target_class(m, p_div, plus),
+        positive_dots=p_dot,
         negative_part=n_div,
         support_gram=gram,
         includes_canonical=plus,
@@ -143,9 +143,13 @@ def _fujita(
 
 
 def volume(m: SurfaceModel, d: QDivisor | Mapping, plus_canonical: bool = False) -> Rational:
-    """Self-intersection of the Zariski positive part (0 when not big)."""
+    """Self-intersection of the Zariski positive part (0 when not big): sum p_i
+    ([K +] P).C_i, plus K^2 + sum p_i K.C_i with K^2 = 10 - rank when K is in."""
     z = zariski(m, d, plus_canonical)
-    return m.pairing(z.positive_class, z.positive_class)
+    vol = sum((c * z.positive_dots[lbl] for lbl, c in z.positive_coeffs.coeffs), Fraction(0))
+    if z.includes_canonical:
+        vol += 10 - m.rank + sum(c * m.gram.k_dot[lbl] for lbl, c in z.positive_coeffs.coeffs)
+    return vol
 
 
 def psef_test(m: SurfaceModel, d, plus_canonical: bool = False) -> FeasibilityResult:
@@ -165,19 +169,18 @@ class NefCertificate:
 
 
 def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> NefCertificate:
-    """Certify nefness of a class through the visible-curve model.
+    """Certify nefness of [K +] d, a QDivisor or a mapping, on the visible-curve model.
 
     Finds an effective representative supported on visible curves (LP) and
-    checks the class against every visible curve. Together these cover all
+    checks the divisor against every visible curve. Together these cover all
     curves on the surface: anything else meets the representative's support
     properly, hence non-negatively.
     """
-    target = _target_class(m, d, plus_canonical)
-    inters = {lbl: m.pairing(target, m.visible_class(lbl)) for lbl in sorted(m.visible)}
+    inters = m.gram.dots(qdiv(d), sorted(m.visible), plus_canonical)
     for lbl, v in inters.items():
         if v < 0:
             raise NegativeIntersection(f"{lbl}: intersection {v} < 0")
-    feas = psef_test(m, target)
+    feas = psef_test(m, d, plus_canonical)
     if not feas.feasible:
         raise NoEffectiveRepresentative("class is not a nonnegative visible combination")
     rep = QDivisor.from_dict(dict(zip(sorted(m.visible), feas.x)))
@@ -294,7 +297,7 @@ def pullback_after_contraction(
     contracted: Iterable[str],
     d: QDivisor | Mapping | None = None,
     include_canonical: bool = False,
-) -> tuple[QDivisor, tuple[Rational, ...]]:
+) -> QDivisor:
     """Pull a divisor back through the contraction of the given curves.
 
     Solves for coefficients on the contracted curves so that the total meets
@@ -310,8 +313,7 @@ def pullback_after_contraction(
     sol = solve_negative_definite(m.gram.matrix(cset), tuple(-t_dot[lbl] for lbl in cset))
     if sol is None:
         raise NotNegativeDefinite("contracted set is not negative definite")
-    total = dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
-    return total, _target_class(m, total, include_canonical)
+    return dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
 
 
 @dataclass(frozen=True)
@@ -329,8 +331,7 @@ def contraction_report(
 ) -> ContractionReport:
     """What the ample model of [K +] d contracts, cluster by cluster."""
     z = zariski(m, d, plus_canonical)
-    p_dot = m.gram.dots(z.positive_coeffs, sorted(m.visible), z.includes_canonical)
-    contracted = tuple(lbl for lbl, v in p_dot.items() if v == 0)
+    contracted = tuple(sorted(lbl for lbl, v in z.positive_dots.items() if v == 0))
     adj: dict[str, list[str]] = {lbl: [] for lbl in contracted}
     for i, x in enumerate(contracted):
         for y in contracted[i + 1 :]:

@@ -18,7 +18,7 @@ from logsurf.dualgraph import (
 )
 from logsurf.exact import QMatrix, is_negative_definite, lp_feasible
 from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe, divisor_class
-from logsurf.positivity import pet, zariski
+from logsurf.positivity import pet, psef_test, volume, zariski
 from logsurf.wps import (
     analyze_origin,
     apply_transform,
@@ -57,34 +57,55 @@ def random_effective_divisor(rng: random.Random, labels) -> QDivisor:
     return QDivisor.from_dict(coeffs)
 
 
+def positive_class(m, z) -> tuple[Fraction, ...]:
+    """Class vector of [K +] P for a Zariski result: the reference that the
+    curve-coordinate volume and P.C table are checked against."""
+    cls = divisor_class(m, z.positive_coeffs)
+    if z.includes_canonical:
+        cls = tuple(k + c for k, c in zip(m.canonical_class, cls))
+    return cls
+
+
 def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
     """Orthogonality, sign conditions, negative-definite support, and
-    independence from the scan order, on random recipes."""
+    independence from the scan order, on random recipes, for D and for K + B + D
+    with B every visible curve once (when that is visible-effective). The
+    volume and ([K +] P).C are checked against pairing the class of [K +] P."""
     rng = random.Random(seed)
-    done = 0
+    done = with_k = 0
     while done < cases:
         m = build_from_recipe(random_recipe(rng, max_steps=max_steps))
         d = random_effective_divisor(rng, sorted(m.visible))
-        z = zariski(m, d)
-        assert z.negative_part.is_effective()
-        for lbl in sorted(m.visible):
-            prod = m.pairing(z.positive_class, m.visible_class(lbl))
-            assert prod >= 0
-            if z.negative_part.coeff(lbl) != 0:
-                assert prod == 0
-        assert is_negative_definite(z.support_gram)
-        # P + N adds back up to D.
-        assert z.positive_coeffs.add(z.negative_part).as_dict() == d.as_dict()
-
-        z_one = zariski(m, d, one_at_a_time=True)
-        z_rev = zariski(m, d, scan_order=sorted(m.visible, reverse=True))
         order = sorted(m.visible)
         rng.shuffle(order)
-        z_shuf = zariski(m, d, scan_order=order)
-        for other in (z_one, z_rev, z_shuf):
-            assert other.negative_part == z.negative_part
-            assert other.positive_class == z.positive_class
+        log_d = d.add(QDivisor.from_dict({lbl: 1 for lbl in m.visible}))
+        for plus, div in ((False, d), (True, log_d)):
+            if plus and not psef_test(m, div, plus_canonical=True).feasible:
+                continue
+            with_k += plus
+            z = zariski(m, div, plus_canonical=plus)
+            cls = positive_class(m, z)
+            assert volume(m, div, plus_canonical=plus) == m.pairing(cls, cls)
+            assert z.negative_part.is_effective()
+            for lbl in sorted(m.visible):
+                prod = m.pairing(cls, m.visible_class(lbl))
+                assert z.positive_dots[lbl] == prod
+                assert prod >= 0
+                if z.negative_part.coeff(lbl) != 0:
+                    assert prod == 0
+            assert is_negative_definite(z.support_gram)
+            # P + N adds back up to D.
+            assert z.positive_coeffs.add(z.negative_part).as_dict() == div.as_dict()
+
+            z_one = zariski(m, div, plus_canonical=plus, one_at_a_time=True)
+            z_rev = zariski(m, div, plus_canonical=plus, scan_order=sorted(m.visible, reverse=True))
+            z_shuf = zariski(m, div, plus_canonical=plus, scan_order=order)
+            for other in (z_one, z_rev, z_shuf):
+                assert other.negative_part == z.negative_part
+                assert other.positive_dots == z.positive_dots
         done += 1
+    # the K + B + D leg ran on most recipes, not only a few
+    assert 2 * with_k > done
     return done
 
 

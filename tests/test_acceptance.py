@@ -55,8 +55,8 @@ def _check(data, kind):
 
 
 def _rays(m, spec):
-    base, _ = pullback_after_contraction(m, spec["contract"], include_canonical=True)
-    full, _ = pullback_after_contraction(
+    base = pullback_after_contraction(m, spec["contract"], include_canonical=True)
+    full = pullback_after_contraction(
         m,
         spec["contract"],
         qdiv({k: rat(v) for k, v in spec["boundary"].items()}),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logsurf import positivity
+from logsurf import lattice, positivity
 from logsurf.cli import main
 from logsurf.dualgraph import NotNegativeDefinite
 from logsurf.lattice import (
@@ -30,6 +30,7 @@ from logsurf.positivity import (
 )
 
 import _properties
+from _properties import positive_class
 
 F = Fraction
 
@@ -79,7 +80,8 @@ def test_zariski_of_nef_divisor_is_itself():
     z = zariski(m, {"L0": 1, "E1": 1})
     assert z.negative_part.as_dict() == {}
     assert z.positive_coeffs.as_dict() == {"L0": F(1), "E1": F(1)}
-    assert m.pairing(z.positive_class, z.positive_class) == 1
+    cls = positive_class(m, z)
+    assert m.pairing(cls, cls) == volume(m, {"L0": 1, "E1": 1}) == 1
 
 
 def test_zariski_strips_negative_curve():
@@ -87,7 +89,7 @@ def test_zariski_strips_negative_curve():
     z = zariski(m, {"E1": 1})
     assert z.negative_part.as_dict() == {"E1": F(1)}
     assert z.positive_coeffs.as_dict() == {}
-    assert all(c == 0 for c in z.positive_class)
+    assert all(c == 0 for c in positive_class(m, z))
     assert volume(m, {"E1": 1}) == 0
 
 
@@ -118,7 +120,7 @@ def test_zariski_ex825_round_brackets(ex825):
     # L0 keeps its full coefficient: it is orthogonal to the positive part
     # without entering the negative one.
     assert z.negative_part.coeff("L0") == 0
-    assert m.pairing(z.positive_class, m.visible_class("L0")) == 0
+    assert m.pairing(positive_class(m, z), m.visible_class("L0")) == z.positive_dots["L0"] == 0
     assert volume(m, c_tilde, plus_canonical=True) == F(1, 825)
 
 
@@ -130,12 +132,13 @@ def test_zariski_scan_orders_agree(ex825):
     z_one = zariski(m, c_tilde, plus_canonical=True, one_at_a_time=True)
     assert z_rev.negative_part == z.negative_part
     assert z_one.negative_part == z.negative_part
-    assert z_one.positive_class == z.positive_class
+    assert positive_class(m, z_one) == positive_class(m, z)
+    assert z_one.positive_dots == z.positive_dots
 
 
 def test_volume_zero_at_threshold(ex462):
     m = ex462.model
-    base, _ = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
     ray = full_boundary_ray(m)
     d = base.add(ray.scale(F(10, 11)))
     assert volume(m, d, plus_canonical=True) == 0
@@ -143,8 +146,8 @@ def test_volume_zero_at_threshold(ex462):
 
 def full_boundary_ray(m: SurfaceModel) -> QDivisor:
     """Pullback of the boundary curve through the ex-462 contraction."""
-    base, _ = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
-    full, _ = pullback_after_contraction(
+    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    full = pullback_after_contraction(
         m, EX462_CONTRACTED, qdiv({"L0": 1}), include_canonical=True
     )
     return full.sub(base)
@@ -152,7 +155,8 @@ def full_boundary_ray(m: SurfaceModel) -> QDivisor:
 
 def test_pullback_after_contraction_ex462(ex462):
     m = ex462.model
-    base, base_cls = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base_cls = tuple(k + c for k, c in zip(m.canonical_class, divisor_class(m, base)))
     assert base.as_dict() == {
         "E1": F(1, 3),
         "L2": F(3, 7), "E6": F(2, 7), "E7": F(1, 7),
@@ -182,7 +186,7 @@ def test_pullback_after_contraction_validation(ex462):
 
 def test_psef_along_the_ray(ex462):
     m = ex462.model
-    base, _ = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
     ray = full_boundary_ray(m)
     below = base.add(ray.scale(F(1, 2)))
     assert not psef_test(m, below, plus_canonical=True).feasible
@@ -194,7 +198,7 @@ def test_psef_along_the_ray(ex462):
 
 def test_pet_flagship_value(ex462):
     m = ex462.model
-    base, _ = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
     ray = full_boundary_ray(m)
     r = pet(m, base, ray, F(1, 1000), plus_canonical=True)
     assert r.certified
@@ -268,14 +272,14 @@ def test_nef_certificate_ex825(ex825):
     cert = nef_certificate(m, z.positive_coeffs, plus_canonical=True)
     assert all(v >= 0 for v in cert.visible_intersections.values())
     assert cert.effective_rep.is_effective()
-    assert divisor_class(m, cert.effective_rep) == z.positive_class
+    assert divisor_class(m, cert.effective_rep) == positive_class(m, z)
     # a known effective representative: round brackets minus square brackets
     from logsurf.lattice import log_pullback
 
     square, _ = log_pullback(m, ("10/11", "8/11", "9/11", "6/11"))
     witness = z.positive_coeffs.sub(square)
     assert witness.is_effective()
-    assert divisor_class(m, witness) == z.positive_class
+    assert divisor_class(m, witness) == positive_class(m, z)
 
 
 def test_nef_certificate_rejections():
@@ -284,32 +288,29 @@ def test_nef_certificate_rejections():
         nef_certificate(m, {"E1": 1})
     m2 = neg_curve_model()
     with pytest.raises(NoEffectiveRepresentative):
-        nef_certificate(m2, (F(0), F(-1)))
+        nef_certificate(m2, {"A": -1})
 
 
 def test_nef_certificate_target_forms_agree():
-    # a divisor, its mapping, its class vector and a visible label name the
-    # same target; K is added on request
+    # a divisor and its mapping name the same target; K is added on request,
+    # and the intersections are those of the class vector
     m = blown_plane()
     d = qdiv({"L0": 4, "E1": 3})  # 4H - E, and K + D = H
-    cls = divisor_class(m, d)
     for plus in (False, True):
         want = nef_certificate(m, d, plus_canonical=plus).visible_intersections
-        for form in ({"L0": 4, "E1": 3}, cls, list(cls)):
-            assert nef_certificate(m, form, plus_canonical=plus).visible_intersections == want
-    label = nef_certificate(m, "L0").visible_intersections
-    assert label == nef_certificate(m, {"L0": 1}).visible_intersections
-    with pytest.raises(ValueError):
-        nef_certificate(m, (F(1),))
-    with pytest.raises(TypeError):
-        nef_certificate(m, 3)
+        got = nef_certificate(m, {"L0": 4, "E1": 3}, plus_canonical=plus).visible_intersections
+        assert got == want
+        cls = divisor_class(m, d)
+        if plus:
+            cls = tuple(k + c for k, c in zip(m.canonical_class, cls))
+        assert want == {lbl: m.pairing(cls, m.visible_class(lbl)) for lbl in sorted(m.visible)}
 
 
 def test_nef_threshold_y_model(ex825):
     m = ex825.model
     contracted = tuple(sorted(set(EX825_CONTRACTED)))
-    base, _ = pullback_after_contraction(m, contracted, include_canonical=True)
-    full, _ = pullback_after_contraction(m, contracted, qdiv({"L0": 1}), include_canonical=True)
+    base = pullback_after_contraction(m, contracted, include_canonical=True)
+    full = pullback_after_contraction(m, contracted, qdiv({"L0": 1}), include_canonical=True)
     ray = full.sub(base)
     r = nef_threshold(m, base, ray, plus_canonical=True)
     assert r.value == F(24, 25)
@@ -382,19 +383,27 @@ def test_zariski_random_invariants_flagship_size():
 
 
 def test_scenario_replay_runs_each_decomposition_once(monkeypatch):
-    runs = []
+    runs, pairings = [], []
     real = positivity._fujita
+    real_pairing = lattice.SurfaceModel.pairing
 
     def counted(m, dd, plus, labels, one_at_a_time):
         runs.append((dd, plus))
         return real(m, dd, plus, labels, one_at_a_time)
 
+    def counted_pairing(model, x, y):
+        pairings.append(1)
+        return real_pairing(model, x, y)
+
     monkeypatch.setattr(positivity, "_fujita", counted)
+    monkeypatch.setattr(lattice.SurfaceModel, "pairing", counted_pairing)
     for name in ("ex-462", "ex-825"):
         runs.clear()
         assert main(["scenario", name, "--json"]) == 0
         # volume, zariski and contraction all ask for [K +] the same divisor
         assert len(runs) == 1 and runs[0][1] is True
+        # every intersection number comes from the integer Gram matrix
+        assert pairings == []
 
 
 def test_explicit_orders_bypass_the_memo(monkeypatch):
@@ -410,12 +419,13 @@ def test_explicit_orders_bypass_the_memo(monkeypatch):
     monkeypatch.setattr(positivity, "_fujita", counted)
     z = zariski(m, d)
     assert zariski(m, QDivisor.from_dict(d.as_dict())) is z
-    assert volume(m, d) == m.pairing(z.positive_class, z.positive_class)
+    cls = positive_class(m, z)
+    assert volume(m, d) == m.pairing(cls, cls)
     assert len(runs) == 1
     order = sorted(m.visible, reverse=True)
     assert zariski(m, d, scan_order=order).negative_part == z.negative_part
     assert zariski(m, d, one_at_a_time=True).negative_part == z.negative_part
-    assert zariski(m, d, scan_order=order, one_at_a_time=True).positive_class == z.positive_class
+    assert zariski(m, d, scan_order=order, one_at_a_time=True).positive_dots == z.positive_dots
     assert runs[1:] == [(order, False), (sorted(m.visible), True), (order, True)]
     # the canonical flag is part of the key
     zariski(m, d, plus_canonical=True)
