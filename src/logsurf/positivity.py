@@ -7,8 +7,8 @@ representative supported on visible curves and meets every visible curve
 non-negatively, any curve outside the representative's support meets it
 non-negatively for free.
 
-Divisors with K are passed as their visible part and ``plus_canonical=True``.
-Intersections come from ``m.gram``; only the LPs take class vectors.
+A divisor K + D is passed as D with ``plus_canonical=True``. Intersection
+numbers come from ``m.gram``; only the LPs of psef_test and pet take classes.
 """
 
 from __future__ import annotations
@@ -143,8 +143,8 @@ def _fujita(
 
 
 def volume(m: SurfaceModel, d: QDivisor | Mapping, plus_canonical: bool = False) -> Rational:
-    """Self-intersection of the Zariski positive part (0 when not big): sum p_i
-    ([K +] P).C_i, plus K^2 + sum p_i K.C_i with K^2 = 10 - rank when K is in."""
+    """Self-intersection of the Zariski positive part (0 when not big), in curve
+    coordinates: sum p_i ([K +] P).C_i, plus K^2 + sum p_i K.C_i if K is included."""
     z = zariski(m, d, plus_canonical)
     vol = sum((c * z.positive_dots[lbl] for lbl, c in z.positive_coeffs.coeffs), Fraction(0))
     if z.includes_canonical:
