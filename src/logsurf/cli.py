@@ -537,17 +537,55 @@ def _exact_at(path: str, value: Any) -> None:
         raise ParseError(f"{path}: not an exact rational: {value!r}") from None
 
 
+def _curves_at(m, path: str, value: Any) -> None:
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected a list of curves")
+    for j, lbl in enumerate(value):
+        if not (isinstance(lbl, str) and lbl in m.visible):
+            raise ParseError(f"{path}[{j}]: unknown curve {lbl!r}")
+
+
+def _curve_table_at(m, path: str, table: Any) -> dict[str, Any]:
+    if not isinstance(table, dict):
+        raise ParseError(f"{path}: expected an object")
+    for lbl in table:
+        if lbl not in m.visible:
+            raise ParseError(f"{path}.{lbl}: unknown curve")
+    return table
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _cluster_at(m, path: str, want: Any) -> None:
+    """One expected contracted cluster: its labels, then either a cyclic type
+    or the fork data of a non-klt cluster."""
+    if not isinstance(want, dict):
+        raise ParseError(f"{path}: expected an object")
+    if "labels" not in want:
+        raise ParseError(f"{path}.labels: missing")
+    _curves_at(m, f"{path}.labels", want["labels"])
+    if "cyclic" in want:
+        n_q = want["cyclic"]
+        if not (isinstance(n_q, list) and len(n_q) == 2 and all(map(_is_int, n_q))):
+            raise ParseError(f"{path}.cyclic: expected two integers, got {n_q!r}")
+        return
+    for key in ("nklt_case", "fork", "fork_coeff", "contracted_square"):
+        if key not in want:
+            raise ParseError(f"{path}.{key}: missing for a cluster without 'cyclic'")
+    if want["fork"] not in want["labels"]:
+        raise ParseError(f"{path}.fork: not one of the cluster's labels: {want['fork']!r}")
+    _exact_at(f"{path}.fork_coeff", want["fork_coeff"])
+    _exact_at(f"{path}.contracted_square", want["contracted_square"])
+
+
 def _validate_tables(m, path: str, kind: str, spec: Mapping[str, Any]) -> None:
-    """Reject a malformed expectation table or line coefficient list, naming
-    the JSON path of the first bad entry."""
+    """Reject a malformed expectation table, curve list or coefficient list,
+    naming the JSON path of the first bad entry."""
     key = _TABLE_KEYS.get(kind)
     if key is not None:
-        table = spec[key]
-        if not isinstance(table, dict):
-            raise ParseError(f"{path}.{key}: expected an object")
-        for lbl, entry in table.items():
-            if lbl not in m.visible:
-                raise ParseError(f"{path}.{key}.{lbl}: unknown curve")
+        for lbl, entry in _curve_table_at(m, f"{path}.{key}", spec[key]).items():
             if not (isinstance(entry, dict) and "value" in entry):
                 raise ParseError(f"{path}.{key}.{lbl}: expected an object with a 'value'")
             _exact_at(f"{path}.{key}.{lbl}.value", entry["value"])
@@ -559,6 +597,36 @@ def _validate_tables(m, path: str, kind: str, spec: Mapping[str, Any]) -> None:
             raise ParseError(f"{path}.line_coeffs: need {m.num_lines} entries, got {len(coeffs)}")
         for j, c in enumerate(coeffs):
             _exact_at(f"{path}.line_coeffs[{j}]", c)
+    if kind in ("pet", "nt"):
+        _curves_at(m, f"{path}.contract", spec["contract"])
+        for lbl, c in _curve_table_at(m, f"{path}.boundary", spec["boundary"]).items():
+            _exact_at(f"{path}.boundary.{lbl}", c)
+        gap = spec.get("expect_not_in_open")
+        if gap is not None:
+            if not (isinstance(gap, list) and len(gap) == 2):
+                raise ParseError(f"{path}.expect_not_in_open: expected two rationals, got {gap!r}")
+            for j, c in enumerate(gap):
+                _exact_at(f"{path}.expect_not_in_open[{j}]", c)
+    if kind == "germ":
+        _curves_at(m, f"{path}.cluster", spec["cluster"])
+        _curves_at(m, f"{path}.boundary_curves", spec.get("boundary_curves", []))
+        want = spec["expect"]
+        if not isinstance(want, dict):
+            raise ParseError(f"{path}.expect: expected an object")
+        for lbl, c in _curve_table_at(m, f"{path}.expect.coeffs", want.get("coeffs", {})).items():
+            _exact_at(f"{path}.expect.coeffs.{lbl}", c)
+        if "boundary_self_int" in want:
+            _exact_at(f"{path}.expect.boundary_self_int", want["boundary_self_int"])
+    if kind == "contraction":
+        picard = spec["expect_picard"]
+        if not _is_int(picard):
+            raise ParseError(f"{path}.expect_picard: expected an integer, got {picard!r}")
+        _curves_at(m, f"{path}.expect_contracted", spec["expect_contracted"])
+        clusters = spec["expect_clusters"]
+        if not isinstance(clusters, list):
+            raise ParseError(f"{path}.expect_clusters: expected a list")
+        for j, want in enumerate(clusters):
+            _cluster_at(m, f"{path}.expect_clusters[{j}]", want)
 
 
 def run_scenario(source: str) -> Report:

@@ -144,6 +144,18 @@ THREE_LINES = {
     "divisors": {"D": {"L0": "1", "L1": "1", "L2": "1"}},
 }
 
+# Well-formed checks on THREE_LINES; each bad-input case below breaks one key.
+PET = {"kind": "pet", "contract": ["E1"], "boundary": {"L0": 1}, "resolution": "1", "expect_value": "1"}
+GERM = {"kind": "germ", "cluster": ["E1"], "boundary_curves": ["L0"], "expect": {}}
+CONTRACTION = {
+    "kind": "contraction",
+    "divisor": "D",
+    "expect_picard": 2,
+    "expect_contracted": ["E1"],
+    "expect_clusters": [{"labels": ["E1"], "cyclic": [1, 1]}],
+}
+FORK = {"labels": ["E1"], "nklt_case": "d", "fork": "E1", "fork_coeff": "1", "contracted_square": "-1"}
+
 
 def test_scenario_boolean_keys(tmp_path, capsys):
     check = {"kind": "volume", "divisor": "D", "plus_canonical": False, "expect": "5"}
@@ -234,6 +246,86 @@ def test_scenario_rational_keys(tmp_path, capsys, check, key, shown):
         (
             {"kind": "pullback", "line_coeffs": ["1", "1"], "expect_coeffs": {}},
             "checks[1].line_coeffs: need 3 entries, got 2",
+        ),
+        (
+            {**PET, "contract": "E1"},
+            "checks[1].contract: expected a list of curves",
+        ),
+        (
+            {**PET, "contract": ["E1", "E99"]},
+            "checks[1].contract[1]: unknown curve 'E99'",
+        ),
+        (
+            {**PET, "boundary": {"L0": 0.5}},
+            "checks[1].boundary.L0: not an exact rational: 0.5",
+        ),
+        (
+            {**PET, "boundary": {"E99": "1"}},
+            "checks[1].boundary.E99: unknown curve",
+        ),
+        (
+            {**PET, "expect_not_in_open": [0.5, 1]},
+            "checks[1].expect_not_in_open[0]: not an exact rational: 0.5",
+        ),
+        (
+            {**PET, "expect_not_in_open": ["1"]},
+            "checks[1].expect_not_in_open: expected two rationals, got ['1']",
+        ),
+        (
+            {"kind": "nt", "contract": ["E1"], "boundary": ["L0"], "expect_value": "1"},
+            "checks[1].boundary: expected an object",
+        ),
+        (
+            {**GERM, "cluster": "E1"},
+            "checks[1].cluster: expected a list of curves",
+        ),
+        (
+            {**GERM, "boundary_curves": ["L9"]},
+            "checks[1].boundary_curves[0]: unknown curve 'L9'",
+        ),
+        (
+            {**GERM, "expect": {"coeffs": {"E1": 0.5}}},
+            "checks[1].expect.coeffs.E1: not an exact rational: 0.5",
+        ),
+        (
+            {**GERM, "expect": {"boundary_self_int": 0.5}},
+            "checks[1].expect.boundary_self_int: not an exact rational: 0.5",
+        ),
+        (
+            {**GERM, "expect": ["is_lc"]},
+            "checks[1].expect: expected an object",
+        ),
+        (
+            {**CONTRACTION, "expect_picard": "2"},
+            "checks[1].expect_picard: expected an integer, got '2'",
+        ),
+        (
+            {**CONTRACTION, "expect_contracted": ["E1", 1]},
+            "checks[1].expect_contracted[1]: unknown curve 1",
+        ),
+        (
+            {**CONTRACTION, "expect_clusters": {"labels": ["E1"]}},
+            "checks[1].expect_clusters: expected a list",
+        ),
+        (
+            {**CONTRACTION, "expect_clusters": [{"cyclic": [1, 1]}]},
+            "checks[1].expect_clusters[0].labels: missing",
+        ),
+        (
+            {**CONTRACTION, "expect_clusters": [{"labels": ["E1"], "cyclic": [3]}]},
+            "checks[1].expect_clusters[0].cyclic: expected two integers, got [3]",
+        ),
+        (
+            {**CONTRACTION, "expect_clusters": [{"labels": ["E1"], "nklt_case": "d"}]},
+            "checks[1].expect_clusters[0].fork: missing for a cluster without 'cyclic'",
+        ),
+        (
+            {**CONTRACTION, "expect_clusters": [{**FORK, "fork": "L0"}]},
+            "checks[1].expect_clusters[0].fork: not one of the cluster's labels: 'L0'",
+        ),
+        (
+            {**CONTRACTION, "expect_clusters": [{**FORK, "contracted_square": 0.5}]},
+            "checks[1].expect_clusters[0].contracted_square: not an exact rational: 0.5",
         ),
     ],
 )
