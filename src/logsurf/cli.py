@@ -476,8 +476,6 @@ def _check_germ(m, divisors, spec) -> CheckRecord:
         details.append(f"orders {orders}, expected {sorted(want['orders'])}")
     square = None
     if "boundary_self_int" in want:
-        if len(boundary) != 1:
-            raise ValueError("boundary_self_int needs exactly one boundary curve")
         square = Fraction(g.vertex(boundary[0]).self_int)
         if square != rat(want["boundary_self_int"]):
             ok = False
@@ -601,6 +599,12 @@ def _validate_tables(m, path: str, kind: str, spec: Mapping[str, Any]) -> None:
         _curves_at(m, f"{path}.contract", spec["contract"])
         for lbl, c in _curve_table_at(m, f"{path}.boundary", spec["boundary"]).items():
             _exact_at(f"{path}.boundary.{lbl}", c)
+            if lbl in spec["contract"]:
+                raise ParseError(f"{path}.boundary.{lbl}: also in contract")
+            if kind == "pet" and rat(c) < 0:
+                raise ParseError(f"{path}.boundary.{lbl}: the pet ray must be effective, got {c!r}")
+        if kind == "pet" and rat(spec["resolution"]) <= 0:
+            raise ParseError(f"{path}.resolution: must be positive, got {spec['resolution']!r}")
         gap = spec.get("expect_not_in_open")
         if gap is not None:
             if not (isinstance(gap, list) and len(gap) == 2):
@@ -617,6 +621,11 @@ def _validate_tables(m, path: str, kind: str, spec: Mapping[str, Any]) -> None:
             _exact_at(f"{path}.expect.coeffs.{lbl}", c)
         if "boundary_self_int" in want:
             _exact_at(f"{path}.expect.boundary_self_int", want["boundary_self_int"])
+            count = len(spec.get("boundary_curves", []))
+            if count != 1:
+                raise ParseError(
+                    f"{path}.expect.boundary_self_int: needs exactly one boundary curve, got {count}"
+                )
     if kind == "contraction":
         picard = spec["expect_picard"]
         if not _is_int(picard):
@@ -724,11 +733,18 @@ def classify_germ_cmd(path: str) -> Report:
 # --- wps command -------------------------------------------------------------
 
 
-def _parse_weights_arg(text: str) -> tuple[int, ...]:
+def _ints_arg(flag: str, text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
-    except ValueError as err:
-        raise ParseError(f"bad weights {text!r}") from err
+    except ValueError:
+        raise ParseError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+
+
+def _rational_arg(flag: str, text: str) -> Fraction:
+    try:
+        return rat(text)
+    except ValueError:
+        raise ParseError(f"{flag}: not an exact rational: {text!r}") from None
 
 
 def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fraction]:
@@ -741,7 +757,7 @@ def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fra
                 except ValueError as err:
                     raise ParseError(str(err)) from err
         else:
-            weights = _wps.Weights.of(_parse_weights_arg(args.weights))
+            weights = _wps.Weights.of(_ints_arg("--weights", args.weights))
             try:
                 p = _wps.parse_poly_human(args.expr, weights)
             except ValueError as err:
@@ -750,8 +766,8 @@ def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fra
         return _wps.standard_member(nf.eps, nf.s, nf.t), nf.eps, nf.s, nf.t
     if args.eps is None:
         raise ParseError("need either --eps (with --s/--t) or --poly/--expr")
-    eps = tuple(int(x) for x in args.eps.split(","))
-    s, t = rat(args.s), rat(args.t)
+    eps = _ints_arg("--eps", args.eps)
+    s, t = _rational_arg("--s", args.s), _rational_arg("--t", args.t)
     return _wps.standard_member(eps, s, t), eps, s, t
 
 
@@ -853,7 +869,7 @@ def wps_hilbert_cmd(args) -> Report:
     n = args.n
     if n > HILBERT_MAX_N:
         raise ParseError(f"--n {n} is above the cap {HILBERT_MAX_N}")
-    weights = _parse_weights_arg(args.weights)
+    weights = _ints_arg("--weights", args.weights)
     series = _wps.hilbert_series(weights, args.degree, n)
     details = [f"h({n}) = {series[n]}"]
     outputs: dict[str, Any] = {"n": n, "h": str(series[n])}
@@ -881,7 +897,7 @@ def wps_hilbert_cmd(args) -> Report:
 
 def wps_volume_cmd(args) -> Report:
     t0 = time.perf_counter()
-    weights = _parse_weights_arg(args.weights)
+    weights = _ints_arg("--weights", args.weights)
     v = _wps.wps_volume(weights, args.degree, args.twist)
     rec = CheckRecord(
         kind="wps-volume",
@@ -930,7 +946,9 @@ def enumerate_cmd(which: str) -> Report:
 
 def quadmin_cmd(args) -> Report:
     t0 = time.perf_counter()
-    q = QuadraticForm1D(rat(args.a), rat(args.b), rat(args.c))
+    q = QuadraticForm1D(
+        _rational_arg("--a", args.a), _rational_arg("--b", args.b), _rational_arg("--c", args.c)
+    )
     t_star, value = minimize_quadratic(q)
     rec = CheckRecord(
         kind="quadmin",

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from logsurf.exact import (
-    QMatrix,
     Rational,
     determinant,
     rat,
@@ -120,24 +119,22 @@ class DualGraph:
         return tuple(v.label for v in self.vertices if not v.is_exceptional)
 
 
-def intersection_matrix(g: DualGraph) -> QMatrix:
+def intersection_matrix(g: DualGraph) -> list[list[int]]:
     n = len(g.vertices)
     idx = {v.label: i for i, v in enumerate(g.vertices)}
-    ent = [[Fraction(0)] * n for _ in range(n)]
+    ent = [[0] * n for _ in range(n)]
     for i, v in enumerate(g.vertices):
-        ent[i][i] = Fraction(v.self_int)
+        ent[i][i] = v.self_int
     for a, b in g.edges:
         i, j = idx[a], idx[b]
         ent[i][j] += 1
         ent[j][i] += 1
-    return QMatrix.from_rows(ent)
+    return ent
 
 
 def graph_determinant(g: DualGraph) -> Rational:
     """Determinant of the negated intersection matrix (1 for the empty graph)."""
-    m = intersection_matrix(g)
-    neg = QMatrix(m.rows, m.cols, tuple(-e for e in m.entries))
-    return determinant(neg)
+    return determinant([[-e for e in row] for row in intersection_matrix(g)])
 
 
 @dataclass(frozen=True)

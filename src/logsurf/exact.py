@@ -1,11 +1,13 @@
 """Exact rational linear algebra, linear programming, and 1-D quadratic minimization.
 
-Inputs and results are fractions.Fraction. Floats are rejected at the
-boundary: a float carries rounding error that would poison every
-certificate built on top of it. Inside, elimination and the simplex share
-one fraction-free pivot: an integer table over one common denominator,
-where every update is an exact integer division. Fractions are built only
-when a result is read out.
+A matrix is a sequence of equal-length rows. Entries and vector components
+are ints, Fractions or "p/q" strings; results are fractions.Fraction.
+Floats are rejected at the boundary: a float carries rounding error that
+would poison every certificate built on top of it. Inside, elimination and
+the simplex share one fraction-free pivot: an integer table over one common
+denominator, where every update is an exact integer division. An integer
+matrix reaches that table as it is; Fractions are built only when a result
+is read out.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from math import lcm
 from typing import Sequence
 
 Rational = Fraction
+#: A matrix as a sequence of equal-length rows.
+Rows = Sequence[Sequence[int | str | Rational]]
 
 
 class SingularMatrix(Exception):
@@ -63,49 +67,23 @@ def rat(value: int | str | Rational) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense rational matrix, row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[Rational, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        object.__setattr__(self, "entries", tuple(rat(e) for e in self.entries))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int | str | Rational]]) -> QMatrix:
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-        return cls(nrows, ncols, tuple(e for r in rows for e in r))
-
-    def at(self, i: int, j: int) -> Rational:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[Rational]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(self.row(i) == self.entries[i :: self.cols] for i in range(self.rows))
+def _width(m: Rows) -> int:
+    """The common length of the rows of m, 0 when m has no rows."""
+    width = len(m[0]) if m else 0
+    if any(len(row) != width for row in m):
+        raise DimensionMismatch("ragged rows")
+    return width
 
 
-def _integral(rows: Sequence[Sequence[Rational]]) -> tuple[list[list[int]], int]:
-    """(integer rows, multiplier): the rows times the lcm of every denominator."""
-    scale = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
+def _integral(rows: Rows) -> tuple[list[list[int]], int]:
+    """(integer rows, multiplier): the rows times the lcm of every denominator.
+
+    The one place where matrix entries are coerced: a plain int is taken as
+    it is, anything else goes through rat, so floats and bools are rejected.
+    """
+    table = [[v if type(v) is int else rat(v) for v in row] for row in rows]
+    scale = lcm(*(v.denominator for row in table for v in row))
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in table], scale
 
 
 def _pivot(tab: list[list[int]], r: int, j: int, d: int) -> int:
@@ -148,20 +126,25 @@ def _eliminate(tab: list[list[int]], ncols: int) -> list[tuple[int, bool]]:
     return pivots
 
 
-def _solve(m: QMatrix, v: Sequence[Rational]) -> tuple[list[tuple[int, bool]], tuple[Rational, ...] | None]:
-    """Eliminate [m | v]: (pivots, the solution of m @ x = v, or None when m is singular)."""
-    if m.rows != m.cols:
-        raise NonSquare(f"solving needs a square matrix, got {m.rows}x{m.cols}")
-    if len(v) != m.rows:
+def _solve(
+    m: Rows, v: Sequence[int | str | Rational], symmetric: bool = False
+) -> tuple[list[tuple[int, bool]], tuple[Rational, ...] | None]:
+    """Eliminate [m | v]: (pivots, the solution of m @ x = v, or None when m is
+    singular). With ``symmetric``, m must also be symmetric."""
+    n = len(m)
+    if _width(m) != n:
+        raise NonSquare(f"solving needs a square matrix, got {n}x{_width(m)}")
+    if len(v) != n:
         raise DimensionMismatch("right-hand side length does not match matrix")
-    n = m.rows
-    tab = _integral([row + [rat(x)] for row, x in zip(m.to_lists(), v)])[0]
+    tab = _integral([[*row, x] for row, x in zip(m, v)])[0]
+    if symmetric and any(tab[i][j] != tab[j][i] for i in range(n) for j in range(i)):
+        raise NonSymmetric("definiteness is only defined for symmetric matrices here")
     pivots = _eliminate(tab, n)
     d = pivots[-1][0] if pivots else 1
     return pivots, tuple(Fraction(row[n], d) for row in tab) if len(pivots) == n else None
 
 
-def solve_linear(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...]:
+def solve_linear(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...]:
     """Solve m @ x = v exactly. Raises SingularMatrix when no unique solution exists."""
     x = _solve(m, v)[1]
     if x is None:
@@ -169,7 +152,7 @@ def solve_linear(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...]:
     return x
 
 
-def solve_negative_definite(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational, ...] | None:
+def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...] | None:
     """Solve m @ x = v when the symmetric m is negative definite; None when it is not.
 
     Sylvester's test reads the pivots of the same elimination. Without row
@@ -178,34 +161,33 @@ def solve_negative_definite(m: QMatrix, v: Sequence[Rational]) -> tuple[Rational
     negative. A swap means a leading minor vanished, and fewer than n pivots
     means m is singular; either rules out definiteness.
     """
-    if m.rows == m.cols and not m.is_symmetric():
-        raise NonSymmetric("definiteness is only defined for symmetric matrices here")
-    pivots, x = _solve(m, v)
+    pivots, x = _solve(m, v, symmetric=True)
     if x is None or any(swapped or (p < 0) != (k % 2 == 0) for k, (p, swapped) in enumerate(pivots)):
         return None
     return x
 
 
-def determinant(m: QMatrix) -> Rational:
+def determinant(m: Rows) -> Rational:
     """Exact determinant. The empty 0x0 matrix has determinant 1."""
-    if m.rows != m.cols:
-        raise NonSquare(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    tab, scale = _integral(m.to_lists())
-    pivots = _eliminate(tab, m.cols)
-    if len(pivots) < m.rows:
+    n = len(m)
+    if _width(m) != n:
+        raise NonSquare(f"determinant needs a square matrix, got {n}x{_width(m)}")
+    tab, scale = _integral(m)
+    pivots = _eliminate(tab, n)
+    if len(pivots) < n:
         return Fraction(0)
     swaps = sum(swapped for _, swapped in pivots)
-    return Fraction((-1) ** swaps * (pivots[-1][0] if pivots else 1), scale**m.rows)
+    return Fraction((-1) ** swaps * (pivots[-1][0] if pivots else 1), scale**n)
 
 
-def is_negative_definite(m: QMatrix) -> bool:
+def is_negative_definite(m: Rows) -> bool:
     """Sylvester test; see solve_negative_definite."""
-    return solve_negative_definite(m, (0,) * m.rows) is not None
+    return solve_negative_definite(m, (0,) * len(m)) is not None
 
 
-def matrix_rank(m: QMatrix) -> int:
+def matrix_rank(m: Rows) -> int:
     """Exact rank of a (possibly rectangular) matrix."""
-    return len(_eliminate(_integral(m.to_lists())[0], m.cols))
+    return len(_eliminate(_integral(m)[0], _width(m)))
 
 
 @dataclass(frozen=True)
@@ -249,7 +231,7 @@ def _simplex(tab: list[list[int]], basis: list[int], n: int, d: int) -> int | No
 
 
 def lp_feasible(
-    a: QMatrix, b: Sequence[Rational], cost: Sequence[Rational] | None = None
+    a: Rows, b: Sequence[int | str | Rational], cost: Sequence[int | str | Rational] | None = None
 ) -> FeasibilityResult:
     """Decide whether {x >= 0 : A x = b} is nonempty, exactly; with ``cost``,
     also minimize cost . x over it.
@@ -266,16 +248,16 @@ def lp_feasible(
     redundant row, whose structural entries stay zero, so it stays at 0.
     Raises UnboundedObjective when cost . x has no lower bound.
     """
-    if len(b) != a.rows:
+    m, n = len(a), _width(a)
+    if len(b) != m:
         raise DimensionMismatch("b length does not match number of rows")
-    if cost is not None and len(cost) != a.cols:
+    if cost is not None and len(cost) != n:
         raise DimensionMismatch("cost length does not match number of columns")
-    m, n = a.rows, a.cols
     # Columns: n structural, m artificial (identity), then the rhs. Rows with
     # a negative rhs are negated so the artificial basis starts feasible.
-    rhs = [rat(v) for v in b]
-    signs = [-1 if v < 0 else 1 for v in rhs]
-    tab, scale = _integral([[s * v for v in a.row(i)] + [s * rhs[i]] for i, s in enumerate(signs)])
+    tab, scale = _integral([[*row, v] for row, v in zip(a, b)])
+    signs = [-1 if row[n] < 0 else 1 for row in tab]
+    tab = [[s * v for v in row] for s, row in zip(signs, tab)]
     tab = [row[:n] + [int(k == i) for k in range(m)] + row[n:] for i, row in enumerate(tab)]
     # Phase-1 costs are 1 on each artificial, 0 elsewhere.
     obj = [-sum(row[j] for row in tab) for j in range(n + m + 1)]
@@ -302,7 +284,7 @@ def lp_feasible(
                         d = -d
         # C * cost over the denominator d, C the lcm of the cost denominators,
         # with the basic columns priced out.
-        (costs,), cscale = _integral([[rat(c) for c in cost]])
+        (costs,), cscale = _integral([cost])
         full = [c * d for c in costs] + [0] * (m + 1)
         for i, bi in enumerate(basis):
             if bi < n and costs[bi] != 0:

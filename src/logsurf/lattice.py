@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components, intersection_matrix
-from logsurf.exact import QMatrix, Rational, is_negative_definite, rat
+from logsurf.exact import Rational, is_negative_definite, rat
 
 
 class UnknownLabel(Exception):
@@ -128,8 +128,8 @@ class IntegralGram:
         except KeyError as err:
             raise UnknownLabel(err.args[0]) from None
 
-    def matrix(self, labels: Sequence[str]) -> QMatrix:
-        return QMatrix.from_rows([[self.at(a, b) for b in labels] for a in labels])
+    def matrix(self, labels: Sequence[str]) -> list[list[int]]:
+        return [[self.at(a, b) for b in labels] for a in labels]
 
     def dots(
         self, d: QDivisor, labels: Iterable[str], plus_canonical: bool = False

@@ -25,7 +25,6 @@ from logsurf.dualgraph import (
 )
 from logsurf.exact import (
     FeasibilityResult,
-    QMatrix,
     Rational,
     lp_feasible,
     rat,
@@ -56,6 +55,12 @@ class EmptyInterval(Exception):
     pass
 
 
+class NotPseudoEffective(NotNegativeDefinite):
+    """Fujita's support grew a matrix that is not negative definite. For a
+    pseudo-effective divisor that support stays inside Supp N, which is
+    negative definite, so the divisor is not pseudo-effective."""
+
+
 def _target_class(m: SurfaceModel, d, plus_canonical: bool) -> tuple[Rational, ...]:
     cls = divisor_class(m, d)
     if plus_canonical:
@@ -69,7 +74,7 @@ class ZariskiResult:
     #: ([K +] P).C for every visible curve C.
     positive_dots: Mapping[str, Rational]
     negative_part: QDivisor
-    support_gram: QMatrix
+    support_gram: list[list[int]]
     includes_canonical: bool
 
 
@@ -88,6 +93,7 @@ def zariski(
     adds only the first violator per round, which is how the order-independence
     property gets exercised. The default-order decomposition is computed once
     per model and (divisor, plus_canonical); the other orders always iterate.
+    Raises NotPseudoEffective when [K +] D is not pseudo-effective.
     """
     dd = qdiv(d)
     if not dd.is_effective():
@@ -116,7 +122,9 @@ def _fujita(
         if support:
             n_vals = solve_negative_definite(gram, tuple(d_dot[lbl] for lbl in support))
             if n_vals is None:
-                raise NotNegativeDefinite(f"support {support} has degenerate intersection matrix")
+                raise NotPseudoEffective(
+                    f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
+                )
             for lbl, v in zip(support, n_vals):
                 if v < 0:
                     raise NegativeCoefficient(f"negative part coefficient {v} at {lbl}")
@@ -145,7 +153,10 @@ def _fujita(
 def volume(m: SurfaceModel, d: QDivisor | Mapping, plus_canonical: bool = False) -> Rational:
     """Self-intersection of the Zariski positive part (0 when not big), in curve
     coordinates: sum p_i ([K +] P).C_i, plus K^2 + sum p_i K.C_i if K is included."""
-    z = zariski(m, d, plus_canonical)
+    try:
+        z = zariski(m, d, plus_canonical)
+    except NotPseudoEffective:
+        return Fraction(0)
     vol = sum((c * z.positive_dots[lbl] for lbl, c in z.positive_coeffs.coeffs), Fraction(0))
     if z.includes_canonical:
         vol += 10 - m.rank + sum(c * m.gram.k_dot[lbl] for lbl, c in z.positive_coeffs.coeffs)
@@ -156,9 +167,7 @@ def psef_test(m: SurfaceModel, d, plus_canonical: bool = False) -> FeasibilityRe
     """Is the class a nonnegative combination of visible curves? Exact LP."""
     target = _target_class(m, d, plus_canonical)
     labels = sorted(m.visible)
-    a = QMatrix.from_rows(
-        [[m.visible_class(lbl)[i] for lbl in labels] for i in range(m.rank)]
-    )
+    a = [[m.visible_class(lbl)[i] for lbl in labels] for i in range(m.rank)]
     return lp_feasible(a, target)
 
 
@@ -274,9 +283,7 @@ def pet(
     base_class = _target_class(m, base_d, plus_canonical)
     ray_class = divisor_class(m, ray_d)
     labels = sorted(m.visible)
-    a = QMatrix.from_rows(
-        [[m.visible_class(lbl)[i] for lbl in labels] + [-ray_class[i]] for i in range(m.rank)]
-    )
+    a = [[m.visible_class(lbl)[i] for lbl in labels] + [-ray_class[i]] for i in range(m.rank)]
     res = lp_feasible(a, base_class, cost=(0,) * len(labels) + (1,))
     if not res.feasible:
         return ThresholdResult(value=None, certified=False, farkas_below=res.y)

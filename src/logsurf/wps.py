@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import QMatrix, Rational, matrix_rank, rat
+from .exact import Rational, matrix_rank, rat
 
 Exponents = tuple[int, int, int, int]
 
@@ -373,7 +373,7 @@ def analyze_origin(
         else:
             q[a][b] += c / 2
             q[b][a] += c / 2
-    rank = matrix_rank(QMatrix.from_rows(q))
+    rank = matrix_rank(q)
     is_node = rank == 3
     return ChartDossier(
         chart_index, True, 2, rank, False, is_node, False, not is_node

@@ -16,9 +16,9 @@ from logsurf.dualgraph import (
     intersection_matrix,
     solve_discrepancies,
 )
-from logsurf.exact import QMatrix, is_negative_definite, lp_feasible
+from logsurf.exact import is_negative_definite, lp_feasible
 from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe, divisor_class
-from logsurf.positivity import pet, psef_test, volume, zariski
+from logsurf.positivity import NotPseudoEffective, pet, psef_test, volume, zariski
 from logsurf.wps import (
     analyze_origin,
     apply_transform,
@@ -68,22 +68,32 @@ def positive_class(m, z) -> tuple[Fraction, ...]:
 
 def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
     """Orthogonality, sign conditions, negative-definite support, and
-    independence from the scan order, on random recipes, for D and for K + B + D
-    with B every visible curve once (when that is visible-effective). The
-    volume and ([K +] P).C are checked against pairing the class of [K +] P."""
+    independence from the scan order, on random recipes, for D, for K + D, and
+    for K + B + D with B every visible curve once (when that is
+    visible-effective). The volume and ([K +] P).C are checked against pairing
+    the class of [K +] P. A K + D whose decomposition raises NotPseudoEffective
+    must fail psef_test and have volume 0."""
     rng = random.Random(seed)
-    done = with_k = 0
+    done = with_k = not_psef = 0
     while done < cases:
         m = build_from_recipe(random_recipe(rng, max_steps=max_steps))
         d = random_effective_divisor(rng, sorted(m.visible))
         order = sorted(m.visible)
         rng.shuffle(order)
         log_d = d.add(QDivisor.from_dict({lbl: 1 for lbl in m.visible}))
-        for plus, div in ((False, d), (True, log_d)):
-            if plus and not psef_test(m, div, plus_canonical=True).feasible:
+        for plus, div in ((False, d), (True, d), (True, log_d)):
+            if div is log_d:
+                if not psef_test(m, div, plus_canonical=True).feasible:
+                    continue
+                with_k += 1
+            try:
+                z = zariski(m, div, plus_canonical=plus)
+            except NotPseudoEffective:
+                assert plus and div is d
+                assert not psef_test(m, div, plus_canonical=True).feasible
+                assert volume(m, div, plus_canonical=True) == 0
+                not_psef += 1
                 continue
-            with_k += plus
-            z = zariski(m, div, plus_canonical=plus)
             cls = positive_class(m, z)
             assert volume(m, div, plus_canonical=plus) == m.pairing(cls, cls)
             assert z.negative_part.is_effective()
@@ -104,8 +114,9 @@ def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
                 assert other.negative_part == z.negative_part
                 assert other.positive_dots == z.positive_dots
         done += 1
-    # the K + B + D leg ran on most recipes, not only a few
-    assert 2 * with_k > done
+    # the K + B + D leg ran on most recipes, not only a few, and some K + D
+    # were not pseudo-effective
+    assert 2 * with_k > done and not_psef > 0
     return done
 
 
@@ -195,7 +206,7 @@ def discrepancy_residuals(seed: int, cases: int) -> int:
             k_dot = 2 * v.arithmetic_genus - 2 - v.self_int
             total = k_dot
             for j, other in enumerate(labels):
-                total += coeffs[other] * mat.at(i, j)
+                total += coeffs[other] * mat[i][j]
             assert total == 0, f"residual {total} at {lbl}"
         done += 1
     return done
@@ -336,20 +347,18 @@ def lp_certificates(seed: int, cases: int) -> tuple[int, int]:
     while n_feas + n_infeas < cases:
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        a = QMatrix.from_rows(
-            [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-        )
+        a = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
         b = tuple(Fraction(rng.randint(-6, 6)) for _ in range(rows))
         res = lp_feasible(a, b)
         if res.feasible:
             assert all(x >= 0 for x in res.x)
             for i in range(rows):
-                assert sum(a.at(i, j) * res.x[j] for j in range(cols)) == b[i]
+                assert sum(a[i][j] * res.x[j] for j in range(cols)) == b[i]
             n_feas += 1
         else:
             y = res.y
             assert sum(yi * bi for yi, bi in zip(y, b)) > 0
             for j in range(cols):
-                assert sum(y[i] * a.at(i, j) for i in range(rows)) <= 0
+                assert sum(y[i] * a[i][j] for i in range(rows)) <= 0
             n_infeas += 1
     return n_feas, n_infeas

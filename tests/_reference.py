@@ -14,43 +14,38 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from logsurf.exact import DimensionMismatch, FeasibilityResult, QMatrix, UnboundedObjective, rat
+from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat
+
+Rows = Sequence[Sequence[Fraction]]
 
 
-def identity(n: int) -> QMatrix:
-    return QMatrix(n, n, tuple(Fraction(int(i == j)) for i in range(n) for j in range(n)))
+def identity(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def submatrix(m: QMatrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> QMatrix:
-    return QMatrix(len(row_idx), len(col_idx), tuple(m.at(i, j) for i in row_idx for j in col_idx))
+def submatrix(m: Rows, row_idx: Sequence[int], col_idx: Sequence[int]) -> list[list[Fraction]]:
+    return [[m[i][j] for j in col_idx] for i in row_idx]
 
 
-def col(m: QMatrix, j: int) -> tuple[Fraction, ...]:
-    return tuple(m.at(i, j) for i in range(m.rows))
+def col(m: Rows, j: int) -> tuple[Fraction, ...]:
+    return tuple(row[j] for row in m)
 
 
-def transpose(m: QMatrix) -> QMatrix:
-    return QMatrix(m.cols, m.rows, tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows)))
+def transpose(m: Rows) -> list[list[Fraction]]:
+    return [list(c) for c in zip(*m)]
 
 
-def matmul(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return QMatrix(
-        a.rows,
-        b.cols,
-        tuple(
-            sum((a.at(i, k) * b.at(k, j) for k in range(a.cols)), Fraction(0))
-            for i in range(a.rows)
-            for j in range(b.cols)
-        ),
-    )
+def matmul(a: Rows, b: Rows) -> list[list[Fraction]]:
+    if any(len(row) != len(b) for row in a):
+        raise DimensionMismatch(f"cannot multiply rows of {len(a[0])} entries by {len(b)} rows")
+    width = len(b[0]) if b else 0
+    return [[sum((x * r[j] for x, r in zip(row, b)), Fraction(0)) for j in range(width)] for row in a]
 
 
-def apply(m: QMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if len(v) != m.cols:
+def apply(m: Rows, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    if any(len(row) != len(v) for row in m):
         raise DimensionMismatch("vector length does not match matrix columns")
-    return tuple(sum((m.at(i, j) * v[j] for j in range(m.cols)), Fraction(0)) for i in range(m.rows))
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m)
 
 
 def _pivot(tab: list[list[Fraction]], r: int, j: int) -> None:
@@ -80,12 +75,12 @@ def _simplex(tab: list[list[Fraction]], basis: list[int], n: int) -> bool:
         basis[leave] = entering
 
 
-def lp_feasible(a: QMatrix, b: Sequence[Fraction], cost: Sequence[Fraction] | None = None) -> FeasibilityResult:
-    m, n = a.rows, a.cols
+def lp_feasible(a: Rows, b: Sequence[Fraction], cost: Sequence[Fraction] | None = None) -> FeasibilityResult:
+    m, n = len(a), len(a[0]) if a else 0
     rhs = [rat(v) for v in b]
     signs = [-1 if v < 0 else 1 for v in rhs]
     tab = [
-        [s * v for v in a.row(i)] + [Fraction(int(k == i)) for k in range(m)] + [s * rhs[i]]
+        [s * rat(v) for v in a[i]] + [Fraction(int(k == i)) for k in range(m)] + [s * rhs[i]]
         for i, s in enumerate(signs)
     ]
     obj = [-sum((row[j] for row in tab), Fraction(0)) for j in range(n + m + 1)]

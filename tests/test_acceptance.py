@@ -249,3 +249,23 @@ def test_c10_randomized_property_suites():
     n_feas, n_infeas = lp_certificates(77005, 200)
     assert n_feas + n_infeas == 200
     assert n_feas > 0 and n_infeas > 0
+
+def test_c11_benchmark_hooks_resolve():
+    # bench/tracer.py wraps functions by name; each must still exist.
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [n for n in tracer.TIMED if not n.startswith("wps.sympy.")] + [tracer.COUNTED]
+    assert len(names) > 20
+    for full in names:
+        mod_name, *attrs = full.split(".")
+        obj = importlib.import_module(f"logsurf.{mod_name}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+            assert obj is not None, f"{full} is gone"
+        assert callable(obj), full

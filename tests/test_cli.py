@@ -327,6 +327,23 @@ def test_scenario_rational_keys(tmp_path, capsys, check, key, shown):
             {**CONTRACTION, "expect_clusters": [{**FORK, "contracted_square": 0.5}]},
             "checks[1].expect_clusters[0].contracted_square: not an exact rational: 0.5",
         ),
+        # inputs the checks themselves used to reject without a path
+        (
+            {**PET, "boundary": {"L0": 1, "E1": "1/2"}},
+            "checks[1].boundary.E1: also in contract",
+        ),
+        (
+            {**PET, "boundary": {"L0": "-1"}},
+            "checks[1].boundary.L0: the pet ray must be effective, got '-1'",
+        ),
+        (
+            {**PET, "resolution": "0"},
+            "checks[1].resolution: must be positive, got '0'",
+        ),
+        (
+            {**GERM, "boundary_curves": ["L0", "L1"], "expect": {"boundary_self_int": "1"}},
+            "checks[1].expect.boundary_self_int: needs exactly one boundary curve, got 2",
+        ),
     ],
 )
 def test_scenario_table_entries(tmp_path, capsys, check, message):
@@ -519,10 +536,10 @@ def test_quadmin_rejects_concave(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("quadmin", "--a", "1/0", "--b", "0", "--c", "0"), "error (ValueError): zero denominator in '1/0'"),
+        (("quadmin", "--a", "1/0", "--b", "0", "--c", "0"), "error: --a: not an exact rational: '1/0'"),
         (
             ("wps", "analyze", "--eps", "1,0,1,1", "--s", "1/0", "--t", "0"),
-            "error (ValueError): zero denominator in '1/0'",
+            "error: --s: not an exact rational: '1/0'",
         ),
         (("wps", "normal-form", "--coeffs", "1/0,1"), "error: bad coefficient list '1/0,1'"),
     ],
@@ -531,6 +548,24 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("wps", "analyze", "--eps", "1,x,1,1"), "--eps: expected comma-separated integers, got '1,x,1,1'"),
+        (("wps", "analyze", "--eps", "1,0,1,1", "--s", "abc"), "--s: not an exact rational: 'abc'"),
+        (("wps", "analyze", "--eps", "1,0,1,1", "--t", "one"), "--t: not an exact rational: 'one'"),
+        (("quadmin", "--a", "x", "--b", "0", "--c", "0"), "--a: not an exact rational: 'x'"),
+        (("quadmin", "--a", "1", "--b", "1/0", "--c", "0"), "--b: not an exact rational: '1/0'"),
+        (("quadmin", "--a", "1", "--b", "0", "--c", ""), "--c: not an exact rational: ''"),
+        (("wps", "volume", "--weights", "6,11,x,43", "--degree", "86"), "--weights: expected comma-separated integers, got '6,11,x,43'"),
+    ],
+)
+def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
 
 
 def test_scenario_divisor_zero_denominator(tmp_path, capsys):

@@ -14,7 +14,6 @@ from logsurf.exact import (
     NonSquare,
     NonSymmetric,
     NotStrictlyConvex,
-    QMatrix,
     QuadraticForm1D,
     SingularMatrix,
     UnboundedObjective,
@@ -96,28 +95,84 @@ def test_rat_zero_denominator_is_bad_input():
             rat(text)
 
 
-def test_qmatrix_from_rows_coerces_once_and_rejects_floats():
-    m = QMatrix.from_rows([[1, "2/4"], [F(3, 9), "-5"]])
-    assert m.entries == (F(1), F(1, 2), F(1, 3), F(-5))
-    assert all(type(e) is Fraction for e in m.entries)
-    with pytest.raises(TypeError):
-        QMatrix.from_rows([[1, 0.5]])
-    with pytest.raises(TypeError):
-        QMatrix.from_rows([[True]])
+#: Each public exact routine, called on one matrix (square where it must be).
+ENTRY_POINTS = {
+    "solve_linear": lambda m: solve_linear(m, (0,) * len(m)),
+    "solve_negative_definite": lambda m: solve_negative_definite(m, (0,) * len(m)),
+    "determinant": determinant,
+    "is_negative_definite": is_negative_definite,
+    "matrix_rank": matrix_rank,
+    "lp_feasible": lambda m: lp_feasible(m, (0,) * len(m)),
+}
 
 
-def test_qmatrix_shape_checks():
-    m = QMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.at(1, 0) == 3
-    assert col(m, 1) == (F(2), F(4))
-    with pytest.raises(DimensionMismatch):
-        QMatrix(2, 2, (F(1), F(2), F(3)))
+def test_exact_rows_coerce_once_and_reject_floats():
+    for name, call in ENTRY_POINTS.items():
+        with pytest.raises(TypeError):
+            call([[-1, 0.5], [0.5, -1]])
+        with pytest.raises(TypeError):
+            call([[True]])
+        # "p/q" strings, Fractions and ints mix; "2/4" and F(1, 2) are one value
+        assert call([[-1, "2/4"], [F(1, 2), "-5"]]) == call([[-1, F(1, 2)], ["1/2", -5]]), name
+    assert solve_linear([[1, "2/4"], [F(3, 9), "-5"]], ("1", 0)) == solve_linear(
+        [[F(1), F(1, 2)], [F(1, 3), F(-5)]], (F(1), F(0))
+    )
+    assert lp_feasible([["1/2"]], ("1/4",)).x == (F(1, 2),)
+    assert lp_feasible([[1]], (1,), cost=("2/4",)).y == (F(1, 2),)
+    # right-hand sides and costs go through the same coercion
+    for bad in ((0.5,), (True,)):
+        with pytest.raises(TypeError):
+            lp_feasible([[1]], bad)
+        with pytest.raises(TypeError):
+            lp_feasible([[1]], (1,), cost=bad)
+        with pytest.raises(TypeError):
+            solve_linear([[1]], bad)
+
+
+def test_exact_rows_shape_checks():
+    m = [[1, 2], [3, 4]]
+    assert col(m, 1) == (2, 4)
+    for call in ENTRY_POINTS.values():
+        with pytest.raises(DimensionMismatch):
+            call([[-1, 0], [0]])
     with pytest.raises(DimensionMismatch):
         apply(m, (F(1),))
 
 
+def test_integer_matrices_stay_integer():
+    from logsurf.dualgraph import DualGraph, GraphVertex, intersection_matrix
+    from logsurf.lattice import BlowupRecipe, build_from_recipe
+
+    m = build_from_recipe(BlowupRecipe(3, (("L0", "L1"),)))
+    labels = sorted(m.visible)
+    gram = m.gram.matrix(labels)
+    assert gram[labels.index("E1")][labels.index("E1")] == -1
+    g = DualGraph((GraphVertex("a", -2), GraphVertex("b", -3)), (("a", "b"),))
+    for rows in (gram, intersection_matrix(g)):
+        assert all(type(e) is int for row in rows for e in row), rows
+
+
+def test_warm_replay_passes_no_int_to_rat(monkeypatch, capsys):
+    from logsurf import exact
+    from logsurf.cli import main
+
+    assert main(["scenario", "ex-825"]) == 0
+    seen: Counter = Counter()
+
+    def counting_rat(value):
+        seen[type(value).__name__] += 1
+        return rat(value)
+
+    monkeypatch.setattr(exact, "rat", counting_rat)
+    assert main(["scenario", "ex-825"]) == 0
+    capsys.readouterr()
+    assert seen["int"] == 0 and seen["bool"] == 0, seen
+    # the exact layer did go through rat: the run is not vacuous
+    assert sum(seen.values()) > 0
+
+
 def test_solve_linear_two_by_two():
-    m = QMatrix.from_rows([[-2, 1], [1, -2]])
+    m = [[-2, 1], [1, -2]]
     x = solve_linear(m, (F(-1), F(0)))
     assert x == (F(2, 3), F(1, 3))
     assert apply(m, x) == (F(-1), F(0))
@@ -125,13 +180,13 @@ def test_solve_linear_two_by_two():
 
 def test_solve_linear_singular_and_nonsquare():
     with pytest.raises(SingularMatrix):
-        solve_linear(QMatrix.from_rows([[1, 2], [2, 4]]), (F(1), F(1)))
+        solve_linear([[1, 2], [2, 4]], (F(1), F(1)))
     with pytest.raises(SingularMatrix):
-        solve_linear(QMatrix.from_rows([[0, 1], [0, 2]]), (F(1), F(2)))
+        solve_linear([[0, 1], [0, 2]], (F(1), F(2)))
     with pytest.raises(DimensionMismatch):
-        solve_linear(QMatrix.from_rows([[0, 1], [1, 0]]), (F(1),))
+        solve_linear([[0, 1], [1, 0]], (F(1),))
     with pytest.raises(NonSquare):
-        solve_linear(QMatrix.from_rows([[1, 2]]), (F(1),))
+        solve_linear([[1, 2]], (F(1),))
 
 
 def test_solve_linear_roundtrip_random():
@@ -139,7 +194,7 @@ def test_solve_linear_roundtrip_random():
     solved = 0
     while solved < 60:
         n = rng.randint(1, 6)
-        m = QMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
         v = tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n))
         try:
             x = solve_linear(m, v)
@@ -150,16 +205,16 @@ def test_solve_linear_roundtrip_random():
 
 
 def test_determinant_values():
-    assert determinant(QMatrix(0, 0, ())) == 1
-    assert determinant(QMatrix.from_rows([[5]])) == 5
-    assert determinant(QMatrix.from_rows([[-2, 1], [1, -2]])) == 3
+    assert determinant([]) == 1
+    assert determinant([[5]]) == 5
+    assert determinant([[-2, 1], [1, -2]]) == 3
     # each row swap flips the sign
-    assert determinant(QMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert determinant(QMatrix.from_rows([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == -30
-    assert determinant(QMatrix.from_rows([[0, 2, 0], [3, 0, 0], [0, 0, 5]])) == -30
-    assert determinant(QMatrix.from_rows([[0, 1], [0, 1]])) == 0
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
+    assert determinant([[0, 2, 0], [3, 0, 0], [0, 0, 5]]) == -30
+    assert determinant([[0, 1], [0, 1]]) == 0
     with pytest.raises(NonSquare):
-        determinant(QMatrix.from_rows([[1, 2, 3]]))
+        determinant([[1, 2, 3]])
 
 
 def test_determinant_matches_cofactor_expansion():
@@ -172,51 +227,47 @@ def test_determinant_matches_cofactor_expansion():
             rows[-1] = list(rows[0])  # force a repeated row
         want = cofactor_det(rows)
         singular += want == 0
-        assert determinant(QMatrix.from_rows(rows)) == want
+        assert determinant(rows) == want
     assert singular > 20
 
 
 def test_solve_linear_zero_leading_entry():
-    m = QMatrix.from_rows([[0, 1], [1, 0]])
+    m = [[0, 1], [1, 0]]
     assert solve_linear(m, (F(2), F(3))) == (F(3), F(2))
-    m = QMatrix.from_rows([[0, 2, 1], [1, 1, 0], [2, 0, 1]])
+    m = [[0, 2, 1], [1, 1, 0], [2, 0, 1]]
     v = (F(1), F(2), F(3, 2))
     assert apply(m, solve_linear(m, v)) == v
-    assert solve_linear(QMatrix(0, 0, ()), ()) == ()
+    assert solve_linear([], ()) == ()
 
 
 def test_determinant_multiplicative():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 5)
-        a = QMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-        b = QMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert determinant(matmul(a, b)) == determinant(a) * determinant(b)
 
 
 def test_negative_definiteness():
-    assert is_negative_definite(QMatrix.from_rows([[-2, 1], [1, -2]]))
+    assert is_negative_definite([[-2, 1], [1, -2]])
     # Chain of ten (-2)-curves.
     n = 10
-    chain = QMatrix.from_rows(
-        [[-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
-    )
+    chain = [[-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n)] for i in range(n)]
     assert is_negative_definite(chain)
     assert not is_negative_definite(identity(3))
     # Negative semidefinite but singular: a cycle of (-2)-curves.
-    cyc = QMatrix.from_rows(
-        [[-2 if i == j else (1 if (i - j) % 3 in (1, 2) else 0) for j in range(3)] for i in range(3)]
-    )
+    cyc = [[-2 if i == j else (1 if (i - j) % 3 in (1, 2) else 0) for j in range(3)] for i in range(3)]
     assert not is_negative_definite(cyc)
     # a vanishing leading minor: False, not an exception
-    assert not is_negative_definite(QMatrix.from_rows([[0, 1], [1, -1]]))
-    assert not is_negative_definite(QMatrix.from_rows([[0, 0], [0, -1]]))
-    assert not is_negative_definite(QMatrix.from_rows([[-1, 0, 0], [0, 0, 0], [0, 0, -1]]))
-    assert is_negative_definite(QMatrix(0, 0, ()))
+    assert not is_negative_definite([[0, 1], [1, -1]])
+    assert not is_negative_definite([[0, 0], [0, -1]])
+    assert not is_negative_definite([[-1, 0, 0], [0, 0, 0], [0, 0, -1]])
+    assert is_negative_definite([])
     with pytest.raises(NonSymmetric):
-        is_negative_definite(QMatrix.from_rows([[-1, 2], [0, -1]]))
+        is_negative_definite([[-1, 2], [0, -1]])
     with pytest.raises(NonSquare):
-        is_negative_definite(QMatrix.from_rows([[1, 2]]))
+        is_negative_definite([[1, 2]])
 
 
 def test_negative_definite_matches_minor_signs():
@@ -229,7 +280,7 @@ def test_negative_definite_matches_minor_signs():
         sym = random_symmetric(rng, n)
         minors = [cofactor_det([r[: k + 1] for r in sym[: k + 1]]) for k in range(n)]
         expected = all((minors[k] > 0 if k % 2 else minors[k] < 0) for k in range(n))
-        assert is_negative_definite(QMatrix.from_rows(sym)) == expected
+        assert is_negative_definite(sym) == expected
         outcomes[expected] += 1
     assert min(outcomes.values()) > 20
 
@@ -239,7 +290,7 @@ def test_solve_negative_definite_is_one_test_and_one_solve():
     outcomes = {True: 0, False: 0}
     for _ in range(160):
         n = rng.randint(0, 6)
-        m = QMatrix.from_rows(random_symmetric(rng, n)) if n else QMatrix(0, 0, ())
+        m = random_symmetric(rng, n) if n else []
         v = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
         definite = is_negative_definite(m)
         x = solve_negative_definite(m, v)
@@ -250,19 +301,19 @@ def test_solve_negative_definite_is_one_test_and_one_solve():
         outcomes[definite] += 1
     assert min(outcomes.values()) > 20
     with pytest.raises(NonSymmetric):
-        solve_negative_definite(QMatrix.from_rows([[-1, 2], [0, -1]]), (F(0), F(0)))
+        solve_negative_definite([[-1, 2], [0, -1]], (F(0), F(0)))
     with pytest.raises(NonSquare):
-        solve_negative_definite(QMatrix.from_rows([[1, 2]]), (F(0),))
+        solve_negative_definite([[1, 2]], (F(0),))
     with pytest.raises(DimensionMismatch):
-        solve_negative_definite(QMatrix.from_rows([[-1]]), ())
+        solve_negative_definite([[-1]], ())
 
 
 def test_matrix_rank():
-    assert matrix_rank(QMatrix(0, 0, ())) == 0
-    assert matrix_rank(QMatrix(2, 3, (F(0),) * 6)) == 0
-    assert matrix_rank(QMatrix.from_rows([[1, 2, 3], [2, 4, 6]])) == 1
-    assert matrix_rank(QMatrix.from_rows([[0, 1], [1, 0], [1, 1]])) == 2
-    assert matrix_rank(QMatrix.from_rows([[0, 0, 1], [0, 0, 2], [0, 3, 0]])) == 2
+    assert matrix_rank([]) == 0
+    assert matrix_rank([[F(0)] * 3 for _ in range(2)]) == 0
+    assert matrix_rank([[1, 2, 3], [2, 4, 6]]) == 1
+    assert matrix_rank([[0, 1], [1, 0], [1, 1]]) == 2
+    assert matrix_rank([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
     assert matrix_rank(identity(4)) == 4
     rng = random.Random(2024)
     for _ in range(80):
@@ -271,39 +322,41 @@ def test_matrix_rank():
         left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(nrows)]
         right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(k)]
         rows = [[sum(left[i][r] * right[r][j] for r in range(k)) for j in range(ncols)] for i in range(nrows)]
-        rank = matrix_rank(QMatrix.from_rows(rows))
+        rank = matrix_rank(rows)
         assert rank == minor_rank(rows) <= k
 
 
 def test_lp_feasible_example():
-    res = lp_feasible(QMatrix.from_rows([[1, -1], [0, 1]]), (F(0), F(3)))
+    res = lp_feasible([[1, -1], [0, 1]], (F(0), F(3)))
     assert res.feasible
     assert res.x == (F(3), F(3))
 
 
 def test_lp_infeasible_certificate():
-    res = lp_feasible(QMatrix.from_rows([[1], [1]]), (F(1), F(2)))
+    res = lp_feasible([[1], [1]], (F(1), F(2)))
     assert not res.feasible
-    a = QMatrix.from_rows([[1], [1]])
+    a = [[1], [1]]
     prods = apply(transpose(a), res.y)
     assert all(p <= 0 for p in prods)
     assert res.y[0] * 1 + res.y[1] * 2 > 0
 
 
 def test_lp_no_columns_and_no_rows():
-    assert lp_feasible(QMatrix(0, 3, ()), ()).feasible
-    res = lp_feasible(QMatrix(2, 0, ()), (F(1), F(0)))
+    # a matrix with no rows has no columns either
+    assert lp_feasible([], ()).feasible
+    res = lp_feasible([[], []], (F(1), F(0)))
     assert not res.feasible
     with pytest.raises(DimensionMismatch):
-        lp_feasible(QMatrix.from_rows([[1]]), (F(1), F(2)))
+        lp_feasible([[1]], (F(1), F(2)))
 
 
-def brute_force_minimum(a: QMatrix, b, cost):
+def brute_force_minimum(a, b, cost):
     """Least cost over all basic feasible solutions, or None when there are none."""
     best = None
-    for k in range(min(a.rows, a.cols) + 1):
-        for cols in combinations(range(a.cols), k):
-            sub = submatrix(a, range(a.rows), cols)
+    nrows, ncols = len(a), len(a[0])
+    for k in range(min(nrows, ncols) + 1):
+        for cols in combinations(range(ncols), k):
+            sub = submatrix(a, range(nrows), cols)
             try:
                 xs = solve_linear(matmul(transpose(sub), sub), apply(transpose(sub), b))
             except SingularMatrix:
@@ -329,14 +382,14 @@ def test_lp_random_outcomes_reverified():
             rows.append(list(rows[-1]))
             b.append(b[-1])
             redundant += 1
-        a, b = QMatrix.from_rows(rows), tuple(b)
+        a, b = rows, tuple(b)
         res = lp_feasible(a, b)
         assert res.feasible == (res.x is not None)
         assert res.feasible == (res.y is None)
         # a cost of the form A^T y0 + s with s >= 0 is bounded below by y0.b
         y0 = [F(rng.randint(-3, 3)) for _ in range(len(b))]
         cost = tuple(
-            sum((y0[i] * a.at(i, j) for i in range(a.rows)), F(0)) + rng.randint(0, 3)
+            sum((y0[i] * a[i][j] for i in range(len(a))), F(0)) + rng.randint(0, 3)
             for j in range(n)
         )
         opt = lp_feasible(a, b, cost=cost)
@@ -364,14 +417,14 @@ def test_lp_cost_with_artificial_left_at_zero():
     # Phase 1 ends with the second artificial basic at 0 on a row with a -2
     # under x1; entering x1 in phase 2 without first pivoting that artificial
     # out would raise it to 2 and return the infeasible point (0, 1).
-    a = QMatrix.from_rows([[1, 1], [1, -1]])
+    a = [[1, 1], [1, -1]]
     res = lp_feasible(a, (F(1), F(1)), cost=(F(1), F(-1)))
     assert res.x == (F(1), F(0))
     assert all(p <= c for p, c in zip(apply(transpose(a), res.y), (1, -1)))
     assert res.y[0] + res.y[1] == 1
 
     # duplicated row: the artificial stays basic at 0 on a redundant row
-    a = QMatrix.from_rows([[1, 1, -1], [1, 1, -1], [0, 1, 1]])
+    a = [[1, 1, -1], [1, 1, -1], [0, 1, 1]]
     b = (F(2), F(2), F(3))
     res = lp_feasible(a, b, cost=(F(2), F(1), F(3)))
     assert res.feasible and res.x == (F(0), F(5, 2), F(1, 2))
@@ -382,9 +435,9 @@ def test_lp_cost_with_artificial_left_at_zero():
 
 def test_lp_cost_unbounded_and_shape():
     with pytest.raises(UnboundedObjective):
-        lp_feasible(QMatrix.from_rows([[1, -1]]), (F(0),), cost=(F(0), F(-1)))
+        lp_feasible([[1, -1]], (F(0),), cost=(F(0), F(-1)))
     with pytest.raises(DimensionMismatch):
-        lp_feasible(QMatrix.from_rows([[1, -1]]), (F(0),), cost=(F(1),))
+        lp_feasible([[1, -1]], (F(0),), cost=(F(1),))
 
 
 def test_quadratic_from_composite_and_minimum():
@@ -425,7 +478,7 @@ def random_lp(rng):
     cost = None
     if rng.random() < 0.5:
         cost = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in range(n))
-    return QMatrix.from_rows(rows), tuple(b), cost
+    return rows, tuple(b), cost
 
 
 def test_integer_simplex_matches_fraction_reference():
@@ -478,15 +531,15 @@ def test_rationals_come_out_as_fractions():
         assert values is not None
         assert all(type(v) is Fraction for v in values), values
 
-    one = QMatrix.from_rows([[-3]])
+    one = [[-3]]
     fractions(solve_linear(one, (6,)))
     fractions(solve_linear(one, (0,)))
     fractions(solve_negative_definite(one, (F(0),)))
-    fractions(solve_linear(QMatrix.from_rows([[2, 1], [1, 1]]), (0, 0)))
-    fractions(solve_negative_definite(QMatrix.from_rows([[-2, 1], [1, -2]]), (3, 0)))
-    fractions([determinant(one), determinant(QMatrix(0, 0, ())), determinant(QMatrix.from_rows([[1, 2], [2, 4]]))])
+    fractions(solve_linear([[2, 1], [1, 1]], (0, 0)))
+    fractions(solve_negative_definite([[-2, 1], [1, -2]], (3, 0)))
+    fractions([determinant(one), determinant([]), determinant([[1, 2], [2, 4]])])
     # an integral optimum, a zero right-hand side, and an infeasible LP
-    a = QMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    a = [[1, 1, 0], [0, 1, 1]]
     res = lp_feasible(a, (2, 3), cost=(1, 1, 1))
     assert res.x == (0, 2, 1)
     fractions(res.x)
@@ -494,5 +547,5 @@ def test_rationals_come_out_as_fractions():
     res = lp_feasible(a, (0, 0), cost=(1, 1, 1))
     fractions(res.x)
     fractions(res.y)
-    fractions(lp_feasible(QMatrix.from_rows([[1]]), (1,)).x)
-    fractions(lp_feasible(QMatrix.from_rows([[1], [1]]), (1, 2)).y)
+    fractions(lp_feasible([[1]], (1,)).x)
+    fractions(lp_feasible([[1], [1]], (1, 2)).y)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from logsurf.positivity import (
     EmptyInterval,
     NegativeIntersection,
     NoEffectiveRepresentative,
+    NotPseudoEffective,
     contraction_report,
     nef_certificate,
     nef_threshold,
@@ -91,6 +93,29 @@ def test_zariski_strips_negative_curve():
     assert z.positive_coeffs.as_dict() == {}
     assert all(c == 0 for c in positive_class(m, z))
     assert volume(m, {"E1": 1}) == 0
+
+
+def test_not_pseudo_effective_has_volume_zero(tmp_path, capsys):
+    # on three lines with L0 . L1 blown up, K + L0 + L1 + L2 has class -E1
+    m = build_from_recipe(BlowupRecipe(3, (("L0", "L1"),)))
+    d = {"L0": 1, "L1": 1, "L2": 1}
+    k_d = tuple(k + c for k, c in zip(m.canonical_class, divisor_class(m, d)))
+    assert k_d == tuple(-x for x in m.visible_class("E1"))
+    assert not psef_test(m, d, plus_canonical=True).feasible
+    with pytest.raises(NotPseudoEffective, match="K \\+ D is not pseudo-effective"):
+        zariski(m, d, plus_canonical=True)
+    assert volume(m, d, plus_canonical=True) == 0
+    # handlers of NotNegativeDefinite still catch it
+    assert issubclass(NotPseudoEffective, NotNegativeDefinite)
+    scenario = {
+        "recipe": {"lines": 3, "steps": [["L0", "L1"]]},
+        "divisors": {"D": {"L0": "1", "L1": "1", "L2": "1"}},
+        "checks": [{"kind": "volume", "divisor": "D", "plus_canonical": True, "expect": "0"}],
+    }
+    path = tmp_path / "not-psef.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["scenario", str(path)]) == 0
+    assert "volume = 0" in capsys.readouterr().out
 
 
 def test_zariski_input_validation(ex462):
