@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Any, Mapping, Sequence
@@ -47,6 +47,7 @@ from .lattice import (
     PairNotIncident,
     QDivisor,
     RecipeError,
+    SurfaceModel,
     UnknownLabel,
     build_from_recipe,
     germ_of_cluster,
@@ -88,7 +89,6 @@ _INPUT_ERRORS = (
     EmptyInterval,
     NegativeIntersection,
     NoEffectiveRepresentative,
-    KeyError,
     ValueError,
     OSError,
 )
@@ -232,15 +232,102 @@ def _load_scenario_obj(text: str) -> dict[str, Any]:
 
 # --- scenario checks ---------------------------------------------------------
 
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _SpecReader:
+    """A check's spec, or an object inside it, read one key at a time.
+
+    ``read(key, parse)`` passes the JSON path and the value at ``key`` to
+    ``parse``, which returns the value parsed or raises a ParseError naming
+    the path; without ``parse`` the value is returned as it is. A check
+    reads every key it uses before it computes anything.
+    """
+
+    path: str
+    spec: Mapping[str, Any]
+    m: SurfaceModel
+    divisors: Mapping[str, QDivisor]
+    missing: str
+
+    def fault(self, key: str, message: str) -> ParseError:
+        return ParseError(f"{self.path}.{key}: {message}")
+
+    def read(self, key: str, parse=None, default: Any = _REQUIRED) -> Any:
+        if key not in self.spec:
+            if default is _REQUIRED:
+                raise self.fault(key, self.missing)
+            return default
+        value = self.spec[key]
+        return parse(f"{self.path}.{key}", value) if parse else value
+
+    @staticmethod
+    def rational(path: str, value: Any) -> Fraction:
+        try:
+            return rat(value)
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: not an exact rational: {value!r}") from None
+
+    @staticmethod
+    def rationals(path: str, value: Any) -> list[Fraction]:
+        if not isinstance(value, list):
+            raise ParseError(f"{path}: expected a list")
+        return [_SpecReader.rational(f"{path}[{j}]", c) for j, c in enumerate(value)]
+
+    @staticmethod
+    def flag(path: str, value: Any) -> bool:
+        if not isinstance(value, bool):
+            raise ParseError(f"{path}: expected true or false, got {value!r}")
+        return value
+
+    def divisor(self, path: str, name: Any) -> tuple[str, QDivisor]:
+        if not (isinstance(name, str) and name in self.divisors):
+            raise ParseError(f"{path}: unknown divisor {name!r}")
+        return name, self.divisors[name]
+
+    def curves(self, path: str, value: Any) -> list[str]:
+        if not isinstance(value, list):
+            raise ParseError(f"{path}: expected a list of curves")
+        for j, lbl in enumerate(value):
+            if not (isinstance(lbl, str) and lbl in self.m.visible):
+                raise ParseError(f"{path}[{j}]: unknown curve {lbl!r}")
+        return value
+
+    def _curve_keys(self, path: str, table: Any) -> dict[str, Any]:
+        if not isinstance(table, dict):
+            raise ParseError(f"{path}: expected an object")
+        for lbl in table:
+            if lbl not in self.m.visible:
+                raise ParseError(f"{path}.{lbl}: unknown curve")
+        return table
+
+    def curve_rationals(self, path: str, table: Any) -> dict[str, Fraction]:
+        """A table {curve: rational}."""
+        table = self._curve_keys(path, table)
+        return {lbl: self.rational(f"{path}.{lbl}", c) for lbl, c in table.items()}
+
+    def curve_values(self, path: str, table: Any) -> dict[str, Fraction]:
+        """An expectation table {curve: {"value": rational, ...}}."""
+        for lbl, entry in self._curve_keys(path, table).items():
+            if not (isinstance(entry, dict) and "value" in entry):
+                raise ParseError(f"{path}.{lbl}: expected an object with a 'value'")
+        return {lbl: self.rational(f"{path}.{lbl}.value", e["value"]) for lbl, e in table.items()}
+
+    def nested(self, path: str, value: Any) -> "_SpecReader":
+        if not isinstance(value, dict):
+            raise ParseError(f"{path}: expected an object")
+        return replace(self, path=path, spec=value, missing="missing")
+
 
 def _expect_table(
-    got: QDivisor, expected: Mapping[str, Mapping[str, str]]
+    got: QDivisor, expected: Mapping[str, Fraction]
 ) -> tuple[bool, dict[str, str], list[str]]:
     ok = True
     outputs: dict[str, str] = {}
     wrong: list[str] = []
     for lbl in sorted(expected):
-        want = rat(expected[lbl]["value"])
+        want = expected[lbl]
         have = got.coeff(lbl)
         outputs[lbl] = _frac(have)
         if have != want:
@@ -249,31 +336,31 @@ def _expect_table(
     return ok, outputs, wrong
 
 
-def _check_volume(m, divisors, spec) -> CheckRecord:
-    d = divisors[spec["divisor"]]
-    plus = bool(spec.get("plus_canonical", False))
-    v = volume(m, d, plus_canonical=plus)
-    want = rat(spec["expect"])
+def _check_volume(r: _SpecReader) -> CheckRecord:
+    name, d = r.read("divisor", r.divisor)
+    plus = r.read("plus_canonical", r.flag, False)
+    want = r.read("expect", r.rational)
+    v = volume(r.m, d, plus_canonical=plus)
     passed = v == want
     return CheckRecord(
         kind="volume",
-        inputs={"divisor": spec["divisor"], "plus_canonical": plus},
+        inputs={"divisor": name, "plus_canonical": plus},
         outputs={"volume": _frac(v)},
         passed=passed,
         details=[f"volume = {v}" + ("" if passed else f" (expected {want})")],
     )
 
 
-def _check_zariski(m, divisors, spec) -> CheckRecord:
-    d = divisors[spec["divisor"]]
-    plus = bool(spec.get("plus_canonical", False))
-    z = zariski(m, d, plus_canonical=plus)
-    ok, outputs, wrong = _expect_table(z.positive_coeffs, spec["expect_positive"])
-    details = [f"positive part on {len(outputs)} curves"]
-    details += wrong
+def _check_zariski(r: _SpecReader) -> CheckRecord:
+    name, d = r.read("divisor", r.divisor)
+    plus = r.read("plus_canonical", r.flag, False)
+    expected = r.read("expect_positive", r.curve_values)
+    z = zariski(r.m, d, plus_canonical=plus)
+    ok, outputs, wrong = _expect_table(z.positive_coeffs, expected)
+    details = [f"positive part on {len(outputs)} curves", *wrong]
     return CheckRecord(
         kind="zariski",
-        inputs={"divisor": spec["divisor"], "plus_canonical": plus},
+        inputs={"divisor": name, "plus_canonical": plus},
         outputs={
             "positive": outputs,
             "negative": {k: _frac(v) for k, v in z.negative_part.as_dict().items()},
@@ -283,12 +370,16 @@ def _check_zariski(m, divisors, spec) -> CheckRecord:
     )
 
 
-def _check_pullback(m, divisors, spec) -> CheckRecord:
-    coeffs = [rat(c) for c in spec["line_coeffs"]]
-    d, cls = log_pullback(m, coeffs)
-    ok, outputs, wrong = _expect_table(d, spec["expect_coeffs"])
+def _check_pullback(r: _SpecReader) -> CheckRecord:
+    coeffs = r.read("line_coeffs", r.rationals)
+    if len(coeffs) != r.m.num_lines:
+        raise r.fault("line_coeffs", f"need {r.m.num_lines} entries, got {len(coeffs)}")
+    expected = r.read("expect_coeffs", r.curve_values)
+    want_zero = r.read("expect_class_zero", r.flag, False)
+    d, cls = log_pullback(r.m, coeffs)
+    ok, outputs, wrong = _expect_table(d, expected)
     class_zero = all(x == 0 for x in cls)
-    if spec.get("expect_class_zero") and not class_zero:
+    if want_zero and not class_zero:
         ok = False
         wrong.append(f"class is {tuple(map(str, cls))}, expected zero")
     details = [
@@ -305,26 +396,46 @@ def _check_pullback(m, divisors, spec) -> CheckRecord:
     )
 
 
-def _contraction_rays(m, contract: Sequence[str], boundary: Mapping[str, Any]):
+def _read_rays(r: _SpecReader) -> tuple[list[str], dict[str, Fraction]]:
+    """The ``contract`` curves and the ``boundary`` table of a pet or nt check."""
+    contract = r.read("contract", r.curves)
+    boundary = r.read("boundary", r.curve_rationals)
+    for lbl in boundary:
+        if lbl in contract:
+            raise r.fault(f"boundary.{lbl}", "also in contract")
+    return contract, boundary
+
+
+def _contraction_rays(m, contract: Sequence[str], boundary: Mapping[str, Fraction]):
     base = pullback_after_contraction(m, contract, include_canonical=True)
-    full = pullback_after_contraction(
-        m, contract, qdiv({k: rat(v) for k, v in boundary.items()}), include_canonical=True
-    )
+    full = pullback_after_contraction(m, contract, qdiv(boundary), include_canonical=True)
     return base, full.sub(base)
 
 
-def _check_pet(m, divisors, spec) -> CheckRecord:
-    base, ray = _contraction_rays(m, spec["contract"], spec["boundary"])
-    r = pet(m, base, ray, rat(spec["resolution"]), plus_canonical=True)
-    want = rat(spec["expect_value"])
-    ok = r.certified and r.value == want
-    details = [f"threshold = {r.value} ({'certified' if r.certified else 'bracket only'})"]
+def _check_pet(r: _SpecReader) -> CheckRecord:
+    contract, boundary = _read_rays(r)
+    for lbl, c in boundary.items():
+        if c < 0:
+            raise r.fault(
+                f"boundary.{lbl}", f"the pet ray must be effective, got {r.spec['boundary'][lbl]!r}"
+            )
+    resolution = r.read("resolution", r.rational)
+    if resolution <= 0:
+        raise r.fault("resolution", f"must be positive, got {r.spec['resolution']!r}")
+    want = r.read("expect_value", r.rational)
+    gap = r.read("expect_not_in_open", default=None)
+    if gap is not None and not (isinstance(gap, list) and len(gap) == 2):
+        raise r.fault("expect_not_in_open", f"expected two rationals, got {gap!r}")
+    gap = r.read("expect_not_in_open", r.rationals, None)
+    base, ray = _contraction_rays(r.m, contract, boundary)
+    t = pet(r.m, base, ray, resolution, plus_canonical=True)
+    ok = t.certified and t.value == want
+    details = [f"threshold = {t.value} ({'certified' if t.certified else 'bracket only'})"]
     if not ok:
         details.append(f"expected {want}")
-    lo_hi = spec.get("expect_not_in_open")
-    if lo_hi is not None:
-        lo, hi = rat(lo_hi[0]), rat(lo_hi[1])
-        gap_ok = r.value is not None and not (lo < r.value < hi)
+    if gap is not None:
+        lo, hi = gap
+        gap_ok = t.value is not None and not (lo < t.value < hi)
         if not gap_ok:
             ok = False
             details.append(f"value lies inside the excluded interval ({lo}, {hi})")
@@ -333,35 +444,36 @@ def _check_pet(m, divisors, spec) -> CheckRecord:
     return CheckRecord(
         kind="pet",
         inputs={
-            "contract": list(spec["contract"]),
-            "boundary": dict(spec["boundary"]),
-            "resolution": str(spec["resolution"]),
+            "contract": list(contract),
+            "boundary": dict(r.spec["boundary"]),
+            "resolution": str(r.spec["resolution"]),
         },
         outputs={
-            "value": _frac(r.value) if r.value is not None else None,
-            "certified": r.certified,
+            "value": _frac(t.value) if t.value is not None else None,
+            "certified": t.certified,
         },
         passed=ok,
         details=details,
     )
 
 
-def _check_nt(m, divisors, spec) -> CheckRecord:
-    base, ray = _contraction_rays(m, spec["contract"], spec["boundary"])
-    r = nef_threshold(m, base, ray, plus_canonical=True)
-    want = rat(spec["expect_value"])
-    ok = r.value == want
-    details = [f"nef threshold = {r.value}"]
+def _check_nt(r: _SpecReader) -> CheckRecord:
+    contract, boundary = _read_rays(r)
+    want = r.read("expect_value", r.rational)
+    base, ray = _contraction_rays(r.m, contract, boundary)
+    t = nef_threshold(r.m, base, ray, plus_canonical=True)
+    ok = t.value == want
+    details = [f"nef threshold = {t.value}"]
     if not ok:
         details.append(f"expected {want}")
-    if r.binding_constraints:
-        details.append("binding: " + ", ".join(r.binding_constraints))
+    if t.binding_constraints:
+        details.append("binding: " + ", ".join(t.binding_constraints))
     return CheckRecord(
         kind="nt",
-        inputs={"contract": list(spec["contract"]), "boundary": dict(spec["boundary"])},
+        inputs={"contract": list(contract), "boundary": dict(r.spec["boundary"])},
         outputs={
-            "value": _frac(r.value),
-            "binding": list(r.binding_constraints),
+            "value": _frac(t.value),
+            "binding": list(t.binding_constraints),
         },
         passed=ok,
         details=details,
@@ -377,24 +489,48 @@ def _describe_cluster(cls) -> str:
     return "klt" if cls.is_klt else ("lc" if cls.is_lc else "not lc")
 
 
-def _check_contraction(m, divisors, spec) -> CheckRecord:
-    d = divisors[spec["divisor"]]
-    plus = bool(spec.get("plus_canonical", False))
-    rep = contraction_report(m, d, plus_canonical=plus)
+def _check_contraction(r: _SpecReader) -> CheckRecord:
+    name, d = r.read("divisor", r.divisor)
+    plus = r.read("plus_canonical", r.flag, False)
+    picard = r.read("expect_picard")
+    if type(picard) is not int:
+        raise r.fault("expect_picard", f"expected an integer, got {picard!r}")
+    expect_contracted = r.read("expect_contracted", r.curves)
+    # Each expected cluster: its labels, then either a cyclic type or the
+    # fork data of a non-klt cluster.
+    expect_clusters = []
+    clusters = r.read("expect_clusters")
+    if not isinstance(clusters, list):
+        raise r.fault("expect_clusters", "expected a list")
+    for j, c in enumerate(clusters):
+        c = r.nested(f"{r.path}.expect_clusters[{j}]", c)
+        want = {"labels": tuple(sorted(c.read("labels", c.curves)))}
+        if "cyclic" in c.spec:
+            n_q = want["cyclic"] = c.read("cyclic")
+            if not (isinstance(n_q, list) and len(n_q) == 2 and all(type(x) is int for x in n_q)):
+                raise c.fault("cyclic", f"expected two integers, got {n_q!r}")
+        else:
+            c = replace(c, missing="missing for a cluster without 'cyclic'")
+            want["nklt_case"] = c.read("nklt_case")
+            want["fork"] = c.read("fork")
+            if want["fork"] not in want["labels"]:
+                raise c.fault("fork", f"not one of the cluster's labels: {want['fork']!r}")
+            want["fork_coeff"] = c.read("fork_coeff", c.rational)
+            want["contracted_square"] = c.read("contracted_square", c.rational)
+        expect_clusters.append(want)
+    rep = contraction_report(r.m, d, plus_canonical=plus)
     ok = True
     details: list[str] = []
-    if rep.picard_number != spec["expect_picard"]:
+    if rep.picard_number != picard:
         ok = False
-        details.append(
-            f"Picard number {rep.picard_number}, expected {spec['expect_picard']}"
-        )
-    if list(rep.contracted) != sorted(spec["expect_contracted"]):
+        details.append(f"Picard number {rep.picard_number}, expected {picard}")
+    if list(rep.contracted) != sorted(expect_contracted):
         ok = False
         details.append(f"contracted {rep.contracted}")
     by_labels = {c: i for i, c in enumerate(rep.clusters)}
     cluster_out = []
-    for want in spec["expect_clusters"]:
-        labels = tuple(sorted(want["labels"]))
+    for want in expect_clusters:
+        labels = want["labels"]
         idx = by_labels.get(labels)
         if idx is None:
             ok = False
@@ -405,37 +541,26 @@ def _check_contraction(m, divisors, spec) -> CheckRecord:
         cluster_out.append({"labels": list(labels), "type": desc})
         if "cyclic" in want:
             n, q = want["cyclic"]
-            good = (
-                cls.is_klt
-                and cls.cyclic_points is not None
-                and len(cls.cyclic_points) == 1
-                and (cls.cyclic_points[0].n, cls.cyclic_points[0].q) == (n, q)
-            )
-            if not good:
+            if desc != f"cyclic ({n},{q})":
                 ok = False
                 details.append(f"{labels}: {desc}, expected cyclic ({n},{q})")
         else:
             if cls.nklt_case != want["nklt_case"]:
                 ok = False
-                details.append(
-                    f"{labels}: case {cls.nklt_case}, expected {want['nklt_case']}"
-                )
+                details.append(f"{labels}: case {cls.nklt_case}, expected {want['nklt_case']}")
             fork = want["fork"]
             coeff = cls.discrepancy_coeffs.get(fork)
-            if coeff != rat(want["fork_coeff"]):
+            if coeff != want["fork_coeff"]:
                 ok = False
                 details.append(f"{labels}: fork coefficient {coeff}")
-            germ = rep.cluster_germs[idx]
             others = [lbl for lbl in labels if lbl != fork]
-            square = contract_and_square(germ, others, fork)
-            if square != rat(want["contracted_square"]):
+            square = contract_and_square(rep.cluster_germs[idx], others, fork)
+            if square != want["contracted_square"]:
                 ok = False
                 details.append(f"{labels}: contracted square {square}")
-    if len(spec["expect_clusters"]) != len(rep.clusters):
+    if len(expect_clusters) != len(rep.clusters):
         ok = False
-        details.append(
-            f"{len(rep.clusters)} clusters found, {len(spec['expect_clusters'])} expected"
-        )
+        details.append(f"{len(rep.clusters)} clusters found, {len(expect_clusters)} expected")
     details.insert(
         0,
         f"Picard number {rep.picard_number}; "
@@ -443,7 +568,7 @@ def _check_contraction(m, divisors, spec) -> CheckRecord:
     )
     return CheckRecord(
         kind="contraction",
-        inputs={"divisor": spec["divisor"], "plus_canonical": plus},
+        inputs={"divisor": name, "plus_canonical": plus},
         outputs={
             "picard": rep.picard_number,
             "contracted": list(rep.contracted),
@@ -454,38 +579,41 @@ def _check_contraction(m, divisors, spec) -> CheckRecord:
     )
 
 
-def _check_germ(m, divisors, spec) -> CheckRecord:
-    cluster = list(spec["cluster"])
-    boundary = list(spec.get("boundary_curves", []))
-    g = germ_of_cluster(m, cluster, boundary)
+def _check_germ(r: _SpecReader) -> CheckRecord:
+    cluster = r.read("cluster", r.curves)
+    boundary = r.read("boundary_curves", r.curves, [])
+    want = r.read("expect", r.nested)
+    flags = {key: want.read(key, default=None) for key in ("is_lc", "is_plt")}
+    want_orders = want.read("orders", default=None)
+    want_square = want.read("boundary_self_int", want.rational, None)
+    if want_square is not None and len(boundary) != 1:
+        raise want.fault(
+            "boundary_self_int", f"needs exactly one boundary curve, got {len(boundary)}"
+        )
+    want_coeffs = want.read("coeffs", want.curve_rationals, {})
+    g = germ_of_cluster(r.m, cluster, boundary)
     cls = classify_germ(g)
-    want = spec["expect"]
     ok = True
     details: list[str] = []
-    checks = {
-        "is_lc": cls.is_lc,
-        "is_plt": cls.is_plt,
-    }
-    for key, have in checks.items():
-        if key in want and bool(want[key]) != have:
+    for key, have in (("is_lc", cls.is_lc), ("is_plt", cls.is_plt)):
+        if flags[key] is not None and bool(flags[key]) != have:
             ok = False
             details.append(f"{key} = {have}")
     orders = sorted(t.n for t in cls.cyclic_points) if cls.cyclic_points else []
-    if "orders" in want and orders != sorted(want["orders"]):
+    if want_orders is not None and orders != sorted(want_orders):
         ok = False
-        details.append(f"orders {orders}, expected {sorted(want['orders'])}")
+        details.append(f"orders {orders}, expected {sorted(want_orders)}")
     square = None
-    if "boundary_self_int" in want:
+    if want_square is not None:
         square = Fraction(g.vertex(boundary[0]).self_int)
-        if square != rat(want["boundary_self_int"]):
+        if square != want_square:
             ok = False
             details.append(f"boundary self-intersection {square}")
-    if "coeffs" in want:
-        for lbl, val in want["coeffs"].items():
-            have = cls.discrepancy_coeffs.get(lbl)
-            if have != rat(val):
-                ok = False
-                details.append(f"coefficient at {lbl}: {have}, expected {rat(val)}")
+    for lbl, val in want_coeffs.items():
+        have = cls.discrepancy_coeffs.get(lbl)
+        if have != val:
+            ok = False
+            details.append(f"coefficient at {lbl}: {have}, expected {val}")
     verdict = "plt" if cls.is_plt and not cls.is_klt else _describe_cluster(cls)
     details.insert(
         0,
@@ -494,7 +622,7 @@ def _check_germ(m, divisors, spec) -> CheckRecord:
     )
     return CheckRecord(
         kind="germ",
-        inputs={"cluster": cluster, "boundary_curves": boundary},
+        inputs={"cluster": list(cluster), "boundary_curves": list(boundary)},
         outputs={
             "is_lc": cls.is_lc,
             "is_plt": cls.is_plt,
@@ -507,135 +635,16 @@ def _check_germ(m, divisors, spec) -> CheckRecord:
     )
 
 
-#: Check kind -> (runner, keys its spec must carry).
+#: Check kind -> the function that reads its spec and runs it.
 _CHECK_RUNNERS = {
-    "volume": (_check_volume, ("divisor", "expect")),
-    "zariski": (_check_zariski, ("divisor", "expect_positive")),
-    "pullback": (_check_pullback, ("line_coeffs", "expect_coeffs")),
-    "pet": (_check_pet, ("contract", "boundary", "resolution", "expect_value")),
-    "nt": (_check_nt, ("contract", "boundary", "expect_value")),
-    "contraction": (
-        _check_contraction,
-        ("divisor", "expect_picard", "expect_contracted", "expect_clusters"),
-    ),
-    "germ": (_check_germ, ("cluster", "expect")),
+    "volume": _check_volume,
+    "zariski": _check_zariski,
+    "pullback": _check_pullback,
+    "pet": _check_pet,
+    "nt": _check_nt,
+    "contraction": _check_contraction,
+    "germ": _check_germ,
 }
-
-#: Check kind -> its required keys that hold an exact rational.
-_RATIONAL_KEYS = {"volume": ("expect",), "pet": ("resolution", "expect_value"), "nt": ("expect_value",)}
-
-#: Check kind -> its required key that holds a table {curve: {"value": rational}}.
-_TABLE_KEYS = {"zariski": "expect_positive", "pullback": "expect_coeffs"}
-
-
-def _exact_at(path: str, value: Any) -> None:
-    try:
-        rat(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}: not an exact rational: {value!r}") from None
-
-
-def _curves_at(m, path: str, value: Any) -> None:
-    if not isinstance(value, list):
-        raise ParseError(f"{path}: expected a list of curves")
-    for j, lbl in enumerate(value):
-        if not (isinstance(lbl, str) and lbl in m.visible):
-            raise ParseError(f"{path}[{j}]: unknown curve {lbl!r}")
-
-
-def _curve_table_at(m, path: str, table: Any) -> dict[str, Any]:
-    if not isinstance(table, dict):
-        raise ParseError(f"{path}: expected an object")
-    for lbl in table:
-        if lbl not in m.visible:
-            raise ParseError(f"{path}.{lbl}: unknown curve")
-    return table
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _cluster_at(m, path: str, want: Any) -> None:
-    """One expected contracted cluster: its labels, then either a cyclic type
-    or the fork data of a non-klt cluster."""
-    if not isinstance(want, dict):
-        raise ParseError(f"{path}: expected an object")
-    if "labels" not in want:
-        raise ParseError(f"{path}.labels: missing")
-    _curves_at(m, f"{path}.labels", want["labels"])
-    if "cyclic" in want:
-        n_q = want["cyclic"]
-        if not (isinstance(n_q, list) and len(n_q) == 2 and all(map(_is_int, n_q))):
-            raise ParseError(f"{path}.cyclic: expected two integers, got {n_q!r}")
-        return
-    for key in ("nklt_case", "fork", "fork_coeff", "contracted_square"):
-        if key not in want:
-            raise ParseError(f"{path}.{key}: missing for a cluster without 'cyclic'")
-    if want["fork"] not in want["labels"]:
-        raise ParseError(f"{path}.fork: not one of the cluster's labels: {want['fork']!r}")
-    _exact_at(f"{path}.fork_coeff", want["fork_coeff"])
-    _exact_at(f"{path}.contracted_square", want["contracted_square"])
-
-
-def _validate_tables(m, path: str, kind: str, spec: Mapping[str, Any]) -> None:
-    """Reject a malformed expectation table, curve list or coefficient list,
-    naming the JSON path of the first bad entry."""
-    key = _TABLE_KEYS.get(kind)
-    if key is not None:
-        for lbl, entry in _curve_table_at(m, f"{path}.{key}", spec[key]).items():
-            if not (isinstance(entry, dict) and "value" in entry):
-                raise ParseError(f"{path}.{key}.{lbl}: expected an object with a 'value'")
-            _exact_at(f"{path}.{key}.{lbl}.value", entry["value"])
-    if kind == "pullback":
-        coeffs = spec["line_coeffs"]
-        if not isinstance(coeffs, list):
-            raise ParseError(f"{path}.line_coeffs: expected a list")
-        if len(coeffs) != m.num_lines:
-            raise ParseError(f"{path}.line_coeffs: need {m.num_lines} entries, got {len(coeffs)}")
-        for j, c in enumerate(coeffs):
-            _exact_at(f"{path}.line_coeffs[{j}]", c)
-    if kind in ("pet", "nt"):
-        _curves_at(m, f"{path}.contract", spec["contract"])
-        for lbl, c in _curve_table_at(m, f"{path}.boundary", spec["boundary"]).items():
-            _exact_at(f"{path}.boundary.{lbl}", c)
-            if lbl in spec["contract"]:
-                raise ParseError(f"{path}.boundary.{lbl}: also in contract")
-            if kind == "pet" and rat(c) < 0:
-                raise ParseError(f"{path}.boundary.{lbl}: the pet ray must be effective, got {c!r}")
-        if kind == "pet" and rat(spec["resolution"]) <= 0:
-            raise ParseError(f"{path}.resolution: must be positive, got {spec['resolution']!r}")
-        gap = spec.get("expect_not_in_open")
-        if gap is not None:
-            if not (isinstance(gap, list) and len(gap) == 2):
-                raise ParseError(f"{path}.expect_not_in_open: expected two rationals, got {gap!r}")
-            for j, c in enumerate(gap):
-                _exact_at(f"{path}.expect_not_in_open[{j}]", c)
-    if kind == "germ":
-        _curves_at(m, f"{path}.cluster", spec["cluster"])
-        _curves_at(m, f"{path}.boundary_curves", spec.get("boundary_curves", []))
-        want = spec["expect"]
-        if not isinstance(want, dict):
-            raise ParseError(f"{path}.expect: expected an object")
-        for lbl, c in _curve_table_at(m, f"{path}.expect.coeffs", want.get("coeffs", {})).items():
-            _exact_at(f"{path}.expect.coeffs.{lbl}", c)
-        if "boundary_self_int" in want:
-            _exact_at(f"{path}.expect.boundary_self_int", want["boundary_self_int"])
-            count = len(spec.get("boundary_curves", []))
-            if count != 1:
-                raise ParseError(
-                    f"{path}.expect.boundary_self_int: needs exactly one boundary curve, got {count}"
-                )
-    if kind == "contraction":
-        picard = spec["expect_picard"]
-        if not _is_int(picard):
-            raise ParseError(f"{path}.expect_picard: expected an integer, got {picard!r}")
-        _curves_at(m, f"{path}.expect_contracted", spec["expect_contracted"])
-        clusters = spec["expect_clusters"]
-        if not isinstance(clusters, list):
-            raise ParseError(f"{path}.expect_clusters: expected a list")
-        for j, want in enumerate(clusters):
-            _cluster_at(m, f"{path}.expect_clusters[{j}]", want)
 
 
 def run_scenario(source: str) -> Report:
@@ -643,7 +652,7 @@ def run_scenario(source: str) -> Report:
     obj = _load_scenario_obj(text)
     for name, table in dict(obj.get("divisors", {})).items():
         for curve, c in table.items() if isinstance(table, dict) else ():
-            _exact_at(f"divisors.{name}.{curve}", c)
+            _SpecReader.rational(f"divisors.{name}.{curve}", c)
     recipe, divisors = parse_recipe(
         {**obj["recipe"], "divisors": obj.get("divisors", {})}
     )
@@ -653,25 +662,11 @@ def run_scenario(source: str) -> Report:
         if not isinstance(spec, dict):
             raise ParseError(f"checks[{i}]: a check must be an object")
         kind = spec.get("kind")
-        entry = _CHECK_RUNNERS.get(kind) if isinstance(kind, str) else None
-        if entry is None:
+        runner = _CHECK_RUNNERS.get(kind) if isinstance(kind, str) else None
+        if runner is None:
             raise ParseError(f"checks[{i}].kind: unknown check kind {kind!r}")
-        runner, required = entry
-        missing = next((key for key in required if key not in spec), None)
-        if missing is not None:
-            raise ParseError(f"checks[{i}].{missing}: missing for a {kind} check")
-        for key in ("plus_canonical", "expect_class_zero"):
-            if key in spec and not isinstance(spec[key], bool):
-                raise ParseError(f"checks[{i}].{key}: expected true or false, got {spec[key]!r}")
-        for key in _RATIONAL_KEYS.get(kind, ()):
-            _exact_at(f"checks[{i}].{key}", spec[key])
-        _validate_tables(m, f"checks[{i}]", kind, spec)
-        if "divisor" in required:
-            name = spec["divisor"]
-            if not (isinstance(name, str) and name in divisors):
-                raise ParseError(f"checks[{i}].divisor: unknown divisor {name!r}")
         t0 = time.perf_counter()
-        rec = runner(m, divisors, spec)
+        rec = runner(_SpecReader(f"checks[{i}]", spec, m, divisors, f"missing for a {kind} check"))
         rec.seconds = time.perf_counter() - t0
         records.append(rec)
     return Report(name=f"scenario {obj.get('name', display)}", records=records)
