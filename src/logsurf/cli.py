@@ -31,6 +31,7 @@ from importlib import resources
 from typing import Any, Mapping, Sequence
 
 from .dualgraph import (
+    Disconnected,
     DualGraph,
     GraphFormatError,
     InvalidChain,
@@ -78,6 +79,7 @@ BUILTIN_CHECKSUMS: dict[str, str] = {
 HILBERT_MAX_N = 2_000_000
 
 _INPUT_ERRORS = (
+    Disconnected,
     GraphFormatError,
     InvalidChain,
     NotNegativeDefinite,
@@ -227,6 +229,8 @@ def _load_scenario_obj(text: str) -> dict[str, Any]:
         raise ParseError(err.msg, err.lineno, err.colno) from err
     if not isinstance(obj, dict) or "recipe" not in obj:
         raise ParseError("scenario must be an object with a 'recipe' entry")
+    if not isinstance(obj["recipe"], dict):
+        raise ParseError("recipe: expected an object")
     return obj
 
 
@@ -281,9 +285,18 @@ class _SpecReader:
             raise ParseError(f"{path}: expected true or false, got {value!r}")
         return value
 
+    @staticmethod
+    def integers(path: str, value: Any) -> list[int]:
+        if not (isinstance(value, list) and all(type(x) is int for x in value)):
+            raise ParseError(f"{path}: expected a list of integers, got {value!r}")
+        return value
+
     def divisor(self, path: str, name: Any) -> tuple[str, QDivisor]:
+        """A named divisor of the scenario; the checks that take one need it effective."""
         if not (isinstance(name, str) and name in self.divisors):
             raise ParseError(f"{path}: unknown divisor {name!r}")
+        if not self.divisors[name].is_effective():
+            raise ParseError(f"{path}: divisor {name!r} is not effective")
         return name, self.divisors[name]
 
     def curves(self, path: str, value: Any) -> list[str]:
@@ -581,10 +594,15 @@ def _check_contraction(r: _SpecReader) -> CheckRecord:
 
 def _check_germ(r: _SpecReader) -> CheckRecord:
     cluster = r.read("cluster", r.curves)
+    if not cluster:
+        raise r.fault("cluster", "needs at least one curve")
     boundary = r.read("boundary_curves", r.curves, [])
+    for j, lbl in enumerate(boundary):
+        if lbl in cluster:
+            raise r.fault(f"boundary_curves[{j}]", "also in cluster")
     want = r.read("expect", r.nested)
-    flags = {key: want.read(key, default=None) for key in ("is_lc", "is_plt")}
-    want_orders = want.read("orders", default=None)
+    flags = {key: want.read(key, want.flag, None) for key in ("is_lc", "is_plt")}
+    want_orders = want.read("orders", want.integers, None)
     want_square = want.read("boundary_self_int", want.rational, None)
     if want_square is not None and len(boundary) != 1:
         raise want.fault(
@@ -596,7 +614,7 @@ def _check_germ(r: _SpecReader) -> CheckRecord:
     ok = True
     details: list[str] = []
     for key, have in (("is_lc", cls.is_lc), ("is_plt", cls.is_plt)):
-        if flags[key] is not None and bool(flags[key]) != have:
+        if flags[key] is not None and flags[key] != have:
             ok = False
             details.append(f"{key} = {have}")
     orders = sorted(t.n for t in cls.cyclic_points) if cls.cyclic_points else []
@@ -650,15 +668,23 @@ _CHECK_RUNNERS = {
 def run_scenario(source: str) -> Report:
     text, display = load_scenario_text(source)
     obj = _load_scenario_obj(text)
-    for name, table in dict(obj.get("divisors", {})).items():
+    tables = obj.get("divisors", {})
+    if not isinstance(tables, dict):
+        raise ParseError("divisors: expected an object")
+    for name, table in tables.items():
         for curve, c in table.items() if isinstance(table, dict) else ():
             _SpecReader.rational(f"divisors.{name}.{curve}", c)
-    recipe, divisors = parse_recipe(
-        {**obj["recipe"], "divisors": obj.get("divisors", {})}
-    )
+    recipe, divisors = parse_recipe({**obj["recipe"], "divisors": tables})
     m = build_from_recipe(recipe)
+    for name, table in tables.items():
+        for curve in table:
+            if curve not in m.visible:
+                raise ParseError(f"divisors.{name}.{curve}: unknown curve")
+    checks = obj.get("checks", [])
+    if not isinstance(checks, list):
+        raise ParseError("checks: expected a list")
     records: list[CheckRecord] = []
-    for i, spec in enumerate(obj.get("checks", [])):
+    for i, spec in enumerate(checks):
         if not isinstance(spec, dict):
             raise ParseError(f"checks[{i}]: a check must be an object")
         kind = spec.get("kind")

@@ -146,11 +146,12 @@ class ShapeInfo:
     tails: tuple[str, ...]
 
 
-def _components(g: DualGraph) -> list[list[str]]:
-    adj = g.adjacency()
+def _components(adj: Mapping[str, Sequence[str]]) -> list[list[str]]:
+    """Connected components of an adjacency map, each in depth-first order,
+    in the order of their first vertex."""
     seen: set[str] = set()
     comps = []
-    for v in g.labels:
+    for v in adj:
         if v in seen:
             continue
         stack, comp = [v], []
@@ -170,7 +171,7 @@ def shape(g: DualGraph) -> ShapeInfo:
     """Valence census of a connected graph. Raises Disconnected otherwise."""
     if len(g.vertices) == 0:
         raise Disconnected("empty graph")
-    comps = _components(g)
+    comps = _components(g.adjacency())
     if len(comps) > 1:
         raise Disconnected(f"{len(comps)} components: {[sorted(c) for c in comps]}")
     adj = g.adjacency()
@@ -409,7 +410,7 @@ def classify_germ(
     cyclic_points = None
     exc_graph = g.subgraph(g.exceptional_labels()) if g.exceptional_labels() else None
     if exc_graph is not None and all(b < 1 for b in exc_vals):
-        comps = _components(exc_graph)
+        comps = _components(exc_graph.adjacency())
         types = []
         for comp in comps:
             comp_graph = exc_graph.subgraph(comp)

@@ -42,7 +42,8 @@ class QDivisor:
     coeffs: tuple[tuple[str, Rational], ...]
 
     def __post_init__(self) -> None:
-        cleaned = tuple(sorted((lbl, rat(c)) for lbl, c in self.coeffs if rat(c) != 0))
+        parsed = ((lbl, rat(c)) for lbl, c in self.coeffs)
+        cleaned = tuple(sorted((lbl, c) for lbl, c in parsed if c != 0))
         labels = [lbl for lbl, _ in cleaned]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in divisor")
@@ -301,7 +302,7 @@ def germ_of_cluster(
                 raise ValueError(f"unexpected intersection {prod} between {a} and {b}")
             edges.extend([(a, b)] * prod)
     g = DualGraph(tuple(verts), tuple(edges))
-    if len(_components(g)) > 1:
+    if len(_components(g.adjacency())) > 1:
         raise Disconnected("cluster plus boundary is not connected")
     return g
 

@@ -21,6 +21,7 @@ from logsurf.dualgraph import (
     DualGraph,
     GermClassification,
     NotNegativeDefinite,
+    _components,
     classify_germ,
 )
 from logsurf.exact import (
@@ -345,22 +346,7 @@ def contraction_report(
             if m.gram.at(x, y) > 0:
                 adj[x].append(y)
                 adj[y].append(x)
-    seen: set[str] = set()
-    clusters: list[tuple[str, ...]] = []
-    for lbl in contracted:
-        if lbl in seen:
-            continue
-        stack, comp = [lbl], []
-        seen.add(lbl)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nb in adj[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        clusters.append(tuple(sorted(comp)))
-    clusters.sort()
+    clusters = sorted(tuple(sorted(comp)) for comp in _components(adj))
     germs = tuple(germ_of_cluster(m, cl) for cl in clusters)
     return ContractionReport(
         contracted=contracted,

@@ -141,7 +141,7 @@ def test_scenario_check_unknown_divisor(tmp_path, capsys, check):
 THREE_LINES = {
     "name": "three-lines",
     "recipe": {"lines": 3, "steps": [["L0", "L1"]]},
-    "divisors": {"D": {"L0": "1", "L1": "1", "L2": "1"}},
+    "divisors": {"D": {"L0": "1", "L1": "1", "L2": "1"}, "N": {"L0": "-1"}},
 }
 
 # Well-formed checks on THREE_LINES; each bad-input case below breaks one key.
@@ -344,6 +344,39 @@ def test_scenario_rational_keys(tmp_path, capsys, check, key, shown):
             {**GERM, "boundary_curves": ["L0", "L1"], "expect": {"boundary_self_int": "1"}},
             "checks[1].expect.boundary_self_int: needs exactly one boundary curve, got 2",
         ),
+        # inputs that used to pass, or to crash inside the program
+        (
+            {**GERM, "expect": {"is_lc": "false"}},
+            "checks[1].expect.is_lc: expected true or false, got 'false'",
+        ),
+        (
+            {**GERM, "expect": {"is_plt": 1}},
+            "checks[1].expect.is_plt: expected true or false, got 1",
+        ),
+        (
+            {**GERM, "expect": {"orders": 3}},
+            "checks[1].expect.orders: expected a list of integers, got 3",
+        ),
+        (
+            {**GERM, "boundary_curves": ["L0", "E1"], "expect": {"boundary_self_int": "-1"}},
+            "checks[1].boundary_curves[1]: also in cluster",
+        ),
+        (
+            {**GERM, "cluster": []},
+            "checks[1].cluster: needs at least one curve",
+        ),
+        (
+            {"kind": "volume", "divisor": "N", "expect": "1"},
+            "checks[1].divisor: divisor 'N' is not effective",
+        ),
+        (
+            {"kind": "zariski", "divisor": "N", "expect_positive": {}},
+            "checks[1].divisor: divisor 'N' is not effective",
+        ),
+        (
+            {**CONTRACTION, "divisor": "N"},
+            "checks[1].divisor: divisor 'N' is not effective",
+        ),
     ],
 )
 def test_scenario_table_entries(tmp_path, capsys, check, message):
@@ -353,6 +386,50 @@ def test_scenario_table_entries(tmp_path, capsys, check, message):
     code, out, err = run(capsys, "scenario", str(path))
     assert code == 2 and out == ""
     assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"recipe": 3}, "recipe: expected an object"),
+        ({"divisors": 3}, "divisors: expected an object"),
+        ({"divisors": {"D": {"L0": "1", "Q9": "1"}}}, "divisors.D.Q9: unknown curve"),
+        ({"checks": 3}, "checks: expected a list"),
+        ({"checks": {"kind": "volume", "divisor": "D", "expect": "5"}}, "checks: expected a list"),
+    ],
+)
+def test_scenario_top_level_shape(tmp_path, capsys, change, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({**THREE_LINES, "checks": [], **change}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_disconnected_germ_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "disconnected.json"
+    check = {**GERM, "boundary_curves": ["L2"]}
+    path.write_text(json.dumps({**THREE_LINES, "checks": [check]}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == "error (Disconnected): cluster plus boundary is not connected"
+
+    graph = tmp_path / "two.graph"
+    graph.write_text("E 2\nF 2\n")
+    code, out, err = run(capsys, "germ", str(graph))
+    assert code == 2 and out == ""
+    assert err.startswith("error (Disconnected): 2 components")
+
+
+def test_internal_key_error_is_not_bad_input(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("logsurf.cli.volume", broken)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(TINY_SCENARIO))
+    with pytest.raises(KeyError):
+        main(["scenario", str(path)])
 
 
 def test_json_report_round_trips(capsys):
