@@ -640,7 +640,7 @@ def _check_germ(r: _SpecReader) -> CheckRecord:
     )
     return CheckRecord(
         kind="germ",
-        inputs={"cluster": list(cluster), "boundary_curves": list(boundary)},
+        inputs={"cluster": cluster, "boundary_curves": boundary},
         outputs={
             "is_lc": cls.is_lc,
             "is_plt": cls.is_plt,
