@@ -231,6 +231,10 @@ def _load_scenario_obj(text: str) -> dict[str, Any]:
         raise ParseError("scenario must be an object with a 'recipe' entry")
     if not isinstance(obj["recipe"], dict):
         raise ParseError("recipe: expected an object")
+    if not isinstance(obj.get("divisors", {}), dict):
+        raise ParseError("divisors: expected an object")
+    if not isinstance(obj.get("checks", []), list):
+        raise ParseError("checks: expected a list")
     return obj
 
 
@@ -437,9 +441,10 @@ def _check_pet(r: _SpecReader) -> CheckRecord:
         raise r.fault("resolution", f"must be positive, got {r.spec['resolution']!r}")
     want = r.read("expect_value", r.rational)
     gap = r.read("expect_not_in_open", default=None)
-    if gap is not None and not (isinstance(gap, list) and len(gap) == 2):
-        raise r.fault("expect_not_in_open", f"expected two rationals, got {gap!r}")
-    gap = r.read("expect_not_in_open", r.rationals, None)
+    if gap is not None:
+        if not (isinstance(gap, list) and len(gap) == 2):
+            raise r.fault("expect_not_in_open", f"expected two rationals, got {gap!r}")
+        gap = r.rationals(f"{r.path}.expect_not_in_open", gap)
     base, ray = _contraction_rays(r.m, contract, boundary)
     t = pet(r.m, base, ray, resolution, plus_canonical=True)
     ok = t.certified and t.value == want
@@ -669,8 +674,6 @@ def run_scenario(source: str) -> Report:
     text, display = load_scenario_text(source)
     obj = _load_scenario_obj(text)
     tables = obj.get("divisors", {})
-    if not isinstance(tables, dict):
-        raise ParseError("divisors: expected an object")
     for name, table in tables.items():
         for curve, c in table.items() if isinstance(table, dict) else ():
             _SpecReader.rational(f"divisors.{name}.{curve}", c)
@@ -680,11 +683,8 @@ def run_scenario(source: str) -> Report:
         for curve in table:
             if curve not in m.visible:
                 raise ParseError(f"divisors.{name}.{curve}: unknown curve")
-    checks = obj.get("checks", [])
-    if not isinstance(checks, list):
-        raise ParseError("checks: expected a list")
     records: list[CheckRecord] = []
-    for i, spec in enumerate(checks):
+    for i, spec in enumerate(obj.get("checks", [])):
         if not isinstance(spec, dict):
             raise ParseError(f"checks[{i}]: a check must be an object")
         kind = spec.get("kind")
