@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .dualgraph import (
     Disconnected,
@@ -698,14 +698,28 @@ def run_scenario(source: str) -> Report:
     return Report(name=f"scenario {obj.get('name', display)}", records=records)
 
 
-# --- germ command ------------------------------------------------------------
+# --- one-shot commands -------------------------------------------------------
+
+#: What a one-shot command computes: (report name, record kind, inputs,
+#: outputs, details). `_one_shot` times it and reports it as one passing check.
+_Outcome = tuple[str, str, dict[str, Any], dict[str, Any], list[str]]
 
 
-def classify_germ_cmd(path: str) -> Report:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    t0 = time.perf_counter()
-    g = parse_graph(text)
+def _one_shot(command: Callable[[argparse.Namespace], _Outcome]):
+    def run(args: argparse.Namespace) -> Report:
+        t0 = time.perf_counter()
+        name, kind, inputs, outputs, details = command(args)
+        rec = CheckRecord(
+            kind, inputs, outputs, passed=True, details=details, seconds=time.perf_counter() - t0
+        )
+        return Report(name, [rec])
+
+    return run
+
+
+def classify_germ_cmd(args) -> _Outcome:
+    with open(args.file, encoding="utf-8") as fh:
+        g = parse_graph(fh.read())
     cls = classify_germ(g)
     bits: list[str] = []
     if cls.is_klt:
@@ -733,25 +747,15 @@ def classify_germ_cmd(path: str) -> Report:
     for lbl in g.labels:
         if lbl in cls.discrepancy_coeffs:
             details.append(f"coefficient {lbl}: {cls.discrepancy_coeffs[lbl]}")
-    rec = CheckRecord(
-        kind="germ",
-        inputs={"file": path},
-        outputs={
-            "verdict": verdict,
-            "is_lc": cls.is_lc,
-            "is_klt": cls.is_klt,
-            "is_plt": cls.is_plt,
-            **({"order": cls.order} if cls.order is not None else {}),
-            "coeffs": {k: _frac(v) for k, v in sorted(cls.discrepancy_coeffs.items())},
-        },
-        passed=True,
-        details=details,
-        seconds=time.perf_counter() - t0,
-    )
-    return Report(name=f"germ {os.path.basename(path)}", records=[rec])
-
-
-# --- wps command -------------------------------------------------------------
+    outputs = {
+        "verdict": verdict,
+        "is_lc": cls.is_lc,
+        "is_klt": cls.is_klt,
+        "is_plt": cls.is_plt,
+        **({"order": cls.order} if cls.order is not None else {}),
+        "coeffs": {k: _frac(v) for k, v in sorted(cls.discrepancy_coeffs.items())},
+    }
+    return f"germ {os.path.basename(args.file)}", "germ", {"file": args.file}, outputs, details
 
 
 def _ints_arg(flag: str, text: str) -> tuple[int, ...]:
@@ -768,22 +772,25 @@ def _rational_arg(flag: str, text: str) -> Fraction:
         raise ParseError(f"{flag}: not an exact rational: {text!r}") from None
 
 
+def _poly_coeffs(args) -> tuple[Fraction, ...]:
+    """The coefficient vector of the member in ``--poly FILE``, or in ``--expr``
+    over ``--weights``."""
+    weights = None if args.poly else _wps.Weights.of(_ints_arg("--weights", args.weights))
+    try:
+        if args.poly:
+            with open(args.poly, encoding="utf-8") as fh:
+                p = _wps.parse_poly(fh.read())
+        else:
+            p = _wps.parse_poly_human(args.expr, weights)
+        return _wps.poly_to_coeffs(p)
+    except ValueError as err:
+        raise ParseError(str(err)) from err
+
+
 def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fraction]:
     """Resolve --eps/--s/--t or --poly/--expr into a normalized member."""
     if args.poly or args.expr:
-        if args.poly:
-            with open(args.poly, encoding="utf-8") as fh:
-                try:
-                    p = _wps.parse_poly(fh.read())
-                except ValueError as err:
-                    raise ParseError(str(err)) from err
-        else:
-            weights = _wps.Weights.of(_ints_arg("--weights", args.weights))
-            try:
-                p = _wps.parse_poly_human(args.expr, weights)
-            except ValueError as err:
-                raise ParseError(str(err)) from err
-        nf = _wps.normal_form(_wps.poly_to_coeffs(p))
+        nf = _wps.normal_form(_poly_coeffs(args))
         return _wps.standard_member(nf.eps, nf.s, nf.t), nf.eps, nf.s, nf.t
     if args.eps is None:
         raise ParseError("need either --eps (with --s/--t) or --poly/--expr")
@@ -792,8 +799,7 @@ def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fra
     return _wps.standard_member(eps, s, t), eps, s, t
 
 
-def wps_analyze_cmd(args) -> Report:
-    t0 = time.perf_counter()
+def wps_analyze_cmd(args) -> _Outcome:
     member, eps, s, t = _wps_member_from_args(args)
     c = _wps.classify_hypersurface(eps, s, t)
     verdict = "klt" if c.is_klt else ("lc, not klt" if c.is_lc else "not lc")
@@ -827,36 +833,25 @@ def wps_analyze_cmd(args) -> Report:
     )
     for note in c.deferred:
         details.append(f"note: {note}")
-    rec = CheckRecord(
-        kind="wps-analyze",
-        inputs={"eps": list(eps), "s": _frac(s), "t": _frac(t)},
-        outputs={
-            "is_lc": c.is_lc,
-            "is_klt": c.is_klt,
-            "charts": chart_out,
-            "coordinate_points": members,
-            "notes": list(c.deferred),
-        },
-        passed=True,
-        details=details,
-        seconds=time.perf_counter() - t0,
-    )
-    return Report(name="wps analyze", records=[rec])
+    outputs = {
+        "is_lc": c.is_lc,
+        "is_klt": c.is_klt,
+        "charts": chart_out,
+        "coordinate_points": members,
+        "notes": list(c.deferred),
+    }
+    inputs = {"eps": list(eps), "s": _frac(s), "t": _frac(t)}
+    return "wps analyze", "wps-analyze", inputs, outputs, details
 
 
-def wps_normal_form_cmd(args) -> Report:
-    t0 = time.perf_counter()
+def wps_normal_form_cmd(args) -> _Outcome:
     if args.coeffs:
         try:
             coeffs = [rat(x) for x in args.coeffs.split(",")]
         except ValueError as err:
             raise ParseError(f"bad coefficient list {args.coeffs!r}") from err
     elif args.poly:
-        with open(args.poly, encoding="utf-8") as fh:
-            try:
-                coeffs = list(_wps.poly_to_coeffs(_wps.parse_poly(fh.read())))
-            except ValueError as err:
-                raise ParseError(str(err)) from err
+        coeffs = _poly_coeffs(args)
     else:
         raise ParseError("need --coeffs a1,..,a6 or --poly FILE")
     nf = _wps.normal_form(coeffs)
@@ -865,28 +860,21 @@ def wps_normal_form_cmd(args) -> Report:
         f"eps = ({','.join(map(str, nf.eps))}), s = {nf.s}, t = {nf.t}",
         f"scales c = ({', '.join(map(str, tr.c))}), shear d = {tr.d}, lambda = {tr.lam}",
     ]
-    rec = CheckRecord(
-        kind="wps-normal-form",
-        inputs={"coeffs": [_frac(c) for c in map(rat, coeffs)]},
-        outputs={
-            "eps": list(nf.eps),
-            "s": _frac(nf.s),
-            "t": _frac(nf.t),
-            "transform": {
-                "c": [_frac(x) for x in tr.c],
-                "d": _frac(tr.d),
-                "lambda": _frac(tr.lam),
-            },
+    outputs = {
+        "eps": list(nf.eps),
+        "s": _frac(nf.s),
+        "t": _frac(nf.t),
+        "transform": {
+            "c": [_frac(x) for x in tr.c],
+            "d": _frac(tr.d),
+            "lambda": _frac(tr.lam),
         },
-        passed=True,
-        details=details,
-        seconds=time.perf_counter() - t0,
-    )
-    return Report(name="wps normal-form", records=[rec])
+    }
+    inputs = {"coeffs": [_frac(c) for c in coeffs]}
+    return "wps normal-form", "wps-normal-form", inputs, outputs, details
 
 
-def wps_hilbert_cmd(args) -> Report:
-    t0 = time.perf_counter()
+def wps_hilbert_cmd(args) -> _Outcome:
     n = args.n
     if n > HILBERT_MAX_N:
         raise ParseError(f"--n {n} is above the cap {HILBERT_MAX_N}")
@@ -905,81 +893,41 @@ def wps_hilbert_cmd(args) -> Report:
         outputs.update(
             {"ratio": float(ratio), "volume": _frac(target), "error": _frac(err)}
         )
-    rec = CheckRecord(
-        kind="wps-hilbert",
-        inputs={"weights": list(weights), "degree": args.degree},
-        outputs=outputs,
-        passed=True,
-        details=details,
-        seconds=time.perf_counter() - t0,
-    )
-    return Report(name="wps hilbert", records=[rec])
+    return "wps hilbert", "wps-hilbert", {"weights": list(weights), "degree": args.degree}, outputs, details
 
 
-def wps_volume_cmd(args) -> Report:
-    t0 = time.perf_counter()
+def wps_volume_cmd(args) -> _Outcome:
     weights = _ints_arg("--weights", args.weights)
     v = _wps.wps_volume(weights, args.degree, args.twist)
-    rec = CheckRecord(
-        kind="wps-volume",
-        inputs={"weights": list(weights), "degree": args.degree, "twist": args.twist},
-        outputs={"volume": _frac(v)},
-        passed=True,
-        details=[f"volume = {v}"],
-        seconds=time.perf_counter() - t0,
-    )
-    return Report(name="wps volume", records=[rec])
+    inputs = {"weights": list(weights), "degree": args.degree, "twist": args.twist}
+    return "wps volume", "wps-volume", inputs, {"volume": _frac(v)}, [f"volume = {v}"]
 
 
-# --- enumerate and quadmin ---------------------------------------------------
-
-
-def enumerate_cmd(which: str) -> Report:
-    t0 = time.perf_counter()
+def enumerate_cmd(args) -> _Outcome:
+    which = args.which
     if which == "lemma22":
-        hits = sorted(enumerate_fork_squares())
         details = ["fork germs with contracted central square -1/3:"]
-        out = []
-        for n1, n2, n3, q1, q2, q3 in hits:
+        hits = []
+        for n1, n2, n3, q1, q2, q3 in sorted(enumerate_fork_squares()):
             details.append(f"  branches ({n1},{q1}) ({n2},{q2}) ({n3},{q3})")
-            out.append([n1, n2, n3, q1, q2, q3])
-        outputs = {"hits": out}
-    elif which == "lemma34":
-        hits = residue_search(Fraction(11, 42), (2, 3, 7))
-        details = ["residue triples for 11/42 over orders (2, 3, 7):"]
-        out = {}
-        for res, integer in sorted(hits.items()):
-            details.append(f"  q = {res}, integer part {integer}")
-            out[",".join(map(str, res))] = integer
-        outputs = {"hits": out}
+            hits.append([n1, n2, n3, q1, q2, q3])
     else:
-        raise ParseError(f"unknown enumeration {which!r} (use lemma22 or lemma34)")
-    rec = CheckRecord(
-        kind=f"enumerate-{which}",
-        inputs={"target": which},
-        outputs=outputs,
-        passed=True,
-        details=details,
-        seconds=time.perf_counter() - t0,
-    )
-    return Report(name=f"enumerate {which}", records=[rec])
+        details = ["residue triples for 11/42 over orders (2, 3, 7):"]
+        hits = {}
+        for res, integer in sorted(residue_search(Fraction(11, 42), (2, 3, 7)).items()):
+            details.append(f"  q = {res}, integer part {integer}")
+            hits[",".join(map(str, res))] = integer
+    return f"enumerate {which}", f"enumerate-{which}", {"target": which}, {"hits": hits}, details
 
 
-def quadmin_cmd(args) -> Report:
-    t0 = time.perf_counter()
+def quadmin_cmd(args) -> _Outcome:
     q = QuadraticForm1D(
         _rational_arg("--a", args.a), _rational_arg("--b", args.b), _rational_arg("--c", args.c)
     )
     t_star, value = minimize_quadratic(q)
-    rec = CheckRecord(
-        kind="quadmin",
-        inputs={"a": _frac(q.a), "b": _frac(q.b), "c": _frac(q.c)},
-        outputs={"argmin": _frac(t_star), "min": _frac(value)},
-        passed=True,
-        details=[f"minimum {value} at t = {t_star}"],
-        seconds=time.perf_counter() - t0,
-    )
-    return Report(name="quadmin", records=[rec])
+    inputs = {"a": _frac(q.a), "b": _frac(q.b), "c": _frac(q.c)}
+    outputs = {"argmin": _frac(t_star), "min": _frac(value)}
+    return "quadmin", "quadmin", inputs, outputs, [f"minimum {value} at t = {t_star}"]
 
 
 # --- entry point -------------------------------------------------------------
@@ -991,82 +939,67 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact intersection theory on blown-up planes and weighted hypersurfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    p_sc = sub.add_parser("scenario", help="replay a scenario file and check expectations")
+    def leaf(subparsers, name: str, run: Callable[[argparse.Namespace], Report], summary: str):
+        """A command's parser: it takes --json, and ``main`` calls ``run(args)``."""
+        p = subparsers.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p_sc = leaf(
+        sub, "scenario", lambda args: run_scenario(args.source),
+        "replay a scenario file and check expectations",
+    )
     p_sc.add_argument("source", help="built-in name (ex-462, ex-825) or path to a scenario JSON")
-    p_sc.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    p_germ = sub.add_parser("germ", help="classify a dual-graph germ file")
+    p_germ = leaf(sub, "germ", _one_shot(classify_germ_cmd), "classify a dual-graph germ file")
     p_germ.add_argument("file")
-    p_germ.add_argument("--json", action="store_true")
 
     p_wps = sub.add_parser("wps", help="weighted-projective hypersurface tools")
     wps_sub = p_wps.add_subparsers(dest="wps_command", required=True)
 
-    p_an = wps_sub.add_parser("analyze", help="classify a family member")
+    p_an = leaf(wps_sub, "analyze", _one_shot(wps_analyze_cmd), "classify a family member")
     p_an.add_argument("--eps", help="four comma-separated 0/1 flags")
     p_an.add_argument("--s", default="0")
     p_an.add_argument("--t", default="0")
     p_an.add_argument("--poly", help="polynomial file (weights header + coeff/exponent lines)")
     p_an.add_argument("--expr", help="inline polynomial like 'x3^2 + x2^3*x1'")
     p_an.add_argument("--weights", default="6,11,25,43", help="weights for --expr")
-    p_an.add_argument("--json", action="store_true")
 
-    p_nf = wps_sub.add_parser("normal-form", help="normalize a coefficient vector")
+    p_nf = leaf(
+        wps_sub, "normal-form", _one_shot(wps_normal_form_cmd), "normalize a coefficient vector"
+    )
     p_nf.add_argument("--coeffs", help="a1,a2,a3,a4,a5,a6")
     p_nf.add_argument("--poly", help="polynomial file")
-    p_nf.add_argument("--json", action="store_true")
 
-    p_h = wps_sub.add_parser("hilbert", help="graded dimension counts")
+    p_h = leaf(wps_sub, "hilbert", _one_shot(wps_hilbert_cmd), "graded dimension counts")
     p_h.add_argument("--weights", default="6,11,25,43")
     p_h.add_argument("--degree", type=int, default=86)
     p_h.add_argument("--n", type=int, required=True, help=f"last degree, at most {HILBERT_MAX_N}")
     p_h.add_argument("--ratio", action="store_true", help="compare 2h(n)/n^2 with the volume")
-    p_h.add_argument("--json", action="store_true")
 
-    p_v = wps_sub.add_parser("volume", help="(d - sum w + twist)^2 d / prod w")
+    p_v = leaf(wps_sub, "volume", _one_shot(wps_volume_cmd), "(d - sum w + twist)^2 d / prod w")
     p_v.add_argument("--weights", required=True)
     p_v.add_argument("--degree", type=int, required=True)
     p_v.add_argument("--twist", type=int, default=0)
-    p_v.add_argument("--json", action="store_true")
 
-    p_en = sub.add_parser("enumerate", help="closed-form enumerations")
+    p_en = leaf(sub, "enumerate", _one_shot(enumerate_cmd), "closed-form enumerations")
     p_en.add_argument("which", choices=["lemma22", "lemma34"])
-    p_en.add_argument("--json", action="store_true")
 
-    p_qm = sub.add_parser("quadmin", help="exact minimum of a*t^2 + b*t + c")
+    p_qm = leaf(sub, "quadmin", _one_shot(quadmin_cmd), "exact minimum of a*t^2 + b*t + c")
     p_qm.add_argument("--a", required=True)
     p_qm.add_argument("--b", required=True)
     p_qm.add_argument("--c", required=True)
-    p_qm.add_argument("--json", action="store_true")
 
     return parser
 
 
-def _dispatch(args) -> Report:
-    if args.command == "scenario":
-        return run_scenario(args.source)
-    if args.command == "germ":
-        return classify_germ_cmd(args.file)
-    if args.command == "wps":
-        return {
-            "analyze": wps_analyze_cmd,
-            "normal-form": wps_normal_form_cmd,
-            "hilbert": wps_hilbert_cmd,
-            "volume": wps_volume_cmd,
-        }[args.wps_command](args)
-    if args.command == "enumerate":
-        return enumerate_cmd(args.which)
-    if args.command == "quadmin":
-        return quadmin_cmd(args)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        report = _dispatch(args)
+        report = args.run(args)
     except ParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -1074,7 +1007,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         kind = type(err).__name__
         print(f"error ({kind}): {err}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(report.render(color=_use_color(sys.stdout)))
