@@ -691,8 +691,14 @@ def run_scenario(source: str) -> Report:
         runner = _CHECK_RUNNERS.get(kind) if isinstance(kind, str) else None
         if runner is None:
             raise ParseError(f"checks[{i}].kind: unknown check kind {kind!r}")
+        reader = _SpecReader(f"checks[{i}]", spec, m, divisors, f"missing for a {kind} check")
         t0 = time.perf_counter()
-        rec = runner(_SpecReader(f"checks[{i}]", spec, m, divisors, f"missing for a {kind} check"))
+        try:
+            rec = runner(reader)
+        except _INPUT_ERRORS as err:
+            # Input the computation rejects: say which check it was.
+            err.args = (f"checks[{i}]: {err}",)
+            raise
         rec.seconds = time.perf_counter() - t0
         records.append(rec)
     return Report(name=f"scenario {obj.get('name', display)}", records=records)
@@ -772,6 +778,12 @@ def _rational_arg(flag: str, text: str) -> Fraction:
         raise ParseError(f"{flag}: not an exact rational: {text!r}") from None
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise ParseError(f"{flag}: must be at least {low}, got {value}")
+    return value
+
+
 def _poly_coeffs(args) -> tuple[Fraction, ...]:
     """The coefficient vector of the member in ``--poly FILE``, or in ``--expr``
     over ``--weights``."""
@@ -795,6 +807,10 @@ def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fra
     if args.eps is None:
         raise ParseError("need either --eps (with --s/--t) or --poly/--expr")
     eps = _ints_arg("--eps", args.eps)
+    if len(eps) != 4 or any(e not in (0, 1) for e in eps):
+        raise ParseError(f"--eps: expected four 0/1 flags, got {args.eps!r}")
+    if eps[0] == eps[1] == 1:
+        raise ParseError(f"--eps: the first two flags cannot both be 1, got {args.eps!r}")
     s, t = _rational_arg("--s", args.s), _rational_arg("--t", args.t)
     return _wps.standard_member(eps, s, t), eps, s, t
 
@@ -850,6 +866,8 @@ def wps_normal_form_cmd(args) -> _Outcome:
             coeffs = [rat(x) for x in args.coeffs.split(",")]
         except ValueError as err:
             raise ParseError(f"bad coefficient list {args.coeffs!r}") from err
+        if len(coeffs) != 6:
+            raise ParseError(f"--coeffs: expected 6 coefficients, got {len(coeffs)}")
     elif args.poly:
         coeffs = _poly_coeffs(args)
     else:
@@ -879,11 +897,12 @@ def wps_hilbert_cmd(args) -> _Outcome:
     if n > HILBERT_MAX_N:
         raise ParseError(f"--n {n} is above the cap {HILBERT_MAX_N}")
     weights = _ints_arg("--weights", args.weights)
-    series = _wps.hilbert_series(weights, args.degree, n)
+    degree = _at_least("--degree", args.degree, 1)
+    series = _wps.hilbert_series(weights, degree, _at_least("--n", n, 0))
     details = [f"h({n}) = {series[n]}"]
     outputs: dict[str, Any] = {"n": n, "h": str(series[n])}
     if args.ratio:
-        target = _wps.wps_volume(weights, args.degree)
+        target = _wps.wps_volume(weights, degree)
         ratio = Fraction(2 * series[n], n * n) if n else Fraction(0)
         err = abs(ratio - target)
         details.append(
@@ -893,12 +912,13 @@ def wps_hilbert_cmd(args) -> _Outcome:
         outputs.update(
             {"ratio": float(ratio), "volume": _frac(target), "error": _frac(err)}
         )
-    return "wps hilbert", "wps-hilbert", {"weights": list(weights), "degree": args.degree}, outputs, details
+    inputs = {"weights": list(weights), "degree": degree}
+    return "wps hilbert", "wps-hilbert", inputs, outputs, details
 
 
 def wps_volume_cmd(args) -> _Outcome:
     weights = _ints_arg("--weights", args.weights)
-    v = _wps.wps_volume(weights, args.degree, args.twist)
+    v = _wps.wps_volume(weights, _at_least("--degree", args.degree, 1), args.twist)
     inputs = {"weights": list(weights), "degree": args.degree, "twist": args.twist}
     return "wps volume", "wps-volume", inputs, {"volume": _frac(v)}, [f"volume = {v}"]
 

@@ -19,6 +19,12 @@ from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components,
 from logsurf.exact import Rational, is_negative_definite, rat
 
 
+#: Most visible curves (lines plus blow-up steps) a recipe may ask for. The
+#: model holds the intersection number of every pair of visible curves, so
+#: its memory grows with the square of this count.
+RECIPE_MAX_CURVES = 200
+
+
 class UnknownLabel(Exception):
     pass
 
@@ -322,12 +328,23 @@ def parse_recipe(obj: str | Mapping) -> tuple[BlowupRecipe, dict[str, QDivisor]]
         raise RecipeError("recipe must be a JSON object")
     if "lines" not in obj or "steps" not in obj:
         raise RecipeError("recipe needs 'lines' and 'steps'")
-    try:
-        num_lines = int(obj["lines"])
-        steps = tuple((str(a), str(b)) for a, b in obj["steps"])
-    except (TypeError, ValueError) as exc:
-        raise RecipeError(f"malformed recipe: {exc}") from exc
-    recipe = BlowupRecipe(num_lines, steps)
+    lines, steps = obj["lines"], obj["steps"]
+    if type(lines) is not int or lines < 0:
+        raise RecipeError(f"recipe.lines: expected an integer >= 0, got {lines!r}")
+    if lines > RECIPE_MAX_CURVES:
+        raise RecipeError(f"recipe.lines: {lines} is above the cap {RECIPE_MAX_CURVES}")
+    if not isinstance(steps, (list, tuple)):
+        raise RecipeError(f"recipe.steps: expected a list, got {steps!r}")
+    if lines + len(steps) > RECIPE_MAX_CURVES:
+        raise RecipeError(
+            f"recipe.steps: {len(steps)} steps on {lines} lines make"
+            f" {lines + len(steps)} curves, above the cap {RECIPE_MAX_CURVES}"
+        )
+    for j, step in enumerate(steps):
+        pair = isinstance(step, (list, tuple)) and len(step) == 2
+        if not (pair and all(isinstance(x, str) for x in step)):
+            raise RecipeError(f"recipe.steps[{j}]: expected a pair of curve labels, got {step!r}")
+    recipe = BlowupRecipe(lines, tuple((a, b) for a, b in steps))
     divisors: dict[str, QDivisor] = {}
     for name, table in dict(obj.get("divisors", {})).items():
         if not isinstance(table, Mapping):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
@@ -11,6 +12,7 @@ from logsurf.cli import (
     BUILTIN_CHECKSUMS,
     HILBERT_MAX_N,
     Report,
+    _build_parser,
     builtin_scenario_text,
     main,
     run_scenario,
@@ -412,13 +414,52 @@ def test_disconnected_germ_is_bad_input(tmp_path, capsys):
     path.write_text(json.dumps({**THREE_LINES, "checks": [check]}))
     code, out, err = run(capsys, "scenario", str(path))
     assert code == 2 and out == ""
-    assert err.strip() == "error (Disconnected): cluster plus boundary is not connected"
+    assert err.strip() == "error (Disconnected): checks[0]: cluster plus boundary is not connected"
 
     graph = tmp_path / "two.graph"
     graph.write_text("E 2\nF 2\n")
     code, out, err = run(capsys, "germ", str(graph))
     assert code == 2 and out == ""
     assert err.startswith("error (Disconnected): 2 components")
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (
+            {**CONTRACTION, "divisor": "Z"},
+            "error (NotContractible): checks[1]: cluster intersection matrix is not negative definite",
+        ),
+        (
+            {"kind": "nt", "contract": [], "boundary": {}, "expect_value": "1"},
+            "error (EmptyInterval): checks[1]: constraint E1 fails for every s",
+        ),
+    ],
+)
+def test_computed_rejection_names_the_check(tmp_path, capsys, check, message):
+    volume = {"kind": "volume", "divisor": "D", "expect": "5"}
+    divisors = {**THREE_LINES["divisors"], "Z": {}}
+    path = tmp_path / "rejected.json"
+    path.write_text(json.dumps({**THREE_LINES, "divisors": divisors, "checks": [volume, check]}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({"lines": 2.5, "steps": []}, "recipe.lines: expected an integer >= 0, got 2.5"),
+        ({"lines": True, "steps": []}, "recipe.lines: expected an integer >= 0, got True"),
+        ({"lines": 3, "steps": ["L0"]}, "recipe.steps[0]: expected a pair of curve labels, got 'L0'"),
+    ],
+)
+def test_scenario_recipe_is_validated(tmp_path, capsys, recipe, message):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"recipe": recipe, "checks": []}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error (RecipeError): {message}"
 
 
 def test_internal_key_error_is_not_bad_input(tmp_path, monkeypatch):
@@ -512,7 +553,7 @@ def test_wps_volume_rejects_degree_below_one(capsys):
     for degree in ("0", "-5"):
         code, out, err = run(capsys, "wps", "volume", "--weights", "6,11,25,43", "--degree", degree)
         assert code == 2 and out == ""
-        assert err.strip() == f"error (ValueError): degree must be at least 1, got {degree}"
+        assert err.strip() == f"error: --degree: must be at least 1, got {degree}"
 
 
 def test_wps_hilbert_cmd(capsys):
@@ -525,12 +566,13 @@ def test_wps_hilbert_cmd(capsys):
 def test_wps_hilbert_rejects_bad_sizes(capsys):
     code, out, err = run(capsys, "wps", "hilbert", "--degree", "-5", "--n", "10")
     assert code == 2 and out == ""
-    assert err.strip() == "error (ValueError): degree must be at least 1, got -5"
+    assert err.strip() == "error: --degree: must be at least 1, got -5"
     code, out, err = run(capsys, "wps", "hilbert", "--n", str(HILBERT_MAX_N + 1))
     assert code == 2 and out == ""
     assert err.strip() == f"error: --n {HILBERT_MAX_N + 1} is above the cap {HILBERT_MAX_N}"
     code, out, err = run(capsys, "wps", "hilbert", "--n", "-1")
     assert code == 2 and out == ""
+    assert err.strip() == "error: --n: must be at least 0, got -1"
 
 
 def test_wps_hilbert_help_states_the_cap(capsys):
@@ -637,6 +679,10 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("quadmin", "--a", "1", "--b", "1/0", "--c", "0"), "--b: not an exact rational: '1/0'"),
         (("quadmin", "--a", "1", "--b", "0", "--c", ""), "--c: not an exact rational: ''"),
         (("wps", "volume", "--weights", "6,11,x,43", "--degree", "86"), "--weights: expected comma-separated integers, got '6,11,x,43'"),
+        (("wps", "analyze", "--eps", "1,0,1"), "--eps: expected four 0/1 flags, got '1,0,1'"),
+        (("wps", "analyze", "--eps", "1,0,2,1"), "--eps: expected four 0/1 flags, got '1,0,2,1'"),
+        (("wps", "analyze", "--eps", "1,1,0,0"), "--eps: the first two flags cannot both be 1, got '1,1,0,0'"),
+        (("wps", "normal-form", "--coeffs", "1,2,1,0,1"), "--coeffs: expected 6 coefficients, got 5"),
     ],
 )
 def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
@@ -652,6 +698,220 @@ def test_scenario_divisor_zero_denominator(tmp_path, capsys):
     code, out, err = run(capsys, "scenario", str(path))
     assert code == 2 and out == ""
     assert err.strip() == "error: divisors.D.L1: not an exact rational: '1/0'"
+
+
+# --- one-shot reports ---------------------------------------------------------
+
+ANALYZE_NOTE = (
+    "chart 0: double point with quadratic rank 1; its precise type is taken from the"
+    " classification of the family, not re-derived here"
+)
+INDEX_NOTE = (
+    "quotient-singularity indices at the coordinate points (6, 11, 25) are taken from"
+    " the classification of the family"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, name, kind, inputs, outputs, details",
+    [
+        (
+            ("germ", "fork.graph"),
+            "germ fork.graph",
+            "germ",
+            {"file": "fork.graph"},
+            {
+                "verdict": "lc, not klt, case d, fork is lc place, contracted E^2 = -1/3",
+                "is_lc": True,
+                "is_klt": False,
+                "is_plt": False,
+                "coeffs": {"A1": "2/3", "B1": "2/3", "B2": "1/3", "C1": "2/3", "C2": "1/3", "E0": "1"},
+            },
+            [
+                "lc, not klt, case d, fork is lc place, contracted E^2 = -1/3",
+                "coefficient E0: 1",
+                "coefficient A1: 2/3",
+                "coefficient B1: 2/3",
+                "coefficient B2: 1/3",
+                "coefficient C1: 2/3",
+                "coefficient C2: 1/3",
+            ],
+        ),
+        (
+            ("wps", "analyze", "--eps", "1,0,1,1", "--s", "0", "--t", "1"),
+            "wps analyze",
+            "wps-analyze",
+            {"eps": [1, 0, 1, 1], "s": "0", "t": "1"},
+            {
+                "is_lc": True,
+                "is_klt": False,
+                "charts": [
+                    {
+                        "chart": 0,
+                        "on_surface": True,
+                        "multiplicity": 2,
+                        "quadratic_rank": 1,
+                        "verdict": "multiplicity 2, quadratic rank 1: undecided here",
+                    },
+                    {
+                        "chart": 1,
+                        "on_surface": True,
+                        "multiplicity": 2,
+                        "quadratic_rank": 3,
+                        "verdict": "ordinary node (A1)",
+                    },
+                    {
+                        "chart": 2,
+                        "on_surface": True,
+                        "multiplicity": 1,
+                        "quadratic_rank": None,
+                        "verdict": "smooth",
+                    },
+                    {
+                        "chart": 3,
+                        "on_surface": False,
+                        "multiplicity": 0,
+                        "quadratic_rank": None,
+                        "verdict": "not on the surface",
+                    },
+                ],
+                "coordinate_points": [0, 1, 2],
+                "notes": [ANALYZE_NOTE, INDEX_NOTE],
+            },
+            [
+                "lc, not klt (eps=1,0,1,1, s=0, t=1)",
+                "chart 0: multiplicity 2, quadratic rank 1: undecided here",
+                "chart 1: ordinary node (A1)",
+                "chart 2: smooth",
+                "chart 3: not on the surface",
+                "coordinate points on the surface: P0, P1, P2",
+                f"note: {ANALYZE_NOTE}",
+                f"note: {INDEX_NOTE}",
+            ],
+        ),
+        (
+            ("wps", "normal-form", "--coeffs", "1,2,1,0,1,1"),
+            "wps normal-form",
+            "wps-normal-form",
+            {"coeffs": ["1", "2", "1", "0", "1", "1"]},
+            {
+                "eps": [1, 0, 1, 1],
+                "s": "-1",
+                "t": "1",
+                "transform": {"c": ["1", "1", "1", "1"], "d": "-1", "lambda": "1"},
+            },
+            [
+                "eps = (1,0,1,1), s = -1, t = 1",
+                "scales c = (1, 1, 1, 1), shear d = -1, lambda = 1",
+            ],
+        ),
+        (
+            ("wps", "hilbert", "--n", "860", "--ratio"),
+            "wps hilbert",
+            "wps-hilbert",
+            {"weights": [6, 11, 25, 43], "degree": 86},
+            {
+                "n": 860,
+                "h": "448",
+                "ratio": 0.0012114656571119524,
+                "volume": "1/825",
+                "error": "1/1525425",
+            },
+            [
+                "h(860) = 448",
+                "2*h(n)/n^2 = 0.001211465657 vs volume 1/825 (exact error 1/1525425 = 6.56e-07)",
+            ],
+        ),
+        (
+            ("wps", "volume", "--weights", "6,11,25,43", "--degree", "86"),
+            "wps volume",
+            "wps-volume",
+            {"weights": [6, 11, 25, 43], "degree": 86, "twist": 0},
+            {"volume": "1/825"},
+            ["volume = 1/825"],
+        ),
+        (
+            ("enumerate", "lemma22"),
+            "enumerate lemma22",
+            "enumerate-lemma22",
+            {"target": "lemma22"},
+            {"hits": [[2, 3, 6, 1, 1, 5], [3, 3, 3, 1, 2, 2]]},
+            [
+                "fork germs with contracted central square -1/3:",
+                "  branches (2,1) (3,1) (6,5)",
+                "  branches (3,1) (3,2) (3,2)",
+            ],
+        ),
+        (
+            ("enumerate", "lemma34"),
+            "enumerate lemma34",
+            "enumerate-lemma34",
+            {"target": "lemma34"},
+            {"hits": {"1,1,3": -1}},
+            [
+                "residue triples for 11/42 over orders (2, 3, 7):",
+                "  q = (1, 1, 3), integer part -1",
+            ],
+        ),
+        (
+            ("quadmin", "--a", "25/42", "--b=-8/7", "--c", "127/231"),
+            "quadmin",
+            "quadmin",
+            {"a": "25/42", "b": "-8/7", "c": "127/231"},
+            {"argmin": "24/25", "min": "1/825"},
+            ["minimum 1/825 at t = 24/25"],
+        ),
+    ],
+)
+def test_one_shot_json_report(
+    tmp_path, monkeypatch, capsys, argv, name, kind, inputs, outputs, details
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fork.graph").write_text(FORK_GRAPH)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    report = json.loads(out)
+    (check,) = report["checks"]
+    assert check.pop("seconds") >= 0
+    assert report == {
+        "name": name,
+        "passed": True,
+        "checks": [
+            {
+                "kind": kind,
+                "inputs": inputs,
+                "outputs": outputs,
+                "passed": True,
+                "details": details,
+            }
+        ],
+    }
+
+
+def _leaf_parsers(parser, path=()):
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield path, parser
+    for action in subcommands:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def test_every_command_takes_json_and_binds_a_handler():
+    leaves = dict(_leaf_parsers(_build_parser()))
+    assert set(leaves) == {
+        ("scenario",),
+        ("germ",),
+        ("wps", "analyze"),
+        ("wps", "normal-form"),
+        ("wps", "hilbert"),
+        ("wps", "volume"),
+        ("enumerate",),
+        ("quadmin",),
+    }
+    for path, parser in leaves.items():
+        assert "--json" in parser._option_string_actions, path
+        assert callable(parser.get_default("run")), path
 
 
 # --- presentation ------------------------------------------------------------

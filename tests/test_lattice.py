@@ -11,6 +11,7 @@ from logsurf.lattice import (
     NotContractible,
     PairNotIncident,
     QDivisor,
+    RECIPE_MAX_CURVES,
     RecipeError,
     SurfaceModel,
     UnknownLabel,
@@ -227,6 +228,43 @@ def test_parse_recipe_roundtrip():
 def test_parse_recipe_rejects(text):
     with pytest.raises(RecipeError):
         parse_recipe(text)
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({"lines": 2.5, "steps": []}, "recipe.lines: expected an integer >= 0, got 2.5"),
+        ({"lines": True, "steps": []}, "recipe.lines: expected an integer >= 0, got True"),
+        ({"lines": "3", "steps": []}, "recipe.lines: expected an integer >= 0, got '3'"),
+        ({"lines": -1, "steps": []}, "recipe.lines: expected an integer >= 0, got -1"),
+        ({"lines": 3, "steps": "L0L1"}, "recipe.steps: expected a list, got 'L0L1'"),
+        ({"lines": 3, "steps": [["L0", "L1"], "L0"]}, "recipe.steps[1]: expected a pair of curve labels, got 'L0'"),
+        ({"lines": 3, "steps": [["L0", 1]]}, "recipe.steps[0]: expected a pair of curve labels, got ['L0', 1]"),
+        ({"lines": 3, "steps": [["L0", "L1", "L2"]]}, "recipe.steps[0]: expected a pair of curve labels, got ['L0', 'L1', 'L2']"),
+        (
+            {"lines": RECIPE_MAX_CURVES + 1, "steps": []},
+            f"recipe.lines: {RECIPE_MAX_CURVES + 1} is above the cap {RECIPE_MAX_CURVES}",
+        ),
+        (
+            {"lines": 2, "steps": [["L0", "L1"]] * (RECIPE_MAX_CURVES - 1)},
+            f"recipe.steps: {RECIPE_MAX_CURVES - 1} steps on 2 lines make"
+            f" {RECIPE_MAX_CURVES + 1} curves, above the cap {RECIPE_MAX_CURVES}",
+        ),
+    ],
+)
+def test_parse_recipe_names_the_fault(recipe, message):
+    with pytest.raises(RecipeError) as err:
+        parse_recipe(recipe)
+    assert str(err.value) == message
+
+
+def test_recipe_cap_admits_its_own_size():
+    assert RECIPE_MAX_CURVES == 200
+    chain = [["L0", "L1"]] + [["L0", f"E{s}"] for s in range(1, RECIPE_MAX_CURVES - 2)]
+    recipe, _ = parse_recipe({"lines": 2, "steps": chain})
+    assert len(build_from_recipe(recipe).visible) == RECIPE_MAX_CURVES
+    recipe, _ = parse_recipe({"lines": RECIPE_MAX_CURVES, "steps": []})
+    assert recipe.num_lines == RECIPE_MAX_CURVES
 
 
 def test_unknown_label_lookup(ex462):
