@@ -31,25 +31,16 @@ from importlib import resources
 from typing import Any, Callable, Mapping, Sequence
 
 from .dualgraph import (
-    Disconnected,
-    DualGraph,
-    GraphFormatError,
-    InvalidChain,
-    NotNegativeDefinite,
     classify_germ,
     contract_and_square,
     enumerate_fork_squares,
     parse_graph,
     residue_search,
 )
-from .exact import NotStrictlyConvex, QuadraticForm1D, minimize_quadratic, rat
+from .exact import InputError, QuadraticForm1D, minimize_quadratic, rat
 from .lattice import (
-    NotContractible,
-    PairNotIncident,
     QDivisor,
-    RecipeError,
     SurfaceModel,
-    UnknownLabel,
     build_from_recipe,
     germ_of_cluster,
     log_pullback,
@@ -57,9 +48,6 @@ from .lattice import (
     qdiv,
 )
 from .positivity import (
-    EmptyInterval,
-    NegativeIntersection,
-    NoEffectiveRepresentative,
     contraction_report,
     nef_threshold,
     pet,
@@ -78,25 +66,8 @@ BUILTIN_CHECKSUMS: dict[str, str] = {
 #: Largest ``wps hilbert --n``: the series is a list of n + 1 integers.
 HILBERT_MAX_N = 2_000_000
 
-_INPUT_ERRORS = (
-    Disconnected,
-    GraphFormatError,
-    InvalidChain,
-    NotNegativeDefinite,
-    NotContractible,
-    NotStrictlyConvex,
-    PairNotIncident,
-    RecipeError,
-    UnknownLabel,
-    EmptyInterval,
-    NegativeIntersection,
-    NoEffectiveRepresentative,
-    ValueError,
-    OSError,
-)
 
-
-class ParseError(Exception):
+class ParseError(InputError):
     """Input text that could not be parsed; carries line/column when known."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -227,6 +198,8 @@ def _load_scenario_obj(text: str) -> dict[str, Any]:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, err.lineno, err.colno) from err
+    except ValueError as err:  # an integer literal past Python's digit limit
+        raise ParseError(str(err)) from None
     if not isinstance(obj, dict) or "recipe" not in obj:
         raise ParseError("scenario must be an object with a 'recipe' entry")
     if not isinstance(obj["recipe"], dict):
@@ -424,8 +397,8 @@ def _read_rays(r: _SpecReader) -> tuple[list[str], dict[str, Fraction]]:
 
 
 def _contraction_rays(m, contract: Sequence[str], boundary: Mapping[str, Fraction]):
-    base = pullback_after_contraction(m, contract, include_canonical=True)
-    full = pullback_after_contraction(m, contract, qdiv(boundary), include_canonical=True)
+    base = pullback_after_contraction(m, contract)
+    full = pullback_after_contraction(m, contract, qdiv(boundary))
     return base, full.sub(base)
 
 
@@ -695,9 +668,11 @@ def run_scenario(source: str) -> Report:
         t0 = time.perf_counter()
         try:
             rec = runner(reader)
-        except _INPUT_ERRORS as err:
-            # Input the computation rejects: say which check it was.
-            err.args = (f"checks[{i}]: {err}",)
+        except InputError as err:
+            # Input the computation rejects: say which check it was. A
+            # ParseError already names its JSON path.
+            if not isinstance(err, ParseError):
+                err.args = (f"checks[{i}]: {err}",)
             raise
         rec.seconds = time.perf_counter() - t0
         records.append(rec)
@@ -796,7 +771,7 @@ def _poly_coeffs(args) -> tuple[Fraction, ...]:
             p = _wps.parse_poly_human(args.expr, weights)
         return _wps.poly_to_coeffs(p)
     except ValueError as err:
-        raise ParseError(str(err)) from err
+        raise ParseError(f"{'--poly' if args.poly else '--expr'}: {err}") from err
 
 
 def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fraction]:
@@ -862,10 +837,7 @@ def wps_analyze_cmd(args) -> _Outcome:
 
 def wps_normal_form_cmd(args) -> _Outcome:
     if args.coeffs:
-        try:
-            coeffs = [rat(x) for x in args.coeffs.split(",")]
-        except ValueError as err:
-            raise ParseError(f"bad coefficient list {args.coeffs!r}") from err
+        coeffs = [_rational_arg("--coeffs", x) for x in args.coeffs.split(",")]
         if len(coeffs) != 6:
             raise ParseError(f"--coeffs: expected 6 coefficients, got {len(coeffs)}")
     elif args.poly:
@@ -1020,12 +992,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = args.run(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except _INPUT_ERRORS as err:
-        kind = type(err).__name__
-        print(f"error ({kind}): {err}", file=sys.stderr)
+    except (InputError, OSError, UnicodeDecodeError) as err:
+        kind = "" if isinstance(err, ParseError) else f" ({type(err).__name__})"
+        print(f"error{kind}: {err}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from logsurf.exact import (
+    InputError,
     Rational,
     determinant,
     rat,
@@ -23,15 +24,15 @@ from logsurf.exact import (
 )
 
 
-class Disconnected(Exception):
+class Disconnected(InputError):
     pass
 
 
-class InvalidChain(Exception):
+class InvalidChain(InputError):
     pass
 
 
-class NotNegativeDefinite(Exception):
+class NotNegativeDefinite(InputError):
     pass
 
 
@@ -39,7 +40,7 @@ class UnclassifiableShape(Exception):
     pass
 
 
-class GraphFormatError(Exception):
+class GraphFormatError(InputError):
     pass
 
 
@@ -251,24 +252,15 @@ def cyclic_type(chain: DualGraph) -> CyclicType:
     return CyclicType(n, min(q, qb))
 
 
-def solve_discrepancies(
-    g: DualGraph,
-    boundary_coeffs: Mapping[str, Rational] | None = None,
-) -> dict[str, Rational]:
+def solve_discrepancies(g: DualGraph) -> dict[str, Rational]:
     """Coefficients b with (K + sum b_i E_i + boundary) . E_i = 0 for all exceptional E_i.
 
-    Uses K.C = 2 p_a(C) - 2 - C^2. Non-exceptional vertices enter with their
-    given coefficient (default 1). The exceptional intersection matrix must be
-    negative definite, which makes the solution unique.
+    Uses K.C = 2 p_a(C) - 2 - C^2. Non-exceptional vertices enter with
+    coefficient 1. The exceptional intersection matrix must be negative
+    definite, which makes the solution unique.
     """
     exc = g.exceptional_labels()
     bnd = g.boundary_labels()
-    coeffs = {lbl: Fraction(1) for lbl in bnd}
-    if boundary_coeffs:
-        for lbl, c in boundary_coeffs.items():
-            if lbl not in coeffs:
-                raise KeyError(f"{lbl} is not a boundary vertex of this graph")
-            coeffs[lbl] = rat(c)
     if not exc:
         return {}
     sub = g.subgraph(exc)
@@ -276,8 +268,8 @@ def solve_discrepancies(
     for lbl in exc:
         v = g.vertex(lbl)
         k_dot = 2 * v.arithmetic_genus - 2 - v.self_int
-        bterm = sum((coeffs[b] * g.edge_multiplicity(b, lbl) for b in bnd), Fraction(0))
-        rhs.append(Fraction(-k_dot) - bterm)
+        bterm = sum(g.edge_multiplicity(b, lbl) for b in bnd)
+        rhs.append(Fraction(-k_dot - bterm))
     sol = solve_negative_definite(intersection_matrix(sub), tuple(rhs))
     if sol is None:
         raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
@@ -370,33 +362,23 @@ def _nklt_case(g: DualGraph) -> str:
     raise UnclassifiableShape("coefficient-1 tree with no usable fork structure")
 
 
-def classify_germ(
-    g: DualGraph,
-    boundary_coeffs: Mapping[str, Rational] | None = None,
-) -> GermClassification:
+def classify_germ(g: DualGraph) -> GermClassification:
     """Classify the germ described by a connected dual graph.
 
-    Works from the solved discrepancy coefficients: klt means all below 1
-    (and no boundary through the point with coefficient 1), lc means none
-    above 1. For lc-but-not-klt boundary-free germs the shape is labeled
+    Works from the solved discrepancy coefficients, with every boundary
+    curve at coefficient 1: klt means all below 1 and no boundary through
+    the point, lc means none above 1. For lc-but-not-klt boundary-free germs the shape is labeled
     a (single curve of arithmetic genus >= 1), b (cycle of rational curves),
     c (chain with a (-2)-pair at each end), or d (fork whose branch
     determinants are (2,3,6), (2,4,4) or (3,3,3)).
     """
     shape(g)  # connectivity gate
     bnd = g.boundary_labels()
-    coeffs = {lbl: Fraction(1) for lbl in bnd}
-    if boundary_coeffs:
-        for lbl, c in boundary_coeffs.items():
-            if lbl not in coeffs:
-                raise KeyError(f"{lbl} is not a boundary vertex")
-            coeffs[lbl] = rat(c)
-    disc = solve_discrepancies(g, coeffs)
+    disc = solve_discrepancies(g)
     exc_vals = list(disc.values())
-    bnd_vals = list(coeffs.values())
-    is_lc = all(b <= 1 for b in exc_vals) and all(c <= 1 for c in bnd_vals)
-    is_klt = all(b < 1 for b in exc_vals) and all(c < 1 for c in bnd_vals)
-    is_plt = all(b < 1 for b in exc_vals) and all(c <= 1 for c in bnd_vals)
+    is_lc = all(b <= 1 for b in exc_vals)
+    is_klt = all(b < 1 for b in exc_vals) and not bnd
+    is_plt = all(b < 1 for b in exc_vals)
 
     order = None
     if is_klt:

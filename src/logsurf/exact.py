@@ -22,6 +22,11 @@ Rational = Fraction
 Rows = Sequence[Sequence[int | str | Rational]]
 
 
+class InputError(Exception):
+    """Input that a computation rejects, not a fault of the program. The
+    command line reports it as bad input: the message and exit code 2."""
+
+
 class SingularMatrix(Exception):
     pass
 
@@ -38,7 +43,7 @@ class DimensionMismatch(Exception):
     pass
 
 
-class NotStrictlyConvex(Exception):
+class NotStrictlyConvex(InputError):
     pass
 
 

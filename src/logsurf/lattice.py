@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components, intersection_matrix
-from logsurf.exact import Rational, is_negative_definite, rat
+from logsurf.exact import InputError, Rational, is_negative_definite, rat
 
 
 #: Most visible curves (lines plus blow-up steps) a recipe may ask for. The
@@ -25,19 +25,19 @@ from logsurf.exact import Rational, is_negative_definite, rat
 RECIPE_MAX_CURVES = 200
 
 
-class UnknownLabel(Exception):
+class UnknownLabel(InputError):
     pass
 
 
-class PairNotIncident(Exception):
+class PairNotIncident(InputError):
     pass
 
 
-class NotContractible(Exception):
+class NotContractible(InputError):
     pass
 
 
-class RecipeError(Exception):
+class RecipeError(InputError):
     pass
 
 

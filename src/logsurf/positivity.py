@@ -13,7 +13,7 @@ numbers come from ``m.gram``; only the LPs of psef_test and pet take classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -26,6 +26,7 @@ from logsurf.dualgraph import (
 )
 from logsurf.exact import (
     FeasibilityResult,
+    InputError,
     Rational,
     lp_feasible,
     rat,
@@ -44,15 +45,15 @@ class NegativeCoefficient(Exception):
     pass
 
 
-class NoEffectiveRepresentative(Exception):
+class NoEffectiveRepresentative(InputError):
     pass
 
 
-class NegativeIntersection(Exception):
+class NegativeIntersection(InputError):
     pass
 
 
-class EmptyInterval(Exception):
+class EmptyInterval(InputError):
     pass
 
 
@@ -304,20 +305,19 @@ def pullback_after_contraction(
     m: SurfaceModel,
     contracted: Iterable[str],
     d: QDivisor | Mapping | None = None,
-    include_canonical: bool = False,
 ) -> QDivisor:
-    """Pull a divisor back through the contraction of the given curves.
+    """Pull K + d back through the contraction of the given curves.
 
-    Solves for coefficients on the contracted curves so that the total meets
-    each of them in zero; that is the numerical pullback of the image of
-    [K +] d from the contracted surface. d must be supported away from the
-    contracted set.
+    Solves for coefficients on the contracted curves so that K plus the
+    total meets each of them in zero: K plus the returned divisor is the
+    numerical pullback of the image of K + d from the contracted surface.
+    d must be supported away from the contracted set.
     """
     cset = list(dict.fromkeys(contracted))
     dd = qdiv(d) if d is not None else QDivisor(())
     if set(dd.support()) & set(cset):
         raise ValueError("divisor must be supported away from the contracted curves")
-    t_dot = m.gram.dots(dd, cset, include_canonical)
+    t_dot = m.gram.dots(dd, cset, plus_canonical=True)
     sol = solve_negative_definite(m.gram.matrix(cset), tuple(-t_dot[lbl] for lbl in cset))
     if sol is None:
         raise NotNegativeDefinite("contracted set is not negative definite")
@@ -331,7 +331,6 @@ class ContractionReport:
     picard_number: int
     cluster_germs: tuple[DualGraph, ...]
     cluster_classifications: tuple[GermClassification, ...]
-    zariski_result: ZariskiResult | None = field(repr=False, default=None)
 
 
 def contraction_report(
@@ -354,5 +353,4 @@ def contraction_report(
         picard_number=m.rank - len(contracted),
         cluster_germs=germs,
         cluster_classifications=tuple(classify_germ(g) for g in germs),
-        zariski_result=z,
     )

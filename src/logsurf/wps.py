@@ -22,20 +22,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact import Rational, matrix_rank, rat
+from .exact import InputError, Rational, matrix_rank, rat
 
 Exponents = tuple[int, int, int, int]
 
 
-class BadWeights(ValueError):
+class BadWeights(InputError, ValueError):
     """Weight tuple fails the positivity or pairwise-coprimality gate."""
 
 
-class NotHomogeneous(ValueError):
+class NotHomogeneous(InputError, ValueError):
     """Terms do not share a single weighted degree."""
 
 
-class AllZero(ValueError):
+class AllZero(InputError, ValueError):
     """Normal form of the identically zero polynomial is undefined."""
 
 
@@ -665,11 +665,10 @@ def parse_poly_human(
 ) -> WeightedPoly:
     """Parse the human form ``x3^2 + x2^3*x1 + 1/2*x2^2*x0^6 - x1^4*x0^7``."""
     w = weights if isinstance(weights, Weights) else Weights.of(weights)
-    cleaned = text.replace("-", "+-").replace(" ", "")
+    # A '-' that does not follow a '+' starts a term; every chunk must hold one.
+    cleaned = re.sub(r"(?<=[^+])-", "+-", text.replace(" ", ""))
     terms: dict[Exponents, Rational] = {}
     for chunk in cleaned.split("+"):
-        if not chunk:
-            continue
         sign = Fraction(1)
         if chunk.startswith("-"):
             sign = Fraction(-1)

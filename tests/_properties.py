@@ -196,7 +196,7 @@ def discrepancy_residuals(seed: int, cases: int) -> int:
         g = random_tree(rng)
         mat = intersection_matrix(g)
         try:
-            coeffs = solve_discrepancies(g, {})
+            coeffs = solve_discrepancies(g)
         except NotNegativeDefinite:
             # Rarely the random tree is only semi-definite; skip those.
             continue

@@ -55,12 +55,9 @@ def _check(data, kind):
 
 
 def _rays(m, spec):
-    base = pullback_after_contraction(m, spec["contract"], include_canonical=True)
+    base = pullback_after_contraction(m, spec["contract"])
     full = pullback_after_contraction(
-        m,
-        spec["contract"],
-        qdiv({k: rat(v) for k, v in spec["boundary"].items()}),
-        include_canonical=True,
+        m, spec["contract"], qdiv({k: rat(v) for k, v in spec["boundary"].items()})
     )
     return base, full.sub(base)
 

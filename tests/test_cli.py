@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import logsurf
 from logsurf.cli import (
     BUILTIN_CHECKSUMS,
     HILBERT_MAX_N,
@@ -17,6 +20,7 @@ from logsurf.cli import (
     main,
     run_scenario,
 )
+from logsurf.exact import InputError
 
 FORK_GRAPH = """\
 E0 2
@@ -462,15 +466,43 @@ def test_scenario_recipe_is_validated(tmp_path, capsys, recipe, message):
     assert err.strip() == f"error (RecipeError): {message}"
 
 
-def test_internal_key_error_is_not_bad_input(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fault", [KeyError, ValueError, ZeroDivisionError], ids=lambda e: e.__name__)
+def test_internal_error_is_not_bad_input(tmp_path, monkeypatch, fault):
     def broken(*args, **kwargs):
-        raise KeyError("internal")
+        raise fault("internal")
 
     monkeypatch.setattr("logsurf.cli.volume", broken)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(TINY_SCENARIO))
-    with pytest.raises(KeyError):
+    with pytest.raises(fault):
         main(["scenario", str(path)])
+
+
+#: Exceptions that mean a fault of the program, never bad input.
+INTERNAL_FAULTS = {
+    "exact.SingularMatrix",
+    "exact.NonSquare",
+    "exact.NonSymmetric",
+    "exact.DimensionMismatch",
+    "exact.UnboundedObjective",
+    "dualgraph.UnclassifiableShape",
+    "positivity.NegativeCoefficient",
+}
+
+
+def test_every_exception_is_bad_input_or_a_named_fault():
+    """A new exception class in logsurf must be classified on purpose."""
+    defined = {
+        f"{mod.name}.{cls.__name__}": cls
+        for mod in pkgutil.iter_modules(logsurf.__path__)
+        for cls in vars(importlib.import_module(f"logsurf.{mod.name}")).values()
+        if isinstance(cls, type)
+        and issubclass(cls, BaseException)
+        and cls.__module__ == f"logsurf.{mod.name}"
+    }
+    assert INTERNAL_FAULTS <= defined.keys()
+    for name, cls in defined.items():
+        assert issubclass(cls, InputError) != (name in INTERNAL_FAULTS), name
 
 
 def test_json_report_round_trips(capsys):
@@ -660,7 +692,7 @@ def test_quadmin_rejects_concave(capsys):
             ("wps", "analyze", "--eps", "1,0,1,1", "--s", "1/0", "--t", "0"),
             "error: --s: not an exact rational: '1/0'",
         ),
-        (("wps", "normal-form", "--coeffs", "1/0,1"), "error: bad coefficient list '1/0,1'"),
+        (("wps", "normal-form", "--coeffs", "1/0,1"), "error: --coeffs: not an exact rational: '1/0'"),
     ],
 )
 def test_zero_denominator_is_bad_input(capsys, argv, message):
@@ -683,12 +715,37 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("wps", "analyze", "--eps", "1,0,2,1"), "--eps: expected four 0/1 flags, got '1,0,2,1'"),
         (("wps", "analyze", "--eps", "1,1,0,0"), "--eps: the first two flags cannot both be 1, got '1,1,0,0'"),
         (("wps", "normal-form", "--coeffs", "1,2,1,0,1"), "--coeffs: expected 6 coefficients, got 5"),
+        (("wps", "normal-form", "--coeffs", "1,x,0,0,0,0"), "--coeffs: not an exact rational: 'x'"),
+        (("wps", "analyze", "--expr", "x3^2 + x9"), "--expr: bad factor 'x9'"),
+        (("wps", "analyze", "--expr", "x3^2 +"), "--expr: dangling sign in polynomial"),
+        (("wps", "analyze", "--expr", "x3^2 + + x2^3*x1"), "--expr: dangling sign in polynomial"),
     ],
 )
 def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.strip() == f"error: {message}"
+
+
+def test_poly_file_errors_name_the_flag(tmp_path, capsys):
+    f = tmp_path / "member.poly"
+    f.write_text("1 0 0 0 2\n")
+    for command in ("analyze", "normal-form"):
+        code, out, err = run(capsys, "wps", command, "--poly", str(f))
+        assert code == 2 and out == ""
+        assert err.strip() == "error: --poly: first line must be 'weights w0 w1 w2 w3'"
+
+
+def test_unreadable_scenario_text_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error (UnicodeDecodeError): 'utf-8' codec can't decode byte 0xff")
+    path.write_text('{"recipe": {"lines": ' + "1" * 5000 + ', "steps": []}}')
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
 
 
 def test_scenario_divisor_zero_denominator(tmp_path, capsys):

@@ -163,7 +163,7 @@ def test_zariski_scan_orders_agree(ex825):
 
 def test_volume_zero_at_threshold(ex462):
     m = ex462.model
-    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED)
     ray = full_boundary_ray(m)
     d = base.add(ray.scale(F(10, 11)))
     assert volume(m, d, plus_canonical=True) == 0
@@ -171,16 +171,14 @@ def test_volume_zero_at_threshold(ex462):
 
 def full_boundary_ray(m: SurfaceModel) -> QDivisor:
     """Pullback of the boundary curve through the ex-462 contraction."""
-    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
-    full = pullback_after_contraction(
-        m, EX462_CONTRACTED, qdiv({"L0": 1}), include_canonical=True
-    )
+    base = pullback_after_contraction(m, EX462_CONTRACTED)
+    full = pullback_after_contraction(m, EX462_CONTRACTED, qdiv({"L0": 1}))
     return full.sub(base)
 
 
 def test_pullback_after_contraction_ex462(ex462):
     m = ex462.model
-    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED)
     base_cls = tuple(k + c for k, c in zip(m.canonical_class, divisor_class(m, base)))
     assert base.as_dict() == {
         "E1": F(1, 3),
@@ -211,7 +209,7 @@ def test_pullback_after_contraction_validation(ex462):
 
 def test_psef_along_the_ray(ex462):
     m = ex462.model
-    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED)
     ray = full_boundary_ray(m)
     below = base.add(ray.scale(F(1, 2)))
     assert not psef_test(m, below, plus_canonical=True).feasible
@@ -223,7 +221,7 @@ def test_psef_along_the_ray(ex462):
 
 def test_pet_flagship_value(ex462):
     m = ex462.model
-    base = pullback_after_contraction(m, EX462_CONTRACTED, include_canonical=True)
+    base = pullback_after_contraction(m, EX462_CONTRACTED)
     ray = full_boundary_ray(m)
     r = pet(m, base, ray, F(1, 1000), plus_canonical=True)
     assert r.certified
@@ -334,8 +332,8 @@ def test_nef_certificate_target_forms_agree():
 def test_nef_threshold_y_model(ex825):
     m = ex825.model
     contracted = tuple(sorted(set(EX825_CONTRACTED)))
-    base = pullback_after_contraction(m, contracted, include_canonical=True)
-    full = pullback_after_contraction(m, contracted, qdiv({"L0": 1}), include_canonical=True)
+    base = pullback_after_contraction(m, contracted)
+    full = pullback_after_contraction(m, contracted, qdiv({"L0": 1}))
     ray = full.sub(base)
     r = nef_threshold(m, base, ray, plus_canonical=True)
     assert r.value == F(24, 25)

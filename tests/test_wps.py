@@ -435,6 +435,17 @@ def test_parse_poly_human():
         parse_poly_human("x9^2", (1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("text", ["x3^2 +", "x3^2 + + x2^3*x1", "x3^2 - - x2^3*x1", "-"])
+def test_parse_poly_human_rejects_a_dangling_sign(text):
+    with pytest.raises(ValueError, match="dangling sign"):
+        parse_poly_human(text, FLAGSHIP_WEIGHTS)
+
+
+def test_parse_poly_human_signs():
+    p = parse_poly_human("-x3^2 + -x2^3*x1 - 2*x2*x1^5*x0", FLAGSHIP_WEIGHTS)
+    assert poly_to_coeffs(p) == (F(-1), F(0), F(-1), F(0), F(-2), F(0))
+
+
 def test_format_poly_human_round_trip():
     p = standard_member((1, 0, 1, 1), F(-1, 2), 3)
     text = format_poly_human(p)
