@@ -198,7 +198,7 @@ def _load_scenario_obj(text: str) -> dict[str, Any]:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, err.lineno, err.colno) from err
-    except ValueError as err:  # an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as err:  # past Python's digit or nesting limit
         raise ParseError(str(err)) from None
     if not isinstance(obj, dict) or "recipe" not in obj:
         raise ParseError("scenario must be an object with a 'recipe' entry")

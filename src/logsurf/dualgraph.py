@@ -367,10 +367,10 @@ def classify_germ(g: DualGraph) -> GermClassification:
 
     Works from the solved discrepancy coefficients, with every boundary
     curve at coefficient 1: klt means all below 1 and no boundary through
-    the point, lc means none above 1. For lc-but-not-klt boundary-free germs the shape is labeled
-    a (single curve of arithmetic genus >= 1), b (cycle of rational curves),
-    c (chain with a (-2)-pair at each end), or d (fork whose branch
-    determinants are (2,3,6), (2,4,4) or (3,3,3)).
+    the point, lc means none above 1. For lc-but-not-klt boundary-free
+    germs the shape is labeled a (single curve of arithmetic genus >= 1),
+    b (cycle of rational curves), c (chain with a (-2)-pair at each end),
+    or d (fork whose branch determinants are (2,3,6), (2,4,4) or (3,3,3)).
     """
     shape(g)  # connectivity gate
     bnd = g.boundary_labels()

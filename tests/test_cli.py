@@ -736,16 +736,24 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
         assert err.strip() == "error: --poly: first line must be 'weights w0 w1 w2 w3'"
 
 
-def test_unreadable_scenario_text_is_bad_input(tmp_path, capsys):
-    path = tmp_path / "binary.json"
-    path.write_bytes(b"\xff\xfe")
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe", "error (UnicodeDecodeError): 'utf-8' codec can't decode byte 0xff"),
+        (
+            b'{"recipe": {"lines": ' + b"1" * 5000 + b', "steps": []}}',
+            "error: Exceeds the limit (4300 digits) for integer string conversion",
+        ),
+        (b'{"recipe": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "error: maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "long-integer", "deep-nesting"],
+)
+def test_unreadable_scenario_text_is_bad_input(tmp_path, capsys, content, message):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
     code, out, err = run(capsys, "scenario", str(path))
     assert code == 2 and out == ""
-    assert err.startswith("error (UnicodeDecodeError): 'utf-8' codec can't decode byte 0xff")
-    path.write_text('{"recipe": {"lines": ' + "1" * 5000 + ', "steps": []}}')
-    code, out, err = run(capsys, "scenario", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
+    assert err.startswith(message)
 
 
 def test_scenario_divisor_zero_denominator(tmp_path, capsys):
