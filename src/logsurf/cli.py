@@ -63,7 +63,9 @@ BUILTIN_CHECKSUMS: dict[str, str] = {
     "ex-825": "90200a918d1d8d1c3b924cb5f9f4501b91fe437e2cf728c00928525bd699813d",
 }
 
-#: Largest ``wps hilbert --n``: the series is a list of n + 1 integers.
+#: Largest ``wps hilbert --n``.  One h(n) needs a table of min(n + 1, 3*L3)
+#: integers, L3 the lcm of the three smallest weights, so the cap bounds the
+#: O(n) table that weights with a large L3 still need.
 HILBERT_MAX_N = 2_000_000
 
 
@@ -870,12 +872,12 @@ def wps_hilbert_cmd(args) -> _Outcome:
         raise ParseError(f"--n {n} is above the cap {HILBERT_MAX_N}")
     weights = _ints_arg("--weights", args.weights)
     degree = _at_least("--degree", args.degree, 1)
-    series = _wps.hilbert_series(weights, degree, _at_least("--n", n, 0))
-    details = [f"h({n}) = {series[n]}"]
-    outputs: dict[str, Any] = {"n": n, "h": str(series[n])}
+    h = _wps.hilbert_coefficient(weights, degree, _at_least("--n", n, 0))
+    details = [f"h({n}) = {h}"]
+    outputs: dict[str, Any] = {"n": n, "h": str(h)}
     if args.ratio:
         target = _wps.wps_volume(weights, degree)
-        ratio = Fraction(2 * series[n], n * n) if n else Fraction(0)
+        ratio = Fraction(2 * h, n * n) if n else Fraction(0)
         err = abs(ratio - target)
         details.append(
             f"2*h(n)/n^2 = {float(ratio):.10g} vs volume {target} "

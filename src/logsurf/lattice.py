@@ -324,6 +324,8 @@ def parse_recipe(obj: str | Mapping) -> tuple[BlowupRecipe, dict[str, QDivisor]]
             obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise RecipeError(f"bad JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # past Python's digit or nesting limit
+            raise RecipeError(f"bad JSON: {exc}") from None
     if not isinstance(obj, Mapping):
         raise RecipeError("recipe must be a JSON object")
     if "lines" not in obj or "steps" not in obj:
@@ -345,8 +347,11 @@ def parse_recipe(obj: str | Mapping) -> tuple[BlowupRecipe, dict[str, QDivisor]]
         if not (pair and all(isinstance(x, str) for x in step)):
             raise RecipeError(f"recipe.steps[{j}]: expected a pair of curve labels, got {step!r}")
     recipe = BlowupRecipe(lines, tuple((a, b) for a, b in steps))
+    tables = obj.get("divisors", {})
+    if not isinstance(tables, Mapping):
+        raise RecipeError("divisors: expected an object")
     divisors: dict[str, QDivisor] = {}
-    for name, table in dict(obj.get("divisors", {})).items():
+    for name, table in tables.items():
         if not isinstance(table, Mapping):
             raise RecipeError(f"divisor {name!r} must map labels to rationals")
         try:

@@ -4,6 +4,7 @@ cases it exercised, so callers can insist the run was not vacuous."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from logsurf.positivity import NotPseudoEffective, pet, psef_test, volume, zaris
 from logsurf.wps import (
     analyze_origin,
     apply_transform,
+    hilbert_coefficient,
     hilbert_series,
     monomial_basis,
     normal_form,
@@ -281,6 +283,33 @@ def hilbert_vs_counting(weights, d: int, n_max: int = 200) -> int:
         assert hs[n] == direct, f"h({n}) = {hs[n]} but counting gives {direct}"
         assert hs[n] >= 0
     return n_max + 1
+
+
+def hilbert_coefficient_vs_series(seed: int, cases: int) -> int:
+    """hilbert_coefficient(w, d, n) equals hilbert_series(w, d, n_max)[n].
+
+    Fixed weights cover weight 1, repeated and non-coprime weights and the
+    flagship at n just below, at and above 3*L3 and 4*L4 (L3 the lcm of the
+    three smallest weights, L4 of all four), where the two extrapolations
+    start.  Seeded random weights 1-12 with n <= 6000 follow; every case also
+    takes n = d - 1, so that d > n.  Returns the number of weight tuples."""
+    rng = random.Random(seed)
+    fixed = [(1, 1, 1, 1), (1, 2, 3, 5), (2, 3, 5, 7), (9, 6, 6, 4), (6, 11, 25, 43)]
+    randoms = [tuple(rng.randint(1, 12) for _ in range(4)) for _ in range(cases)]
+    for ws in fixed + randoms:
+        d = rng.randint(1, 100)
+        *rest, w = sorted(ws)
+        l3 = math.lcm(*rest)
+        l4 = math.lcm(l3, w)
+        ns = {0, d - 1, rng.randint(0, 6000)}
+        ns |= {b + k for b in (3 * l3, 4 * l4) for k in (-1, 0, 1)}
+        if ws in randoms:
+            ns = {n for n in ns if n <= 6000}
+        series = hilbert_series(ws, d, max(ns))
+        for n in sorted(ns):
+            got = hilbert_coefficient(ws, d, n)
+            assert got == series[n], f"weights {ws}, d = {d}: h({n}) = {got}, series has {series[n]}"
+    return len(fixed) + cases
 
 
 def volume_identity(seed: int, cases: int) -> int:

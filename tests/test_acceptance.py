@@ -34,6 +34,7 @@ from logsurf.wps import (
     analyze_origin,
     chart_poly,
     classify_hypersurface,
+    hilbert_coefficient,
     hilbert_series,
     monomial_basis,
     node_only_certificate,
@@ -236,6 +237,13 @@ def test_c09_hilbert_asymptotics():
     h = hilbert_series((6, 11, 25, 43), 86, n)
     ratio = F(2 * h[n], n * n)
     assert abs(ratio - F(1, 825)) < F(1, 825) / 100
+
+
+def test_c09_hilbert_ratio_error_at_a_million():
+    # The benchmark checker's bound: |2h/n^2 - vol| <= 2/(825 n).
+    n = 10**6
+    h = hilbert_coefficient((6, 11, 25, 43), 86, n)
+    assert abs(F(2 * h, n * n) - F(1, 825)) <= F(2, 825 * n)
 
 
 def test_c10_randomized_property_suites():

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import tracemalloc
 
 import pytest
 
@@ -593,6 +594,20 @@ def test_wps_hilbert_cmd(capsys):
     assert code == 0 and "h(6) = 1" in out
     code, out, _ = run(capsys, "wps", "hilbert", "--n", "860", "--ratio")
     assert code == 0 and "2*h(n)/n^2" in out
+
+
+def test_wps_hilbert_at_the_cap_holds_no_series(capsys):
+    # One h(n) on the flagship needs a table of 3*lcm(6, 11, 25) = 4950
+    # integers; the list h(0..n) would take over 100 MB.
+    run(capsys, "wps", "hilbert", "--n", "6", "--ratio")  # lazy imports first
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "wps", "hilbert", "--n", str(HILBERT_MAX_N), "--ratio")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and f"h({HILBERT_MAX_N}) = " in out
+    assert peak < 1_000_000, f"peak {peak} bytes"
 
 
 def test_wps_hilbert_rejects_bad_sizes(capsys):

@@ -250,12 +250,27 @@ def test_parse_recipe_rejects(text):
             f"recipe.steps: {RECIPE_MAX_CURVES - 1} steps on 2 lines make"
             f" {RECIPE_MAX_CURVES + 1} curves, above the cap {RECIPE_MAX_CURVES}",
         ),
+        ({"lines": 3, "steps": [], "divisors": [1]}, "divisors: expected an object"),
+        ({"lines": 3, "steps": [], "divisors": "ab"}, "divisors: expected an object"),
     ],
 )
 def test_parse_recipe_names_the_fault(recipe, message):
     with pytest.raises(RecipeError) as err:
         parse_recipe(recipe)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"lines": ' + "9" * 5000 + ', "steps": []}', "Exceeds the limit"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["digit-limit", "deep-nesting"],
+)
+def test_parse_recipe_json_past_python_limits(text, reason):
+    with pytest.raises(RecipeError, match=f"^bad JSON: {reason}"):
+        parse_recipe(text)
 
 
 def test_recipe_cap_admits_its_own_size():

@@ -30,6 +30,7 @@ from logsurf.wps import (
     coordinate_membership,
     format_poly,
     format_poly_human,
+    hilbert_coefficient,
     hilbert_series,
     monomial_basis,
     node_only_certificate,
@@ -44,6 +45,7 @@ from logsurf.wps import (
 
 from _properties import (
     basis_vs_slow_enumeration,
+    hilbert_coefficient_vs_series,
     hilbert_vs_counting,
     node_fuzz,
     normal_form_roundtrip,
@@ -465,6 +467,15 @@ def test_basis_matches_slow_enumeration():
 
 def test_hilbert_matches_counting():
     assert hilbert_vs_counting((6, 11, 25, 43), 86, 200) == 201
+
+
+def test_hilbert_coefficient_matches_series():
+    assert hilbert_coefficient_vs_series(1212, 150) == 155
+    assert hilbert_coefficient(FLAGSHIP_WEIGHTS, FLAGSHIP_DEGREE, 999_500) == 605_454_091
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        hilbert_coefficient(FLAGSHIP_WEIGHTS, FLAGSHIP_DEGREE, -1)
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        hilbert_coefficient(FLAGSHIP_WEIGHTS, 0, 10)
 
 
 def test_volume_identity_random():
