@@ -11,7 +11,8 @@ enumerate  closed-form enumerations (lemma22: fork germs with contracted
            square -1/3; lemma34: residue triples for orders 2,3,7)
 quadmin    exact minimum of a one-variable quadratic
 
-Exit codes: 0 all expectations pass, 1 an expectation failed, 2 bad input.
+Exit codes: 0 all expectations pass, 1 an expectation failed, 2 bad input,
+3 an internal fault (its traceback goes to stderr).
 Rationals are printed exactly as "p/q"; the only floats in any output are
 asymptotic ratios, always next to their exact error term.  Set
 LOGSURF_COLOR=0/1 to force colored PASS/FAIL markers off or on.
@@ -22,9 +23,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
@@ -119,17 +122,6 @@ class CheckRecord:
             "seconds": self.seconds,
         }
 
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "CheckRecord":
-        return cls(
-            kind=obj["kind"],
-            inputs=dict(obj["inputs"]),
-            outputs=dict(obj["outputs"]),
-            passed=bool(obj["passed"]),
-            details=list(obj["details"]),
-            seconds=float(obj["seconds"]),
-        )
-
 
 @dataclass
 class Report:
@@ -146,13 +138,6 @@ class Report:
             "passed": self.passed,
             "checks": [r.to_json() for r in self.records],
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "Report":
-        return cls(
-            name=obj["name"],
-            records=[CheckRecord.from_json(c) for c in obj["checks"]],
-        )
 
     def render(self, color: bool = False) -> str:
         lines = [self.name]
@@ -762,15 +747,14 @@ def _at_least(flag: str, value: int, low: int) -> int:
 
 
 def _poly_coeffs(args) -> tuple[Fraction, ...]:
-    """The coefficient vector of the member in ``--poly FILE``, or in ``--expr``
-    over ``--weights``."""
-    weights = None if args.poly else _wps.Weights.of(_ints_arg("--weights", args.weights))
+    """The coefficient vector of the degree-86 member in ``--poly FILE``, or in
+    ``--expr`` over the weights 6, 11, 25, 43."""
     try:
         if args.poly:
             with open(args.poly, encoding="utf-8") as fh:
                 p = _wps.parse_poly(fh.read())
         else:
-            p = _wps.parse_poly_human(args.expr, weights)
+            p = _wps.parse_poly_human(args.expr, _wps.FLAGSHIP_WEIGHTS)
         return _wps.poly_to_coeffs(p)
     except ValueError as err:
         raise ParseError(f"{'--poly' if args.poly else '--expr'}: {err}") from err
@@ -876,7 +860,8 @@ def wps_hilbert_cmd(args) -> _Outcome:
     details = [f"h({n}) = {h}"]
     outputs: dict[str, Any] = {"n": n, "h": str(h)}
     if args.ratio:
-        target = _wps.wps_volume(weights, degree)
+        # 2h(n)/n^2 tends to vol O_V(1) = d / prod(w); on the flagship O_V(1) = K_V.
+        target = Fraction(degree, math.prod(weights))
         ratio = Fraction(2 * h, n * n) if n else Fraction(0)
         err = abs(ratio - target)
         details.append(
@@ -960,7 +945,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--t", default="0")
     p_an.add_argument("--poly", help="polynomial file (weights header + coeff/exponent lines)")
     p_an.add_argument("--expr", help="inline polynomial like 'x3^2 + x2^3*x1'")
-    p_an.add_argument("--weights", default="6,11,25,43", help="weights for --expr")
 
     p_nf = leaf(
         wps_sub, "normal-form", _one_shot(wps_normal_form_cmd), "normalize a coefficient vector"
@@ -972,7 +956,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("--weights", default="6,11,25,43")
     p_h.add_argument("--degree", type=int, default=86)
     p_h.add_argument("--n", type=int, required=True, help=f"last degree, at most {HILBERT_MAX_N}")
-    p_h.add_argument("--ratio", action="store_true", help="compare 2h(n)/n^2 with the volume")
+    p_h.add_argument("--ratio", action="store_true", help="compare 2h(n)/n^2 with d/prod(w)")
 
     p_v = leaf(wps_sub, "volume", _one_shot(wps_volume_cmd), "(d - sum w + twist)^2 d / prod w")
     p_v.add_argument("--weights", required=True)
@@ -998,6 +982,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         kind = "" if isinstance(err, ParseError) else f" ({type(err).__name__})"
         print(f"error{kind}: {err}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:

@@ -558,25 +558,3 @@ def parse_graph(text: str) -> DualGraph:
         return DualGraph(tuple(vertices), tuple(edges))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from exc
-
-
-def format_graph(g: DualGraph) -> str:
-    """Inverse of parse_graph (self-intersections written literally, negative)."""
-    lines = []
-    for v in g.vertices:
-        parts = [v.label, str(v.self_int)]
-        if v.genus:
-            parts.append(str(v.genus))
-        if not v.is_exceptional:
-            parts.append("boundary")
-        if v.node_count == 1:
-            parts.append("node")
-        elif v.node_count > 1:
-            parts.append(f"node={v.node_count}")
-        lines.append(" ".join(parts))
-    seen: dict[tuple[str, str], int] = {}
-    for e in g.edges:
-        seen[e] = seen.get(e, 0) + 1
-    for (a, b), mult in sorted(seen.items()):
-        lines.append(f"{a} -- {b}" + (f" {mult}" if mult > 1 else ""))
-    return "\n".join(lines) + "\n"

@@ -239,25 +239,6 @@ def divisor_class(m: SurfaceModel, d: QDivisor | Mapping[str, Rational]) -> tupl
     return tuple(total)
 
 
-def _as_class(m: SurfaceModel, x) -> tuple[Rational, ...]:
-    if isinstance(x, QDivisor):
-        return divisor_class(m, x)
-    if isinstance(x, str):
-        return m.visible_class(x)
-    if isinstance(x, Mapping):
-        return divisor_class(m, QDivisor.from_dict(x))
-    if isinstance(x, (tuple, list)):
-        if len(x) != m.rank:
-            raise ValueError("class vector has wrong length")
-        return tuple(rat(c) for c in x)
-    raise TypeError(f"cannot interpret {x!r} as a divisor or class")
-
-
-def intersection(m: SurfaceModel, x, y) -> Rational:
-    """Intersection number; x and y may be QDivisors, visible labels, or class vectors."""
-    return m.pairing(_as_class(m, x), _as_class(m, y))
-
-
 def log_pullback(
     m: SurfaceModel, line_coeffs: Sequence[int | str | Rational]
 ) -> tuple[QDivisor, tuple[Rational, ...]]:

@@ -64,12 +64,6 @@ class Weights:
     def of(cls, seq: Iterable[int]) -> "Weights":
         return cls(tuple(seq))  # type: ignore[arg-type]
 
-    def __iter__(self):
-        return iter(self.w)
-
-    def __getitem__(self, i: int) -> int:
-        return self.w[i]
-
 
 #: The flagship ambient space.
 FLAGSHIP_WEIGHTS = Weights((6, 11, 25, 43))
@@ -176,7 +170,9 @@ def coeffs_to_poly(coeffs: Sequence[Rational]) -> WeightedPoly:
 
 
 def poly_to_coeffs(p: WeightedPoly) -> tuple[Rational, ...]:
-    """Read a degree-86 member back into its coefficient vector."""
+    """Read a degree-86 member of P(6, 11, 25, 43) back into its coefficient vector."""
+    if p.weights != FLAGSHIP_WEIGHTS or p.degree != FLAGSHIP_DEGREE:
+        raise ValueError(f"expected degree 86 in P(6, 11, 25, 43), got {p.degree} in P{p.weights.w}")
     d = p.as_dict()
     extra = set(d) - set(COEFF_MONOMIALS)
     if extra:
@@ -716,13 +712,6 @@ def parse_poly(text: str) -> WeightedPoly:
     return WeightedPoly.build(weights, terms)
 
 
-def format_poly(p: WeightedPoly) -> str:
-    lines = ["weights " + " ".join(str(w) for w in p.weights)]
-    for exp, c in p.terms:
-        lines.append(f"{c} " + " ".join(str(e) for e in exp))
-    return "\n".join(lines) + "\n"
-
-
 _FACTOR_RE = re.compile(r"^x([0-3])(?:\^(\d+))?$")
 
 
@@ -730,7 +719,6 @@ def parse_poly_human(
     text: str, weights: Weights | Sequence[int]
 ) -> WeightedPoly:
     """Parse the human form ``x3^2 + x2^3*x1 + 1/2*x2^2*x0^6 - x1^4*x0^7``."""
-    w = weights if isinstance(weights, Weights) else Weights.of(weights)
     # A '-' that does not follow a '+' starts a term; every chunk must hold one.
     cleaned = re.sub(r"(?<=[^+])-", "+-", text.replace(" ", ""))
     terms: dict[Exponents, Rational] = {}
@@ -754,23 +742,4 @@ def parse_poly_human(
                     raise ValueError(f"bad factor {factor!r}") from err
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
-    return WeightedPoly.build(w, terms)
-
-
-def format_poly_human(p: WeightedPoly) -> str:
-    chunks: list[str] = []
-    for exp, c in p.terms:
-        factors = [
-            f"x{i}" if e == 1 else f"x{i}^{e}"
-            for i, e in enumerate(exp)
-            if e > 0
-        ]
-        body = "*".join(factors) if factors else "1"
-        if c == 1 and factors:
-            chunks.append(body)
-        elif c == -1 and factors:
-            chunks.append(f"-{body}")
-        else:
-            chunks.append(f"{c}*{body}" if factors else str(c))
-    out = " + ".join(chunks)
-    return out.replace("+ -", "- ")
+    return WeightedPoly.build(weights, terms)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import ast
+import dataclasses
 import hashlib
 import importlib
 import json
 import pkgutil
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ import logsurf
 from logsurf.cli import (
     BUILTIN_CHECKSUMS,
     HILBERT_MAX_N,
-    Report,
+    CheckRecord,
     _build_parser,
     builtin_scenario_text,
     main,
@@ -468,15 +472,18 @@ def test_scenario_recipe_is_validated(tmp_path, capsys, recipe, message):
 
 
 @pytest.mark.parametrize("fault", [KeyError, ValueError, ZeroDivisionError], ids=lambda e: e.__name__)
-def test_internal_error_is_not_bad_input(tmp_path, monkeypatch, fault):
+def test_internal_error_is_not_bad_input(tmp_path, monkeypatch, capsys, fault):
     def broken(*args, **kwargs):
         raise fault("internal")
 
     monkeypatch.setattr("logsurf.cli.volume", broken)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(TINY_SCENARIO))
-    with pytest.raises(fault):
-        main(["scenario", str(path)])
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1].startswith(f"{fault.__name__}: ")
+    assert "error (" not in err
 
 
 #: Exceptions that mean a fault of the program, never bad input.
@@ -506,12 +513,61 @@ def test_every_exception_is_bad_input_or_a_named_fault():
         assert issubclass(cls, InputError) != (name in INTERNAL_FAULTS), name
 
 
+def _referenced_names(node: ast.AST):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+
+
+def test_every_src_definition_is_reached():
+    """Each module-level def or class in logsurf is used by another top-level
+    statement of the package (``__init__`` aside), by ``bench/``, or is
+    exported; code that only tests call does not stay in the package."""
+    package = Path(logsurf.__file__).parent
+    statements: dict[tuple[str, int], set[str]] = {}
+    defined = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for i, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            statements[path.stem, i] = set(_referenced_names(stmt))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("__"):
+                defined.append((path.stem, i, stmt.name))
+    used = set(logsurf.__all__)
+    for path in (package.parents[1] / "bench").glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used.update(_referenced_names(tree))
+        for stmt in tree.body:  # the tracer's "<module>.<name>" strings
+            if isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) in ("TIMED", "COUNTED") for t in stmt.targets
+            ):
+                for c in ast.walk(stmt.value):
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                        used.update(c.value.split("."))
+    unreached = [
+        f"{module}.{name}"
+        for module, i, name in defined
+        if name not in used
+        and not any(name in refs for key, refs in statements.items() if key != (module, i))
+    ]
+    assert unreached == []
+
+
 def test_json_report_round_trips(capsys):
     code, out, _ = run(capsys, "scenario", "ex-825", "--json")
     assert code == 0
     obj = json.loads(out)
     assert obj["passed"] is True
-    assert Report.from_json(obj).to_json() == obj
+    report = run_scenario("ex-825")
+    for rec, check in zip(report.records, obj["checks"]):
+        rec.seconds = check["seconds"]
+    assert report.to_json() == obj
+    fields = {f.name for f in dataclasses.fields(CheckRecord)}
+    assert all(check.keys() == fields for check in obj["checks"])
 
 
 def test_run_scenario_records_have_timing():
@@ -596,6 +652,22 @@ def test_wps_hilbert_cmd(capsys):
     assert code == 0 and "2*h(n)/n^2" in out
 
 
+@pytest.mark.parametrize(
+    "weights, degree, n, volume",
+    [("1,1,1,1", 86, 2_000_000, "86"), ("6,11,25,43", 172, 1_000_000, "2/825")],
+)
+def test_wps_hilbert_ratio_tends_to_degree_over_weights(capsys, weights, degree, n, volume):
+    # 2h(n)/n^2 tends to vol O_V(1) = d/prod(w), which is vol K_V only when d - sum(w) = +-1.
+    argv = ("wps", "hilbert", "--weights", weights, "--degree", str(degree), "--n", str(n))
+    code, out, _ = run(capsys, *argv, "--ratio", "--json")
+    assert code == 0
+    outputs = json.loads(out)["checks"][0]["outputs"]
+    assert outputs["volume"] == volume
+    ws = [int(w) for w in weights.split(",")]
+    bound = Fraction(volume) * (abs(sum(ws) - degree) + 1) / n
+    assert Fraction(outputs["error"]) <= bound
+
+
 def test_wps_hilbert_at_the_cap_holds_no_series(capsys):
     # One h(n) on the flagship needs a table of 3*lcm(6, 11, 25) = 4950
     # integers; the list h(0..n) would take over 100 MB.
@@ -658,6 +730,13 @@ def test_wps_normal_form_cmd(capsys):
     code, _, err = run(capsys, "wps", "normal-form", "--coeffs", "0,0,0,0,0,0")
     assert code == 2
     assert "vanish" in err
+
+
+def test_wps_analyze_takes_no_weights(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["wps", "analyze", "--weights", "1,1,1,1", "--expr", "x3^2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weights 1,1,1,1" in capsys.readouterr().err
 
 
 def test_wps_normal_form_from_file(tmp_path, capsys):
@@ -744,11 +823,16 @@ def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
 
 def test_poly_file_errors_name_the_flag(tmp_path, capsys):
     f = tmp_path / "member.poly"
-    f.write_text("1 0 0 0 2\n")
-    for command in ("analyze", "normal-form"):
-        code, out, err = run(capsys, "wps", command, "--poly", str(f))
-        assert code == 2 and out == ""
-        assert err.strip() == "error: --poly: first line must be 'weights w0 w1 w2 w3'"
+    for text, message in (
+        ("1 0 0 0 2\n", "first line must be 'weights w0 w1 w2 w3'"),
+        # x3^2 in P(1, 2, 3, 5): not a member of the degree-86 family
+        ("weights 1 2 3 5\n1 0 0 0 2\n", "expected degree 86 in P(6, 11, 25, 43), got 10 in P(1, 2, 3, 5)"),
+    ):
+        f.write_text(text)
+        for command in ("analyze", "normal-form"):
+            code, out, err = run(capsys, "wps", command, "--poly", str(f))
+            assert code == 2 and out == ""
+            assert err.strip() == f"error: --poly: {message}"
 
 
 @pytest.mark.parametrize(

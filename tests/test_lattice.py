@@ -18,7 +18,6 @@ from logsurf.lattice import (
     build_from_recipe,
     divisor_class,
     germ_of_cluster,
-    intersection,
     log_pullback,
     parse_recipe,
     qdiv,
@@ -50,19 +49,19 @@ def test_plane_with_no_blowups():
     m = build_from_recipe(BlowupRecipe(2, ()))
     assert m.rank == 1
     assert m.canonical_class == (F(-3),)
-    assert intersection(m, "L0", "L1") == 1
-    assert intersection(m, "L0", "L0") == 1
+    assert m.gram.at("L0", "L1") == 1
+    assert m.gram.at("L0", "L0") == 1
 
 
 def test_single_blowup():
     m = build_from_recipe(BlowupRecipe(2, (("L0", "L1"),)))
     assert m.rank == 2
-    assert intersection(m, "L0", "L0") == 0
-    assert intersection(m, "L1", "L1") == 0
-    assert intersection(m, "L0", "L1") == 0
-    assert intersection(m, "E1", "E1") == -1
-    assert intersection(m, "E1", "L0") == 1
-    assert intersection(m, m.canonical_class, "E1") == -1
+    assert m.gram.at("L0", "L0") == 0
+    assert m.gram.at("L1", "L1") == 0
+    assert m.gram.at("L0", "L1") == 0
+    assert m.gram.at("E1", "E1") == -1
+    assert m.gram.at("E1", "L0") == 1
+    assert m.gram.k_dot["E1"] == -1
     assert frozenset(("L0", "L1")) not in m.incidence
     assert frozenset(("E1", "L0")) in m.incidence
 
@@ -98,14 +97,14 @@ def test_ex462_self_intersections(ex462):
     m = ex462.model
     assert set(m.visible) == set(EX462_SELF_INTS)
     for lbl, expected in EX462_SELF_INTS.items():
-        assert intersection(m, lbl, lbl) == expected, lbl
+        assert m.gram.at(lbl, lbl) == expected, lbl
 
 
 def test_ex825_self_intersections(ex825):
     m = ex825.model
     assert set(m.visible) == set(EX825_SELF_INTS)
     for lbl, expected in EX825_SELF_INTS.items():
-        assert intersection(m, lbl, lbl) == expected, lbl
+        assert m.gram.at(lbl, lbl) == expected, lbl
 
 
 def test_ex462_incidence_chains(ex462):
@@ -119,22 +118,22 @@ def test_ex462_incidence_chains(ex462):
     ]
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
-            assert intersection(m, a, b) == 1, (a, b)
+            assert m.gram.at(a, b) == 1, (a, b)
     # unblown original nodes
-    assert intersection(m, "L0", "L2") == 1
-    assert intersection(m, "L1", "L3") == 1
+    assert m.gram.at("L0", "L2") == 1
+    assert m.gram.at("L1", "L3") == 1
     # blown-up pairs are separated
-    assert intersection(m, "L0", "L1") == 0
-    assert intersection(m, "L2", "L3") == 0
+    assert m.gram.at("L0", "L1") == 0
+    assert m.gram.at("L2", "L3") == 0
 
 
 def test_ex825_extra_chain(ex825):
     m = ex825.model
     chain = ("L0", "E12", "E13", "E14", "E15", "E16", "E17", "L2")
     for a, b in zip(chain, chain[1:]):
-        assert intersection(m, a, b) == 1, (a, b)
-    assert intersection(m, "L0", "L2") == 0
-    assert intersection(m, "L1", "L3") == 1
+        assert m.gram.at(a, b) == 1, (a, b)
+    assert m.gram.at("L0", "L2") == 0
+    assert m.gram.at("L1", "L3") == 1
 
 
 def test_divisor_class_additivity(ex462):
@@ -144,7 +143,8 @@ def test_divisor_class_additivity(ex462):
     half_l0 = tuple(F(1, 2) * c for c in m.visible_class("L0"))
     two_e1 = tuple(2 * c for c in m.visible_class("E1"))
     assert cls == tuple(a + b for a, b in zip(half_l0, two_e1))
-    assert intersection(m, d, "L0") == F(1, 2) * (-1) + 2
+    assert m.pairing(cls, m.visible_class("L0")) == F(1, 2) * (-1) + 2
+    assert m.gram.dots(d, ["L0"]) == {"L0": F(1, 2) * (-1) + 2}
 
 
 def test_log_pullback_spot_values(ex825):

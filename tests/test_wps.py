@@ -28,8 +28,6 @@ from logsurf.wps import (
     classify_hypersurface,
     coeffs_to_poly,
     coordinate_membership,
-    format_poly,
-    format_poly_human,
     hilbert_coefficient,
     hilbert_series,
     monomial_basis,
@@ -103,6 +101,21 @@ def test_coeff_vector_round_trip():
     assert poly_to_coeffs(coeffs_to_poly(coeffs)) == coeffs
     with pytest.raises(AllZero):
         coeffs_to_poly((0, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "weights, term, degree",
+    [
+        ((1, 2, 3, 5), (0, 0, 0, 2), 10),
+        ((1, 1, 1, 1), (0, 0, 0, 86), 86),
+        ((6, 11, 25, 43), (0, 0, 0, 4), 172),
+    ],
+    ids=["quadric", "weights", "degree"],
+)
+def test_poly_to_coeffs_needs_the_flagship(weights, term, degree):
+    p = WeightedPoly.build(weights, {term: 1})
+    with pytest.raises(ValueError, match=rf"^expected degree 86 in P\(6, 11, 25, 43\), got {degree} in "):
+        poly_to_coeffs(p)
 
 
 # --- normal form -------------------------------------------------------------
@@ -415,9 +428,10 @@ def test_projective_equivalence():
 # --- text formats ------------------------------------------------------------
 
 
-def test_parse_format_round_trip():
+def test_parse_poly():
     p = standard_member((1, 0, 1, 1), F(1, 2), -3)
-    assert parse_poly(format_poly(p)).terms == p.terms
+    text = "weights 6 11 25 43\n1 0 0 0 2\n1 0 1 3 0\n1 1 5 1 0\n1/2 6 0 2 0\n-3 7 4 0 0\n"
+    assert parse_poly(text).terms == p.terms
 
 
 def test_parse_poly_errors():
@@ -448,9 +462,9 @@ def test_parse_poly_human_signs():
     assert poly_to_coeffs(p) == (F(-1), F(0), F(-1), F(0), F(-2), F(0))
 
 
-def test_format_poly_human_round_trip():
+def test_parse_poly_human_reads_a_member():
     p = standard_member((1, 0, 1, 1), F(-1, 2), 3)
-    text = format_poly_human(p)
+    text = "x3^2 + x1*x2^3 + x0*x1^5*x2 - 1/2*x0^6*x2^2 + 3*x0^7*x1^4"
     assert parse_poly_human(text, FLAGSHIP_WEIGHTS).terms == p.terms
 
 
