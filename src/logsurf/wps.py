@@ -10,17 +10,20 @@ coefficient order used by :func:`normal_form`:
 A coefficient vector (a1, ..., a6) always refers to that order, while
 exponent tuples (e0, e1, e2, e3) follow the variable order.  Everything
 is exact: coefficients are Fractions, chart analysis works on integer
-exponent dictionaries, and the elimination steps in
-:func:`node_only_certificate` run through sympy's resultants over QQ.
+exponent dictionaries, and :func:`node_only_certificate` clears
+denominators and eliminates by subresultant remainder sequences over Z[u],
+in plain integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exact import InputError, Rational, matrix_rank, rat
@@ -375,114 +378,198 @@ def analyze_origin(
 
 
 # --- node-only certificate -------------------------------------------------
-
-# sympy takes most of a cold start and only the certificate below uses it,
-# so ``sympy`` and the symbols ``u, v`` are bound here on first use.
-
-
-def _load_sympy() -> None:
-    """Bind ``sympy``, ``_SYM_U`` and ``_SYM_V``; a ``sympy`` already bound
-    (the module, or a stand-in assigned to ``wps.sympy``) is kept."""
-    global sympy, _SYM_U, _SYM_V
-    if "_SYM_U" in globals():
-        return
-    if "sympy" not in globals():
-        import sympy
-    _SYM_U, _SYM_V = sympy.symbols("u v")
+#
+# The certificate works on integer polynomials.  One in a single variable is
+# a list of ints, lowest degree first, with no trailing zeros (zero is []).
+# One in u, v is a dict {(a, b): c} for c*u^a*v^b.  Scaling by a nonzero
+# constant changes no verdict, so denominators are cleared and resultants are
+# only known up to sign.
 
 
 def __getattr__(name: str):
-    if name in ("sympy", "_SYM_U", "_SYM_V"):
-        _load_sympy()
-        return globals()[name]
+    # Kept only for bench/tracer.py, which reads and replaces ``wps.sympy``
+    # around every workload; delete it with the next benchmark change.
+    if name == "sympy":
+        import sympy
+
+        return sympy
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _to_sympy_bivariate(terms: Mapping[tuple[int, int], Rational]):
-    expr = sympy.Integer(0)
-    for (a, b), c in terms.items():
-        expr += sympy.Rational(c.numerator, c.denominator) * _SYM_U**a * _SYM_V**b
-    return sympy.expand(expr)
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _is_const_times_power(expr, var) -> bool:
-    """True when expr = c * var**k with c != 0 (k = 0 allowed)."""
-    if expr == 0:
-        return False
-    poly = sympy.Poly(expr, var)
-    return len(poly.terms()) == 1
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _axis_clean(polys, var_kept, at_zero_var) -> str:
-    """Inspect the common zeros on the axis {at_zero_var = 0}.
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] -= y
+    return _trim(out)
 
-    Returns "clean" (zeros on the axis lie at the origin only), or
-    "failed" (a genuine common zero away from the origin, or the whole
-    axis is singular)."""
-    restricted = [sympy.expand(p.subs(at_zero_var, 0)) for p in polys]
-    nonzero = [r for r in restricted if r != 0]
-    if not nonzero:
-        return "failed"  # every generator vanishes on the whole axis
-    g = nonzero[0]
-    for r in nonzero[1:]:
-        g = sympy.gcd(g, r)
-    if _is_const_times_power(g, var_kept):
-        return "clean"
-    return "failed"
+
+def _pow(a: list[int], e: int) -> list[int]:
+    out = [1]
+    for _ in range(e):
+        out = _mul(out, a)
+    return out
+
+
+def _divexact(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[u]; b must divide a."""
+    rem, lb, db = list(a), b[-1], len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = rem[k + db] // lb
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    if any(rem):
+        raise ArithmeticError("inexact division in Z[u]")
+    return q
+
+
+def _prem(a: list, b: list, mul, sub) -> list:
+    """lc(b)^(deg a - deg b + 1) * a mod b, coefficients multiplied and
+    subtracted by ``mul`` and ``sub`` (ints, or lists for Z[u])."""
+    lb, r = b[-1], list(a)
+    scale = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        lr, s = r[-1], len(r) - len(b)
+        r = _trim([mul(lb, x) if k < s else sub(mul(lb, x), mul(lr, b[k - s])) for k, x in enumerate(r[:-1])])
+        scale -= 1
+    for _ in range(scale):
+        r = [mul(lb, x) for x in r]
+    return r
+
+
+def _resultant(a: list[list[int]], b: list[list[int]]) -> list[int]:
+    """Res_v(a, b) in Z[u] up to sign, for a, b given by their coefficients
+    in Z[u] of v^0, v^1, ...: the subresultant PRS (G. E. Collins, JACM 1967;
+    W. S. Brown and J. F. Traub, JACM 1971), each pseudo-remainder divided
+    exactly by g*h^delta.  Res(a, b) is 0 when either is zero and 1 when
+    both are constant in v."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        r = _prem(a, b, _mul, _sub)
+        if not r:
+            return []
+        d = _mul(g, _pow(h, delta))
+        a, b = b, [_divexact(c, d) for c in r]
+        g = a[-1]
+        if delta:
+            h = _divexact(_pow(g, delta), _pow(h, delta - 1))
+    da = len(a) - 1
+    return _divexact(_pow(b[0], da), _pow(h, da - 1)) if da else [1]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    c = math.gcd(*a)
+    return [x // c for x in a] if a[-1] > 0 else [-x // c for x in a]
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd in Q[u], primitive with a positive leading coefficient."""
+    while b:
+        r = _prem(a, b, operator.mul, operator.sub)
+        a, b = b, _primitive(r) if r else []
+    return _primitive(a) if a else []
+
+
+def _is_monomial(a: list[int]) -> bool:
+    """True when a = c * u^k with c != 0 (k = 0 allowed)."""
+    return bool(a) and not any(a[:-1])
+
+
+def _diff(f: dict, k: int) -> dict:
+    """d f / du (k = 0) or d f / dv (k = 1)."""
+    return {(a - (k == 0), b - (k == 1)): c * (a, b)[k] for (a, b), c in f.items() if (a, b)[k]}
+
+
+def _hessian(f: dict) -> dict:
+    """f_uu * f_vv - f_uv^2."""
+    fu, fv = _diff(f, 0), _diff(f, 1)
+    out: dict = {}
+    for x, y, sign in ((_diff(fu, 0), _diff(fv, 1), 1), (_diff(fu, 1), _diff(fu, 1), -1)):
+        for (a, b), c in x.items():
+            for (a2, b2), c2 in y.items():
+                key = (a + a2, b + b2)
+                out[key] = out.get(key, 0) + sign * c * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _in_var(f: dict, k: int) -> list[list[int]]:
+    """f as its coefficients in Z[other variable] of x_k^0, x_k^1, ... with
+    x_0 = u and x_1 = v."""
+    rows = [[] for _ in range(max((e[k] + 1 for e in f), default=0))]
+    for e, c in f.items():
+        row = rows[e[k]]
+        row += [0] * (e[1 - k] + 1 - len(row))
+        row[e[1 - k]] = c
+    return rows
+
+
+def _eliminants(p: WeightedPoly, i: int) -> list[list[int]] | None:
+    """Elimination data of the certificate on chart i: the gcd of the six
+    pairwise resultants of f, f_u, f_v and the Hessian eliminating v, then
+    the one eliminating u.  f is the x3 = 0 slice of the chart polynomial
+    with integer coefficients.  None when f is zero or an axis test fails."""
+    chart = chart_poly(p, i)
+    pos3 = tuple(j for j in range(4) if j != i).index(3)
+    flat = {tuple(e[k] for k in range(3) if k != pos3): c for e, c in chart.items() if e[pos3] == 0}
+    if not flat:
+        return None  # the x3 = 0 slice is identically zero
+    den = math.lcm(*(c.denominator for c in flat.values()))
+    f = {e: c.numerator * (den // c.denominator) for e, c in flat.items()}
+    gens = [f, _diff(f, 0), _diff(f, 1), _hessian(f)]
+    by_var = [[_in_var(g, k) for g in gens] for k in (1, 0)]
+    for polys in by_var:
+        # The restrictions to the axis {x_k = 0} are the x_k^0 coefficients.
+        axis = [q[0] for q in polys if q and q[0]]
+        if not axis or not _is_monomial(reduce(_gcd, axis)):
+            return None
+    return [reduce(_gcd, (_resultant(a, b) for a, b in combinations(polys, 2)), []) for polys in by_var]
 
 
 def node_only_certificate(p: WeightedPoly, i: int) -> str:
     """Try to certify that chart i carries at worst ordinary nodes away
     from its origin.
 
-    The x3 = 0 slice f of the chart polynomial, its two partials, and
-    the Hessian determinant generate the locus of worse-than-node
-    points.  Every pairwise resultant lies in the elimination ideal, so
-    the gcd of the six resultants (per eliminated variable) vanishes on
-    the projection of that locus; when both gcds are a nonzero constant
-    times a pure power and both axis restrictions only vanish at the
-    origin, the locus is contained in the origin: "certified".  A common
-    zero detected on an axis means the claim is genuinely false:
-    "failed".  Anything else: "inconclusive".
+    The x3 = 0 slice f of the chart polynomial, in the two remaining chart
+    variables u, v (ascending index order), its two partials, and the
+    Hessian determinant generate the locus of worse-than-node points.
+    They are taken with integer coefficients.  On each axis the gcd of the
+    generators' restrictions must be c*u^k (or c*v^k): otherwise there is a
+    common zero off the origin, or the whole axis is singular, and the
+    claim is genuinely false: "failed".  Every pairwise resultant lies in
+    the elimination ideal, so the gcd of the six resultants (per eliminated
+    variable, taken by subresultant remainder sequences over Z[u], with no
+    point evaluation) vanishes on the projection of that locus; when both
+    gcds are c*u^k, the locus is contained in the origin: "certified".
+    Anything else: "inconclusive".
     """
     if i not in (0, 1, 2):
         raise ValueError(f"chart index must be 0, 1 or 2, got {i}")
-    _load_sympy()
-    chart = chart_poly(p, i)
-    keep = tuple(j for j in range(4) if j != i)
-    pos3 = keep.index(3)
-    flat: dict[tuple[int, int], Rational] = {}
-    for exp, c in chart.items():
-        if exp[pos3] != 0:
-            continue
-        key = tuple(exp[k] for k in range(3) if k != pos3)
-        flat[key] = flat.get(key, Fraction(0)) + c
-    flat = {e: c for e, c in flat.items() if c != 0}
-    if not flat:
-        return "failed"  # the x3 = 0 slice is identically zero
-
-    f = _to_sympy_bivariate(flat)
-    fu = sympy.expand(sympy.diff(f, _SYM_U))
-    fv = sympy.expand(sympy.diff(f, _SYM_V))
-    hess = sympy.expand(
-        sympy.diff(f, _SYM_U, 2) * sympy.diff(f, _SYM_V, 2)
-        - sympy.diff(f, _SYM_U, _SYM_V) ** 2
-    )
-    gens = [f, fu, fv, hess]
-
-    for var_kept, at_zero in ((_SYM_U, _SYM_V), (_SYM_V, _SYM_U)):
-        if _axis_clean(gens, var_kept, at_zero) == "failed":
-            return "failed"
-
-    for eliminate, remaining in ((_SYM_V, _SYM_U), (_SYM_U, _SYM_V)):
-        g = sympy.Integer(0)
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                r = sympy.resultant(gens[a], gens[b], eliminate)
-                g = sympy.gcd(g, sympy.expand(r))
-        if not _is_const_times_power(sympy.expand(g), remaining):
-            return "inconclusive"
-    return "certified"
+    gcds = _eliminants(p, i)
+    if gcds is None:
+        return "failed"
+    return "certified" if all(map(_is_monomial, gcds)) else "inconclusive"
 
 
 # --- global invariants -----------------------------------------------------

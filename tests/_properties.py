@@ -6,7 +6,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+
+import _reference
 
 from logsurf.dualgraph import (
     DualGraph,
@@ -21,12 +25,17 @@ from logsurf.exact import is_negative_definite, lp_feasible
 from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe, divisor_class
 from logsurf.positivity import NotPseudoEffective, pet, psef_test, volume, zariski
 from logsurf.wps import (
+    WeightedPoly,
+    _eliminants,
     analyze_origin,
     apply_transform,
+    coeffs_to_poly,
     hilbert_coefficient,
     hilbert_series,
     monomial_basis,
+    node_only_certificate,
     normal_form,
+    standard_member,
     wps_volume,
 )
 
@@ -391,3 +400,52 @@ def lp_certificates(seed: int, cases: int) -> tuple[int, int]:
                 assert sum(y[i] * a[i][j] for i in range(rows)) <= 0
             n_infeas += 1
     return n_feas, n_infeas
+
+
+def node_only_members(seed: int, vectors: int, klt: int, sparse: int) -> list[WeightedPoly]:
+    """Every valid eps with s, t in {0, 1, -1}; ``vectors`` seeded random
+    flagship coefficient vectors; ``klt`` seeded klt members (1, 0, 1, 1; s != 0,
+    t); ``sparse`` seeded cubics and quartics in P(1, 1, 1, 1) of 2-4 terms."""
+    rng = random.Random(seed)
+    members = [
+        standard_member(eps, s, t)
+        for eps in product((0, 1), repeat=4)
+        if not (eps[0] and eps[1])
+        for s, t in product((0, 1, -1), repeat=2)
+        if any(eps) or s or t
+    ]
+    while len(members) < 107 + vectors:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)]
+        if any(coeffs):
+            members.append(coeffs_to_poly(coeffs))
+    for _ in range(klt):
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        members.append(standard_member((1, 0, 1, 1), s, Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    for _ in range(sparse):
+        basis = monomial_basis((1, 1, 1, 1), rng.choice((3, 4)))
+        terms = rng.sample(basis, rng.randint(2, 4))
+        members.append(WeightedPoly.build((1, 1, 1, 1), {e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in terms}))
+    return members
+
+
+def _proportional(a, b) -> bool:
+    """Coefficient lists equal up to a nonzero rational factor."""
+    return len(a) == len(b) and all(x * b[-1] == y * a[-1] for x, y in zip(a, b))
+
+
+def node_only_vs_reference(seed: int, vectors: int = 8, klt: int = 6, sparse: int = 40) -> Counter:
+    """The integer certificate against the sympy one on charts 0-2 of
+    node_only_members: the same verdict, and where elimination is reached the
+    same gcd per eliminated variable up to a nonzero rational. Returns the
+    verdict counts."""
+    verdicts: Counter = Counter()
+    for p in node_only_members(seed, vectors, klt, sparse):
+        for i in (0, 1, 2):
+            want, want_gcds = _reference.node_only_certificate(p, i)
+            assert node_only_certificate(p, i) == want, (p, i)
+            gcds = _eliminants(p, i)
+            assert (gcds is None) == (want_gcds is None), (p, i)
+            if gcds is not None:
+                assert all(map(_proportional, gcds, want_gcds)), (p, i, gcds, want_gcds)
+            verdicts[want] += 1
+    return verdicts

@@ -113,3 +113,65 @@ def lp_feasible(a: Rows, b: Sequence[Fraction], cost: Sequence[Fraction] | None 
             x[bi] = tab[i][-1]
     y = None if cost is None else tuple(-s * tab[m][n + i] for i, s in enumerate(signs))
     return FeasibilityResult(feasible=True, x=tuple(x), y=y)
+
+
+# --- node-only certificate through sympy ------------------------------------
+#
+# The certificate as it ran before it moved to integer subresultants: the
+# x3 = 0 slice over QQ, sympy's resultants and gcds. It computes both
+# per-variable gcds whenever the axis tests pass, so that the tests can compare
+# them, and reads "certified" when both are c * u**k.
+
+
+def _slice_expr(p, i, sympy, u, v):
+    from logsurf.wps import chart_poly
+
+    chart = chart_poly(p, i)
+    pos3 = tuple(j for j in range(4) if j != i).index(3)
+    expr = sympy.Integer(0)
+    for exp, c in chart.items():
+        if exp[pos3] == 0:
+            a, b = (exp[k] for k in range(3) if k != pos3)
+            expr += sympy.Rational(c.numerator, c.denominator) * u**a * v**b
+    return sympy.expand(expr)
+
+
+def _is_const_times_power(sympy, expr, var) -> bool:
+    return expr != 0 and len(sympy.Poly(expr, var).terms()) == 1
+
+
+def node_only_certificate(p, i):
+    """(verdict, gcds): gcds is None unless elimination is reached, else the
+    gcd of the six resultants eliminating v and then u, each as a list of
+    Fraction coefficients (lowest degree first) in the remaining variable."""
+    import sympy
+
+    u, v = sympy.symbols("u v")
+    f = _slice_expr(p, i, sympy, u, v)
+    if f == 0:
+        return "failed", None
+    hess = sympy.diff(f, u, 2) * sympy.diff(f, v, 2) - sympy.diff(f, u, v) ** 2
+    gens = [f, sympy.diff(f, u), sympy.diff(f, v), hess]
+    gens = [sympy.expand(g) for g in gens]
+    for kept, at_zero in ((u, v), (v, u)):
+        restricted = [r for r in (sympy.expand(g.subs(at_zero, 0)) for g in gens) if r != 0]
+        if not restricted:
+            return "failed", None
+        g = restricted[0]
+        for r in restricted[1:]:
+            g = sympy.gcd(g, r)
+        if not _is_const_times_power(sympy, g, kept):
+            return "failed", None
+    gcds = []
+    for eliminate, remaining in ((v, u), (u, v)):
+        g = sympy.Integer(0)
+        for a in range(len(gens)):
+            for b in range(a + 1, len(gens)):
+                g = sympy.gcd(g, sympy.expand(sympy.resultant(gens[a], gens[b], eliminate)))
+        gcds.append(sympy.expand(g))
+    certified = all(_is_const_times_power(sympy, g, r) for g, r in zip(gcds, (u, v)))
+    coeffs = tuple(
+        [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(g, r).all_coeffs())] if g != 0 else []
+        for g, r in zip(gcds, (u, v))
+    )
+    return ("certified" if certified else "inconclusive"), coeffs

@@ -46,6 +46,7 @@ from _properties import (
     hilbert_coefficient_vs_series,
     hilbert_vs_counting,
     node_fuzz,
+    node_only_vs_reference,
     normal_form_roundtrip,
     volume_identity,
 )
@@ -255,16 +256,34 @@ def test_node_only_chart_validation():
         node_only_certificate(member, 3)
 
 
-# --- sympy is imported on the first node-only certificate ---------------------
+def test_node_only_leaves_a_cusp_inconclusive():
+    """(x1 - x0)^3 - (x2 - x0)^2*x0 + x3*x0^2 has a cusp at (1 : 1 : 1 : 0),
+    off every axis: the certificate can neither clear nor refute it."""
+    cusp = parse_poly_human(
+        "x1^3 - 3*x1^2*x0 + 3*x1*x0^2 - 2*x0^3 - x2^2*x0 + 2*x2*x0^2 + x3*x0^2", (1, 1, 1, 1)
+    )
+    assert [node_only_certificate(cusp, i) for i in (0, 1, 2)] == ["inconclusive"] * 3
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+def test_node_only_matches_the_sympy_reference():
+    verdicts = node_only_vs_reference(14001)
+    assert sum(verdicts.values()) == 3 * (107 + 8 + 6 + 40)
+    assert set(verdicts) == {"certified", "failed", "inconclusive"}, verdicts
+
+
+# --- no third-party module at run time ----------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def run_fresh(code: str) -> None:
-    """Run code in a new interpreter that imports logsurf from this tree."""
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    """Run code in a new interpreter that imports logsurf from this tree. It
+    starts without the site module (-S), so no .pth hook loads a module before
+    the code runs; this process's path still reaches every installed package."""
+    path = os.pathsep.join([SRC, *filter(None, sys.path)])
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, "-S", "-c", textwrap.dedent(code)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -273,14 +292,12 @@ def run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_sympy_stays_off_the_start_up_path():
+def test_no_third_party_module_is_loaded():
     run_fresh(
         """
         import contextlib, io, sys
         import logsurf
-        assert "sympy" not in sys.modules, "import logsurf"
         from logsurf import cli, wps
-        assert "sympy" not in sys.modules, "import logsurf.cli"
         for argv in (
             ["scenario", "ex-825", "--json"],
             ["scenario", "ex-462"],
@@ -290,57 +307,39 @@ def test_sympy_stays_off_the_start_up_path():
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) == 0, argv
-            assert "sympy" not in sys.modules, argv
         member = wps.standard_member((1, 0, 1, 1), 1, 0)
-        assert wps.node_only_certificate(member, 1) == "certified"
-        assert "sympy" in sys.modules
+        assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
+        loaded = {name.partition(".")[0] for name in sys.modules}
+        extra = loaded - set(sys.stdlib_module_names) - {"__main__", "logsurf"}
+        assert not extra, sorted(extra)
         """
     )
 
 
-@pytest.mark.parametrize("read_first", [True, False])
-def test_sympy_stand_in_is_used_and_kept(read_first):
-    """A stand-in assigned to wps.sympy (as a tracer wrapping resultant and
-    gcd does) is what the certificate calls, whether or not wps.sympy was
-    read first; putting the module back gives the same results."""
+def test_bench_tracer_installs_and_uninstalls():
+    """bench/tracer.py reads and replaces wps.sympy, which the module
+    __getattr__ of wps still resolves; everything it wraps comes back."""
     run_fresh(
         f"""
-        import sys
-        from logsurf import wps
-        assert "sympy" not in sys.modules
-        if {read_first}:
-            real = wps.sympy
-            import sympy
-            assert real is sympy
-        else:
-            import sympy as real
+        import importlib.util
+        from logsurf import cli, wps
 
-        class StandIn:
-            def __init__(self, module):
-                self.module = module
-                self.calls = {{"resultant": 0, "gcd": 0}}
-
-            def __getattr__(self, name):
-                fn = getattr(self.module, name)
-                if name not in self.calls:
-                    return fn
-
-                def counted(*args, **kwargs):
-                    self.calls[name] += 1
-                    return fn(*args, **kwargs)
-
-                return counted
-
+        spec = importlib.util.spec_from_file_location("tracer", {str(ROOT / "bench" / "tracer.py")!r})
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        original = wps.node_only_certificate
         member = wps.standard_member((1, 0, 1, 1), 1, 0)
-        stand_in = StandIn(real)
-        wps.sympy = stand_in
-        assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
-        assert wps.sympy is stand_in
-        assert stand_in.calls["resultant"] > 0 and stand_in.calls["gcd"] > 0, stand_in.calls
-        counts = dict(stand_in.calls)
-        wps.sympy = real
-        assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
-        assert stand_in.calls == counts
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            assert wps.node_only_certificate is not original
+            assert tr.round(lambda: wps.node_only_certificate(member, 1)) == "certified"
+        finally:
+            tr.uninstall()
+        assert wps.node_only_certificate is original
+        import sympy
+        assert wps.sympy is sympy
+        assert tr.summary(1)["wps.node_only_certificate.calls"] == 1
         """
     )
 
