@@ -414,7 +414,8 @@ def node_only_members(seed: int, vectors: int, klt: int, sparse: int) -> list[We
         for s, t in product((0, 1, -1), repeat=2)
         if any(eps) or s or t
     ]
-    while len(members) < 107 + vectors:
+    target = len(members) + vectors
+    while len(members) < target:
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(6)]
         if any(coeffs):
             members.append(coeffs_to_poly(coeffs))

@@ -1,4 +1,4 @@
-"""Reference implementations for tests: plain Fraction arithmetic, no shared kernel.
+"""Reference implementations for tests, sharing no kernel with the program.
 
 ``lp_feasible`` here is a Fraction tableau simplex with the same two phases
 and the same Bland's rule as the integer one in ``logsurf.exact``, but every
@@ -7,6 +7,9 @@ pivots and return the same ``x`` and ``y``.
 
 The matrix helpers build and multiply the matrices the tests use to re-verify
 answers.
+
+``node_only_certificate`` is the node-only certificate computed with sympy's
+resultants and gcds over QQ, the oracle for the integer one in ``logsurf.wps``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat
+from logsurf.wps import chart_poly
 
 Rows = Sequence[Sequence[Fraction]]
 
@@ -123,36 +127,28 @@ def lp_feasible(a: Rows, b: Sequence[Fraction], cost: Sequence[Fraction] | None 
 # them, and reads "certified" when both are c * u**k.
 
 
-def _slice_expr(p, i, sympy, u, v):
-    from logsurf.wps import chart_poly
-
-    chart = chart_poly(p, i)
-    pos3 = tuple(j for j in range(4) if j != i).index(3)
-    expr = sympy.Integer(0)
-    for exp, c in chart.items():
-        if exp[pos3] == 0:
-            a, b = (exp[k] for k in range(3) if k != pos3)
-            expr += sympy.Rational(c.numerator, c.denominator) * u**a * v**b
-    return sympy.expand(expr)
-
-
-def _is_const_times_power(sympy, expr, var) -> bool:
-    return expr != 0 and len(sympy.Poly(expr, var).terms()) == 1
-
-
 def node_only_certificate(p, i):
     """(verdict, gcds): gcds is None unless elimination is reached, else the
     gcd of the six resultants eliminating v and then u, each as a list of
     Fraction coefficients (lowest degree first) in the remaining variable."""
-    import sympy
+    import sympy  # only this oracle needs it
 
     u, v = sympy.symbols("u v")
-    f = _slice_expr(p, i, sympy, u, v)
+    pos3 = tuple(j for j in range(4) if j != i).index(3)
+    f = sympy.Integer(0)
+    for exp, c in chart_poly(p, i).items():
+        if exp[pos3] == 0:
+            a, b = (exp[k] for k in range(3) if k != pos3)
+            f += sympy.Rational(c.numerator, c.denominator) * u**a * v**b
+    f = sympy.expand(f)
     if f == 0:
         return "failed", None
     hess = sympy.diff(f, u, 2) * sympy.diff(f, v, 2) - sympy.diff(f, u, v) ** 2
-    gens = [f, sympy.diff(f, u), sympy.diff(f, v), hess]
-    gens = [sympy.expand(g) for g in gens]
+    gens = [sympy.expand(g) for g in (f, sympy.diff(f, u), sympy.diff(f, v), hess)]
+
+    def const_times_power(expr, var) -> bool:
+        return expr != 0 and len(sympy.Poly(expr, var).terms()) == 1
+
     for kept, at_zero in ((u, v), (v, u)):
         restricted = [r for r in (sympy.expand(g.subs(at_zero, 0)) for g in gens) if r != 0]
         if not restricted:
@@ -160,7 +156,7 @@ def node_only_certificate(p, i):
         g = restricted[0]
         for r in restricted[1:]:
             g = sympy.gcd(g, r)
-        if not _is_const_times_power(sympy, g, kept):
+        if not const_times_power(g, kept):
             return "failed", None
     gcds = []
     for eliminate, remaining in ((v, u), (u, v)):
@@ -168,10 +164,10 @@ def node_only_certificate(p, i):
         for a in range(len(gens)):
             for b in range(a + 1, len(gens)):
                 g = sympy.gcd(g, sympy.expand(sympy.resultant(gens[a], gens[b], eliminate)))
-        gcds.append(sympy.expand(g))
-    certified = all(_is_const_times_power(sympy, g, r) for g, r in zip(gcds, (u, v)))
+        gcds.append((sympy.expand(g), remaining))
+    verdict = "certified" if all(const_times_power(g, r) for g, r in gcds) else "inconclusive"
     coeffs = tuple(
         [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(g, r).all_coeffs())] if g != 0 else []
-        for g, r in zip(gcds, (u, v))
+        for g, r in gcds
     )
-    return ("certified" if certified else "inconclusive"), coeffs
+    return verdict, coeffs

@@ -267,6 +267,8 @@ def test_node_only_leaves_a_cusp_inconclusive():
 
 def test_node_only_matches_the_sympy_reference():
     verdicts = node_only_vs_reference(14001)
+    # 12 valid eps x 9 pairs (s, t), less the zero member; 8 vectors, 6 klt
+    # members and 40 sparse ones: each on charts 0-2.
     assert sum(verdicts.values()) == 3 * (107 + 8 + 6 + 40)
     assert set(verdicts) == {"certified", "failed", "inconclusive"}, verdicts
 
