@@ -515,8 +515,8 @@ def _hessian(f: dict) -> dict:
 
 
 def _in_var(f: dict, k: int) -> list[list[int]]:
-    """f as its coefficients in Z[other variable] of x_k^0, x_k^1, ... with
-    x_0 = u and x_1 = v."""
+    """f as a polynomial in u (k = 0) or v (k = 1): its coefficients of the
+    powers 0, 1, 2, ..., each a polynomial in the other variable."""
     rows = [[] for _ in range(max((e[k] + 1 for e in f), default=0))]
     for e, c in f.items():
         row = rows[e[k]]
