@@ -346,6 +346,55 @@ def test_bench_tracer_installs_and_uninstalls():
     )
 
 
+@pytest.mark.parametrize("read_first", [True, False])
+def test_sympy_stand_in_is_used_and_kept(read_first):
+    """A stand-in assigned to wps.sympy (as a tracer wrapping resultant and
+    gcd does) is what wps.sympy then gives, whether or not wps.sympy was read
+    first. The certificate computes with integers, so it never calls the
+    stand-in, and its verdicts are the same with the stand-in and after the
+    module is put back."""
+    run_fresh(
+        f"""
+        import sys
+        from logsurf import wps
+        assert "sympy" not in sys.modules
+        if {read_first}:
+            real = wps.sympy
+            import sympy
+            assert real is sympy
+        else:
+            import sympy as real
+
+        class StandIn:
+            def __init__(self, module):
+                self.module = module
+                self.calls = {{"resultant": 0, "gcd": 0}}
+
+            def __getattr__(self, name):
+                fn = getattr(self.module, name)
+                if name not in self.calls:
+                    return fn
+
+                def counted(*args, **kwargs):
+                    self.calls[name] += 1
+                    return fn(*args, **kwargs)
+
+                return counted
+
+        member = wps.standard_member((1, 0, 1, 1), 1, 0)
+        stand_in = StandIn(real)
+        wps.sympy = stand_in
+        assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
+        assert wps.sympy is stand_in
+        assert stand_in.calls == {{"resultant": 0, "gcd": 0}}, stand_in.calls
+        wps.sympy = real
+        assert wps.sympy is real
+        assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
+        assert stand_in.calls == {{"resultant": 0, "gcd": 0}}, stand_in.calls
+        """
+    )
+
+
 # --- global invariants -------------------------------------------------------
 
 
