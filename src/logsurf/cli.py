@@ -760,11 +760,12 @@ def _poly_coeffs(args) -> tuple[Fraction, ...]:
         raise ParseError(f"{'--poly' if args.poly else '--expr'}: {err}") from err
 
 
-def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fraction]:
-    """Resolve --eps/--s/--t or --poly/--expr into a normalized member."""
+def _wps_member_from_args(args) -> tuple[tuple, Fraction, Fraction]:
+    """Resolve --eps/--s/--t or --poly/--expr into the (eps, s, t) of a
+    normalized member."""
     if args.poly or args.expr:
         nf = _wps.normal_form(_poly_coeffs(args))
-        return _wps.standard_member(nf.eps, nf.s, nf.t), nf.eps, nf.s, nf.t
+        return nf.eps, nf.s, nf.t
     if args.eps is None:
         raise ParseError("need either --eps (with --s/--t) or --poly/--expr")
     eps = _ints_arg("--eps", args.eps)
@@ -772,38 +773,27 @@ def _wps_member_from_args(args) -> tuple[_wps.WeightedPoly, tuple, Fraction, Fra
         raise ParseError(f"--eps: expected four 0/1 flags, got {args.eps!r}")
     if eps[0] == eps[1] == 1:
         raise ParseError(f"--eps: the first two flags cannot both be 1, got {args.eps!r}")
-    s, t = _rational_arg("--s", args.s), _rational_arg("--t", args.t)
-    return _wps.standard_member(eps, s, t), eps, s, t
+    return eps, _rational_arg("--s", args.s), _rational_arg("--t", args.t)
 
 
 def wps_analyze_cmd(args) -> _Outcome:
-    member, eps, s, t = _wps_member_from_args(args)
+    eps, s, t = _wps_member_from_args(args)
     c = _wps.classify_hypersurface(eps, s, t)
     verdict = "klt" if c.is_klt else ("lc, not klt" if c.is_lc else "not lc")
     details = [f"{verdict} (eps={','.join(map(str, eps))}, s={s}, t={t})"]
-    chart_out = []
-    for d in c.charts:
-        if not d.on_surface:
-            desc = "not on the surface"
-        elif d.smooth:
-            desc = "smooth"
-        elif d.a1:
-            desc = "ordinary node (A1)"
-        elif d.mult_ge_4_not_lc:
-            desc = f"multiplicity {d.multiplicity}: not lc"
-        else:
-            desc = f"multiplicity {d.multiplicity}, quadratic rank {d.quadratic_rank}: undecided here"
-        details.append(f"chart {d.chart_index}: {desc}")
-        chart_out.append(
-            {
-                "chart": d.chart_index,
-                "on_surface": d.on_surface,
-                "multiplicity": d.multiplicity,
-                "quadratic_rank": d.quadratic_rank,
-                "verdict": desc,
-            }
-        )
-    members = sorted(_wps.coordinate_membership(member))
+    details += [f"chart {d.chart_index}: {d.verdict}" for d in c.charts]
+    chart_out = [
+        {
+            "chart": d.chart_index,
+            "on_surface": d.multiplicity > 0,
+            "multiplicity": d.multiplicity,
+            "quadratic_rank": d.quadratic_rank,
+            "verdict": d.verdict,
+        }
+        for d in c.charts
+    ]
+    # The origin of chart i is the coordinate point P_i.
+    members = [d.chart_index for d in c.charts if d.multiplicity > 0]
     details.append(
         "coordinate points on the surface: "
         + (", ".join(f"P{i}" for i in members) if members else "none")

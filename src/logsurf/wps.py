@@ -43,6 +43,21 @@ class AllZero(InputError, ValueError):
     """Normal form of the identically zero polynomial is undefined."""
 
 
+def _weight_seq(weights: Weights | Sequence[int]) -> tuple[int, ...]:
+    """The weights as a tuple of four positive ints, or BadWeights; a float
+    or a bool is rejected, not truncated."""
+    if isinstance(weights, Weights):
+        return weights.w
+    ws = tuple(weights)
+    if len(ws) != 4:
+        raise BadWeights(f"need exactly 4 weights, got {len(ws)}")
+    if any(type(w) is not int for w in ws):
+        raise BadWeights(f"weights must be integers, got {ws}")
+    if any(w <= 0 for w in ws):
+        raise BadWeights(f"weights must be positive, got {ws}")
+    return ws
+
+
 @dataclass(frozen=True)
 class Weights:
     """Four positive pairwise-coprime weights for a weighted P^3."""
@@ -50,11 +65,7 @@ class Weights:
     w: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.w) != 4:
-            raise BadWeights(f"need exactly 4 weights, got {len(self.w)}")
-        for wi in self.w:
-            if not isinstance(wi, int) or isinstance(wi, bool) or wi <= 0:
-                raise BadWeights(f"weights must be positive integers, got {wi!r}")
+        _weight_seq(self.w)
         for i in range(4):
             for j in range(i + 1, 4):
                 g = math.gcd(self.w[i], self.w[j])
@@ -81,17 +92,6 @@ COEFF_MONOMIALS: tuple[Exponents, ...] = (
     (1, 5, 1, 0),  # m5 = x2*x1^5*x0
     (7, 4, 0, 0),  # m6 = x1^4*x0^7
 )
-
-
-def _weight_seq(weights: Weights | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(weights, Weights):
-        return weights.w
-    ws = tuple(int(w) for w in weights)
-    if len(ws) != 4:
-        raise BadWeights(f"need exactly 4 weights, got {len(ws)}")
-    if any(w <= 0 for w in ws):
-        raise BadWeights(f"weights must be positive, got {ws}")
-    return ws
 
 
 def check_homogeneous(
@@ -184,22 +184,20 @@ def standard_member(
     eps: Sequence[int], s: Rational | str, t: Rational | str
 ) -> WeightedPoly:
     """The normalized family member with flag pattern eps and moduli (s, t)."""
-    e1, e2, e3, e4 = _check_eps(eps)
-    return coeffs_to_poly(
-        (
-            Fraction(e1),
-            Fraction(e2),
-            Fraction(e3),
-            rat(s),
-            Fraction(e4),
-            rat(t),
-        )
-    )
+    return coeffs_to_poly(_family_coeffs(_check_eps(eps), s, t))
+
+
+def _family_coeffs(
+    eps: tuple[int, int, int, int], s: Rational | str, t: Rational | str
+) -> tuple[Rational, ...]:
+    """(a1, ..., a6) of the member with flags eps and moduli (s, t)."""
+    e1, e2, e3, e4 = eps
+    return (Fraction(e1), Fraction(e2), Fraction(e3), rat(s), Fraction(e4), rat(t))
 
 
 def _check_eps(eps: Sequence[int]) -> tuple[int, int, int, int]:
-    e = tuple(int(x) for x in eps)
-    if len(e) != 4 or any(x not in (0, 1) for x in e):
+    e = tuple(eps)
+    if len(e) != 4 or any(type(x) is not int or x not in (0, 1) for x in e):
         raise ValueError(f"eps must be four 0/1 flags, got {eps!r}")
     if e[0] == 1 and e[1] == 1:
         raise ValueError("eps[0] and eps[1] cannot both be 1")
@@ -224,15 +222,7 @@ class NormalForm:
 
     @property
     def coeffs(self) -> tuple[Rational, ...]:
-        e1, e2, e3, e4 = self.eps
-        return (
-            Fraction(e1),
-            Fraction(e2),
-            Fraction(e3),
-            self.s,
-            Fraction(e4),
-            self.t,
-        )
+        return _family_coeffs(self.eps, self.s, self.t)
 
 
 def apply_transform(
@@ -274,29 +264,22 @@ def normal_form(coeffs: Sequence[Rational | str]) -> NormalForm:
         raise AllZero("all six coefficients vanish")
     a1, a2, a3, a4, a5, a6 = a
 
+    lam = a1 if a1 != 0 else Fraction(1)
+    c1 = lam / a3 if a3 != 0 else Fraction(1)
+    c0 = lam / (a5 * c1**5) if a5 != 0 else Fraction(1)
     if a1 != 0:
-        lam = a1
-        c2 = Fraction(1)
         c3 = Fraction(1)
-        a4p = a4 - a2 * a2 / (4 * a1)  # after the shear
-        c1 = lam / a3 if a3 != 0 else Fraction(1)
-        c0 = lam / (a5 * c1**5) if a5 != 0 else Fraction(1)
-        d = -a2 * c2 * c0**3 / (2 * a1)
+        d = -a2 * c0**3 / (2 * a1)
+        a4 -= a2 * a2 / (4 * a1)  # after the shear
         eps = (1, 0, int(a3 != 0), int(a5 != 0))
-        s = a4p * c2**2 * c0**6 / lam
-        t = a6 * c1**4 * c0**7 / lam
     else:
-        lam = Fraction(1)
-        c2 = Fraction(1)
+        c3 = lam / (a2 * c0**3) if a2 != 0 else Fraction(1)
         d = Fraction(0)
-        c1 = lam / a3 if a3 != 0 else Fraction(1)
-        c0 = lam / (a5 * c1**5) if a5 != 0 else Fraction(1)
-        c3 = lam / (a2 * c2 * c0**3) if a2 != 0 else Fraction(1)
         eps = (0, int(a2 != 0), int(a3 != 0), int(a5 != 0))
-        s = a4 * c2**2 * c0**6 / lam
-        t = a6 * c1**4 * c0**7 / lam
+    s = a4 * c0**6 / lam
+    t = a6 * c1**4 * c0**7 / lam
 
-    tr = Transform((c0, c1, c2, c3), d, lam)
+    tr = Transform((c0, c1, Fraction(1), c3), d, lam)
     nf = NormalForm(eps, s, t, tr)
     transformed = apply_transform(a, tr)
     expected = tuple(lam * c for c in nf.coeffs)
@@ -328,37 +311,43 @@ def chart_poly(
 
 @dataclass(frozen=True)
 class ChartDossier:
-    """What exact local analysis at a chart origin could conclude."""
+    """What exact local analysis at a chart origin could conclude.
+
+    ``multiplicity`` is 0 when the origin is off the surface, and
+    ``quadratic_rank`` is set for double points only."""
 
     chart_index: int
-    on_surface: bool
     multiplicity: int
-    quadratic_rank: int | None
-    smooth: bool
-    a1: bool
-    mult_ge_4_not_lc: bool
-    inconclusive: bool
+    quadratic_rank: int | None = None
+
+    @property
+    def verdict(self) -> str:
+        m, rank = self.multiplicity, self.quadratic_rank
+        if m == 0:
+            return "not on the surface"
+        if m == 1:
+            return "smooth"
+        if rank == 3:
+            return "ordinary node (A1)"
+        if m >= 4:
+            return f"multiplicity {m}: not lc"
+        return f"multiplicity {m}, quadratic rank {rank}: undecided here"
 
 
 def analyze_origin(
     p3: Mapping[tuple[int, int, int], Rational], chart_index: int = -1
 ) -> ChartDossier:
     """Classify the origin of an affine chart as far as exact local data
-    allows: smooth, ordinary node (A1), multiplicity >= 4 (too singular),
-    or inconclusive.  Never guesses beyond what the jet determines."""
+    allows: off the surface, smooth, ordinary node (A1), multiplicity >= 4
+    (too singular), or undecided.  Never guesses beyond what the jet
+    determines."""
     terms = {tuple(e): rat(c) for e, c in p3.items() if rat(c) != 0}
     if not terms:
         raise ValueError("chart polynomial is zero")
-    if (0, 0, 0) in terms:
-        return ChartDossier(chart_index, False, 0, None, False, False, False, False)
-    mult = min(sum(e) for e in terms)
-    if mult == 1:
-        return ChartDossier(chart_index, True, 1, None, True, False, False, False)
-    if mult >= 4:
-        return ChartDossier(chart_index, True, mult, None, False, False, True, False)
-    if mult == 3:
-        return ChartDossier(chart_index, True, 3, None, False, False, False, True)
-    # multiplicity 2: rank of the symmetric matrix of the quadratic part
+    mult = min(sum(e) for e in terms)  # 0 when the origin is off the surface
+    if mult != 2:
+        return ChartDossier(chart_index, mult)
+    # a double point: rank of the symmetric matrix of the quadratic part
     q = [[Fraction(0)] * 3 for _ in range(3)]
     for e, c in terms.items():
         if sum(e) != 2:
@@ -370,11 +359,7 @@ def analyze_origin(
         else:
             q[a][b] += c / 2
             q[b][a] += c / 2
-    rank = matrix_rank(q)
-    is_node = rank == 3
-    return ChartDossier(
-        chart_index, True, 2, rank, False, is_node, False, not is_node
-    )
+    return ChartDossier(chart_index, 2, matrix_rank(q))
 
 
 # --- node-only certificate -------------------------------------------------
@@ -677,18 +662,6 @@ def hilbert_coefficient(weights: Weights | Sequence[int], d: int, n: int) -> int
     return count(n) - count(n - d)
 
 
-def coordinate_membership(p: WeightedPoly) -> frozenset[int]:
-    """Indices i with the coordinate point P_i on the hypersurface.
-
-    P_i lies on V(p) exactly when no pure power of x_i appears."""
-    out = set(range(4))
-    for exp, _ in p.terms:
-        support = [j for j in range(4) if exp[j] > 0]
-        if len(support) == 1:
-            out.discard(support[0])
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class HypersurfaceClassification:
     eps: tuple[int, int, int, int]
@@ -708,8 +681,10 @@ def classify_hypersurface(
     The verdict itself follows the classification of the family: log
     canonical exactly when eps = (1, 0, 1, 1) and (s, t) != (0, 0), and
     klt exactly when moreover s != 0.  Each chart origin is re-examined
-    with analyze_origin; any sub-fact the local jet cannot decide is
-    reported in ``deferred`` rather than silently trusted.
+    with analyze_origin; the origin of chart i is the coordinate point P_i,
+    which lies on the member exactly when no pure power of x_i occurs.  Any
+    sub-fact the local jet cannot decide is reported in ``deferred`` rather
+    than silently trusted.
     """
     e = _check_eps(eps)
     sv, tv = rat(s), rat(t)
@@ -721,15 +696,13 @@ def classify_hypersurface(
     is_klt = is_lc and sv != 0
     deferred: list[str] = []
     for dossier in charts:
-        if not dossier.inconclusive:
-            continue
-        if dossier.multiplicity == 2:
+        if dossier.multiplicity == 2 and dossier.quadratic_rank != 3:
             deferred.append(
                 f"chart {dossier.chart_index}: double point with quadratic rank "
                 f"{dossier.quadratic_rank}; its precise type is taken from the "
                 "classification of the family, not re-derived here"
             )
-        else:
+        elif dossier.multiplicity == 3:
             deferred.append(
                 f"chart {dossier.chart_index}: multiplicity "
                 f"{dossier.multiplicity} point not decided by the local jet"

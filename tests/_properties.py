@@ -373,7 +373,7 @@ def node_fuzz(seed: int, cases: int) -> int:
         terms = {e: c for e, c in terms.items() if c != 0}
         dossier = analyze_origin(terms, chart_index=0)
         assert dossier.multiplicity == 2 and dossier.quadratic_rank == 3
-        assert dossier.a1 and not dossier.inconclusive
+        assert dossier.verdict == "ordinary node (A1)"
         done += 1
     return done
 

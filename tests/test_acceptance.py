@@ -221,8 +221,8 @@ def test_c08_wps_analysis_suite():
 
     member = standard_member((1, 0, 1, 1), 0, 1)
     dossiers = [analyze_origin(chart_poly(member, i), i) for i in range(4)]
-    assert dossiers[1].a1
-    assert dossiers[2].smooth
+    assert dossiers[1].verdict == "ordinary node (A1)"
+    assert dossiers[2].verdict == "smooth"
     assert dossiers[0].multiplicity == 2 and dossiers[0].quadratic_rank == 1
 
     for st in ((1, 0), (1, 1)):

@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import json
 import pkgutil
 import tracemalloc
@@ -26,6 +27,7 @@ from logsurf.cli import (
     run_scenario,
 )
 from logsurf.exact import InputError
+from logsurf.wps import standard_member
 
 FORK_GRAPH = """\
 E0 2
@@ -638,6 +640,12 @@ def test_wps_volume_needs_four_weights(capsys):
     assert "need exactly 4 weights, got 3" in err
 
 
+def test_wps_volume_rejects_nonpositive_weights(capsys):
+    code, out, err = run(capsys, "wps", "volume", "--weights", "0,1,1,1", "--degree", "86")
+    assert code == 2 and out == ""
+    assert err.strip() == "error (BadWeights): weights must be positive, got (0, 1, 1, 1)"
+
+
 def test_wps_volume_rejects_degree_below_one(capsys):
     for degree in ("0", "-5"):
         code, out, err = run(capsys, "wps", "volume", "--weights", "6,11,25,43", "--degree", degree)
@@ -708,6 +716,72 @@ def test_wps_analyze_cmd(capsys):
     assert "chart 1: ordinary node (A1)" in out
     assert "chart 2: smooth" in out
     assert "P0, P1, P2" in out
+
+
+RANK_TWO_NOTE = (
+    "double point with quadratic rank 2; its precise type is taken from the"
+    " classification of the family, not re-derived here"
+)
+
+
+def test_wps_analyze_multiplicity_four_and_rank_two(capsys):
+    argv = ("wps", "analyze", "--eps", "0,1,1,1", "--s", "1", "--t", "1")
+    details = [
+        "not lc (eps=0,1,1,1, s=1, t=1)",
+        "chart 0: multiplicity 2, quadratic rank 2: undecided here",
+        "chart 1: multiplicity 2, quadratic rank 2: undecided here",
+        "chart 2: smooth",
+        "chart 3: multiplicity 4: not lc",
+        "coordinate points on the surface: P0, P1, P2, P3",
+        f"note: chart 0: {RANK_TWO_NOTE}",
+        f"note: chart 1: {RANK_TWO_NOTE}",
+    ]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "wps analyze"
+    assert lines[1] == f"[PASS] wps-analyze: {details[0]}"
+    assert [ln.strip() for ln in lines[2 : 2 + len(details) - 1]] == details[1:]
+
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["details"] == details
+    outputs = check["outputs"]
+    assert (outputs["is_lc"], outputs["is_klt"]) == (False, False)
+    assert outputs["charts"] == [
+        {"chart": i, "on_surface": True, "multiplicity": m, "quadratic_rank": r, "verdict": v}
+        for i, m, r, v in (
+            (0, 2, 2, "multiplicity 2, quadratic rank 2: undecided here"),
+            (1, 2, 2, "multiplicity 2, quadratic rank 2: undecided here"),
+            (2, 1, None, "smooth"),
+            (3, 4, None, "multiplicity 4: not lc"),
+        )
+    ]
+    assert outputs["coordinate_points"] == [0, 1, 2, 3]
+    assert outputs["notes"] == [f"chart 0: {RANK_TWO_NOTE}", f"chart 1: {RANK_TWO_NOTE}"]
+
+
+@pytest.mark.parametrize(
+    "eps", [e for e in itertools.product((0, 1), repeat=4) if e[:2] != (1, 1)], ids=str
+)
+def test_wps_analyze_coordinate_points_are_the_on_surface_charts(capsys, eps):
+    # P_i is the origin of chart i, and lies on V exactly when no pure power
+    # of x_i occurs in the member.
+    for s, t in itertools.product("01", repeat=2):
+        argv = ("wps", "analyze", "--eps", ",".join(map(str, eps)), "--s", s, "--t", t, "--json")
+        code, out, err = run(capsys, *argv)
+        if not any(eps) and (s, t) == ("0", "0"):
+            assert code == 2 and err.strip() == "error (AllZero): all six coefficients vanish"
+            continue
+        assert code == 0
+        outputs = json.loads(out)["checks"][0]["outputs"]
+        on_surface = [c["chart"] for c in outputs["charts"] if c["on_surface"]]
+        assert outputs["coordinate_points"] == on_surface
+        assert all((c["multiplicity"] > 0) == c["on_surface"] for c in outputs["charts"])
+        member = standard_member(eps, s, t)
+        pure = {e.index(max(e)) for e, _ in member.terms if sum(map(bool, e)) == 1}
+        assert on_surface == [i for i in range(4) if i not in pure]
 
 
 def test_wps_analyze_expr(capsys):
@@ -825,6 +899,7 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
     f = tmp_path / "member.poly"
     for text, message in (
         ("1 0 0 0 2\n", "first line must be 'weights w0 w1 w2 w3'"),
+        ("weights 0 1 5 7\n1 0 0 0 2\n", "weights must be positive, got (0, 1, 5, 7)"),
         # x3^2 in P(1, 2, 3, 5): not a member of the degree-86 family
         ("weights 1 2 3 5\n1 0 0 0 2\n", "expected degree 86 in P(6, 11, 25, 43), got 10 in P(1, 2, 3, 5)"),
     ):

@@ -27,7 +27,6 @@ from logsurf.wps import (
     check_homogeneous,
     classify_hypersurface,
     coeffs_to_poly,
-    coordinate_membership,
     hilbert_coefficient,
     hilbert_series,
     monomial_basis,
@@ -59,9 +58,9 @@ def test_weights_gate():
     Weights((6, 11, 25, 43))  # fine
     with pytest.raises(BadWeights):
         Weights((6, 11, 14, 21))  # 6 and 14 share 2
-    with pytest.raises(BadWeights):
+    with pytest.raises(BadWeights, match=r"^weights must be positive, got \(0, 1, 5, 7\)$"):
         Weights((0, 1, 5, 7))
-    with pytest.raises(BadWeights):
+    with pytest.raises(BadWeights, match=r"^need exactly 4 weights, got 3$"):
         Weights.of((2, 3, 5))  # only three
 
 
@@ -184,8 +183,8 @@ def test_chart_poly_keeps_every_term():
 
 def test_analyze_origin_off_surface():
     d = analyze_origin({(0, 0, 0): F(2), (1, 0, 0): F(1)}, chart_index=3)
-    assert not d.on_surface
-    assert d.multiplicity == 0
+    assert d.multiplicity == 0 and d.quadratic_rank is None
+    assert d.verdict == "not on the surface"
 
 
 def test_analyze_origin_dossiers_for_flagship_member():
@@ -194,13 +193,14 @@ def test_analyze_origin_dossiers_for_flagship_member():
     # chart 0: double point with corank-2 quadratic part; undecided here
     assert dossiers[0].multiplicity == 2
     assert dossiers[0].quadratic_rank == 1
-    assert dossiers[0].inconclusive and not dossiers[0].a1
+    assert dossiers[0].verdict == "multiplicity 2, quadratic rank 1: undecided here"
     # chart 1: ordinary node
-    assert dossiers[1].a1 and dossiers[1].quadratic_rank == 3
+    assert dossiers[1].multiplicity == 2 and dossiers[1].quadratic_rank == 3
+    assert dossiers[1].verdict == "ordinary node (A1)"
     # chart 2: smooth point
-    assert dossiers[2].smooth
+    assert dossiers[2].multiplicity == 1 and dossiers[2].verdict == "smooth"
     # chart 3: not on the surface at all
-    assert not dossiers[3].on_surface
+    assert dossiers[3].multiplicity == 0 and dossiers[3].verdict == "not on the surface"
 
 
 @pytest.mark.parametrize(
@@ -214,20 +214,20 @@ def test_analyze_origin_dossiers_for_flagship_member():
 def test_analyze_origin_quadratic_rank_two(terms):
     d = analyze_origin(terms, chart_index=0)
     assert d.multiplicity == 2 and d.quadratic_rank == 2
-    assert d.inconclusive and not d.a1
+    assert d.verdict == "multiplicity 2, quadratic rank 2: undecided here"
 
 
 def test_analyze_origin_high_multiplicity():
     member = standard_member((0, 1, 1, 1), 1, 1)
     d = analyze_origin(chart_poly(member, 3), 3)
-    assert d.multiplicity == 4
-    assert d.mult_ge_4_not_lc
+    assert d.multiplicity == 4 and d.quadratic_rank is None
+    assert d.verdict == "multiplicity 4: not lc"
 
 
 def test_analyze_origin_triple_point_undecided():
     d = analyze_origin({(3, 0, 0): F(1), (0, 3, 0): F(1)}, chart_index=0)
-    assert d.multiplicity == 3
-    assert d.inconclusive
+    assert d.multiplicity == 3 and d.quadratic_rank is None
+    assert d.verdict == "multiplicity 3, quadratic rank None: undecided here"
 
 
 def test_analyze_origin_rejects_zero_poly():
@@ -407,6 +407,37 @@ def test_wps_volume_values():
             wps_volume((6, 11, 25, 43), degree)
 
 
+@pytest.mark.parametrize(
+    "call, arg, error, message",
+    [
+        (lambda w: wps_volume(w, 86), (6.5, 11, 25, 43), BadWeights, "weights must be integers"),
+        (lambda w: wps_volume(w, 5), (True, 1, 1, 1), BadWeights, "weights must be integers"),
+        (lambda w: hilbert_coefficient(w, 86, 100), (6.9, 11, 25, 43), BadWeights, "weights must be integers"),
+        (lambda w: hilbert_series(w, 86, 100), (6.0, 11, 25, 43), BadWeights, "weights must be integers"),
+        (Weights, (6.0, 11, 25, 43), BadWeights, "weights must be integers"),
+        (Weights, (1, 1, 1, False), BadWeights, "weights must be integers"),
+        (lambda e: classify_hypersurface(e, 0, 1), (1.9, 0, 1, 1), ValueError, "eps must be four 0/1 flags"),
+        (lambda e: classify_hypersurface(e, 0, 1), (1.0, 0, 1, 1), ValueError, "eps must be four 0/1 flags"),
+        (lambda e: classify_hypersurface(e, 0, 1), (True, 0, 1, 1), ValueError, "eps must be four 0/1 flags"),
+    ],
+    ids=[
+        "wps_volume-float",
+        "wps_volume-bool",
+        "hilbert_coefficient-float",
+        "hilbert_series-integral-float",
+        "Weights-integral-float",
+        "Weights-bool",
+        "classify_hypersurface-float",
+        "classify_hypersurface-integral-float",
+        "classify_hypersurface-bool",
+    ],
+)
+def test_non_integer_weights_and_flags_are_rejected(call, arg, error, message):
+    # int() would truncate 6.5 to 6 and read True as 1.
+    with pytest.raises(error, match=message):
+        call(arg)
+
+
 def test_hilbert_series_prefix():
     h = hilbert_series((6, 11, 25, 43), 86, 12)
     assert h[0] == 1
@@ -421,11 +452,15 @@ def test_hilbert_series_prefix():
 
 
 def test_coordinate_membership():
-    member = standard_member((1, 0, 1, 1), 0, 1)
-    assert coordinate_membership(member) == frozenset({0, 1, 2})
+    # P_i is the origin of chart i: on the surface exactly when its dossier
+    # has a positive multiplicity.
+    def on_surface(p):
+        return {i for i in range(4) if analyze_origin(chart_poly(p, i), i).multiplicity > 0}
+
+    assert on_surface(standard_member((1, 0, 1, 1), 0, 1)) == {0, 1, 2}
     # adding a pure x0 power term would evict P0
     p = WeightedPoly.build((1, 1, 1, 1), {(2, 0, 0, 0): F(1), (0, 1, 1, 0): F(1)})
-    assert coordinate_membership(p) == frozenset({1, 2, 3})
+    assert on_surface(p) == {1, 2, 3}
 
 
 # --- classification ----------------------------------------------------------
