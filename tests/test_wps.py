@@ -433,7 +433,7 @@ def test_wps_volume_values():
     ],
 )
 def test_non_integer_weights_and_flags_are_rejected(call, arg, error, message):
-    # int() would truncate 6.5 to 6 and read True as 1.
+    # A float or a bool is rejected, not truncated to an int.
     with pytest.raises(error, match=message):
         call(arg)
 
