@@ -44,6 +44,11 @@ class GraphFormatError(InputError):
     pass
 
 
+#: Largest edge multiplicity a graph file may give. An edge of multiplicity k
+#: is stored as k entries of the edge list, so its memory grows with k.
+GRAPH_MAX_MULTIPLICITY = 1000
+
+
 @dataclass(frozen=True)
 class GraphVertex:
     label: str
@@ -140,7 +145,6 @@ def graph_determinant(g: DualGraph) -> Rational:
 
 @dataclass(frozen=True)
 class ShapeInfo:
-    is_tree: bool
     is_chain: bool
     has_cycle: bool
     forks: tuple[str, ...]
@@ -178,11 +182,10 @@ def shape(g: DualGraph) -> ShapeInfo:
     adj = g.adjacency()
     valence = {v: len(adj[v]) for v in g.labels}
     has_cycle = len(g.edges) >= len(g.vertices)
-    is_tree = not has_cycle
-    is_chain = is_tree and all(val <= 2 for val in valence.values())
+    is_chain = not has_cycle and all(val <= 2 for val in valence.values())
     forks = tuple(sorted(v for v, val in valence.items() if val >= 3))
     tails = tuple(sorted(v for v, val in valence.items() if val == 1))
-    return ShapeInfo(is_tree, is_chain, has_cycle, forks, tails)
+    return ShapeInfo(is_chain, has_cycle, forks, tails)
 
 
 def _chain_order(g: DualGraph) -> list[str]:
@@ -341,7 +344,6 @@ def _nklt_case(g: DualGraph) -> str:
         raise UnclassifiableShape("fork valence pattern matches no germ case")
     if len(info.forks) == 2:
         f1, f2 = info.forks
-        corner_count = 0
         spine = set(g.labels)
         for f in (f1, f2):
             tails_here = [
@@ -350,11 +352,10 @@ def _nklt_case(g: DualGraph) -> str:
             ]
             if len(tails_here) != 2:
                 raise UnclassifiableShape(f"fork {f} does not carry two (-2) corner tails")
-            corner_count += 2
             spine -= set(tails_here)
         spine_graph = g.subgraph(spine)
         spine_info = shape(spine_graph)
-        if corner_count == 4 and spine_info.is_chain:
+        if spine_info.is_chain:
             ends = spine_info.tails if len(spine) > 1 else (f1,)
             if set(info.forks) <= set(ends) or len(spine) == 1:
                 return "c"
@@ -377,21 +378,17 @@ def classify_germ(g: DualGraph) -> GermClassification:
     disc = solve_discrepancies(g)
     exc_vals = list(disc.values())
     is_lc = all(b <= 1 for b in exc_vals)
-    is_klt = all(b < 1 for b in exc_vals) and not bnd
     is_plt = all(b < 1 for b in exc_vals)
-
-    order = None
-    if is_klt:
-        exc_graph = g.subgraph(g.exceptional_labels())
-        order = int(graph_determinant(exc_graph))
+    is_klt = is_plt and not bnd
+    exc_graph = g.subgraph(g.exceptional_labels())
+    order = int(graph_determinant(exc_graph)) if is_klt else None
 
     nklt_case = None
     if is_lc and not is_klt and not bnd:
         nklt_case = _nklt_case(g)
 
     cyclic_points = None
-    exc_graph = g.subgraph(g.exceptional_labels()) if g.exceptional_labels() else None
-    if exc_graph is not None and all(b < 1 for b in exc_vals):
+    if exc_vals and is_plt:
         comps = _components(exc_graph.adjacency())
         types = []
         for comp in comps:
@@ -485,13 +482,6 @@ def residue_search(value: Rational, moduli: Sequence[int]) -> dict[tuple[int, ..
     return hits
 
 
-def adjunction_degree(orders: Sequence[int]) -> Rational:
-    """-2 + sum (1 - 1/n_i) over the given orders."""
-    if any(n < 1 for n in orders):
-        raise ValueError("orders must be positive")
-    return Fraction(-2) + sum((1 - Fraction(1, n) for n in orders), Fraction(0))
-
-
 def parse_graph(text: str) -> DualGraph:
     """Parse the plain-text graph format.
 
@@ -519,6 +509,10 @@ def parse_graph(text: str) -> DualGraph:
                     raise GraphFormatError(f"line {lineno}: bad multiplicity {parts[3]!r}") from exc
                 if mult < 1:
                     raise GraphFormatError(f"line {lineno}: multiplicity must be >= 1")
+                if mult > GRAPH_MAX_MULTIPLICITY:
+                    raise GraphFormatError(
+                        f"line {lineno}: multiplicity {mult} is above the cap {GRAPH_MAX_MULTIPLICITY}"
+                    )
             edges.extend([(parts[0], parts[2])] * mult)
             continue
         parts = line.split()

@@ -12,6 +12,8 @@ is read out.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -51,10 +53,15 @@ class UnboundedObjective(Exception):
     pass
 
 
-def rat(value: int | str | Rational) -> Rational:
-    """Coerce to Fraction, rejecting floats.
+#: A decimal as Fraction reads it: digits, fraction digits, exponent.
+_DECIMAL = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?\d+(?:_\d+)*))?")
 
-    Accepts ints, Fractions, and strings like "3", "-2/7".
+
+def rat(value: int | str | Rational) -> Rational:
+    """Coerce to Fraction, rejecting floats and strings of more digits than
+    Python prints.
+
+    Accepts ints, Fractions, and strings like "3", "-2/7", "1.5e3".
     """
     if type(value) is Fraction:
         return value
@@ -65,8 +72,18 @@ def rat(value: int | str | Rational) -> Rational:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        # Fraction builds M * 10**e from a decimal, then reduces. Reject one
+        # whose integers would have more digits than Python prints: the result
+        # could not be printed, and a long exponent makes Fraction slow.
+        m, limit = _DECIMAL.fullmatch(text), sys.get_int_max_str_digits()
+        if m and limit:
+            whole, frac = (g.replace("_", "") for g in m.group(1, 2))
+            e = int(m[3] or 0)
+            if len((whole + frac).lstrip("0")) + max(e, 0) > limit or len(frac) - min(e, 0) >= limit:
+                raise ValueError(f"a rational of more than {limit} digits")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational number")
@@ -320,18 +337,6 @@ class QuadraticForm1D:
         object.__setattr__(self, "a", rat(self.a))
         object.__setattr__(self, "b", rat(self.b))
         object.__setattr__(self, "c", rat(self.c))
-
-    @classmethod
-    def from_composite(
-        cls,
-        alpha: int | str | Rational,
-        beta: int | str | Rational,
-        gamma: int | str | Rational,
-        delta: int | str | Rational,
-    ) -> QuadraticForm1D:
-        """Build alpha*(beta*t - gamma)^2 + delta*(1 - t)^2, expanded."""
-        al, be, ga, de = rat(alpha), rat(beta), rat(gamma), rat(delta)
-        return cls(al * be * be + de, -2 * al * be * ga - 2 * de, al * ga * ga + de)
 
     def evaluate(self, t: int | str | Rational) -> Rational:
         tt = rat(t)

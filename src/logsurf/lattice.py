@@ -2,9 +2,9 @@
 
 A model starts from n general lines in P^2 (orthogonal basis H, e1, ..., ek
 with the diagonal form +1, -1, ..., -1) and applies blow-up steps, each
-naming the two visible curves whose intersection point gets blown up. The
-model tracks the class of every visible curve (strict transforms of the
-lines and of the exceptional curves) together with which pairs still meet.
+naming the two visible curves whose intersection point gets blown up; the
+two must still meet. The model keeps the class of every visible curve
+(strict transforms of the lines and of the exceptional curves).
 """
 
 from __future__ import annotations
@@ -157,9 +157,7 @@ class IntegralGram:
 @dataclass
 class SurfaceModel:
     rank: int
-    basis: tuple[str, ...]
     visible: dict[str, tuple[Rational, ...]]
-    incidence: frozenset[frozenset[str]]
     steps: tuple[tuple[str, str], ...]
     num_lines: int
     #: Integer Gram matrix and K.C of the visible curves, computed once.
@@ -196,7 +194,6 @@ def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
     n = recipe.num_lines
     k = len(recipe.steps)
     rank = 1 + k
-    basis = ("H",) + tuple(f"e{i}" for i in range(1, k + 1))
 
     visible: dict[str, list[Fraction]] = {
         f"L{i}": [Fraction(1)] + [Fraction(0)] * k for i in range(n)
@@ -221,9 +218,7 @@ def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
         incidence.add(frozenset((new, b)))
     return SurfaceModel(
         rank=rank,
-        basis=basis,
         visible={lbl: tuple(v) for lbl, v in visible.items()},
-        incidence=frozenset(incidence),
         steps=tuple((a, b) for a, b in recipe.steps),
         num_lines=n,
     )

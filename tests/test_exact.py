@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -93,6 +94,37 @@ def test_rat_zero_denominator_is_bad_input():
     for text in ("1/0", " -3/0 "):
         with pytest.raises(ValueError, match=repr(text)):
             rat(text)
+
+
+def test_rat_rejects_what_python_cannot_print():
+    """A string whose value would need more digits than str() prints is bad
+    input, and a long exponent is rejected before Fraction computes it."""
+    limit = sys.get_int_max_str_digits()
+    too_long = [
+        "1e5000",
+        "-1e-5000",
+        f"1e{limit}",  # 10**limit has limit + 1 digits
+        f"1e-{limit}",
+        f"1.5e{limit - 1}",
+        "1" * 3000 + "." + "1" * 3000,  # each part prints, the numerator does not
+        "1" * 3000 + "." + "1" * 2000 + "e-1000",  # nor here, the denominator does
+        "1e2000000",
+        "1e" + "9" * 30,
+    ]
+    for text in too_long:
+        with pytest.raises(ValueError):
+            rat(text)
+    fits = {
+        f"1e{limit - 1}": F(10 ** (limit - 1)),
+        f"1e-{limit - 1}": F(1, 10 ** (limit - 1)),
+        "2.5e-3": F(1, 400),
+        "1_000e1_0": F(10**13),
+        " -0.5 ": F(-1, 2),
+        "7/3": F(7, 3),
+    }
+    for text, value in fits.items():
+        assert rat(text) == value
+        str(rat(text))
 
 
 #: Each public exact routine, called on one matrix (square where it must be).
@@ -441,10 +473,10 @@ def test_lp_cost_unbounded_and_shape():
 
 
 def test_quadratic_from_composite_and_minimum():
-    q = QuadraticForm1D.from_composite(F(1, 462), 11, 10, F(1, 3))
+    q = _reference.quadratic_from_composite(F(1, 462), 11, 10, F(1, 3))
     t, val = minimize_quadratic(q)
     assert (t, val) == (F(24, 25), F(1, 825))
-    q2 = QuadraticForm1D.from_composite(F(1, 260), 13, 12, F(1, 3))
+    q2 = _reference.quadratic_from_composite(F(1, 260), 13, 12, F(1, 3))
     t2, val2 = minimize_quadratic(q2)
     assert (t2, val2) == (F(56, 59), F(1, 767))
 

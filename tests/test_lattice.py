@@ -62,8 +62,8 @@ def test_single_blowup():
     assert m.gram.at("E1", "E1") == -1
     assert m.gram.at("E1", "L0") == 1
     assert m.gram.k_dot["E1"] == -1
-    assert frozenset(("L0", "L1")) not in m.incidence
-    assert frozenset(("E1", "L0")) in m.incidence
+    # the new curve meets both of its lines, which no longer meet each other
+    assert build_from_recipe(BlowupRecipe(2, (("L0", "L1"), ("E1", "L0")))).rank == 3
 
 
 def test_step_validation():
@@ -295,13 +295,12 @@ def test_gram_matches_pairing_flagship_size():
 
 def test_hand_built_model_gets_an_integral_gram():
     m = SurfaceModel(
-        rank=2, basis=("H", "e1"), visible={"A": (F(1), F(-1)), "E": (0, 1)},
-        incidence=frozenset(), steps=(), num_lines=0,
+        rank=2, visible={"A": (F(1), F(-1)), "E": (0, 1)}, steps=(), num_lines=0,
     )
     assert m.gram.products == {"A": {"A": 0, "E": 1}, "E": {"A": 1, "E": -1}}
     assert m.gram.k_dot == {"A": -2, "E": -1}
     assert "gram" not in repr(m)
-    twin = SurfaceModel(m.rank, m.basis, dict(m.visible), m.incidence, m.steps, m.num_lines)
+    twin = SurfaceModel(m.rank, dict(m.visible), m.steps, m.num_lines)
     twin.decompositions["x"] = None
     assert twin == m
     with pytest.raises(UnknownLabel):
@@ -313,7 +312,4 @@ def test_hand_built_model_gets_an_integral_gram():
 )
 def test_model_rejects_non_integral_or_misshapen_classes(visible):
     with pytest.raises(ValueError):
-        SurfaceModel(
-            rank=2, basis=("H", "e1"), visible=visible,
-            incidence=frozenset(), steps=(), num_lines=0,
-        )
+        SurfaceModel(rank=2, visible=visible, steps=(), num_lines=0)

@@ -60,8 +60,7 @@ def blown_plane() -> SurfaceModel:
 def line_model() -> SurfaceModel:
     # a single rational curve of square +1, nothing else visible
     return SurfaceModel(
-        rank=1, basis=("H",), visible={"A": (F(1),)},
-        incidence=frozenset(), steps=(), num_lines=0,
+        rank=1, visible={"A": (F(1),)}, steps=(), num_lines=0,
     )
 
 
@@ -72,8 +71,7 @@ def dot(y, c) -> Fraction:
 def neg_curve_model() -> SurfaceModel:
     # one visible (-1)-curve in a rank-two lattice
     return SurfaceModel(
-        rank=2, basis=("H", "e1"), visible={"A": (F(0), F(1))},
-        incidence=frozenset(), steps=(), num_lines=0,
+        rank=2, visible={"A": (F(0), F(1))}, steps=(), num_lines=0,
     )
 
 
@@ -226,7 +224,11 @@ def test_pet_flagship_value(ex462):
     r = pet(m, base, ray, F(1, 1000), plus_canonical=True)
     assert r.certified
     assert r.value == F(10, 11)
-    assert r.lc_bound_ok
+    # the lc bound: no coefficient of base + t*ray exceeds 1 at the threshold
+    assert all(
+        base.coeff(lbl) + r.value * ray.coeff(lbl) <= 1
+        for lbl in set(base.support()) | set(ray.support())
+    )
     # the class at the threshold is the zero class
     base_cls = divisor_class(m, base)
     ray_cls = divisor_class(m, ray)
@@ -292,10 +294,11 @@ def test_pet_rejects_bad_inputs(ex462):
 def test_nef_certificate_ex825(ex825):
     m = ex825.model
     z = zariski(m, ex825.divisors["C_tilde"], plus_canonical=True)
-    cert = nef_certificate(m, z.positive_coeffs, plus_canonical=True)
-    assert all(v >= 0 for v in cert.visible_intersections.values())
-    assert cert.effective_rep.is_effective()
-    assert divisor_class(m, cert.effective_rep) == positive_class(m, z)
+    rep = nef_certificate(m, z.positive_coeffs, plus_canonical=True)
+    dots = m.gram.dots(z.positive_coeffs, sorted(m.visible), plus_canonical=True)
+    assert all(v >= 0 for v in dots.values())
+    assert rep.is_effective()
+    assert divisor_class(m, rep) == positive_class(m, z)
     # a known effective representative: round brackets minus square brackets
     from logsurf.lattice import log_pullback
 
@@ -316,17 +319,20 @@ def test_nef_certificate_rejections():
 
 def test_nef_certificate_target_forms_agree():
     # a divisor and its mapping name the same target; K is added on request,
-    # and the intersections are those of the class vector
+    # the representative has the target's class, and the intersections
+    # checked are those of the class vector
     m = blown_plane()
     d = qdiv({"L0": 4, "E1": 3})  # 4H - E, and K + D = H
     for plus in (False, True):
-        want = nef_certificate(m, d, plus_canonical=plus).visible_intersections
-        got = nef_certificate(m, {"L0": 4, "E1": 3}, plus_canonical=plus).visible_intersections
-        assert got == want
+        rep = nef_certificate(m, d, plus_canonical=plus)
+        assert nef_certificate(m, {"L0": 4, "E1": 3}, plus_canonical=plus) == rep
+        assert rep.is_effective()
         cls = divisor_class(m, d)
         if plus:
             cls = tuple(k + c for k, c in zip(m.canonical_class, cls))
-        assert want == {lbl: m.pairing(cls, m.visible_class(lbl)) for lbl in sorted(m.visible)}
+        assert divisor_class(m, rep) == cls
+        dots = m.gram.dots(d, sorted(m.visible), plus_canonical=plus)
+        assert dots == {lbl: m.pairing(cls, m.visible_class(lbl)) for lbl in sorted(m.visible)}
 
 
 def test_nef_threshold_y_model(ex825):
@@ -338,13 +344,35 @@ def test_nef_threshold_y_model(ex825):
     r = nef_threshold(m, base, ray, plus_canonical=True)
     assert r.value == F(24, 25)
     assert "E17" in r.binding_constraints
-    assert r.bracket[1] == 1
-
     d = base.add(ray.scale(F(24, 25)))
+    # certified by an effective representative of K + d
+    assert r.certified and r.certificate_at_value.is_effective()
+    k_d = tuple(a + b for a, b in zip(m.canonical_class, divisor_class(m, d)))
+    assert divisor_class(m, r.certificate_at_value) == k_d
+    # the nef interval ends at s = 1: there K + base + s*ray meets L0 in 0 and
+    # L0 reaches coefficient 1, and past it L0 is met negatively
+    at_one = base.add(ray)
+    assert m.gram.dots(at_one, ["L0"], plus_canonical=True)["L0"] == 0
+    assert m.gram.dots(ray, ["L0"])["L0"] < 0
+    assert at_one.coeff("L0") == 1
+
     v = volume(m, d, plus_canonical=True)
     assert v == F(14, 20625)
     # decomposition of the total volume across the threshold
     assert v + F(1, 25) ** 2 * F(1, 3) == F(1, 825)
+
+
+def test_nef_threshold_without_a_representative_is_not_certified():
+    # K + base is nef on the visible curves at s = 0, but its class is not a
+    # nonnegative combination of them, so the value stands uncertified
+    steps = (("L0", "L1"), ("L2", "L3"), ("E2", "L2"), ("E2", "L3"), ("E3", "L2"))
+    m = build_from_recipe(BlowupRecipe(4, steps))
+    base = {"E1": "-1/2", "L0": 1, "L3": 1}
+    r = nef_threshold(m, base, {"L0": 3, "L3": 1, "E1": "1/2"})
+    assert r.value == 0 and r.binding_constraints == ("L3",)
+    assert r.certificate_at_value is None and not r.certified
+    with pytest.raises(NoEffectiveRepresentative):
+        nef_certificate(m, base)
 
 
 def test_nef_threshold_empty():

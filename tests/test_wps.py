@@ -29,13 +29,11 @@ from logsurf.wps import (
     coeffs_to_poly,
     hilbert_coefficient,
     hilbert_series,
-    monomial_basis,
     node_only_certificate,
     normal_form,
     parse_poly,
     parse_poly_human,
     poly_to_coeffs,
-    projective_equivalence,
     standard_member,
     wps_volume,
 )
@@ -49,6 +47,7 @@ from _properties import (
     normal_form_roundtrip,
     volume_identity,
 )
+from _reference import monomial_basis, projective_equivalence
 
 
 # --- weights and homogeneity -------------------------------------------------
@@ -61,7 +60,16 @@ def test_weights_gate():
     with pytest.raises(BadWeights, match=r"^weights must be positive, got \(0, 1, 5, 7\)$"):
         Weights((0, 1, 5, 7))
     with pytest.raises(BadWeights, match=r"^need exactly 4 weights, got 3$"):
-        Weights.of((2, 3, 5))  # only three
+        Weights((2, 3, 5))  # only three
+
+
+def test_weights_keep_the_checked_tuple():
+    w = Weights([6, 11, 25, 43])
+    assert w.w == (6, 11, 25, 43)
+    assert w == FLAGSHIP_WEIGHTS and hash(w) == hash(FLAGSHIP_WEIGHTS)
+    p = WeightedPoly.build(w, {(0, 0, 0, 2): F(1), (7, 4, 0, 0): F(-2, 3)})
+    assert p.weights is w
+    assert poly_to_coeffs(p) == (1, 0, 0, 0, 0, F(-2, 3))
 
 
 def test_check_homogeneous_degrees():
@@ -227,7 +235,7 @@ def test_analyze_origin_high_multiplicity():
 def test_analyze_origin_triple_point_undecided():
     d = analyze_origin({(3, 0, 0): F(1), (0, 3, 0): F(1)}, chart_index=0)
     assert d.multiplicity == 3 and d.quadratic_rank is None
-    assert d.verdict == "multiplicity 3, quadratic rank None: undecided here"
+    assert d.verdict == "multiplicity 3: undecided here"
 
 
 def test_analyze_origin_rejects_zero_poly():
