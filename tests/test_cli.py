@@ -563,6 +563,9 @@ def test_every_src_definition_is_reached():
     files do not change alongside the program's: what it alone keeps goes
     with the next change to the benchmark."""
     package = Path(logsurf.__file__).parent
+    # (module, statement index[, class body index]) -> (names used, attributes
+    # read). A class is split into its header and each body statement, so that
+    # a member's own definition can be told from the rest of its class.
     statements: dict[tuple, tuple[set[str], set[str]]] = {}
     defined = []
     members = []
@@ -572,15 +575,16 @@ def test_every_src_definition_is_reached():
         for i, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("__"):
                 defined.append((path.stem, i, stmt.name))
-            parts = {(): stmt}
             if isinstance(stmt, ast.ClassDef):
-                parts = {(j,): s for j, s in enumerate(stmt.body)}
-                parts[()] = ast.Module([*stmt.bases, *stmt.decorator_list], [])
                 members += [(path.stem, i, j, stmt.name, name) for j, name in _members(stmt)]
-            for key, node in parts.items():
+                parts = {(j,): [s] for j, s in enumerate(stmt.body)}
+                parts[("header",)] = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+            else:
+                parts = {(): [stmt]}
+            for key, nodes in parts.items():
                 statements[(path.stem, i, *key)] = (
-                    set(_referenced_names(node)),
-                    set(_attributes_read(node)),
+                    {name for node in nodes for name in _referenced_names(node)},
+                    {attr for node in nodes for attr in _attributes_read(node)},
                 )
     used: set[str] = set()
     read: set[str] = set()
