@@ -21,6 +21,7 @@ LOGSURF_COLOR=0/1 to force colored PASS/FAIL markers off or on.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -83,8 +84,20 @@ class ParseError(InputError):
         super().__init__(message)
 
 
-def _frac(x: Fraction | int) -> str:
-    return str(Fraction(x))
+class OutputTooLong(InputError):
+    """A result with more digits than Python prints (``sys.get_int_max_str_digits``)."""
+
+
+def _frac(x: Fraction | int, name: str) -> str:
+    """x as "p/q": the one way a report prints a rational. ``name`` is the
+    output's name in the report, for the error when x is too long to print."""
+    try:
+        return str(Fraction(x))
+    except ValueError:  # only the integer-to-string digit limit raises here
+        raise OutputTooLong(
+            f"{name} has more than {sys.get_int_max_str_digits()} digits,"
+            " the most Python prints of an integer"
+        ) from None
 
 
 def _use_color(stream) -> bool:
@@ -297,7 +310,7 @@ class _SpecReader:
 
 
 def _expect_table(
-    got: QDivisor, expected: Mapping[str, Fraction]
+    got: QDivisor, expected: Mapping[str, Fraction], key: str
 ) -> tuple[bool, dict[str, str], list[str]]:
     ok = True
     outputs: dict[str, str] = {}
@@ -305,10 +318,10 @@ def _expect_table(
     for lbl in sorted(expected):
         want = expected[lbl]
         have = got.coeff(lbl)
-        outputs[lbl] = _frac(have)
+        outputs[lbl] = _frac(have, f"{key}.{lbl}")
         if have != want:
             ok = False
-            wrong.append(f"{lbl}: got {have}, expected {want}")
+            wrong.append(f"{lbl}: got {outputs[lbl]}, expected {want}")
     return ok, outputs, wrong
 
 
@@ -317,13 +330,14 @@ def _check_volume(r: _SpecReader) -> CheckRecord:
     plus = r.read("plus_canonical", r.flag, False)
     want = r.read("expect", r.rational)
     v = volume(r.m, d, plus_canonical=plus)
+    shown = _frac(v, "volume")
     passed = v == want
     return CheckRecord(
         kind="volume",
         inputs={"divisor": name, "plus_canonical": plus},
-        outputs={"volume": _frac(v)},
+        outputs={"volume": shown},
         passed=passed,
-        details=[f"volume = {v}" + ("" if passed else f" (expected {want})")],
+        details=[f"volume = {shown}" + ("" if passed else f" (expected {want})")],
     )
 
 
@@ -332,14 +346,14 @@ def _check_zariski(r: _SpecReader) -> CheckRecord:
     plus = r.read("plus_canonical", r.flag, False)
     expected = r.read("expect_positive", r.curve_values)
     z = zariski(r.m, d, plus_canonical=plus)
-    ok, outputs, wrong = _expect_table(z.positive_coeffs, expected)
+    ok, outputs, wrong = _expect_table(z.positive_coeffs, expected, "positive")
     details = [f"positive part on {len(outputs)} curves", *wrong]
     return CheckRecord(
         kind="zariski",
         inputs={"divisor": name, "plus_canonical": plus},
         outputs={
             "positive": outputs,
-            "negative": {k: _frac(v) for k, v in z.negative_part.as_dict().items()},
+            "negative": {k: _frac(v, f"negative.{k}") for k, v in z.negative_part.coeffs},
         },
         passed=ok,
         details=details,
@@ -353,11 +367,11 @@ def _check_pullback(r: _SpecReader) -> CheckRecord:
     expected = r.read("expect_coeffs", r.curve_values)
     want_zero = r.read("expect_class_zero", r.flag, False)
     d, cls = log_pullback(r.m, coeffs)
-    ok, outputs, wrong = _expect_table(d, expected)
+    ok, outputs, wrong = _expect_table(d, expected, "coeffs")
     class_zero = all(x == 0 for x in cls)
     if want_zero and not class_zero:
         ok = False
-        wrong.append(f"class is {tuple(map(str, cls))}, expected zero")
+        wrong.append(f"class is {tuple(_frac(x, 'class') for x in cls)}, expected zero")
     details = [
         "pullback coefficients on "
         f"{len(outputs)} curves; class {'=' if class_zero else '!='} 0"
@@ -365,7 +379,7 @@ def _check_pullback(r: _SpecReader) -> CheckRecord:
     details += wrong
     return CheckRecord(
         kind="pullback",
-        inputs={"line_coeffs": [_frac(c) for c in coeffs]},
+        inputs={"line_coeffs": [_frac(c, "line_coeffs") for c in coeffs]},
         outputs={"coeffs": outputs, "class_zero": class_zero},
         passed=ok,
         details=details,
@@ -406,8 +420,15 @@ def _check_pet(r: _SpecReader) -> CheckRecord:
         gap = r.rationals(f"{r.path}.expect_not_in_open", gap)
     base, ray = _contraction_rays(r.m, contract, boundary)
     t = pet(r.m, base, ray, resolution, plus_canonical=True)
+    shown = _frac(t.value, "value") if t.value is not None else None
     ok = t.certified and t.value == want
-    details = [f"threshold = {t.value} ({'certified' if t.certified else 'bracket only'})"]
+    if t.value is None:
+        details = [
+            "no t >= 0 makes K + base + t*ray visible-effective;"
+            " the LP's Farkas vector certifies it"
+        ]
+    else:
+        details = [f"threshold = {shown} (certified)"]
     if not ok:
         details.append(f"expected {want}")
     if gap is not None:
@@ -425,10 +446,7 @@ def _check_pet(r: _SpecReader) -> CheckRecord:
             "boundary": dict(r.spec["boundary"]),
             "resolution": str(r.spec["resolution"]),
         },
-        outputs={
-            "value": _frac(t.value) if t.value is not None else None,
-            "certified": t.certified,
-        },
+        outputs={"value": shown, "certified": t.certified},
         passed=ok,
         details=details,
     )
@@ -439,8 +457,9 @@ def _check_nt(r: _SpecReader) -> CheckRecord:
     want = r.read("expect_value", r.rational)
     base, ray = _contraction_rays(r.m, contract, boundary)
     t = nef_threshold(r.m, base, ray, plus_canonical=True)
+    shown = _frac(t.value, "value")
     ok = t.certified and t.value == want
-    details = [f"nef threshold = {t.value}" + ("" if t.certified else " (no effective representative)")]
+    details = [f"nef threshold = {shown}" + ("" if t.certified else " (no effective representative)")]
     if not ok:
         details.append(f"expected {want}")
     if t.binding_constraints:
@@ -448,10 +467,7 @@ def _check_nt(r: _SpecReader) -> CheckRecord:
     return CheckRecord(
         kind="nt",
         inputs={"contract": list(contract), "boundary": dict(r.spec["boundary"])},
-        outputs={
-            "value": _frac(t.value),
-            "binding": list(t.binding_constraints),
-        },
+        outputs={"value": shown, "binding": list(t.binding_constraints)},
         passed=ok,
         details=details,
     )
@@ -609,8 +625,14 @@ def _check_germ(r: _SpecReader) -> CheckRecord:
             "is_lc": cls.is_lc,
             "is_plt": cls.is_plt,
             "orders": orders,
-            "coeffs": {k: _frac(v) for k, v in sorted(cls.discrepancy_coeffs.items())},
-            **({"boundary_self_int": _frac(square)} if square is not None else {}),
+            "coeffs": {
+                k: _frac(v, f"coeffs.{k}") for k, v in sorted(cls.discrepancy_coeffs.items())
+            },
+            **(
+                {"boundary_self_int": _frac(square, "boundary_self_int")}
+                if square is not None
+                else {}
+            ),
         },
         passed=ok,
         details=details,
@@ -710,17 +732,15 @@ def classify_germ_cmd(args) -> _Outcome:
     if cls.is_plt and not cls.is_klt:
         bits.insert(0, "plt")
     verdict = ", ".join(bits)
-    details = [verdict]
-    for lbl in g.labels:
-        if lbl in cls.discrepancy_coeffs:
-            details.append(f"coefficient {lbl}: {cls.discrepancy_coeffs[lbl]}")
+    coeffs = {k: _frac(v, f"coeffs.{k}") for k, v in sorted(cls.discrepancy_coeffs.items())}
+    details = [verdict] + [f"coefficient {lbl}: {coeffs[lbl]}" for lbl in g.labels if lbl in coeffs]
     outputs = {
         "verdict": verdict,
         "is_lc": cls.is_lc,
         "is_klt": cls.is_klt,
         "is_plt": cls.is_plt,
         **({"order": cls.order} if cls.order is not None else {}),
-        "coeffs": {k: _frac(v) for k, v in sorted(cls.discrepancy_coeffs.items())},
+        "coeffs": coeffs,
     }
     return f"germ {os.path.basename(args.file)}", "germ", {"file": args.file}, outputs, details
 
@@ -778,8 +798,9 @@ def _wps_member_from_args(args) -> tuple[tuple, Fraction, Fraction]:
 def wps_analyze_cmd(args) -> _Outcome:
     eps, s, t = _wps_member_from_args(args)
     c = _wps.classify_hypersurface(eps, s, t)
+    inputs = {"eps": list(eps), "s": _frac(s, "s"), "t": _frac(t, "t")}
     verdict = "klt" if c.is_klt else ("lc, not klt" if c.is_lc else "not lc")
-    details = [f"{verdict} (eps={','.join(map(str, eps))}, s={s}, t={t})"]
+    details = [f"{verdict} (eps={','.join(map(str, eps))}, s={inputs['s']}, t={inputs['t']})"]
     details += [f"chart {d.chart_index}: {d.verdict}" for d in c.charts]
     chart_out = [
         {
@@ -806,7 +827,6 @@ def wps_analyze_cmd(args) -> _Outcome:
         "coordinate_points": members,
         "notes": list(c.deferred),
     }
-    inputs = {"eps": list(eps), "s": _frac(s), "t": _frac(t)}
     return "wps analyze", "wps-analyze", inputs, outputs, details
 
 
@@ -821,21 +841,18 @@ def wps_normal_form_cmd(args) -> _Outcome:
         raise ParseError("need --coeffs a1,..,a6 or --poly FILE")
     nf = _wps.normal_form(coeffs)
     tr = nf.transform
-    details = [
-        f"eps = ({','.join(map(str, nf.eps))}), s = {nf.s}, t = {nf.t}",
-        f"scales c = ({', '.join(map(str, tr.c))}), shear d = {tr.d}, lambda = {tr.lam}",
-    ]
-    outputs = {
-        "eps": list(nf.eps),
-        "s": _frac(nf.s),
-        "t": _frac(nf.t),
-        "transform": {
-            "c": [_frac(x) for x in tr.c],
-            "d": _frac(tr.d),
-            "lambda": _frac(tr.lam),
-        },
+    s, t = _frac(nf.s, "s"), _frac(nf.t, "t")
+    shown = {
+        "c": [_frac(x, f"transform.c[{i}]") for i, x in enumerate(tr.c)],
+        "d": _frac(tr.d, "transform.d"),
+        "lambda": _frac(tr.lam, "transform.lambda"),
     }
-    inputs = {"coeffs": [_frac(c) for c in coeffs]}
+    details = [
+        f"eps = ({','.join(map(str, nf.eps))}), s = {s}, t = {t}",
+        f"scales c = ({', '.join(shown['c'])}), shear d = {shown['d']}, lambda = {shown['lambda']}",
+    ]
+    outputs = {"eps": list(nf.eps), "s": s, "t": t, "transform": shown}
+    inputs = {"coeffs": [_frac(c, "coeffs") for c in coeffs]}
     return "wps normal-form", "wps-normal-form", inputs, outputs, details
 
 
@@ -853,22 +870,21 @@ def wps_hilbert_cmd(args) -> _Outcome:
         target = Fraction(degree, math.prod(weights))
         ratio = Fraction(2 * h, n * n) if n else Fraction(0)
         err = abs(ratio - target)
+        shown = {"volume": _frac(target, "volume"), "error": _frac(err, "error")}
         details.append(
-            f"2*h(n)/n^2 = {float(ratio):.10g} vs volume {target} "
-            f"(exact error {err} = {float(err):.3g})"
+            f"2*h(n)/n^2 = {float(ratio):.10g} vs volume {shown['volume']} "
+            f"(exact error {shown['error']} = {float(err):.3g})"
         )
-        outputs.update(
-            {"ratio": float(ratio), "volume": _frac(target), "error": _frac(err)}
-        )
+        outputs.update({"ratio": float(ratio), **shown})
     inputs = {"weights": list(weights), "degree": degree}
     return "wps hilbert", "wps-hilbert", inputs, outputs, details
 
 
 def wps_volume_cmd(args) -> _Outcome:
     weights = _ints_arg("--weights", args.weights)
-    v = _wps.wps_volume(weights, _at_least("--degree", args.degree, 1), args.twist)
+    v = _frac(_wps.wps_volume(weights, _at_least("--degree", args.degree, 1), args.twist), "volume")
     inputs = {"weights": list(weights), "degree": args.degree, "twist": args.twist}
-    return "wps volume", "wps-volume", inputs, {"volume": _frac(v)}, [f"volume = {v}"]
+    return "wps volume", "wps-volume", inputs, {"volume": v}, [f"volume = {v}"]
 
 
 def enumerate_cmd(args) -> _Outcome:
@@ -893,15 +909,20 @@ def quadmin_cmd(args) -> _Outcome:
         _rational_arg("--a", args.a), _rational_arg("--b", args.b), _rational_arg("--c", args.c)
     )
     t_star, value = minimize_quadratic(q)
-    inputs = {"a": _frac(q.a), "b": _frac(q.b), "c": _frac(q.c)}
-    outputs = {"argmin": _frac(t_star), "min": _frac(value)}
-    return "quadmin", "quadmin", inputs, outputs, [f"minimum {value} at t = {t_star}"]
+    inputs = {"a": _frac(q.a, "a"), "b": _frac(q.b, "b"), "c": _frac(q.c, "c")}
+    outputs = {"argmin": _frac(t_star, "argmin"), "min": _frac(value, "min")}
+    details = [f"minimum {outputs['min']} at t = {outputs['argmin']}"]
+    return "quadmin", "quadmin", inputs, outputs, details
 
 
 # --- entry point -------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in
+    it, and repeated in-process ``main`` calls would otherwise rebuild every
+    sub-parser."""
     parser = argparse.ArgumentParser(
         prog="logsurf",
         description="Exact intersection theory on blown-up planes and weighted hypersurfaces.",

@@ -4,7 +4,10 @@ A model starts from n general lines in P^2 (orthogonal basis H, e1, ..., ek
 with the diagonal form +1, -1, ..., -1) and applies blow-up steps, each
 naming the two visible curves whose intersection point gets blown up; the
 two must still meet. The model keeps the class of every visible curve
-(strict transforms of the lines and of the exceptional curves).
+(strict transforms of the lines and of the exceptional curves) as a tuple of
+ints, so class arithmetic is integer arithmetic; ``divisor_class`` sums a
+rational divisor over one common denominator and builds its Fractions only
+when it reads the class out.
 """
 
 from __future__ import annotations
@@ -78,7 +81,10 @@ class QDivisor:
         return QDivisor.from_dict(d)
 
     def sub(self, other: QDivisor) -> QDivisor:
-        return self.add(other.scale(-1))
+        d = self.as_dict()
+        for lbl, c in other.coeffs:
+            d[lbl] = d.get(lbl, 0) - c
+        return QDivisor.from_dict(d)
 
     def scale(self, r: int | str | Rational) -> QDivisor:
         rr = rat(r)
@@ -112,22 +118,15 @@ class IntegralGram:
     k_dot: Mapping[str, int]
 
     @classmethod
-    def of_classes(cls, visible: Mapping[str, Sequence[Rational]], rank: int) -> IntegralGram:
-        ints: dict[str, list[int]] = {}
-        for lbl, vec in visible.items():
-            if len(vec) != rank or not all(
-                isinstance(c, (int, Fraction)) and c.denominator == 1 for c in vec
-            ):
-                raise ValueError(f"class of {lbl} is not an integral vector of length {rank}")
-            ints[lbl] = [int(c) for c in vec]
+    def of_classes(cls, visible: Mapping[str, Sequence[int]]) -> IntegralGram:
         # nonzero entries of x against the form diag(1, -1, ..., -1)
         signed = {
-            lbl: [(i, c if i == 0 else -c) for i, c in enumerate(x) if c] for lbl, x in ints.items()
+            lbl: [(i, c if i == 0 else -c) for i, c in enumerate(x) if c] for lbl, x in visible.items()
         }
         products = {
-            a: {b: sum(c * y[i] for i, c in signed[a]) for b, y in ints.items()} for a in ints
+            a: {b: sum(c * y[i] for i, c in signed[a]) for b, y in visible.items()} for a in visible
         }
-        return cls(products, {lbl: -3 * x[0] - sum(x[1:]) for lbl, x in ints.items()})
+        return cls(products, {lbl: -3 * x[0] - sum(x[1:]) for lbl, x in visible.items()})
 
     def at(self, a: str, b: str) -> int:
         try:
@@ -157,7 +156,8 @@ class IntegralGram:
 @dataclass
 class SurfaceModel:
     rank: int
-    visible: dict[str, tuple[Rational, ...]]
+    #: Class of each visible curve in the basis H, e1, ..., ek, as ints.
+    visible: dict[str, tuple[int, ...]]
     steps: tuple[tuple[str, str], ...]
     num_lines: int
     #: Integer Gram matrix and K.C of the visible curves, computed once.
@@ -168,11 +168,17 @@ class SurfaceModel:
     )
 
     def __post_init__(self) -> None:
-        self.gram = IntegralGram.of_classes(self.visible, self.rank)
+        for lbl, vec in self.visible.items():
+            if len(vec) != self.rank or not all(
+                isinstance(c, (int, Fraction)) and c.denominator == 1 for c in vec
+            ):
+                raise ValueError(f"class of {lbl} is not an integral vector of length {self.rank}")
+        self.visible = {lbl: tuple(map(int, vec)) for lbl, vec in self.visible.items()}
+        self.gram = IntegralGram.of_classes(self.visible)
 
     @property
-    def canonical_class(self) -> tuple[Rational, ...]:
-        return (Fraction(-3),) + (Fraction(1),) * (self.rank - 1)
+    def canonical_class(self) -> tuple[int, ...]:
+        return (-3,) + (1,) * (self.rank - 1)
 
     def pairing(self, x: Sequence[Rational], y: Sequence[Rational]) -> Rational:
         if len(x) != self.rank or len(y) != self.rank:
@@ -182,7 +188,7 @@ class SurfaceModel:
             total -= a * b
         return total
 
-    def visible_class(self, label: str) -> tuple[Rational, ...]:
+    def visible_class(self, label: str) -> tuple[int, ...]:
         try:
             return self.visible[label]
         except KeyError:
@@ -195,9 +201,7 @@ def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
     k = len(recipe.steps)
     rank = 1 + k
 
-    visible: dict[str, list[Fraction]] = {
-        f"L{i}": [Fraction(1)] + [Fraction(0)] * k for i in range(n)
-    }
+    visible = {f"L{i}": [1] + [0] * k for i in range(n)}
     incidence = {frozenset((f"L{i}", f"L{j}")) for i in range(n) for j in range(i + 1, n)}
     for s, (a, b) in enumerate(recipe.steps, start=1):
         if a not in visible:
@@ -210,8 +214,8 @@ def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
         new = f"E{s}"
         visible[a][s] -= 1
         visible[b][s] -= 1
-        col = [Fraction(0)] * (k + 1)
-        col[s] = Fraction(1)
+        col = [0] * (k + 1)
+        col[s] = 1
         visible[new] = col
         incidence.discard(pair)
         incidence.add(frozenset((new, a)))
@@ -225,13 +229,16 @@ def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
 
 
 def divisor_class(m: SurfaceModel, d: QDivisor | Mapping[str, Rational]) -> tuple[Rational, ...]:
+    """The class of d, summed in integer numerators over one common denominator."""
     dd = qdiv(d)
-    total = [Fraction(0)] * m.rank
+    q = lcm(*(c.denominator for _, c in dd.coeffs))
+    total = [0] * m.rank
     for lbl, c in dd.coeffs:
-        cls = m.visible_class(lbl)
-        for i in range(m.rank):
-            total[i] += c * cls[i]
-    return tuple(total)
+        a = c.numerator * (q // c.denominator)
+        for i, x in enumerate(m.visible_class(lbl)):
+            if x:
+                total[i] += a * x
+    return tuple(Fraction(t, q) for t in total)
 
 
 def log_pullback(

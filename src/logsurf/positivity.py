@@ -8,7 +8,8 @@ non-negatively, any curve outside the representative's support meets it
 non-negatively for free.
 
 A divisor K + D is passed as D with ``plus_canonical=True``. Intersection
-numbers come from ``m.gram``; only the LPs of psef_test and pet take classes.
+numbers come from ``m.gram``; only the LPs of psef_test and pet take classes,
+whose visible columns are integer vectors.
 """
 
 from __future__ import annotations
@@ -114,34 +115,32 @@ def zariski(
 def _fujita(
     m: SurfaceModel, dd: QDivisor, plus: bool, labels: list[str], one_at_a_time: bool
 ) -> ZariskiResult:
-    """The iteration behind ``zariski``, in curve coordinates: P.C is D.C minus
-    the N coefficients against the integer Gram matrix."""
-    d_dot = m.gram.dots(dd, labels, plus)
+    """The iteration behind ``zariski``, in curve coordinates: each round takes
+    ([K +] P).C, P = D - N, from the integer Gram matrix in one pass."""
+    d_dot = p_dot = m.gram.dots(dd, labels, plus)
     support: list[str] = []
+    n_div, p_div = QDivisor(()), dd
     while True:
-        gram = m.gram.matrix(support)
-        if support:
-            n_vals = solve_negative_definite(gram, tuple(d_dot[lbl] for lbl in support))
-            if n_vals is None:
-                raise NotPseudoEffective(
-                    f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
-                )
-            for lbl, v in zip(support, n_vals):
-                if v < 0:
-                    raise NegativeCoefficient(f"negative part coefficient {v} at {lbl}")
-        else:
-            n_vals = ()
-        n_div = QDivisor.from_dict(dict(zip(support, n_vals)))
-        n_dot = m.gram.dots(n_div, labels)
-        p_dot = {lbl: d_dot[lbl] - n_dot[lbl] for lbl in labels}
         violators = [lbl for lbl in labels if lbl not in support and p_dot[lbl] < 0]
         if not violators:
             break
         support.extend(violators[:1] if one_at_a_time else violators)
+        n_vals = solve_negative_definite(
+            m.gram.matrix(support), tuple(d_dot[lbl] for lbl in support)
+        )
+        if n_vals is None:
+            raise NotPseudoEffective(
+                f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
+            )
+        for lbl, v in zip(support, n_vals):
+            if v < 0:
+                raise NegativeCoefficient(f"negative part coefficient {v} at {lbl}")
+        n_div = QDivisor.from_dict(dict(zip(support, n_vals)))
+        p_div = dd.sub(n_div)
+        p_dot = m.gram.dots(p_div, labels, plus)
 
     if any(p_dot[lbl] != 0 for lbl in support):
         raise AssertionError("positive part meets its own negative support")
-    p_div = dd.sub(n_div)
     return ZariskiResult(
         positive_coeffs=p_div,
         positive_dots=p_dot,

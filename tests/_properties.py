@@ -70,7 +70,7 @@ def random_effective_divisor(rng: random.Random, labels) -> QDivisor:
 def positive_class(m, z) -> tuple[Fraction, ...]:
     """Class vector of [K +] P for a Zariski result: the reference that the
     curve-coordinate volume and P.C table are checked against."""
-    cls = divisor_class(m, z.positive_coeffs)
+    cls = _reference.divisor_class(m, z.positive_coeffs)
     if z.includes_canonical:
         cls = tuple(k + c for k, c in zip(m.canonical_class, cls))
     return cls
@@ -146,9 +146,29 @@ def gram_matches_pairing(seed: int, cases: int) -> int:
         d = QDivisor.from_dict(
             {lbl: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for lbl in labels}
         )
-        k_d = tuple(k + c for k, c in zip(m.canonical_class, divisor_class(m, d)))
+        k_d = tuple(k + c for k, c in zip(m.canonical_class, _reference.divisor_class(m, d)))
         dots = m.gram.dots(d, labels, plus_canonical=True)
         assert dots == {lbl: m.pairing(k_d, m.visible_class(lbl)) for lbl in labels}
+    return cases
+
+
+def integer_classes(seed: int, cases: int) -> int:
+    """Every class entry of a model is an int, and divisor_class of a signed
+    rational divisor equals the Fraction-by-Fraction reference, on random
+    recipes of 4 lines and 17 steps."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        m = build_from_recipe(random_recipe(rng, max_steps=17, full=True))
+        labels = sorted(m.visible)
+        assert len(labels) == 21
+        classes = [m.canonical_class] + [m.visible_class(lbl) for lbl in labels]
+        assert all(type(x) is int for cls in classes for x in cls)
+        d = QDivisor.from_dict(
+            {lbl: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for lbl in labels if rng.random() < 0.8}
+        )
+        got = divisor_class(m, d)
+        assert got == _reference.divisor_class(m, d)
+        assert all(type(x) is Fraction for x in got)
     return cases
 
 
@@ -168,13 +188,13 @@ def pet_certificates(seed: int, cases: int, max_steps: int = 17) -> int:
         ray = QDivisor.from_dict({lbl: Fraction(rng.randint(1, 3)) for lbl in labels})
         r = pet(m, base, ray, Fraction(1, 1000), plus_canonical=True)
         assert r.certified and r.value is not None and r.value >= 0
-        b_cls, r_cls = divisor_class(m, base), divisor_class(m, ray)
+        b_cls, r_cls = _reference.divisor_class(m, base), _reference.divisor_class(m, ray)
 
         def at(t):
             return tuple(k + b + t * c for k, b, c in zip(m.canonical_class, b_cls, r_cls))
 
         assert r.certificate_at_value.is_effective()
-        assert divisor_class(m, r.certificate_at_value) == at(r.value)
+        assert _reference.divisor_class(m, r.certificate_at_value) == at(r.value)
         if r.value == 0:
             assert r.farkas_below is None
             continue

@@ -8,6 +8,9 @@ pivots and return the same ``x`` and ``y``.
 The matrix helpers build and multiply the matrices the tests use to re-verify
 answers.
 
+``divisor_class`` sums a divisor's class one Fraction at a time, the oracle
+for the integer sum over one common denominator in ``logsurf.lattice``.
+
 ``node_only_certificate`` is the node-only certificate computed with sympy's
 resultants and gcds over QQ, the oracle for the integer one in ``logsurf.wps``.
 
@@ -22,6 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from logsurf.exact import DimensionMismatch, FeasibilityResult, QuadraticForm1D, UnboundedObjective, rat
+from logsurf.lattice import qdiv
 from logsurf.wps import _weight_seq, chart_poly
 
 Rows = Sequence[Sequence[Fraction]]
@@ -54,6 +58,17 @@ def apply(m: Rows, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if any(len(row) != len(v) for row in m):
         raise DimensionMismatch("vector length does not match matrix columns")
     return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m)
+
+
+def divisor_class(m, d) -> tuple[Fraction, ...]:
+    """The class of the divisor d (a QDivisor or a mapping) on the model m."""
+    dd = qdiv(d)
+    total = [Fraction(0)] * m.rank
+    for lbl, c in dd.coeffs:
+        cls = m.visible_class(lbl)
+        for i in range(m.rank):
+            total[i] += c * cls[i]
+    return tuple(total)
 
 
 def _pivot(tab: list[list[Fraction]], r: int, j: int) -> None:

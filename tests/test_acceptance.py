@@ -19,7 +19,7 @@ from logsurf.dualgraph import (
     residue_search,
 )
 from logsurf.exact import minimize_quadratic, rat
-from logsurf.lattice import divisor_class, germ_of_cluster, log_pullback, qdiv
+from logsurf.lattice import germ_of_cluster, log_pullback, qdiv
 from logsurf.positivity import (
     contraction_report,
     nef_threshold,
@@ -47,7 +47,7 @@ from _properties import (
     normal_form_roundtrip,
     zariski_invariants,
 )
-from _reference import monomial_basis, quadratic_from_composite
+from _reference import divisor_class, monomial_basis, quadratic_from_composite
 
 
 def _check(data, kind):

@@ -10,6 +10,8 @@ import importlib
 import itertools
 import json
 import pkgutil
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -689,6 +691,26 @@ def test_germ_edge_multiplicity_cap(tmp_path, capsys):
     )
 
 
+def test_infeasible_pet_check_names_its_farkas_certificate(tmp_path, capsys):
+    """No t >= 0 makes K + t*(L0 + L1 + L2 + L3) visible-effective on ex-825."""
+    recipe = json.loads(builtin_scenario_text("ex-825"))["recipe"]
+    check = {
+        "kind": "pet", "contract": [], "boundary": {f"L{i}": 1 for i in range(4)},
+        "resolution": "1/1000", "expect_value": "0",
+    }
+    path = tmp_path / "pet.json"
+    path.write_text(json.dumps({"name": "pet", "recipe": recipe, "checks": [check]}))
+    code, out, _ = run(capsys, "scenario", str(path))
+    assert code == 1
+    assert out.splitlines()[1:3] == [
+        "[FAIL] pet: no t >= 0 makes K + base + t*ray visible-effective;"
+        " the LP's Farkas vector certifies it",
+        "       expected 0",
+    ]
+    code, out, _ = run(capsys, "scenario", str(path), "--json")
+    assert json.loads(out)["checks"][0]["outputs"] == {"certified": False, "value": None}
+
+
 def test_nt_check_needs_its_certificate(monkeypatch, capsys):
     """An nt value without an effective representative is a FAIL, as for pet."""
     real = cli.nef_threshold
@@ -931,6 +953,23 @@ def test_quadmin_rejects_concave(capsys):
     code, _, err = run(capsys, "quadmin", "--a=-1", "--b", "0", "--c", "0")
     assert code == 2
     assert "not positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (("quadmin", "--a", "1", "--b", "1e3000", "--c", "0"), "min"),
+        (("wps", "normal-form", "--coeffs", "1e-4000,0,1,1,1e4000,1"), "s"),
+    ],
+)
+def test_result_too_long_to_print_is_bad_input(capsys, argv, output):
+    """Printable inputs whose result has more digits than Python prints."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == (
+        f"error (OutputTooLong): {output} has more than {sys.get_int_max_str_digits()} digits,"
+        " the most Python prints of an integer"
+    )
 
 
 @pytest.mark.parametrize(
@@ -1235,6 +1274,38 @@ def test_every_command_takes_json_and_binds_a_handler():
     for path, parser in leaves.items():
         assert "--json" in parser._option_string_actions, path
         assert callable(parser.get_default("run")), path
+
+
+def _masked_run(capsys, *argv) -> tuple[int, str, str]:
+    """run, with argparse's own exit caught and each check's seconds masked."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, *(
+        re.sub(r'"seconds": [0-9.e+-]+|\([0-9.]+s\)', "<seconds>", text)
+        for text in (captured.out, captured.err)
+    )
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """In one process each call prints what it prints with a parser of its own."""
+    calls = [
+        ("scenario", "ex-462", "--json"),
+        ("scenario", "ex-462"),
+        ("scenario", "no-such-scenario"),
+        ("quadmin", "--a", "1"),
+        ("scenario", "ex-462", "--json"),
+    ]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(_masked_run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [0, 0, 2, 2, 0]
+    _build_parser.cache_clear()
+    assert [_masked_run(capsys, *argv) for argv in calls] == alone
+    assert _build_parser() is _build_parser()
 
 
 # --- presentation ------------------------------------------------------------

@@ -23,7 +23,7 @@ from logsurf.lattice import (
     qdiv,
 )
 
-from _properties import gram_matches_pairing
+from _properties import gram_matches_pairing, integer_classes
 
 F = Fraction
 
@@ -37,6 +37,7 @@ def test_qdivisor_basics():
     assert e.as_dict() == {"A": F(1), "B": F(1), "D": F(-1)}
     assert not e.is_effective()
     assert e.sub(e).as_dict() == {}
+    assert d.sub(e).as_dict() == {"A": F(-1, 2), "D": F(1)}
     assert d.scale("2/3").coeff("B") == F(2, 3)
 
 
@@ -293,10 +294,16 @@ def test_gram_matches_pairing_flagship_size():
     assert gram_matches_pairing(seed=20261020, cases=12) == 12
 
 
+def test_classes_are_ints_and_divisor_class_matches_the_reference():
+    assert integer_classes(seed=20261019, cases=12) == 12
+
+
 def test_hand_built_model_gets_an_integral_gram():
     m = SurfaceModel(
         rank=2, visible={"A": (F(1), F(-1)), "E": (0, 1)}, steps=(), num_lines=0,
     )
+    assert m.visible == {"A": (1, -1), "E": (0, 1)}
+    assert all(type(x) is int for cls in m.visible.values() for x in cls)
     assert m.gram.products == {"A": {"A": 0, "E": 1}, "E": {"A": 1, "E": -1}}
     assert m.gram.k_dot == {"A": -2, "E": -1}
     assert "gram" not in repr(m)
