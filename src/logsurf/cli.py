@@ -625,14 +625,8 @@ def _check_germ(r: _SpecReader) -> CheckRecord:
             "is_lc": cls.is_lc,
             "is_plt": cls.is_plt,
             "orders": orders,
-            "coeffs": {
-                k: _frac(v, f"coeffs.{k}") for k, v in sorted(cls.discrepancy_coeffs.items())
-            },
-            **(
-                {"boundary_self_int": _frac(square, "boundary_self_int")}
-                if square is not None
-                else {}
-            ),
+            "coeffs": {k: _frac(v, f"coeffs.{k}") for k, v in sorted(cls.discrepancy_coeffs.items())},
+            **({"boundary_self_int": _frac(square, "boundary_self_int")} if square is not None else {}),
         },
         passed=ok,
         details=details,

@@ -125,9 +125,7 @@ def _fujita(
         if not violators:
             break
         support.extend(violators[:1] if one_at_a_time else violators)
-        n_vals = solve_negative_definite(
-            m.gram.matrix(support), tuple(d_dot[lbl] for lbl in support)
-        )
+        n_vals = solve_negative_definite(m.gram.matrix(support), tuple(d_dot[lbl] for lbl in support))
         if n_vals is None:
             raise NotPseudoEffective(
                 f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
