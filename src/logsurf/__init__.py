@@ -1,122 +1,39 @@
 """Exact-arithmetic tools for log surfaces built from blow-ups of the plane
-and from hypersurfaces in weighted projective 3-space."""
+and from hypersurfaces in weighted projective 3-space.
 
-from logsurf.dualgraph import (
-    CyclicType,
-    DualGraph,
-    GermClassification,
-    GraphVertex,
-    classify_germ,
-    contract_and_square,
-    cyclic_type,
-    enumerate_fork_squares,
-    graph_determinant,
-    parse_graph,
-    residue_search,
-)
-from logsurf.exact import (
-    QuadraticForm1D,
-    Rational,
-    determinant,
-    is_negative_definite,
-    lp_feasible,
-    minimize_quadratic,
-    rat,
-    solve_linear,
-    solve_negative_definite,
-)
-from logsurf.lattice import (
-    BlowupRecipe,
-    QDivisor,
-    SurfaceModel,
-    build_from_recipe,
-    divisor_class,
-    germ_of_cluster,
-    log_pullback,
-    parse_recipe,
-    qdiv,
-)
-from logsurf.positivity import (
-    ContractionReport,
-    ThresholdResult,
-    ZariskiResult,
-    contraction_report,
-    nef_certificate,
-    nef_threshold,
-    pet,
-    psef_test,
-    pullback_after_contraction,
-    volume,
-    zariski,
-)
-from logsurf.wps import (
-    ChartDossier,
-    WeightedPoly,
-    Weights,
-    analyze_origin,
-    chart_poly,
-    check_homogeneous,
-    classify_hypersurface,
-    hilbert_coefficient,
-    hilbert_series,
-    node_only_certificate,
-    normal_form,
-    wps_volume,
-)
+The public names below load their module on first access, so importing the
+package, or one of its modules, loads no other module of it.
+"""
 
-__all__ = [
-    "BlowupRecipe",
-    "ChartDossier",
-    "ContractionReport",
-    "CyclicType",
-    "DualGraph",
-    "GermClassification",
-    "GraphVertex",
-    "QDivisor",
-    "QuadraticForm1D",
-    "Rational",
-    "SurfaceModel",
-    "ThresholdResult",
-    "WeightedPoly",
-    "Weights",
-    "ZariskiResult",
-    "analyze_origin",
-    "build_from_recipe",
-    "chart_poly",
-    "check_homogeneous",
-    "classify_germ",
-    "classify_hypersurface",
-    "contract_and_square",
-    "contraction_report",
-    "cyclic_type",
-    "determinant",
-    "divisor_class",
-    "enumerate_fork_squares",
-    "germ_of_cluster",
-    "graph_determinant",
-    "hilbert_coefficient",
-    "hilbert_series",
-    "is_negative_definite",
-    "log_pullback",
-    "lp_feasible",
-    "minimize_quadratic",
-    "nef_certificate",
-    "nef_threshold",
-    "node_only_certificate",
-    "normal_form",
-    "parse_graph",
-    "parse_recipe",
-    "pet",
-    "psef_test",
-    "pullback_after_contraction",
-    "qdiv",
-    "rat",
-    "residue_search",
-    "solve_linear",
-    "solve_negative_definite",
-    "volume",
-    "wps_volume",
-    "zariski",
-]
+#: Public name -> the module that defines it.
+_HOME = {
+    name: module
+    for module, names in {
+        "dualgraph": "CyclicType DualGraph GermClassification GraphVertex classify_germ"
+        " contract_and_square cyclic_type enumerate_fork_squares graph_determinant"
+        " parse_graph residue_search",
+        "exact": "QuadraticForm1D Rational determinant is_negative_definite lp_feasible"
+        " minimize_quadratic rat solve_linear solve_negative_definite",
+        "lattice": "BlowupRecipe QDivisor SurfaceModel build_from_recipe divisor_class"
+        " germ_of_cluster log_pullback parse_recipe qdiv",
+        "positivity": "ContractionReport ThresholdResult ZariskiResult contraction_report"
+        " nef_certificate nef_threshold pet psef_test pullback_after_contraction volume zariski",
+        "wps": "ChartDossier WeightedPoly Weights analyze_origin chart_poly check_homogeneous"
+        " classify_hypersurface hilbert_coefficient hilbert_series node_only_certificate"
+        " normal_form wps_volume",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
 
 __version__ = "0.1.0"

@@ -19,18 +19,11 @@ from pathlib import Path
 import pytest
 
 import logsurf
-from logsurf import cli
-from logsurf.cli import (
-    BUILTIN_CHECKSUMS,
-    HILBERT_MAX_N,
-    CheckRecord,
-    _build_parser,
-    builtin_scenario_text,
-    main,
-    run_scenario,
-)
+from logsurf import scenario
+from logsurf.cli import HILBERT_MAX_N, CheckRecord, _build_parser, main
 from logsurf.dualgraph import GRAPH_MAX_MULTIPLICITY
 from logsurf.exact import InputError
+from logsurf.scenario import BUILTIN_CHECKSUMS, builtin_scenario_text, run_scenario
 from logsurf.wps import standard_member
 
 FORK_GRAPH = """\
@@ -483,7 +476,7 @@ def test_internal_error_is_not_bad_input(tmp_path, monkeypatch, capsys, fault):
     def broken(*args, **kwargs):
         raise fault("internal")
 
-    monkeypatch.setattr("logsurf.cli.volume", broken)
+    monkeypatch.setattr("logsurf.scenario.volume", broken)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(TINY_SCENARIO))
     code, out, err = run(capsys, "scenario", str(path))
@@ -713,12 +706,12 @@ def test_infeasible_pet_check_names_its_farkas_certificate(tmp_path, capsys):
 
 def test_nt_check_needs_its_certificate(monkeypatch, capsys):
     """An nt value without an effective representative is a FAIL, as for pet."""
-    real = cli.nef_threshold
+    real = scenario.nef_threshold
 
     def uncertified(*args, **kwargs):
         return dataclasses.replace(real(*args, **kwargs), certificate_at_value=None, certified=False)
 
-    monkeypatch.setattr(cli, "nef_threshold", uncertified)
+    monkeypatch.setattr(scenario, "nef_threshold", uncertified)
     code, out, _ = run(capsys, "scenario", "ex-825")
     assert code == 1
     assert "[FAIL] nt: nef threshold = 24/25 (no effective representative)" in out.splitlines()
@@ -777,6 +770,20 @@ def test_wps_hilbert_ratio_tends_to_degree_over_weights(capsys, weights, degree,
     ws = [int(w) for w in weights.split(",")]
     bound = Fraction(volume) * (abs(sum(ws) - degree) + 1) / n
     assert Fraction(outputs["error"]) <= bound
+
+
+def test_wps_hilbert_error_past_the_float_range_prints_exactly(capsys):
+    """An exact error that no float holds is printed alone, not as a fault."""
+    argv = ("wps", "hilbert", "--weights", "1,1,1,1", "--degree", str(10**400), "--n", "1", "--ratio")
+    error = str(10**400 - 8)  # h(1) = 4, so 2h(1)/1 = 8
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2].endswith(f" (exact error {error})")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    check = json.loads(out)["checks"][0]
+    assert check["outputs"]["error"] == error
+    assert check["details"][1].endswith(f" (exact error {error})")
 
 
 def test_wps_hilbert_at_the_cap_holds_no_series(capsys):

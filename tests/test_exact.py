@@ -543,7 +543,7 @@ def recorded(calls: list, fn):
 @pytest.mark.parametrize("scenario, pivots", [("ex-825", 18), ("ex-462", 19)])
 def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
     from logsurf import exact, positivity
-    from logsurf.cli import run_scenario
+    from logsurf.scenario import run_scenario
 
     lps: list = []
     monkeypatch.setattr(positivity, "lp_feasible", recorded(lps, positivity.lp_feasible))

@@ -332,7 +332,7 @@ def test_bench_tracer_installs_and_uninstalls():
     run_fresh(
         f"""
         import importlib.util
-        from logsurf import cli, wps
+        from logsurf import cli, dualgraph, exact, lattice, positivity, wps
 
         spec = importlib.util.spec_from_file_location("tracer", {str(ROOT / "bench" / "tracer.py")!r})
         tracer = importlib.util.module_from_spec(spec)
@@ -399,6 +399,75 @@ def test_sympy_stand_in_is_used_and_kept(read_first):
         assert wps.sympy is real
         assert [wps.node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
         assert stand_in.calls == {{"resultant": 0, "gcd": 0}}, stand_in.calls
+        """
+    )
+
+
+# --- what a fresh process loads ------------------------------------------------
+
+#: A command and the layers it loads besides logsurf, logsurf.cli and logsurf.exact.
+COMMAND_LAYERS = {
+    "quadmin": (["quadmin", "--a", "1", "--b", "0", "--c", "0"], []),
+    "wps volume": (["wps", "volume", "--weights", "6,11,25,43", "--degree", "86"], ["wps"]),
+    "wps hilbert": (["wps", "hilbert", "--n", "999500", "--ratio", "--json"], ["wps"]),
+    "wps analyze": (["wps", "analyze", "--eps", "1,0,1,1", "--s", "1", "--t", "0"], ["wps"]),
+    "wps normal-form": (["wps", "normal-form", "--coeffs", "1,2,1,0,1,1"], ["wps"]),
+    "germ": (["germ", "node.graph"], ["dualgraph"]),
+    "enumerate": (["enumerate", "lemma22"], ["dualgraph"]),
+    "scenario": (["scenario", "ex-825", "--json"], ["dualgraph", "lattice", "positivity", "scenario"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_each_command_loads_only_its_layers(tmp_path, command):
+    """A fresh process loads the package, the front end and the exact kernel,
+    then only the layers its command runs: no scenario runs `wps`. `wps
+    hilbert` loads none of the standard modules that only the checksum of a
+    built-in scenario, an internal fault or the package resources need."""
+    argv, layers = COMMAND_LAYERS[command]
+    (tmp_path / "node.graph").write_text("A 2\n")
+    argv = [str(tmp_path / a) if a.endswith(".graph") else a for a in argv]
+    expected = sorted(["logsurf", "logsurf.cli", "logsurf.exact", *(f"logsurf.{m}" for m in layers)])
+    run_fresh(
+        f"""
+        import contextlib, io, sys
+        from logsurf import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main({argv!r}) == 0
+        loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "logsurf")
+        assert loaded == {expected!r}, loaded
+        if {command == "wps hilbert"}:
+            unwanted = {{"hashlib", "traceback", "importlib.resources"}} & sys.modules.keys()
+            assert not unwanted, sorted(unwanted)
+        """
+    )
+
+
+def test_package_names_load_on_first_access():
+    """A bare `import logsurf` loads none of its modules; each name in
+    `__all__` is the object its module defines, `import *` binds them all,
+    and any other name is an AttributeError."""
+    run_fresh(
+        """
+        import importlib, sys
+        import logsurf
+        assert [name for name in sys.modules if name.startswith("logsurf.")] == []
+        for name in logsurf.__all__:
+            module = importlib.import_module(f"logsurf.{logsurf._HOME[name]}")
+            obj = getattr(logsurf, name)
+            assert obj is getattr(module, name), name
+            if obj.__module__.startswith("logsurf."):  # Rational is Fraction
+                assert obj.__module__ == module.__name__, name
+        namespace = {}
+        exec("from logsurf import *", namespace)
+        assert namespace.keys() - {"__builtins__"} == set(logsurf.__all__)
+        assert all(namespace[name] is getattr(logsurf, name) for name in logsurf.__all__)
+        try:
+            logsurf.no_such_name
+        except AttributeError as err:
+            assert "no_such_name" in str(err)
+        else:
+            raise AssertionError("logsurf.no_such_name resolved")
         """
     )
 
