@@ -15,7 +15,7 @@ _HOME = {
         "exact": "QuadraticForm1D Rational determinant is_negative_definite lp_feasible"
         " minimize_quadratic rat solve_linear solve_negative_definite",
         "lattice": "BlowupRecipe QDivisor SurfaceModel build_from_recipe divisor_class"
-        " germ_of_cluster log_pullback parse_recipe qdiv",
+        " germ_of_cluster log_pullback qdiv",
         "positivity": "ContractionReport ThresholdResult ZariskiResult contraction_report"
         " nef_certificate nef_threshold pet psef_test pullback_after_contraction volume zariski",
         "wps": "ChartDossier WeightedPoly Weights analyze_origin chart_poly check_homogeneous"

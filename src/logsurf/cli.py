@@ -34,23 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .exact import InputError, QuadraticForm1D, minimize_quadratic, rat
+from .exact import InputError, ParseError, QuadraticForm1D, minimize_quadratic, rat
 
 #: Largest ``wps hilbert --n``.  One h(n) needs a table of min(n + 1, 3*L3)
 #: integers, L3 the lcm of the three smallest weights, so the cap bounds the
 #: O(n) table that weights with a large L3 still need.
 HILBERT_MAX_N = 2_000_000
-
-
-class ParseError(InputError):
-    """Input text that could not be parsed; the message names the line and
-    column when known."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{where}: {message}"
-        super().__init__(message)
 
 
 class OutputTooLong(InputError):

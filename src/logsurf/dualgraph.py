@@ -176,10 +176,10 @@ def shape(g: DualGraph) -> ShapeInfo:
     """Valence census of a connected graph. Raises Disconnected otherwise."""
     if len(g.vertices) == 0:
         raise Disconnected("empty graph")
-    comps = _components(g.adjacency())
+    adj = g.adjacency()
+    comps = _components(adj)
     if len(comps) > 1:
         raise Disconnected(f"{len(comps)} components: {[sorted(c) for c in comps]}")
-    adj = g.adjacency()
     valence = {v: len(adj[v]) for v in g.labels}
     has_cycle = len(g.edges) >= len(g.vertices)
     is_chain = not has_cycle and all(val <= 2 for val in valence.values())
@@ -309,24 +309,22 @@ def _branches_at_fork(g: DualGraph, fork: str) -> list[list[str]]:
     return branches
 
 
-def _nklt_case(g: DualGraph) -> str:
-    """Shape label for a boundary-free lc germ that is not klt."""
-    info = shape(g)
+def _nklt_case(g: DualGraph, info: ShapeInfo) -> str:
+    """Shape label for a boundary-free lc germ that is not klt; ``info`` is its shape(g)."""
     verts = g.vertices
     if len(verts) == 1:
         v = verts[0]
         if v.arithmetic_genus >= 1:
             return "a"
         raise UnclassifiableShape("single smooth rational vertex cannot have coefficient 1")
+    adj = g.adjacency()
     if info.has_cycle:
-        adj = g.adjacency()
         ok = all(len(adj[v.label]) == 2 and v.arithmetic_genus == 0 and v.self_int <= -2 for v in verts)
         if ok and len(g.edges) == len(verts):
             return "b"
         raise UnclassifiableShape("cycle-bearing graph is not a plain cycle of rational curves")
     if not all(v.arithmetic_genus == 0 for v in verts):
         raise UnclassifiableShape("tree with positive-genus vertices")
-    adj = g.adjacency()
     if len(info.forks) == 1:
         fork = info.forks[0]
         branches = _branches_at_fork(g, fork)
@@ -373,7 +371,7 @@ def classify_germ(g: DualGraph) -> GermClassification:
     b (cycle of rational curves), c (chain with a (-2)-pair at each end),
     or d (fork whose branch determinants are (2,3,6), (2,4,4) or (3,3,3)).
     """
-    shape(g)  # connectivity gate
+    info = shape(g)  # also the connectivity gate
     bnd = g.boundary_labels()
     disc = solve_discrepancies(g)
     exc_vals = list(disc.values())
@@ -385,7 +383,7 @@ def classify_germ(g: DualGraph) -> GermClassification:
 
     nklt_case = None
     if is_lc and not is_klt and not bnd:
-        nklt_case = _nklt_case(g)
+        nklt_case = _nklt_case(g, info)
 
     cyclic_points = None
     if exc_vals and is_plt:

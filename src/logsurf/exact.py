@@ -29,6 +29,17 @@ class InputError(Exception):
     command line reports it as bad input: the message and exit code 2."""
 
 
+class ParseError(InputError):
+    """Input text that could not be parsed; the message names the line and
+    column when known, or the JSON path."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            where = f"line {line}" + (f", column {column}" if column is not None else "")
+            message = f"{where}: {message}"
+        super().__init__(message)
+
+
 class SingularMatrix(Exception):
     pass
 

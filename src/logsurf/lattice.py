@@ -12,7 +12,6 @@ when it reads the class out.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -295,50 +294,3 @@ def germ_of_cluster(
         raise Disconnected("cluster plus boundary is not connected")
     return g
 
-
-def parse_recipe(obj: str | Mapping) -> tuple[BlowupRecipe, dict[str, QDivisor]]:
-    """Read the recipe JSON: {"lines": n, "steps": [[a,b],...], "divisors": {...}}.
-
-    Divisor coefficients are "p/q" strings or integers. Returns the recipe and
-    any named divisors.
-    """
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise RecipeError(f"bad JSON: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # past Python's digit or nesting limit
-            raise RecipeError(f"bad JSON: {exc}") from None
-    if not isinstance(obj, Mapping):
-        raise RecipeError("recipe must be a JSON object")
-    if "lines" not in obj or "steps" not in obj:
-        raise RecipeError("recipe needs 'lines' and 'steps'")
-    lines, steps = obj["lines"], obj["steps"]
-    if type(lines) is not int or lines < 0:
-        raise RecipeError(f"recipe.lines: expected an integer >= 0, got {lines!r}")
-    if lines > RECIPE_MAX_CURVES:
-        raise RecipeError(f"recipe.lines: {lines} is above the cap {RECIPE_MAX_CURVES}")
-    if not isinstance(steps, (list, tuple)):
-        raise RecipeError(f"recipe.steps: expected a list, got {steps!r}")
-    if lines + len(steps) > RECIPE_MAX_CURVES:
-        raise RecipeError(
-            f"recipe.steps: {len(steps)} steps on {lines} lines make"
-            f" {lines + len(steps)} curves, above the cap {RECIPE_MAX_CURVES}"
-        )
-    for j, step in enumerate(steps):
-        pair = isinstance(step, (list, tuple)) and len(step) == 2
-        if not (pair and all(isinstance(x, str) for x in step)):
-            raise RecipeError(f"recipe.steps[{j}]: expected a pair of curve labels, got {step!r}")
-    recipe = BlowupRecipe(lines, tuple((a, b) for a, b in steps))
-    tables = obj.get("divisors", {})
-    if not isinstance(tables, Mapping):
-        raise RecipeError("divisors: expected an object")
-    divisors: dict[str, QDivisor] = {}
-    for name, table in tables.items():
-        if not isinstance(table, Mapping):
-            raise RecipeError(f"divisor {name!r} must map labels to rationals")
-        try:
-            divisors[str(name)] = QDivisor.from_dict({str(k): rat(v) for k, v in table.items()})
-        except (TypeError, ValueError) as exc:
-            raise RecipeError(f"divisor {name!r}: {exc}") from exc
-    return recipe, divisors

@@ -1,8 +1,10 @@
 """The runner behind ``logsurf scenario``.
 
 A scenario is a JSON file, or a built-in one in ``scenarios/`` next to this
-module: a blow-up recipe, named divisors and a list of checks.
-``run_scenario`` builds the model once and runs each check against it.
+module: a blow-up recipe, named divisors and a list of checks. Every part
+of it is read through one reader, ``_SpecReader``, whose errors name their
+JSON path. ``run_scenario`` builds the model once and runs each check
+against it.
 """
 
 from __future__ import annotations
@@ -10,20 +12,21 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .cli import CheckRecord, ParseError, Report, _frac
+from .cli import CheckRecord, Report, _frac
 from .dualgraph import classify_germ, contract_and_square
-from .exact import InputError, rat
+from .exact import InputError, ParseError, rat
 from .lattice import (
+    RECIPE_MAX_CURVES,
+    BlowupRecipe,
     QDivisor,
     SurfaceModel,
     build_from_recipe,
     germ_of_cluster,
     log_pullback,
-    parse_recipe,
     qdiv,
 )
 from .positivity import (
@@ -70,7 +73,10 @@ def load_scenario_text(source: str) -> tuple[str, str]:
     )
 
 
-def _load_scenario_obj(text: str) -> dict[str, Any]:
+def read_scenario(text: str) -> tuple[dict[str, Any], SurfaceModel, dict[str, QDivisor]]:
+    """Parse a scenario's text: its JSON object, the model of its recipe and
+    its named divisors. A fault of the text is a ParseError; the lattice
+    rejects a step whose curves do not exist or do not meet."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -85,7 +91,12 @@ def _load_scenario_obj(text: str) -> dict[str, Any]:
         raise ParseError("divisors: expected an object")
     if not isinstance(obj.get("checks", []), list):
         raise ParseError("checks: expected a list")
-    return obj
+    m = build_from_recipe(_read_recipe(_SpecReader("recipe", obj["recipe"])))
+    tables = _SpecReader("divisors", obj.get("divisors", {}), m=m)
+    divisors = {
+        name: QDivisor.from_dict(tables.read(name, tables.curve_rationals)) for name in tables.spec
+    }
+    return obj, m, divisors
 
 
 # --- scenario checks ---------------------------------------------------------
@@ -95,19 +106,21 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class _SpecReader:
-    """A check's spec, or an object inside it, read one key at a time.
+    """An object of the scenario file (the recipe, the divisor tables, a
+    check's spec or an object inside it), read one key at a time.
 
     ``read(key, parse)`` passes the JSON path and the value at ``key`` to
     ``parse``, which returns the value parsed or raises a ParseError naming
     the path; without ``parse`` the value is returned as it is. A check
-    reads every key it uses before it computes anything.
+    reads every key it uses before it computes anything. The recipe is read
+    before there is a model, so ``m`` is None there.
     """
 
     path: str
     spec: Mapping[str, Any]
-    m: SurfaceModel
-    divisors: Mapping[str, QDivisor]
-    missing: str
+    missing: str = "missing"
+    m: SurfaceModel | None = None
+    divisors: Mapping[str, QDivisor] = field(default_factory=dict)
 
     def fault(self, key: str, message: str) -> ParseError:
         return ParseError(f"{self.path}.{key}: {message}")
@@ -185,6 +198,28 @@ class _SpecReader:
         if not isinstance(value, dict):
             raise ParseError(f"{path}: expected an object")
         return replace(self, path=path, spec=value, missing="missing")
+
+
+def _read_recipe(r: _SpecReader) -> BlowupRecipe:
+    """The ``recipe`` object: ``lines`` and ``steps``, at most RECIPE_MAX_CURVES curves."""
+    lines = r.read("lines")
+    if type(lines) is not int or lines < 0:
+        raise r.fault("lines", f"expected an integer >= 0, got {lines!r}")
+    if lines > RECIPE_MAX_CURVES:
+        raise r.fault("lines", f"{lines} is above the cap {RECIPE_MAX_CURVES}")
+    steps = r.read("steps")
+    if not isinstance(steps, list):
+        raise r.fault("steps", f"expected a list, got {steps!r}")
+    if lines + len(steps) > RECIPE_MAX_CURVES:
+        raise r.fault(
+            "steps",
+            f"{len(steps)} steps on {lines} lines make"
+            f" {lines + len(steps)} curves, above the cap {RECIPE_MAX_CURVES}",
+        )
+    for j, step in enumerate(steps):
+        if not (isinstance(step, list) and len(step) == 2 and all(isinstance(x, str) for x in step)):
+            raise r.fault(f"steps[{j}]", f"expected a pair of curve labels, got {step!r}")
+    return BlowupRecipe(lines, tuple((a, b) for a, b in steps))
 
 
 def _expect_table(
@@ -525,17 +560,7 @@ _CHECK_RUNNERS = {
 
 def run_scenario(source: str) -> Report:
     text, display = load_scenario_text(source)
-    obj = _load_scenario_obj(text)
-    tables = obj.get("divisors", {})
-    for name, table in tables.items():
-        for curve, c in table.items() if isinstance(table, dict) else ():
-            _SpecReader.rational(f"divisors.{name}.{curve}", c)
-    recipe, divisors = parse_recipe({**obj["recipe"], "divisors": tables})
-    m = build_from_recipe(recipe)
-    for name, table in tables.items():
-        for curve in table:
-            if curve not in m.visible:
-                raise ParseError(f"divisors.{name}.{curve}: unknown curve")
+    obj, m, divisors = read_scenario(text)
     records: list[CheckRecord] = []
     for i, spec in enumerate(obj.get("checks", [])):
         if not isinstance(spec, dict):
@@ -544,7 +569,7 @@ def run_scenario(source: str) -> Report:
         runner = _CHECK_RUNNERS.get(kind) if isinstance(kind, str) else None
         if runner is None:
             raise ParseError(f"checks[{i}].kind: unknown check kind {kind!r}")
-        reader = _SpecReader(f"checks[{i}]", spec, m, divisors, f"missing for a {kind} check")
+        reader = _SpecReader(f"checks[{i}]", spec, f"missing for a {kind} check", m, divisors)
         t0 = time.perf_counter()
         try:
             rec = runner(reader)

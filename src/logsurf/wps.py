@@ -315,7 +315,7 @@ class ChartDossier:
 
 
 def analyze_origin(
-    p3: Mapping[tuple[int, int, int], Rational], chart_index: int = -1
+    p3: Mapping[tuple[int, int, int], Rational], chart_index: int
 ) -> ChartDossier:
     """Classify the origin of an affine chart as far as exact local data
     allows: off the surface, smooth, ordinary node (A1), multiplicity >= 4

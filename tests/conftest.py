@@ -1,19 +1,18 @@
 from __future__ import annotations
 
-import json
-from importlib import resources
 from types import SimpleNamespace
 
 import pytest
 
-from logsurf.lattice import build_from_recipe, parse_recipe
+from logsurf.scenario import load_scenario_text, read_scenario
 
 
 def load_builtin(name: str) -> SimpleNamespace:
-    text = resources.files("logsurf").joinpath(f"scenarios/{name}.json").read_text()
-    data = json.loads(text)
-    recipe, divisors = parse_recipe({**data["recipe"], "divisors": data.get("divisors", {})})
-    return SimpleNamespace(model=build_from_recipe(recipe), divisors=divisors, data=data)
+    """A built-in scenario read as ``logsurf scenario`` reads it: checked
+    against its frozen checksum, then through the scenario reader."""
+    text, _ = load_scenario_text(name)
+    data, model, divisors = read_scenario(text)
+    return SimpleNamespace(model=model, divisors=divisors, data=data)
 
 
 @pytest.fixture(scope="session")

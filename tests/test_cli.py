@@ -9,8 +9,10 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -23,6 +25,7 @@ from logsurf import scenario
 from logsurf.cli import HILBERT_MAX_N, CheckRecord, _build_parser, main
 from logsurf.dualgraph import GRAPH_MAX_MULTIPLICITY
 from logsurf.exact import InputError
+from logsurf.lattice import RECIPE_MAX_CURVES
 from logsurf.scenario import BUILTIN_CHECKSUMS, builtin_scenario_text, run_scenario
 from logsurf.wps import standard_member
 
@@ -468,7 +471,92 @@ def test_scenario_recipe_is_validated(tmp_path, capsys, recipe, message):
     path.write_text(json.dumps({"recipe": recipe, "checks": []}))
     code, out, err = run(capsys, "scenario", str(path))
     assert code == 2 and out == ""
-    assert err.strip() == f"error (RecipeError): {message}"
+    assert err.strip() == f"error: {message}"
+
+
+#: Faults in the parts of a scenario file that the reader reads: the recipe,
+#: the divisor tables and the checks. Each replaces a part of THREE_LINES
+#: with no checks, and the message names the fault's JSON path.
+FILE_FAULTS = [
+    ({"recipe": {"lines": 2.5, "steps": []}}, "recipe.lines: expected an integer >= 0, got 2.5"),
+    ({"recipe": {"lines": True, "steps": []}}, "recipe.lines: expected an integer >= 0, got True"),
+    ({"recipe": {"lines": "3", "steps": []}}, "recipe.lines: expected an integer >= 0, got '3'"),
+    ({"recipe": {"lines": -1, "steps": []}}, "recipe.lines: expected an integer >= 0, got -1"),
+    ({"recipe": {"lines": 3, "steps": "L0L1"}}, "recipe.steps: expected a list, got 'L0L1'"),
+    (
+        {"recipe": {"lines": 3, "steps": [["L0", "L1"], "L0"]}},
+        "recipe.steps[1]: expected a pair of curve labels, got 'L0'",
+    ),
+    (
+        {"recipe": {"lines": 3, "steps": [["L0", 1]]}},
+        "recipe.steps[0]: expected a pair of curve labels, got ['L0', 1]",
+    ),
+    (
+        {"recipe": {"lines": 3, "steps": [["L0", "L1", "L2"]]}},
+        "recipe.steps[0]: expected a pair of curve labels, got ['L0', 'L1', 'L2']",
+    ),
+    (
+        {"recipe": {"lines": RECIPE_MAX_CURVES + 1, "steps": []}},
+        f"recipe.lines: {RECIPE_MAX_CURVES + 1} is above the cap {RECIPE_MAX_CURVES}",
+    ),
+    (
+        {"recipe": {"lines": 2, "steps": [["L0", "L1"]] * (RECIPE_MAX_CURVES - 1)}},
+        f"recipe.steps: {RECIPE_MAX_CURVES - 1} steps on 2 lines make"
+        f" {RECIPE_MAX_CURVES + 1} curves, above the cap {RECIPE_MAX_CURVES}",
+    ),
+    ({"recipe": {"lines": 3}}, "recipe.steps: missing"),
+    ({"recipe": {"steps": []}}, "recipe.lines: missing"),
+    ({"divisors": [1]}, "divisors: expected an object"),
+    ({"divisors": "ab"}, "divisors: expected an object"),
+    ({"divisors": {"D": [1, 2]}}, "divisors.D: expected an object"),
+    ({"divisors": {"D": {"L0": 0.5}}}, "divisors.D.L0: not an exact rational: 0.5"),
+    ({"checks": [{"kind": "volume", "divisor": "D"}]}, "checks[0].expect: missing for a volume check"),
+]
+
+
+def _fault_file(tmp_path, change) -> Path:
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps({**THREE_LINES, "checks": [], **change}))
+    return path
+
+
+@pytest.mark.parametrize("change, message", FILE_FAULTS)
+def test_scenario_file_faults(tmp_path, capsys, change, message):
+    code, out, err = run(capsys, "scenario", str(_fault_file(tmp_path, change)))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_scenario_divisors_take_rationals_and_integers():
+    text = json.dumps({**THREE_LINES, "divisors": {"D": {"L0": "1/2", "E1": 2}}})
+    _, m, divisors = scenario.read_scenario(text)
+    assert m.rank == 2
+    assert divisors["D"].as_dict() == {"E1": 2, "L0": Fraction(1, 2)}
+
+
+#: The command line started as a module, and as the ``logsurf`` script does.
+ENTRY_POINTS = (
+    ["-m", "logsurf.cli"],
+    ["-c", "import sys; from logsurf.cli import main; sys.exit(main())"],
+)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [next(f for f in FILE_FAULTS if f[1].startswith(part)) for part in ("recipe.", "divisors.", "checks[")],
+)
+def test_entry_points_report_bad_input_alike(tmp_path, change, message):
+    path = _fault_file(tmp_path, change)
+    src = str(Path(logsurf.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, sys.path)])}
+    for entry in ENTRY_POINTS:
+        proc = subprocess.run(
+            [sys.executable, *entry, "scenario", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n"), entry
 
 
 @pytest.mark.parametrize("fault", [KeyError, ValueError, ZeroDivisionError], ids=lambda e: e.__name__)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,16 +13,15 @@ from logsurf.lattice import (
     PairNotIncident,
     QDivisor,
     RECIPE_MAX_CURVES,
-    RecipeError,
     SurfaceModel,
     UnknownLabel,
     build_from_recipe,
     divisor_class,
     germ_of_cluster,
     log_pullback,
-    parse_recipe,
     qdiv,
 )
+from logsurf.scenario import read_scenario
 
 from _properties import gram_matches_pairing, integer_classes
 
@@ -207,80 +207,13 @@ def test_germ_of_cluster_rejections(ex462):
         germ_of_cluster(m, ("E1", "E9"))
 
 
-def test_parse_recipe_roundtrip():
-    recipe, divisors = parse_recipe(
-        '{"lines": 3, "steps": [["L0", "L1"]], "divisors": {"D": {"L0": "1/2", "E1": 2}}}'
-    )
-    m = build_from_recipe(recipe)
-    assert m.rank == 2
-    assert divisors["D"].coeff("L0") == F(1, 2)
-    assert divisors["D"].coeff("E1") == 2
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json",
-        '{"lines": 3}',
-        '{"lines": 3, "steps": [["L0"]]}',
-        '{"lines": 3, "steps": [], "divisors": {"D": [1, 2]}}',
-    ],
-)
-def test_parse_recipe_rejects(text):
-    with pytest.raises(RecipeError):
-        parse_recipe(text)
-
-
-@pytest.mark.parametrize(
-    "recipe, message",
-    [
-        ({"lines": 2.5, "steps": []}, "recipe.lines: expected an integer >= 0, got 2.5"),
-        ({"lines": True, "steps": []}, "recipe.lines: expected an integer >= 0, got True"),
-        ({"lines": "3", "steps": []}, "recipe.lines: expected an integer >= 0, got '3'"),
-        ({"lines": -1, "steps": []}, "recipe.lines: expected an integer >= 0, got -1"),
-        ({"lines": 3, "steps": "L0L1"}, "recipe.steps: expected a list, got 'L0L1'"),
-        ({"lines": 3, "steps": [["L0", "L1"], "L0"]}, "recipe.steps[1]: expected a pair of curve labels, got 'L0'"),
-        ({"lines": 3, "steps": [["L0", 1]]}, "recipe.steps[0]: expected a pair of curve labels, got ['L0', 1]"),
-        ({"lines": 3, "steps": [["L0", "L1", "L2"]]}, "recipe.steps[0]: expected a pair of curve labels, got ['L0', 'L1', 'L2']"),
-        (
-            {"lines": RECIPE_MAX_CURVES + 1, "steps": []},
-            f"recipe.lines: {RECIPE_MAX_CURVES + 1} is above the cap {RECIPE_MAX_CURVES}",
-        ),
-        (
-            {"lines": 2, "steps": [["L0", "L1"]] * (RECIPE_MAX_CURVES - 1)},
-            f"recipe.steps: {RECIPE_MAX_CURVES - 1} steps on 2 lines make"
-            f" {RECIPE_MAX_CURVES + 1} curves, above the cap {RECIPE_MAX_CURVES}",
-        ),
-        ({"lines": 3, "steps": [], "divisors": [1]}, "divisors: expected an object"),
-        ({"lines": 3, "steps": [], "divisors": "ab"}, "divisors: expected an object"),
-    ],
-)
-def test_parse_recipe_names_the_fault(recipe, message):
-    with pytest.raises(RecipeError) as err:
-        parse_recipe(recipe)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize(
-    "text, reason",
-    [
-        ('{"lines": ' + "9" * 5000 + ', "steps": []}', "Exceeds the limit"),
-        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
-    ],
-    ids=["digit-limit", "deep-nesting"],
-)
-def test_parse_recipe_json_past_python_limits(text, reason):
-    with pytest.raises(RecipeError, match=f"^bad JSON: {reason}"):
-        parse_recipe(text)
-
-
 def test_recipe_cap_admits_its_own_size():
     assert RECIPE_MAX_CURVES == 200
     chain = [["L0", "L1"]] + [["L0", f"E{s}"] for s in range(1, RECIPE_MAX_CURVES - 2)]
-    recipe, _ = parse_recipe({"lines": 2, "steps": chain})
-    assert len(build_from_recipe(recipe).visible) == RECIPE_MAX_CURVES
-    recipe, _ = parse_recipe({"lines": RECIPE_MAX_CURVES, "steps": []})
-    assert recipe.num_lines == RECIPE_MAX_CURVES
+    _, m, _ = read_scenario(json.dumps({"recipe": {"lines": 2, "steps": chain}}))
+    assert len(m.visible) == RECIPE_MAX_CURVES
+    _, m, _ = read_scenario(json.dumps({"recipe": {"lines": RECIPE_MAX_CURVES, "steps": []}}))
+    assert m.num_lines == RECIPE_MAX_CURVES
 
 
 def test_unknown_label_lookup(ex462):

@@ -240,7 +240,7 @@ def test_analyze_origin_triple_point_undecided():
 
 def test_analyze_origin_rejects_zero_poly():
     with pytest.raises(ValueError):
-        analyze_origin({})
+        analyze_origin({}, chart_index=0)
 
 
 # --- node-only certificates --------------------------------------------------
