@@ -30,32 +30,15 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .exact import InputError, ParseError, QuadraticForm1D, minimize_quadratic, rat
+from .exact import InputError, ParseError, QuadraticForm1D, _frac, minimize_quadratic, rat
 
 #: Largest ``wps hilbert --n``.  One h(n) needs a table of min(n + 1, 3*L3)
 #: integers, L3 the lcm of the three smallest weights, so the cap bounds the
 #: O(n) table that weights with a large L3 still need.
 HILBERT_MAX_N = 2_000_000
-
-
-class OutputTooLong(InputError):
-    """A result with more digits than Python prints (``sys.get_int_max_str_digits``)."""
-
-
-def _frac(x: Fraction | int, name: str) -> str:
-    """x as "p/q": the one way a report prints a rational. ``name`` is the
-    output's name in the report, for the error when x is too long to print."""
-    try:
-        return str(Fraction(x))
-    except ValueError:  # only the integer-to-string digit limit raises here
-        raise OutputTooLong(
-            f"{name} has more than {sys.get_int_max_str_digits()} digits,"
-            " the most Python prints of an integer"
-        ) from None
 
 
 def _use_color(stream) -> bool:
@@ -73,55 +56,20 @@ def _mark(passed: bool, color: bool) -> str:
     return f"\x1b[{code}m{word}\x1b[0m"
 
 
-@dataclass
-class CheckRecord:
-    kind: str
-    inputs: dict[str, Any]
-    outputs: dict[str, Any]
-    passed: bool
-    details: list[str] = field(default_factory=list)
-    seconds: float = 0.0
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "passed": self.passed,
-            "details": self.details,
-            "seconds": self.seconds,
-        }
-
-
-@dataclass
-class Report:
-    name: str
-    records: list[CheckRecord]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": [r.to_json() for r in self.records],
-        }
-
-    def render(self, color: bool = False) -> str:
-        lines = [self.name]
-        for r in self.records:
-            head = f"[{_mark(r.passed, color)}] {r.kind}"
-            if r.details:
-                head += f": {r.details[0]}"
-            lines.append(head)
-            for extra in r.details[1:]:
-                lines.append(f"       {extra}")
-            lines.append(f"       ({r.seconds:.3f}s)")
-        n_pass = sum(r.passed for r in self.records)
-        lines.append(f"{n_pass}/{len(self.records)} checks passed")
-        return "\n".join(lines)
+def _render(report: dict[str, Any], color: bool = False) -> str:
+    """The text form of a report: one line per check, then its details and time."""
+    lines = [report["name"]]
+    for r in report["checks"]:
+        head = f"[{_mark(r['passed'], color)}] {r['kind']}"
+        if r["details"]:
+            head += f": {r['details'][0]}"
+        lines.append(head)
+        for extra in r["details"][1:]:
+            lines.append(f"       {extra}")
+        lines.append(f"       ({r['seconds']:.3f}s)")
+    n_pass = sum(r["passed"] for r in report["checks"])
+    lines.append(f"{n_pass}/{len(report['checks'])} checks passed")
+    return "\n".join(lines)
 
 
 # --- one-shot commands -------------------------------------------------------
@@ -132,18 +80,19 @@ _Outcome = tuple[str, str, dict[str, Any], dict[str, Any], list[str]]
 
 
 def _one_shot(command: Callable[[argparse.Namespace], _Outcome]):
-    def run(args: argparse.Namespace) -> Report:
+    def run(args: argparse.Namespace) -> dict[str, Any]:
         t0 = time.perf_counter()
         name, kind, inputs, outputs, details = command(args)
-        rec = CheckRecord(
-            kind, inputs, outputs, passed=True, details=details, seconds=time.perf_counter() - t0
+        seconds = time.perf_counter() - t0
+        check = dict(
+            kind=kind, inputs=inputs, outputs=outputs, passed=True, details=details, seconds=seconds
         )
-        return Report(name, [rec])
+        return {"name": name, "passed": True, "checks": [check]}
 
     return run
 
 
-def scenario_cmd(args) -> Report:
+def scenario_cmd(args) -> dict[str, Any]:
     from .scenario import run_scenario
 
     return run_scenario(args.source)
@@ -159,7 +108,7 @@ def classify_germ_cmd(args) -> _Outcome:
     if cls.is_klt:
         bits.append("klt")
         if cls.order is not None:
-            bits.append(f"order {cls.order}")
+            bits.append(f"order {_frac(cls.order, 'order')}")
     elif cls.is_lc:
         bits.append("lc, not klt")
         if cls.nklt_case:
@@ -394,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    def leaf(subparsers, name: str, run: Callable[[argparse.Namespace], Report], summary: str):
+    def leaf(subparsers, name: str, run: Callable[[argparse.Namespace], dict], summary: str):
         """A command's parser: it takes --json, and ``main`` calls ``run(args)``."""
         p = subparsers.add_parser(name, parents=[common], help=summary)
         p.set_defaults(run=run)
@@ -458,10 +407,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         return 3
     if args.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(report.render(color=_use_color(sys.stdout)))
-    return 0 if report.passed else 1
+        print(_render(report, color=_use_color(sys.stdout)))
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

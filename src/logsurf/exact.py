@@ -40,6 +40,10 @@ class ParseError(InputError):
         super().__init__(message)
 
 
+class OutputTooLong(InputError):
+    """A result with more digits than Python prints (``sys.get_int_max_str_digits``)."""
+
+
 class SingularMatrix(Exception):
     pass
 
@@ -98,6 +102,18 @@ def rat(value: int | str | Rational) -> Rational:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _frac(x: Rational | int, name: str) -> str:
+    """x as "p/q": the one way a report prints a rational. ``name`` is the
+    output's name in the report, for the error when x is too long to print."""
+    try:
+        return str(Fraction(x))
+    except ValueError:  # only the integer-to-string digit limit raises here
+        raise OutputTooLong(
+            f"{name} has more than {sys.get_int_max_str_digits()} digits,"
+            " the most Python prints of an integer"
+        ) from None
 
 
 def _width(m: Rows) -> int:

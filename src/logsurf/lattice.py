@@ -39,10 +39,6 @@ class NotContractible(InputError):
     pass
 
 
-class RecipeError(InputError):
-    pass
-
-
 @dataclass(frozen=True)
 class QDivisor:
     """Formal rational combination of visible curves; absent label means 0."""
@@ -101,10 +97,6 @@ def qdiv(d: Mapping[str, int | str | Rational] | QDivisor) -> QDivisor:
 class BlowupRecipe:
     num_lines: int
     steps: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if self.num_lines < 0:
-            raise RecipeError("negative line count")
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .cli import CheckRecord, Report, _frac
 from .dualgraph import classify_germ, contract_and_square
-from .exact import InputError, ParseError, rat
+from .exact import InputError, ParseError, _frac, rat
 from .lattice import (
     RECIPE_MAX_CURVES,
     BlowupRecipe,
@@ -238,14 +237,14 @@ def _expect_table(
     return ok, outputs, wrong
 
 
-def _check_volume(r: _SpecReader) -> CheckRecord:
+def _check_volume(r: _SpecReader) -> dict[str, Any]:
     name, d = r.read("divisor", r.divisor)
     plus = r.read("plus_canonical", r.flag, False)
     want = r.read("expect", r.rational)
     v = volume(r.m, d, plus_canonical=plus)
     shown = _frac(v, "volume")
     passed = v == want
-    return CheckRecord(
+    return dict(
         kind="volume",
         inputs={"divisor": name, "plus_canonical": plus},
         outputs={"volume": shown},
@@ -254,14 +253,14 @@ def _check_volume(r: _SpecReader) -> CheckRecord:
     )
 
 
-def _check_zariski(r: _SpecReader) -> CheckRecord:
+def _check_zariski(r: _SpecReader) -> dict[str, Any]:
     name, d = r.read("divisor", r.divisor)
     plus = r.read("plus_canonical", r.flag, False)
     expected = r.read("expect_positive", r.curve_values)
     z = zariski(r.m, d, plus_canonical=plus)
     ok, outputs, wrong = _expect_table(z.positive_coeffs, expected, "positive")
     details = [f"positive part on {len(outputs)} curves", *wrong]
-    return CheckRecord(
+    return dict(
         kind="zariski",
         inputs={"divisor": name, "plus_canonical": plus},
         outputs={
@@ -273,7 +272,7 @@ def _check_zariski(r: _SpecReader) -> CheckRecord:
     )
 
 
-def _check_pullback(r: _SpecReader) -> CheckRecord:
+def _check_pullback(r: _SpecReader) -> dict[str, Any]:
     coeffs = r.read("line_coeffs", r.rationals)
     if len(coeffs) != r.m.num_lines:
         raise r.fault("line_coeffs", f"need {r.m.num_lines} entries, got {len(coeffs)}")
@@ -290,7 +289,7 @@ def _check_pullback(r: _SpecReader) -> CheckRecord:
         f"{len(outputs)} curves; class {'=' if class_zero else '!='} 0"
     ]
     details += wrong
-    return CheckRecord(
+    return dict(
         kind="pullback",
         inputs={"line_coeffs": [_frac(c, "line_coeffs") for c in coeffs]},
         outputs={"coeffs": outputs, "class_zero": class_zero},
@@ -315,7 +314,7 @@ def _contraction_rays(m, contract: Sequence[str], boundary: Mapping[str, Fractio
     return base, full.sub(base)
 
 
-def _check_pet(r: _SpecReader) -> CheckRecord:
+def _check_pet(r: _SpecReader) -> dict[str, Any]:
     contract, boundary = _read_rays(r)
     for lbl, c in boundary.items():
         if c < 0:
@@ -352,7 +351,7 @@ def _check_pet(r: _SpecReader) -> CheckRecord:
             details.append(f"value lies inside the excluded interval ({lo}, {hi})")
         else:
             details.append(f"value avoids the open interval ({lo}, {hi})")
-    return CheckRecord(
+    return dict(
         kind="pet",
         inputs={
             "contract": list(contract),
@@ -365,7 +364,7 @@ def _check_pet(r: _SpecReader) -> CheckRecord:
     )
 
 
-def _check_nt(r: _SpecReader) -> CheckRecord:
+def _check_nt(r: _SpecReader) -> dict[str, Any]:
     contract, boundary = _read_rays(r)
     want = r.read("expect_value", r.rational)
     base, ray = _contraction_rays(r.m, contract, boundary)
@@ -377,7 +376,7 @@ def _check_nt(r: _SpecReader) -> CheckRecord:
         details.append(f"expected {want}")
     if t.binding_constraints:
         details.append("binding: " + ", ".join(t.binding_constraints))
-    return CheckRecord(
+    return dict(
         kind="nt",
         inputs={"contract": list(contract), "boundary": dict(r.spec["boundary"])},
         outputs={"value": shown, "binding": list(t.binding_constraints)},
@@ -395,7 +394,7 @@ def _describe_cluster(cls) -> str:
     return "klt" if cls.is_klt else ("lc" if cls.is_lc else "not lc")
 
 
-def _check_contraction(r: _SpecReader) -> CheckRecord:
+def _check_contraction(r: _SpecReader) -> dict[str, Any]:
     name, d = r.read("divisor", r.divisor)
     plus = r.read("plus_canonical", r.flag, False)
     picard = r.read("expect_picard")
@@ -472,7 +471,7 @@ def _check_contraction(r: _SpecReader) -> CheckRecord:
         f"Picard number {rep.picard_number}; "
         + "; ".join(f"{{{','.join(c['labels'])}}} {c['type']}" for c in cluster_out),
     )
-    return CheckRecord(
+    return dict(
         kind="contraction",
         inputs={"divisor": name, "plus_canonical": plus},
         outputs={
@@ -485,7 +484,7 @@ def _check_contraction(r: _SpecReader) -> CheckRecord:
     )
 
 
-def _check_germ(r: _SpecReader) -> CheckRecord:
+def _check_germ(r: _SpecReader) -> dict[str, Any]:
     cluster = r.read("cluster", r.curves)
     if not cluster:
         raise r.fault("cluster", "needs at least one curve")
@@ -531,7 +530,7 @@ def _check_germ(r: _SpecReader) -> CheckRecord:
         f"{verdict}; orders {orders}"
         + (f"; boundary square {square} in the extended graph" if square is not None else ""),
     )
-    return CheckRecord(
+    return dict(
         kind="germ",
         inputs={"cluster": cluster, "boundary_curves": boundary},
         outputs={
@@ -558,10 +557,12 @@ _CHECK_RUNNERS = {
 }
 
 
-def run_scenario(source: str) -> Report:
+def run_scenario(source: str) -> dict[str, Any]:
+    """Replay a scenario: the report that ``logsurf scenario --json`` prints,
+    {"name", "passed", "checks"}, one check per entry of the file's list."""
     text, display = load_scenario_text(source)
     obj, m, divisors = read_scenario(text)
-    records: list[CheckRecord] = []
+    checks: list[dict[str, Any]] = []
     for i, spec in enumerate(obj.get("checks", [])):
         if not isinstance(spec, dict):
             raise ParseError(f"checks[{i}]: a check must be an object")
@@ -572,13 +573,14 @@ def run_scenario(source: str) -> Report:
         reader = _SpecReader(f"checks[{i}]", spec, f"missing for a {kind} check", m, divisors)
         t0 = time.perf_counter()
         try:
-            rec = runner(reader)
+            check = runner(reader)
         except InputError as err:
             # Input the computation rejects: say which check it was. A
             # ParseError already names its JSON path.
             if not isinstance(err, ParseError):
                 err.args = (f"checks[{i}]: {err}",)
             raise
-        rec.seconds = time.perf_counter() - t0
-        records.append(rec)
-    return Report(name=f"scenario {obj.get('name', display)}", records=records)
+        check["seconds"] = time.perf_counter() - t0
+        checks.append(check)
+    name = f"scenario {obj.get('name', display)}"
+    return {"name": name, "passed": all(c["passed"] for c in checks), "checks": checks}

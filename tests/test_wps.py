@@ -443,6 +443,27 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
     )
 
 
+def test_module_entry_point_loads_the_front_end_once():
+    """`python -m logsurf.cli` runs the front end as ``__main__`` only: the
+    layers it loads never import ``logsurf.cli`` as a module, which would run
+    its code a second time."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "logsurf.cli", "scenario", "ex-462"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, *filter(None, sys.path)])},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "logsurf.scenario" in imported, sorted(imported)
+    assert "logsurf.cli" not in imported
+
+
 def test_package_names_load_on_first_access():
     """A bare `import logsurf` loads none of its modules; each name in
     `__all__` is the object its module defines, `import *` binds them all,
