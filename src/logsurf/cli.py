@@ -35,9 +35,8 @@ from typing import Any, Callable, Sequence
 
 from .exact import InputError, ParseError, QuadraticForm1D, _frac, minimize_quadratic, rat
 
-#: Largest ``wps hilbert --n``.  One h(n) needs a table of min(n + 1, 3*L3)
-#: integers, L3 the lcm of the three smallest weights, so the cap bounds the
-#: O(n) table that weights with a large L3 still need.
+#: Largest ``wps hilbert --n``.  One h(n) takes about log2(n) halving rounds
+#: on a numerator of at most min(n, sum(w)) + 1 terms, so the cap bounds the work.
 HILBERT_MAX_N = 2_000_000
 
 

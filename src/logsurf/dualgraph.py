@@ -370,6 +370,8 @@ def classify_germ(g: DualGraph) -> GermClassification:
     germs the shape is labeled a (single curve of arithmetic genus >= 1),
     b (cycle of rational curves), c (chain with a (-2)-pair at each end),
     or d (fork whose branch determinants are (2,3,6), (2,4,4) or (3,3,3)).
+    The labels describe minimal resolutions: a graph with a smooth rational
+    (-1)-curve gets none.
     """
     info = shape(g)  # also the connectivity gate
     bnd = g.boundary_labels()
@@ -381,8 +383,9 @@ def classify_germ(g: DualGraph) -> GermClassification:
     exc_graph = g.subgraph(g.exceptional_labels())
     order = int(graph_determinant(exc_graph)) if is_klt else None
 
+    minimal = not any(v.self_int == -1 and v.arithmetic_genus == 0 for v in g.vertices)
     nklt_case = None
-    if is_lc and not is_klt and not bnd:
+    if is_lc and not is_klt and not bnd and minimal:
         nklt_case = _nklt_case(g, info)
 
     cyclic_points = None

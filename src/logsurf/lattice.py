@@ -189,6 +189,8 @@ class SurfaceModel:
 def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
     """Blow up n general lines step by step; step i creates visible curve Ei."""
     n = recipe.num_lines
+    if n < 0:
+        raise ValueError(f"line count must be non-negative, got {n}")
     k = len(recipe.steps)
     rank = 1 + k
 
@@ -196,12 +198,12 @@ def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
     incidence = {frozenset((f"L{i}", f"L{j}")) for i in range(n) for j in range(i + 1, n)}
     for s, (a, b) in enumerate(recipe.steps, start=1):
         if a not in visible:
-            raise UnknownLabel(f"step {s}: {a}")
+            raise UnknownLabel(f"steps[{s - 1}]: {a}")
         if b not in visible:
-            raise UnknownLabel(f"step {s}: {b}")
+            raise UnknownLabel(f"steps[{s - 1}]: {b}")
         pair = frozenset((a, b))
         if pair not in incidence:
-            raise PairNotIncident(f"step {s}: {a} and {b} do not meet")
+            raise PairNotIncident(f"steps[{s - 1}]: {a} and {b} do not meet")
         new = f"E{s}"
         visible[a][s] -= 1
         visible[b][s] -= 1

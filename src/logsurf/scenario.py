@@ -75,7 +75,8 @@ def load_scenario_text(source: str) -> tuple[str, str]:
 def read_scenario(text: str) -> tuple[dict[str, Any], SurfaceModel, dict[str, QDivisor]]:
     """Parse a scenario's text: its JSON object, the model of its recipe and
     its named divisors. A fault of the text is a ParseError; the lattice
-    rejects a step whose curves do not exist or do not meet."""
+    rejects a step whose curves do not exist or do not meet, at
+    ``recipe.steps[j]``."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
@@ -90,7 +91,13 @@ def read_scenario(text: str) -> tuple[dict[str, Any], SurfaceModel, dict[str, QD
         raise ParseError("divisors: expected an object")
     if not isinstance(obj.get("checks", []), list):
         raise ParseError("checks: expected a list")
-    m = build_from_recipe(_read_recipe(_SpecReader("recipe", obj["recipe"])))
+    recipe = _read_recipe(_SpecReader("recipe", obj["recipe"]))
+    try:
+        m = build_from_recipe(recipe)
+    except InputError as err:
+        # The lattice names the step as steps[j]: say it is the recipe's.
+        err.args = (f"recipe.{err}",)
+        raise
     tables = _SpecReader("divisors", obj.get("divisors", {}), m=m)
     divisors = {
         name: QDivisor.from_dict(tables.read(name, tables.curve_rationals)) for name in tables.spec

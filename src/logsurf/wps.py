@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from .exact import InputError, Rational, matrix_rank, rat
@@ -578,66 +578,41 @@ def hilbert_series(
     return [c[n] - (c[n - d] if n >= d else 0) for n in range(n_max + 1)]
 
 
-def _extrapolate(values: Sequence[int], q: int) -> int:
-    """Value at q >= 0 of the polynomial of degree < len(values) that takes
-    values[i] at i: Newton's sum of C(q, j) times the j-th forward difference
-    at 0, exact on integers since every C(q, j) is one."""
-    diffs = list(values)
-    total, binom = 0, 1
-    for j in range(len(diffs)):
-        total += binom * diffs[0]
-        binom = binom * (q - j) // (j + 1)
-        for i in range(len(diffs) - 1 - j):
-            diffs[i] = diffs[i + 1] - diffs[i]
-    return total
-
-
 def hilbert_coefficient(weights: Weights | Sequence[int], d: int, n: int) -> int:
     """h(n) = N(n) - N(n - d), the u^n coefficient of :func:`hilbert_series`.
 
-    N(m) counts the monomials of degree m.  For k weights it is a
-    quasi-polynomial in m of degree k - 1 whose period is the lcm of the
-    weights, and it holds for every m >= 0 (Beck-Robins, *Computing the
-    Continuous Discretely*, Ch. 1).  With w the largest weight,
-    N(m) = sum_a N3(m - a*w), where N3 counts monomials in the other three
-    weights.  N3 is read from a prefix-sum table of min(n + 1, 3*L3)
-    entries, L3 being their lcm; past the table, N3 on a residue class mod
-    L3 is the quadratic through the table's three values on that class.
-    When m >= 4*L4 (L4 the lcm of all four weights), N(m) is the cubic
-    through N at r, r + L4, r + 2*L4 and r + 3*L4, where r = m mod L4.
-    Time and memory are O(min(n, L3)) plus O(min(n, L4) / w); only weights
-    with a large L3 still pay for an O(n) table.
+    N(m) = [u^m] P(u) / prod_i (1 - u^{w_i}) with P = 1 counts the
+    monomials of degree m.  Halving (Bostan-Mori, SOSA 2021): multiply P
+    and the denominator by 1 + u^a for each odd weight a, which turns
+    1 - u^a into 1 - u^{2a}, so the denominator is a series in v = u^2
+    whose weights are the odd ones and the halves of the even ones.  Then
+    [u^m] is [v^(m//2)] of the terms of P of m's parity, exponents halved.
+    Each round halves m; at m = 0 the coefficient is P(0).  Terms of P above
+    m reach no u^m and are dropped, so P keeps at most min(m, sum(w)) + 1
+    terms and one h(n) takes O(sum(w) log n) steps.
     """
-    ws = sorted(_weight_seq(weights))
+    ws = _weight_seq(weights)
     if d < 1:
         raise ValueError(f"degree must be at least 1, got {d}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    *rest, w = ws
-    l3 = math.lcm(*rest)
-    l4 = math.lcm(l3, w)
-    table = [0] * min(n + 1, 3 * l3)
-    table[0] = 1
-    for v in rest:
-        for x in range(v, len(table)):
-            table[x] += table[x - v]
-
-    def n3(x: int) -> int:
-        if x < len(table):
-            return table[x]
-        q, r = divmod(x, l3)
-        return _extrapolate((table[r], table[r + l3], table[r + 2 * l3]), q)
 
     def count(m: int) -> int:
         if m < 0:
             return 0
-        if m < 4 * l4:
-            return sum(map(n3, range(m, -1, -w)))
-        q, r = divmod(m, l4)
-        # N(r + i*L4) for i = 0..3 are partial sums of one progression,
-        # since w divides L4.
-        sums = list(accumulate(map(n3, range(r % w, r + 3 * l4 + 1, w))))
-        return _extrapolate(sums[r // w :: l4 // w], q)
+        num, ks = {0: 1}, ws
+        while m:
+            for a in ks:
+                if a % 2:
+                    prod = dict(num)
+                    for e, c in num.items():
+                        if e + a <= m:
+                            prod[e + a] = prod.get(e + a, 0) + c
+                    num = prod
+            num = {e // 2: c for e, c in num.items() if e % 2 == m % 2}
+            m //= 2
+            ks = [a if a % 2 else a // 2 for a in ks]
+        return num.get(0, 0)
 
     return count(n) - count(n - d)
 

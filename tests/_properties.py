@@ -316,23 +316,32 @@ def hilbert_vs_counting(weights, d: int, n_max: int = 200) -> int:
 def hilbert_coefficient_vs_series(seed: int, cases: int) -> int:
     """hilbert_coefficient(w, d, n) equals hilbert_series(w, d, n_max)[n].
 
-    Fixed weights cover weight 1, repeated and non-coprime weights and the
-    flagship at n just below, at and above 3*L3 and 4*L4 (L3 the lcm of the
-    three smallest weights, L4 of all four), where the two extrapolations
-    start.  Seeded random weights 1-12 with n <= 6000 follow; every case also
-    takes n = d - 1, so that d > n.  Returns the number of weight tuples."""
+    Fixed weights cover weight 1, repeated and non-coprime weights, all-even
+    weights (the halving halves them before any multiplication), a weight
+    above every n tried, and the flagship at n just below, at and above 3*L3
+    and 4*L4 (L3 the lcm of the three smallest weights, L4 of all four), a few
+    periods of the quasi-polynomial N into the series.  Seeded random weights,
+    each 1-12 or a power of two up to 512, follow with n <= 6000.  Every case
+    takes n = 0, n = d - 1 (so that d > n) and a random n of each parity.
+    Returns the number of weight tuples."""
     rng = random.Random(seed)
-    fixed = [(1, 1, 1, 1), (1, 2, 3, 5), (2, 3, 5, 7), (9, 6, 6, 4), (6, 11, 25, 43)]
-    randoms = [tuple(rng.randint(1, 12) for _ in range(4)) for _ in range(cases)]
+    fixed = [
+        (1, 1, 1, 1), (1, 2, 3, 5), (2, 3, 5, 7), (9, 6, 6, 4),
+        (2, 4, 8, 16), (64, 128, 256, 512), (3, 5, 7, 2**20), (6, 11, 25, 43),
+    ]
+    randoms = [
+        tuple(rng.choice((rng.randint(1, 12), 2 ** rng.randint(1, 9))) for _ in range(4))
+        for _ in range(cases)
+    ]
     for i, ws in enumerate(fixed + randoms):
         d = rng.randint(1, 100)
         *rest, w = sorted(ws)
         l3 = math.lcm(*rest)
         l4 = math.lcm(l3, w)
-        ns = {0, d - 1, rng.randint(0, 6000)}
+        n0 = rng.randint(0, 6000)
+        ns = {0, d - 1, n0, n0 + 1}
         ns |= {b + k for b in (3 * l3, 4 * l4) for k in (-1, 0, 1)}
-        if i >= len(fixed):
-            ns = {n for n in ns if n <= 6000}
+        ns = {n for n in ns if n <= (300_000 if i < len(fixed) else 6000)}
         series = hilbert_series(ws, d, max(ns))
         for n in sorted(ns):
             got = hilbert_coefficient(ws, d, n)

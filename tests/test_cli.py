@@ -474,6 +474,23 @@ def test_scenario_recipe_is_validated(tmp_path, capsys, recipe, message):
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ([["L0", "L1"], ["L1", "L2"], ["L0", "E99"]], "error (UnknownLabel): recipe.steps[2]: E99"),
+        ([["L0", "L1"], ["L0", "L1"]], "error (PairNotIncident): recipe.steps[1]: L0 and L1 do not meet"),
+    ],
+)
+def test_recipe_build_fault_names_the_step_path(tmp_path, capsys, steps, message):
+    """A step the lattice rejects is located as the reader locates one it
+    cannot parse: recipe.steps[j], 0-based."""
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"recipe": {"lines": 3, "steps": steps}, "checks": []}))
+    code, out, err = run(capsys, "scenario", str(path))
+    assert code == 2 and out == ""
+    assert err.strip() == message
+
+
 #: Faults in the parts of a scenario file that the reader reads: the recipe,
 #: the divisor tables and the checks. Each replaces a part of THREE_LINES
 #: with no checks, and the message names the fault's JSON path.
@@ -767,6 +784,17 @@ def test_germ_node_verdict(tmp_path, capsys):
     assert "klt, order 2" in out
 
 
+@pytest.mark.parametrize("text", ["V0 -1\nV1 3 1\nV0 -- V1\n", "V0 1\nV1 3 node\nV0 -- V1\n"])
+def test_germ_with_a_minus_one_curve_gets_no_case_label(tmp_path, capsys, text):
+    """A smooth rational (-1)-curve makes the resolution non-minimal, where
+    the a-d labels do not apply: the germ is lc, not klt, with no case."""
+    f = tmp_path / "nonminimal.graph"
+    f.write_text(text)
+    code, out, err = run(capsys, "germ", str(f))
+    assert code == 0 and err == ""
+    assert "lc, not klt" in out and "case" not in out
+
+
 def test_germ_rejects_indefinite_graph(tmp_path, capsys):
     f = tmp_path / "bad.graph"
     f.write_text("E 1\nF 1\nE -- F\n")
@@ -895,8 +923,8 @@ def test_wps_hilbert_error_past_the_float_range_prints_exactly(capsys):
 
 
 def test_wps_hilbert_at_the_cap_holds_no_series(capsys):
-    # One h(n) on the flagship needs a table of 3*lcm(6, 11, 25) = 4950
-    # integers; the list h(0..n) would take over 100 MB.
+    # One h(n) holds a numerator of at most sum(w) + 1 = 86 terms on the
+    # flagship; the list h(0..n) would take over 100 MB.
     run(capsys, "wps", "hilbert", "--n", "6", "--ratio")  # lazy imports first
     tracemalloc.start()
     try:
@@ -906,6 +934,22 @@ def test_wps_hilbert_at_the_cap_holds_no_series(capsys):
         tracemalloc.stop()
     assert code == 0 and f"h({HILBERT_MAX_N}) = " in out
     assert peak < 1_000_000, f"peak {peak} bytes"
+
+
+def test_wps_hilbert_memory_does_not_grow_with_n(capsys):
+    """Large coprime weights: a table indexed by degree up to n would take
+    tens of MB at the cap; the numerator of the halving keeps at most
+    sum(w) + 1 = 3949 terms."""
+    argv = ("wps", "hilbert", "--weights", "977,983,991,997", "--degree", "3948")
+    run(capsys, *argv, "--n", "6", "--ratio")  # lazy imports first
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv, "--n", str(HILBERT_MAX_N), "--ratio")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and f"h({HILBERT_MAX_N}) = " in out
+    assert peak < 4_000_000, f"peak {peak} bytes"
 
 
 def test_wps_hilbert_rejects_bad_sizes(capsys):

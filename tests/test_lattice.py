@@ -75,6 +75,11 @@ def test_step_validation():
         build_from_recipe(BlowupRecipe(2, (("L0", "L1"), ("L0", "L1"))))
 
 
+def test_negative_line_count_is_rejected():
+    with pytest.raises(ValueError, match="line count must be non-negative, got -1"):
+        build_from_recipe(BlowupRecipe(-1, ()))
+
+
 def test_canonical_square_drops_per_step(ex462, ex825):
     m4, m8 = ex462.model, ex825.model
     assert m4.pairing(m4.canonical_class, m4.canonical_class) == 9 - 11

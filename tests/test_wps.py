@@ -667,7 +667,7 @@ def test_hilbert_matches_counting():
 
 
 def test_hilbert_coefficient_matches_series():
-    assert hilbert_coefficient_vs_series(1212, 150) == 155
+    assert hilbert_coefficient_vs_series(1212, 150) == 158
     assert hilbert_coefficient(FLAGSHIP_WEIGHTS, FLAGSHIP_DEGREE, 999_500) == 605_454_091
     with pytest.raises(ValueError, match="n must be non-negative"):
         hilbert_coefficient(FLAGSHIP_WEIGHTS, FLAGSHIP_DEGREE, -1)
