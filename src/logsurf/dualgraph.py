@@ -11,9 +11,9 @@ classification of log canonical germs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from logsurf.exact import (
     InputError,
@@ -49,43 +49,67 @@ class GraphFormatError(InputError):
 GRAPH_MAX_MULTIPLICITY = 1000
 
 
-@dataclass(frozen=True)
 class GraphVertex:
-    label: str
-    self_int: int
-    genus: int = 0
-    is_exceptional: bool = True
-    node_count: int = 0
+    __slots__ = ("label", "self_int", "genus", "is_exceptional", "node_count")
 
-    def __post_init__(self) -> None:
-        if self.genus < 0 or self.node_count < 0:
+    def __init__(
+        self, label: str, self_int: int, genus: int = 0, is_exceptional: bool = True, node_count: int = 0
+    ) -> None:
+        if genus < 0 or node_count < 0:
             raise ValueError("genus and node count must be nonnegative")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "self_int", self_int)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "is_exceptional", is_exceptional)
+        object.__setattr__(self, "node_count", node_count)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GraphVertex is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is GraphVertex and (
+            self.label, self.self_int, self.genus, self.is_exceptional, self.node_count
+        ) == (other.label, other.self_int, other.genus, other.is_exceptional, other.node_count)
+
+    def __repr__(self) -> str:
+        return (
+            f"GraphVertex(label={self.label!r}, self_int={self.self_int!r}, genus={self.genus!r},"
+            f" is_exceptional={self.is_exceptional!r}, node_count={self.node_count!r})"
+        )
 
     @property
     def arithmetic_genus(self) -> int:
         return self.genus + self.node_count
 
 
-@dataclass(frozen=True)
 class DualGraph:
     """Vertices plus a multiset of unordered edges (pairs of labels)."""
 
-    vertices: tuple[GraphVertex, ...]
-    edges: tuple[tuple[str, str], ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self) -> None:
-        labels = [v.label for v in self.vertices]
+    def __init__(self, vertices: tuple[GraphVertex, ...], edges: tuple[tuple[str, str], ...]) -> None:
+        labels = [v.label for v in vertices]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate vertex labels")
         known = set(labels)
         norm = []
-        for a, b in self.edges:
+        for a, b in edges:
             if a == b:
                 raise ValueError(f"self-loop at {a}; record nodes via node_count instead")
             if a not in known or b not in known:
                 raise ValueError(f"edge ({a},{b}) references unknown vertex")
             norm.append((a, b) if a <= b else (b, a))
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"DualGraph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is DualGraph and (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __repr__(self) -> str:
+        return f"DualGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -143,8 +167,7 @@ def graph_determinant(g: DualGraph) -> Rational:
     return determinant([[-e for e in row] for row in intersection_matrix(g)])
 
 
-@dataclass(frozen=True)
-class ShapeInfo:
+class ShapeInfo(NamedTuple):
     is_chain: bool
     has_cycle: bool
     forks: tuple[str, ...]
@@ -206,18 +229,27 @@ def _chain_order(g: DualGraph) -> list[str]:
     return order
 
 
-@dataclass(frozen=True)
 class CyclicType:
     """Cyclic quotient singularity of type (n, q): 1/n with weights (1, q)."""
 
-    n: int
-    q: int
+    __slots__ = ("n", "q")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.q < 1:
+    def __init__(self, n: int, q: int) -> None:
+        if n < 1 or q < 1:
             raise ValueError("n and q must be positive")
-        if self.n > 1 and not (self.q < self.n and math.gcd(self.n, self.q) == 1):
-            raise ValueError(f"({self.n},{self.q}) is not a reduced cyclic type")
+        if n > 1 and not (q < n and math.gcd(n, q) == 1):
+            raise ValueError(f"({n},{q}) is not a reduced cyclic type")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CyclicType is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is CyclicType and (self.n, self.q) == (other.n, other.q)
+
+    def __repr__(self) -> str:
+        return f"CyclicType(n={self.n!r}, q={self.q!r})"
 
 
 def _continued_fraction(entries: Sequence[int]) -> Fraction:
@@ -279,12 +311,12 @@ def solve_discrepancies(g: DualGraph) -> dict[str, Rational]:
     return dict(zip(exc, sol))
 
 
-@dataclass(frozen=True)
-class GermClassification:
+class GermClassification(NamedTuple):
     is_lc: bool
     is_klt: bool
     is_plt: bool
-    discrepancy_coeffs: dict[str, Rational] = field(default_factory=dict)
+    #: Read-only when defaulted, so no two records share a table one can change.
+    discrepancy_coeffs: Mapping[str, Rational] = MappingProxyType({})
     order: int | None = None
     nklt_case: str | None = None
     cyclic_points: tuple[CyclicType, ...] | None = None

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Rational = Fraction
 #: A matrix as a sequence of equal-length rows.
@@ -239,8 +238,7 @@ def matrix_rank(m: Rows) -> int:
     return len(_eliminate(_integral(m)[0], _width(m)))
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Outcome of lp_feasible.
 
     When feasible, x is a nonnegative solution of A x = b; when infeasible,
@@ -352,18 +350,18 @@ def lp_feasible(
     return FeasibilityResult(feasible=True, x=tuple(x), y=y)
 
 
-@dataclass(frozen=True)
 class QuadraticForm1D:
     """One-variable quadratic a*t^2 + b*t + c."""
 
-    a: Rational
-    b: Rational
-    c: Rational
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "b", rat(self.b))
-        object.__setattr__(self, "c", rat(self.c))
+    def __init__(self, a: int | str | Rational, b: int | str | Rational, c: int | str | Rational) -> None:
+        object.__setattr__(self, "a", rat(a))
+        object.__setattr__(self, "b", rat(b))
+        object.__setattr__(self, "c", rat(c))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"QuadraticForm1D is immutable: cannot set {name!r}")
 
     def evaluate(self, t: int | str | Rational) -> Rational:
         tt = rat(t)

@@ -12,10 +12,9 @@ when it reads the class out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components, intersection_matrix
 from logsurf.exact import InputError, Rational, is_negative_definite, rat
@@ -39,19 +38,31 @@ class NotContractible(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class QDivisor:
-    """Formal rational combination of visible curves; absent label means 0."""
+    """Formal rational combination of visible curves; absent label means 0.
+    Equal divisors hash alike: a model keys its Zariski decompositions by them."""
 
-    coeffs: tuple[tuple[str, Rational], ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        parsed = ((lbl, rat(c)) for lbl, c in self.coeffs)
+    def __init__(self, coeffs: Iterable[tuple[str, int | str | Rational]]) -> None:
+        parsed = ((lbl, rat(c)) for lbl, c in coeffs)
         cleaned = tuple(sorted((lbl, c) for lbl, c in parsed if c != 0))
         labels = [lbl for lbl, _ in cleaned]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in divisor")
         object.__setattr__(self, "coeffs", cleaned)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"QDivisor is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is QDivisor and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"QDivisor(coeffs={self.coeffs!r})"
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int | str | Rational]) -> QDivisor:
@@ -93,14 +104,12 @@ def qdiv(d: Mapping[str, int | str | Rational] | QDivisor) -> QDivisor:
     return d if isinstance(d, QDivisor) else QDivisor.from_dict(d)
 
 
-@dataclass(frozen=True)
-class BlowupRecipe:
+class BlowupRecipe(NamedTuple):
     num_lines: int
     steps: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class IntegralGram:
+class IntegralGram(NamedTuple):
     """Intersection numbers of the visible curves, as ints: ``products[a][b]``
     is C_a.C_b and ``k_dot[a]`` is K.C_a. Intersections of divisors supported
     on visible curves are taken in curve coordinates, D.C = sum_i d_i C_i.C."""
@@ -144,28 +153,36 @@ class IntegralGram:
             raise UnknownLabel(err.args[0]) from None
 
 
-@dataclass
 class SurfaceModel:
-    rank: int
-    #: Class of each visible curve in the basis H, e1, ..., ek, as ints.
-    visible: dict[str, tuple[int, ...]]
-    steps: tuple[tuple[str, str], ...]
-    num_lines: int
-    #: Integer Gram matrix and K.C of the visible curves, computed once.
-    gram: IntegralGram = field(init=False, repr=False, compare=False)
-    #: Zariski decompositions already computed, keyed by (divisor, plus_canonical).
-    decompositions: dict[tuple[QDivisor, bool], object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    """A blown-up plane's lattice. Two models are equal when their rank,
+    classes, steps and line count are; what either has cached does not count."""
 
-    def __post_init__(self) -> None:
-        for lbl, vec in self.visible.items():
-            if len(vec) != self.rank or not all(
-                isinstance(c, (int, Fraction)) and c.denominator == 1 for c in vec
-            ):
-                raise ValueError(f"class of {lbl} is not an integral vector of length {self.rank}")
-        self.visible = {lbl: tuple(map(int, vec)) for lbl, vec in self.visible.items()}
+    __slots__ = ("rank", "visible", "steps", "num_lines", "gram", "decompositions")
+
+    def __init__(
+        self,
+        rank: int,
+        visible: Mapping[str, Sequence[int | Fraction]],
+        steps: tuple[tuple[str, str], ...],
+        num_lines: int,
+    ) -> None:
+        for lbl, vec in visible.items():
+            if len(vec) != rank or not all(isinstance(c, (int, Fraction)) and c.denominator == 1 for c in vec):
+                raise ValueError(f"class of {lbl} is not an integral vector of length {rank}")
+        self.rank = rank
+        #: Class of each visible curve in the basis H, e1, ..., ek, as ints.
+        self.visible = {lbl: tuple(map(int, vec)) for lbl, vec in visible.items()}
+        self.steps = steps
+        self.num_lines = num_lines
+        #: Integer Gram matrix and K.C of the visible curves, computed once.
         self.gram = IntegralGram.of_classes(self.visible)
+        #: Zariski decompositions already computed, keyed by (divisor, plus_canonical).
+        self.decompositions: dict[tuple[QDivisor, bool], object] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SurfaceModel and (
+            self.rank, self.visible, self.steps, self.num_lines
+        ) == (other.rank, other.visible, other.steps, other.num_lines)
 
     @property
     def canonical_class(self) -> tuple[int, ...]:

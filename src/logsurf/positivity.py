@@ -14,9 +14,8 @@ whose visible columns are integer vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from logsurf.dualgraph import (
     DualGraph,
@@ -71,8 +70,7 @@ def _target_class(m: SurfaceModel, d, plus_canonical: bool) -> tuple[Rational, .
     return cls
 
 
-@dataclass(frozen=True)
-class ZariskiResult:
+class ZariskiResult(NamedTuple):
     positive_coeffs: QDivisor
     #: ([K +] P).C for every visible curve C.
     positive_dots: Mapping[str, Rational]
@@ -187,8 +185,7 @@ def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> QDiviso
     return QDivisor.from_dict(dict(zip(sorted(m.visible), feas.x)))
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     value: Rational | None
     binding_constraints: tuple[str, ...] = ()
     #: The effective divisor at the value: nef_certificate's representative
@@ -310,8 +307,7 @@ def pullback_after_contraction(
     return dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     contracted: tuple[str, ...]
     clusters: tuple[tuple[str, ...], ...]
     picard_number: int

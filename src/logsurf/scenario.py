@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .dualgraph import classify_germ, contract_and_square
 from .exact import InputError, ParseError, _frac, rat
@@ -110,8 +110,7 @@ def read_scenario(text: str) -> tuple[dict[str, Any], SurfaceModel, dict[str, QD
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class _SpecReader:
+class _SpecReader(NamedTuple):
     """An object of the scenario file (the recipe, the divisor tables, a
     check's spec or an object inside it), read one key at a time.
 
@@ -126,7 +125,8 @@ class _SpecReader:
     spec: Mapping[str, Any]
     missing: str = "missing"
     m: SurfaceModel | None = None
-    divisors: Mapping[str, QDivisor] = field(default_factory=dict)
+    #: Read-only when defaulted, so no two readers share a table one can change.
+    divisors: Mapping[str, QDivisor] = MappingProxyType({})
 
     def fault(self, key: str, message: str) -> ParseError:
         return ParseError(f"{self.path}.{key}: {message}")
@@ -203,7 +203,7 @@ class _SpecReader:
     def nested(self, path: str, value: Any) -> "_SpecReader":
         if not isinstance(value, dict):
             raise ParseError(f"{path}: expected an object")
-        return replace(self, path=path, spec=value, missing="missing")
+        return self._replace(path=path, spec=value, missing="missing")
 
 
 def _read_recipe(r: _SpecReader) -> BlowupRecipe:
@@ -422,7 +422,7 @@ def _check_contraction(r: _SpecReader) -> dict[str, Any]:
             if not (isinstance(n_q, list) and len(n_q) == 2 and all(type(x) is int for x in n_q)):
                 raise c.fault("cyclic", f"expected two integers, got {n_q!r}")
         else:
-            c = replace(c, missing="missing for a cluster without 'cyclic'")
+            c = c._replace(missing="missing for a cluster without 'cyclic'")
             want["nklt_case"] = c.read("nklt_case")
             want["fork"] = c.read("fork")
             if want["fork"] not in want["labels"]:

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exact import InputError, Rational, matrix_rank, rat
 
@@ -58,21 +57,30 @@ def _weight_seq(weights: Weights | Sequence[int]) -> tuple[int, ...]:
     return ws
 
 
-@dataclass(frozen=True)
 class Weights:
     """Four positive pairwise-coprime weights for a weighted P^3."""
 
-    w: tuple[int, int, int, int]
+    __slots__ = ("w",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", _weight_seq(self.w))
+    def __init__(self, w: Weights | Sequence[int]) -> None:
+        ws = _weight_seq(w)
         for i in range(4):
             for j in range(i + 1, 4):
-                g = math.gcd(self.w[i], self.w[j])
+                g = math.gcd(ws[i], ws[j])
                 if g != 1:
                     raise BadWeights(
-                        f"weights {self.w[i]} and {self.w[j]} share the factor {g}"
+                        f"weights {ws[i]} and {ws[j]} share the factor {g}"
                     )
+        object.__setattr__(self, "w", ws)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Weights is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Weights and self.w == other.w
+
+    def __hash__(self) -> int:
+        return hash(self.w)
 
 
 #: The flagship ambient space.
@@ -115,8 +123,7 @@ def check_homogeneous(
     return degree
 
 
-@dataclass(frozen=True)
-class WeightedPoly:
+class WeightedPoly(NamedTuple):
     """A weighted-homogeneous polynomial with exact coefficients."""
 
     weights: Weights
@@ -182,8 +189,7 @@ def _check_eps(eps: Sequence[int]) -> tuple[int, int, int, int]:
     return e  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(NamedTuple):
     """Coordinate change x_i -> c_i x_i (i<=2), x3 -> c3 x3 + d x2 x0^3."""
 
     c: tuple[Rational, Rational, Rational, Rational]
@@ -191,8 +197,7 @@ class Transform:
     lam: Rational
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     eps: tuple[int, int, int, int]
     s: Rational
     t: Rational
@@ -287,8 +292,7 @@ def chart_poly(
     return out
 
 
-@dataclass(frozen=True)
-class ChartDossier:
+class ChartDossier(NamedTuple):
     """What exact local analysis at a chart origin could conclude.
 
     ``multiplicity`` is 0 when the origin is off the surface, and
@@ -617,8 +621,7 @@ def hilbert_coefficient(weights: Weights | Sequence[int], d: int, n: int) -> int
     return count(n) - count(n - d)
 
 
-@dataclass(frozen=True)
-class HypersurfaceClassification:
+class HypersurfaceClassification(NamedTuple):
     is_lc: bool
     is_klt: bool
     charts: tuple[ChartDossier, ...]

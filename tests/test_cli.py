@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
+import contextlib
 import hashlib
 import importlib
 import itertools
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import logsurf
-from logsurf import scenario
+from logsurf import dualgraph, exact, lattice, positivity, scenario, wps
 from logsurf.cli import HILBERT_MAX_N, _build_parser, main
 from logsurf.dualgraph import GRAPH_MAX_MULTIPLICITY
 from logsurf.exact import InputError
@@ -635,28 +635,34 @@ def _attributes_read(node: ast.AST):
 
 
 def _members(cls: ast.ClassDef):
-    """(index in the class body, name) of each method and, for a dataclass,
-    each field; dunders aside."""
-    dataclass = any(
-        "dataclass" in set(_referenced_names(d)) for d in cls.decorator_list
+    """(index in the class body, name) of each method and each record field:
+    the annotated fields of a dataclass or a NamedTuple and the ``__slots__``
+    names of a plain class; dunders aside."""
+    record = any(
+        name in ("dataclass", "NamedTuple")
+        for node in (*cls.decorator_list, *cls.bases)
+        for name in _referenced_names(node)
     )
     for j, stmt in enumerate(cls.body):
         if isinstance(stmt, ast.FunctionDef):
-            name = stmt.name
-        elif dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            name = stmt.target.id
+            names = [stmt.name]
+        elif record and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        elif isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+            names = [c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)]
         else:
             continue
-        if not name.startswith("__"):
-            yield j, name
+        yield from ((j, name) for name in names if not name.startswith("__"))
 
 
 def test_every_src_definition_is_reached():
     """Each module-level def or class in logsurf is used by another top-level
     statement of the package (``__init__`` aside) or by ``bench/``, and each
-    method and dataclass field of a class is read as an attribute by another
-    statement of the package or by ``bench/``. An export in ``__all__`` is
-    not a use: code that only tests call does not stay in the package.
+    method and record field of a class is read as an attribute by another
+    statement of the package or by ``bench/``. Its own class's dunder methods
+    do not count: they only build, compare or show a record. An export in
+    ``__all__`` is not a use: code that only tests call does not stay in the
+    package.
 
     ``bench/`` counts, with the ``TIMED``/``COUNTED`` strings of its tracer,
     because the benchmark runs the committed program by these names and its
@@ -669,6 +675,7 @@ def test_every_src_definition_is_reached():
     statements: dict[tuple, tuple[set[str], set[str]]] = {}
     defined = []
     members = []
+    dunders = set()  # (module, statement index, class body index) of each dunder method
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -677,6 +684,11 @@ def test_every_src_definition_is_reached():
                 defined.append((path.stem, i, stmt.name))
             if isinstance(stmt, ast.ClassDef):
                 members += [(path.stem, i, j, stmt.name, name) for j, name in _members(stmt)]
+                dunders.update(
+                    (path.stem, i, j)
+                    for j, s in enumerate(stmt.body)
+                    if isinstance(s, ast.FunctionDef) and s.name.startswith("__")
+                )
                 parts = {(j,): [s] for j, s in enumerate(stmt.body)}
                 parts[("header",)] = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
             else:
@@ -710,9 +722,84 @@ def test_every_src_definition_is_reached():
         f"{cls}.{name}"
         for module, i, j, cls, name in members
         if name not in read
-        and not any(name in attrs for key, (_, attrs) in statements.items() if key != (module, i, j))
+        and not any(
+            name in attrs
+            for key, (_, attrs) in statements.items()
+            if key != (module, i, j) and not (key in dunders and key[:2] == (module, i))
+        )
     ]
     assert unreached == [], unreached
+
+
+def _frozen_records() -> list:
+    """One instance of each record class that was a frozen dataclass."""
+    vertex = dualgraph.GraphVertex("E1", -2)
+    graph = dualgraph.DualGraph((vertex,), ())
+    germ = dualgraph.classify_germ(graph)
+    d = lattice.QDivisor((("E1", 1),))
+    nf = wps.normal_form([1, 2, 1, 0, 1, 1])
+    member = wps.classify_hypersurface((1, 0, 1, 1), 1, 0)
+    return [
+        exact.FeasibilityResult(True, (Fraction(1),)),
+        exact.QuadraticForm1D(1, 0, 0),
+        vertex,
+        graph,
+        dualgraph.shape(graph),
+        dualgraph.CyclicType(2, 1),
+        germ,
+        d,
+        lattice.BlowupRecipe(1, ()),
+        lattice.IntegralGram({}, {}),
+        positivity.ZariskiResult(d, {}, d, False),
+        positivity.ThresholdResult(Fraction(0)),
+        positivity.ContractionReport(("E1",), (("E1",),), 1, (graph,), (germ,)),
+        scenario._SpecReader("recipe", {}),
+        wps.FLAGSHIP_WEIGHTS,
+        wps.standard_member((1, 0, 1, 1), 1, 0),
+        nf.transform,
+        nf,
+        member.charts[0],
+        member,
+    ]
+
+
+def test_records_are_immutable():
+    """No field of a record that was a frozen dataclass can be set, and no
+    new attribute can be added."""
+    records = _frozen_records()
+    assert len({type(r) for r in records}) == len(records) == 20
+    for record in records:
+        fields = getattr(record, "_fields", None) or type(record).__slots__
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_equal_divisors_share_one_decomposition():
+    """QDivisors from one table in two orders are equal and hash alike, so a
+    second zariski call finds the model's first decomposition."""
+    _, m, divisors = scenario.read_scenario(builtin_scenario_text("ex-825"))
+    table = divisors["C_tilde"].as_dict()
+    forward = lattice.QDivisor.from_dict(table)
+    backward = lattice.QDivisor.from_dict(dict(reversed(table.items())))
+    assert list(table) != list(reversed(table))
+    assert forward == backward and hash(forward) == hash(backward)
+    first = positivity.zariski(m, forward, plus_canonical=True)
+    assert positivity.zariski(m, backward, plus_canonical=True) is first
+    assert len(m.decompositions) == 1
+
+
+def test_record_defaults_cannot_leak_between_instances():
+    """A defaulted table is fresh or read-only: what is written to one
+    record's never shows in another's."""
+    for make, field in (
+        (lambda: dualgraph.GermClassification(True, True, True), "discrepancy_coeffs"),
+        (lambda: scenario._SpecReader("recipe", {}), "divisors"),
+    ):
+        first, second = getattr(make(), field), getattr(make(), field)
+        with contextlib.suppress(TypeError):  # a read-only default
+            first["E1"] = Fraction(1)
+        assert second == {}
 
 
 def test_no_module_imports_the_front_end():
@@ -845,7 +932,7 @@ def test_nt_check_needs_its_certificate(monkeypatch, capsys):
     real = scenario.nef_threshold
 
     def uncertified(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), certificate_at_value=None, certified=False)
+        return real(*args, **kwargs)._replace(certificate_at_value=None, certified=False)
 
     monkeypatch.setattr(scenario, "nef_threshold", uncertified)
     code, out, _ = run(capsys, "scenario", "ex-825")

@@ -421,9 +421,11 @@ COMMAND_LAYERS = {
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_each_command_loads_only_its_layers(tmp_path, command):
     """A fresh process loads the package, the front end and the exact kernel,
-    then only the layers its command runs: no scenario runs `wps`. `wps
-    hilbert` loads none of the standard modules that only the checksum of a
-    built-in scenario, an internal fault or the package resources need."""
+    then only the layers its command runs: no scenario runs `wps`. No command
+    loads `dataclasses` or the `inspect` it imports: records are plain
+    classes. `wps hilbert` loads none of the standard modules that only the
+    checksum of a built-in scenario, an internal fault or the package
+    resources need."""
     argv, layers = COMMAND_LAYERS[command]
     (tmp_path / "node.graph").write_text("A 2\n")
     argv = [str(tmp_path / a) if a.endswith(".graph") else a for a in argv]
@@ -436,6 +438,8 @@ def test_each_command_loads_only_its_layers(tmp_path, command):
             assert cli.main({argv!r}) == 0
         loaded = sorted(name for name in sys.modules if name.partition(".")[0] == "logsurf")
         assert loaded == {expected!r}, loaded
+        heavy = {{"dataclasses", "inspect"}} & sys.modules.keys()
+        assert not heavy, sorted(heavy)
         if {command == "wps hilbert"}:
             unwanted = {{"hashlib", "traceback", "importlib.resources"}} & sys.modules.keys()
             assert not unwanted, sorted(unwanted)
