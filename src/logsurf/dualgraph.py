@@ -16,6 +16,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from logsurf.exact import (
+    Frozen,
     InputError,
     Rational,
     determinant,
@@ -49,7 +50,7 @@ class GraphFormatError(InputError):
 GRAPH_MAX_MULTIPLICITY = 1000
 
 
-class GraphVertex:
+class GraphVertex(Frozen):
     __slots__ = ("label", "self_int", "genus", "is_exceptional", "node_count")
 
     def __init__(
@@ -57,32 +58,14 @@ class GraphVertex:
     ) -> None:
         if genus < 0 or node_count < 0:
             raise ValueError("genus and node count must be nonnegative")
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "self_int", self_int)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "is_exceptional", is_exceptional)
-        object.__setattr__(self, "node_count", node_count)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"GraphVertex is immutable: cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is GraphVertex and (
-            self.label, self.self_int, self.genus, self.is_exceptional, self.node_count
-        ) == (other.label, other.self_int, other.genus, other.is_exceptional, other.node_count)
-
-    def __repr__(self) -> str:
-        return (
-            f"GraphVertex(label={self.label!r}, self_int={self.self_int!r}, genus={self.genus!r},"
-            f" is_exceptional={self.is_exceptional!r}, node_count={self.node_count!r})"
-        )
+        self._freeze(label, self_int, genus, is_exceptional, node_count)
 
     @property
     def arithmetic_genus(self) -> int:
         return self.genus + self.node_count
 
 
-class DualGraph:
+class DualGraph(Frozen):
     """Vertices plus a multiset of unordered edges (pairs of labels)."""
 
     __slots__ = ("vertices", "edges")
@@ -99,17 +82,7 @@ class DualGraph:
             if a not in known or b not in known:
                 raise ValueError(f"edge ({a},{b}) references unknown vertex")
             norm.append((a, b) if a <= b else (b, a))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"DualGraph is immutable: cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is DualGraph and (self.vertices, self.edges) == (other.vertices, other.edges)
-
-    def __repr__(self) -> str:
-        return f"DualGraph(vertices={self.vertices!r}, edges={self.edges!r})"
+        self._freeze(vertices, tuple(sorted(norm)))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -229,7 +202,7 @@ def _chain_order(g: DualGraph) -> list[str]:
     return order
 
 
-class CyclicType:
+class CyclicType(Frozen):
     """Cyclic quotient singularity of type (n, q): 1/n with weights (1, q)."""
 
     __slots__ = ("n", "q")
@@ -239,17 +212,7 @@ class CyclicType:
             raise ValueError("n and q must be positive")
         if n > 1 and not (q < n and math.gcd(n, q) == 1):
             raise ValueError(f"({n},{q}) is not a reduced cyclic type")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"CyclicType is immutable: cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is CyclicType and (self.n, self.q) == (other.n, other.q)
-
-    def __repr__(self) -> str:
-        return f"CyclicType(n={self.n!r}, q={self.q!r})"
+        self._freeze(n, q)
 
 
 def _continued_fraction(entries: Sequence[int]) -> Fraction:

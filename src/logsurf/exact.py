@@ -350,18 +350,41 @@ def lp_feasible(
     return FeasibilityResult(feasible=True, x=tuple(x), y=y)
 
 
-class QuadraticForm1D:
+class Frozen:
+    """Base of a record that checks its input. Its ``__init__`` checks, then
+    ends in ``self._freeze(...)``, which sets its ``__slots__`` once, in
+    order. The record then refuses assignment, and compares, hashes and
+    prints by its slots: ``Name(slot=value, ...)``."""
+
+    __slots__ = ()
+
+    def _freeze(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class QuadraticForm1D(Frozen):
     """One-variable quadratic a*t^2 + b*t + c."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int | str | Rational, b: int | str | Rational, c: int | str | Rational) -> None:
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
-        object.__setattr__(self, "c", rat(c))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"QuadraticForm1D is immutable: cannot set {name!r}")
+        self._freeze(rat(a), rat(b), rat(c))
 
     def evaluate(self, t: int | str | Rational) -> Rational:
         tt = rat(t)

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components, intersection_matrix
-from logsurf.exact import InputError, Rational, is_negative_definite, rat
+from logsurf.exact import Frozen, InputError, Rational, is_negative_definite, rat
 
 
 #: Most visible curves (lines plus blow-up steps) a recipe may ask for. The
@@ -38,7 +38,7 @@ class NotContractible(InputError):
     pass
 
 
-class QDivisor:
+class QDivisor(Frozen):
     """Formal rational combination of visible curves; absent label means 0.
     Equal divisors hash alike: a model keys its Zariski decompositions by them."""
 
@@ -50,19 +50,7 @@ class QDivisor:
         labels = [lbl for lbl, _ in cleaned]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in divisor")
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"QDivisor is immutable: cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is QDivisor and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"QDivisor(coeffs={self.coeffs!r})"
+        self._freeze(cleaned)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, int | str | Rational]) -> QDivisor:

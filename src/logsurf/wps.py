@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import InputError, Rational, matrix_rank, rat
+from .exact import Frozen, InputError, Rational, matrix_rank, rat
 
 Exponents = tuple[int, int, int, int]
 
@@ -57,7 +57,7 @@ def _weight_seq(weights: Weights | Sequence[int]) -> tuple[int, ...]:
     return ws
 
 
-class Weights:
+class Weights(Frozen):
     """Four positive pairwise-coprime weights for a weighted P^3."""
 
     __slots__ = ("w",)
@@ -71,16 +71,7 @@ class Weights:
                     raise BadWeights(
                         f"weights {ws[i]} and {ws[j]} share the factor {g}"
                     )
-        object.__setattr__(self, "w", ws)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Weights is immutable: cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Weights and self.w == other.w
-
-    def __hash__(self) -> int:
-        return hash(self.w)
+        self._freeze(ws)
 
 
 #: The flagship ambient space.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -11,6 +12,7 @@ import itertools
 import json
 import os
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import _fuzz
 import logsurf
 from logsurf import dualgraph, exact, lattice, positivity, scenario, wps
 from logsurf.cli import HILBERT_MAX_N, _build_parser, main
@@ -732,7 +735,8 @@ def test_every_src_definition_is_reached():
 
 
 def _frozen_records() -> list:
-    """One instance of each record class that was a frozen dataclass."""
+    """One instance of each immutable record: the NamedTuples and every
+    ``Frozen`` record."""
     vertex = dualgraph.GraphVertex("E1", -2)
     graph = dualgraph.DualGraph((vertex,), ())
     germ = dualgraph.classify_germ(graph)
@@ -764,15 +768,94 @@ def _frozen_records() -> list:
 
 
 def test_records_are_immutable():
-    """No field of a record that was a frozen dataclass can be set, and no
-    new attribute can be added."""
+    """No field of an immutable record can be set, and no new attribute can
+    be added. Every ``Frozen`` record is among them."""
     records = _frozen_records()
     assert len({type(r) for r in records}) == len(records) == 20
+    assert set(exact.Frozen.__subclasses__()) <= {type(r) for r in records}
     for record in records:
         fields = getattr(record, "_fields", None) or type(record).__slots__
         for name in (*fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+
+
+#: Each ``Frozen`` record: how to build one (a second call rebuilds it from
+#: the same arguments) and the repr it prints, every slot in order.
+FROZEN_EXAMPLES = {
+    exact.QuadraticForm1D: (
+        lambda: exact.QuadraticForm1D(1, "-1/2", 3),
+        "QuadraticForm1D(a=Fraction(1, 1), b=Fraction(-1, 2), c=Fraction(3, 1))",
+    ),
+    dualgraph.GraphVertex: (
+        lambda: dualgraph.GraphVertex("C", -1, genus=1, is_exceptional=False, node_count=2),
+        "GraphVertex(label='C', self_int=-1, genus=1, is_exceptional=False, node_count=2)",
+    ),
+    dualgraph.DualGraph: (
+        lambda: dualgraph.DualGraph(
+            (dualgraph.GraphVertex("B", -3), dualgraph.GraphVertex("A", -2)), (("B", "A"),)
+        ),
+        "DualGraph(vertices=(GraphVertex(label='B', self_int=-3, genus=0, is_exceptional=True, node_count=0),"
+        " GraphVertex(label='A', self_int=-2, genus=0, is_exceptional=True, node_count=0)),"
+        " edges=(('A', 'B'),))",
+    ),
+    dualgraph.CyclicType: (lambda: dualgraph.CyclicType(5, 2), "CyclicType(n=5, q=2)"),
+    lattice.QDivisor: (
+        lambda: lattice.QDivisor((("E2", "1/2"), ("E1", 1))),
+        "QDivisor(coeffs=(('E1', Fraction(1, 1)), ('E2', Fraction(1, 2))))",
+    ),
+    wps.Weights: (lambda: wps.Weights((6, 11, 25, 43)), "Weights(w=(6, 11, 25, 43))"),
+}
+
+
+def test_frozen_records_compare_hash_and_show_their_slots():
+    """A ``Frozen`` record rebuilt from the same arguments is equal and
+    hashes alike; a record of another class is not equal; the repr names
+    every slot in order; no slot can be set."""
+    assert set(FROZEN_EXAMPLES) == set(exact.Frozen.__subclasses__())
+    built = {cls: make() for cls, (make, _) in FROZEN_EXAMPLES.items()}
+    for cls, (make, shown) in FROZEN_EXAMPLES.items():
+        record, twin = built[cls], make()
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        assert not twin != record
+        for other in built.values():
+            if other is not record:
+                assert record != other and other != record
+        assert repr(record) == shown
+        for name in (*cls.__slots__, "extra"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable: cannot set '{name}'$"):
+                setattr(record, name, None)
+    assert lattice.QDivisor((("E1", 1),)) != lattice.QDivisor((("E1", 2),))
+
+
+def test_only_frozen_writes_the_record_dunders():
+    """No class of logsurf but ``Frozen`` defines ``__setattr__``,
+    ``__hash__`` or ``__repr__``, and only ``Frozen`` and ``SurfaceModel``
+    (which leaves its caches out) define ``__eq__``: a record that checks
+    its input subclasses ``Frozen`` instead of writing them again."""
+    package = Path(logsurf.__file__).parent
+    defines: dict[str, set[str]] = {}
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names = [stmt.name]
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names = [getattr(t, "id", None) for t in targets]
+                else:
+                    continue
+                for name in names:
+                    if name in ("__setattr__", "__hash__", "__repr__", "__eq__"):
+                        defines.setdefault(name, set()).add(cls.name)
+    assert defines == {
+        "__setattr__": {"Frozen"},
+        "__hash__": {"Frozen"},
+        "__repr__": {"Frozen"},
+        "__eq__": {"Frozen", "SurfaceModel"},
+    }
 
 
 def test_equal_divisors_share_one_decomposition():
@@ -1557,6 +1640,70 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     _build_parser.cache_clear()
     assert [_masked_run(capsys, *argv) for argv in calls] == alone
     assert _build_parser() is _build_parser()
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+#: Germ graphs that once exited 3 (lines separated by " | "); both are lc.
+FUZZ_FIXED_GERMS = ("V0 -1 | V1 3 1 | V0 -- V1", "V0 1 | V1 3 node | V0 -- V1")
+#: Bad input as ``main`` reports it: ``error: message`` for a fault of the
+#: text, ``error (Kind): message`` for a value the computation rejects.
+BAD_INPUT = re.compile(r"error(?: \((\w+)\))?: (.*)\n", re.S)
+
+
+def _input_error_names(cls=InputError) -> set[str]:
+    return {cls.__name__}.union(*(_input_error_names(sub) for sub in cls.__subclasses__()))
+
+
+def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
+    """Seeded scenario mutants, germ graphs and one-shot flag vectors
+    (``tests/_fuzz.py``) run through ``main`` in-process. Every run exits 0,
+    1 or 2, and the ``--json`` report of every 0 or 1 parses. A scenario's
+    bad input names its JSON path first. A flag's bad text names the flag,
+    in argparse's usage error or in the message; a value that parses but
+    that the computation rejects (a weight list that is not four positive
+    ints, ``--a`` not positive, six zero coefficients) is reported with its
+    error class, like a germ that is not negative definite or connected."""
+    rng = random.Random(20261019)
+    fixed = []
+    for k, graph in enumerate(FUZZ_FIXED_GERMS):
+        path = tmp_path / f"fixed{k}.graph"
+        path.write_text(graph.replace(" | ", "\n") + "\n")
+        fixed += [["germ", str(path)], ["germ", str(path), "--json"]]
+    cases = itertools.chain(
+        (("fixed", argv) for argv in fixed),
+        (("scenario", argv) for argv in _fuzz.scenario_mutants(rng, tmp_path, 300)),
+        (("germ", argv) for argv in _fuzz.germ_graphs(rng, tmp_path, 300)),
+        (("flags", argv) for argv in _fuzz.flag_vectors(rng, 300)),
+    )
+    kinds = _input_error_names()
+    codes = collections.Counter()
+    for source, argv in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag
+            code = exc.code
+        out, err = capsys.readouterr()
+        codes[source, code] += 1
+        assert code in (0, 1, 2), (argv, err)
+        if code != 2:
+            if "--json" in argv:
+                assert json.loads(out)["passed"] is (code == 0), argv
+            continue
+        if err.startswith("usage: "):
+            assert source == "flags" and re.search(r"argument --\w|required: --\w", err), (argv, err)
+            continue
+        bad = BAD_INPUT.fullmatch(err)
+        assert bad and out == "", (argv, err)
+        kind, message = bad.groups()
+        assert kind is None or kind in kinds, (argv, err)
+        if source == "scenario":
+            assert re.match(r"(scenario|recipe|divisors|checks)\b", message), (argv, err)
+        elif source == "flags" and kind is None:
+            assert re.search(r"--[a-z]", message), (argv, err)
+    # none of the generators is vacuous
+    outcomes = {source: {code for (s, code) in codes if s == source} for source, _ in codes}
+    assert outcomes == {"fixed": {0}, "scenario": {0, 1, 2}, "germ": {0, 2}, "flags": {0, 2}}
 
 
 # --- presentation ------------------------------------------------------------
