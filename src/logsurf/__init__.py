@@ -12,7 +12,7 @@ _HOME = {
         "dualgraph": "CyclicType DualGraph GermClassification GraphVertex classify_germ"
         " contract_and_square cyclic_type enumerate_fork_squares graph_determinant"
         " parse_graph residue_search",
-        "exact": "QuadraticForm1D Rational determinant is_negative_definite lp_feasible"
+        "exact": "Rational determinant is_negative_definite lp_feasible"
         " minimize_quadratic rat solve_linear solve_negative_definite",
         "lattice": "BlowupRecipe QDivisor SurfaceModel build_from_recipe divisor_class"
         " germ_of_cluster log_pullback qdiv",

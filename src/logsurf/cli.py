@@ -33,7 +33,7 @@ import time
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
-from .exact import InputError, ParseError, QuadraticForm1D, _frac, minimize_quadratic, rat
+from .exact import InputError, ParseError, _frac, minimize_quadratic, read_rational
 
 #: Largest ``wps hilbert --n``.  One h(n) takes about log2(n) halving rounds
 #: on a numerator of at most min(n, sum(w)) + 1 terms, so the cap bounds the work.
@@ -145,13 +145,6 @@ def _ints_arg(flag: str, text: str) -> tuple[int, ...]:
         raise ParseError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
-def _rational_arg(flag: str, text: str) -> Fraction:
-    try:
-        return rat(text)
-    except ValueError:
-        raise ParseError(f"{flag}: not an exact rational: {text!r}") from None
-
-
 def _at_least(flag: str, value: int, low: int) -> int:
     if value < low:
         raise ParseError(f"{flag}: must be at least {low}, got {value}")
@@ -189,7 +182,7 @@ def _wps_member_from_args(args) -> tuple[tuple, Fraction, Fraction]:
         raise ParseError(f"--eps: expected four 0/1 flags, got {args.eps!r}")
     if eps[0] == eps[1] == 1:
         raise ParseError(f"--eps: the first two flags cannot both be 1, got {args.eps!r}")
-    return eps, _rational_arg("--s", args.s), _rational_arg("--t", args.t)
+    return eps, read_rational("--s", args.s), read_rational("--t", args.t)
 
 
 def wps_analyze_cmd(args) -> _Outcome:
@@ -233,7 +226,7 @@ def wps_normal_form_cmd(args) -> _Outcome:
     from . import wps
 
     if args.coeffs:
-        coeffs = [_rational_arg("--coeffs", x) for x in args.coeffs.split(",")]
+        coeffs = [read_rational("--coeffs", x) for x in args.coeffs.split(",")]
         if len(coeffs) != 6:
             raise ParseError(f"--coeffs: expected 6 coefficients, got {len(coeffs)}")
     elif args.poly:
@@ -316,11 +309,9 @@ def enumerate_cmd(args) -> _Outcome:
 
 
 def quadmin_cmd(args) -> _Outcome:
-    q = QuadraticForm1D(
-        _rational_arg("--a", args.a), _rational_arg("--b", args.b), _rational_arg("--c", args.c)
-    )
-    t_star, value = minimize_quadratic(q)
-    inputs = {"a": _frac(q.a, "a"), "b": _frac(q.b, "b"), "c": _frac(q.c, "c")}
+    a, b, c = read_rational("--a", args.a), read_rational("--b", args.b), read_rational("--c", args.c)
+    t_star, value = minimize_quadratic(a, b, c)
+    inputs = {"a": _frac(a, "a"), "b": _frac(b, "b"), "c": _frac(c, "c")}
     outputs = {"argmin": _frac(t_star, "argmin"), "min": _frac(value, "min")}
     details = [f"minimum {outputs['min']} at t = {outputs['argmin']}"]
     return "quadmin", "quadmin", inputs, outputs, details

@@ -45,9 +45,13 @@ class GraphFormatError(InputError):
     pass
 
 
-#: Largest edge multiplicity a graph file may give. An edge of multiplicity k
-#: is stored as k entries of the edge list, so its memory grows with k.
+#: Most edge entries a graph file may give, over all its edge lines. An edge
+#: of multiplicity k is stored as k entries of the edge list, so its memory
+#: grows with k.
 GRAPH_MAX_MULTIPLICITY = 1000
+#: Most vertices a graph file may give. Classifying a germ eliminates on its
+#: intersection matrix, so the time grows with the cube of this count.
+GRAPH_MAX_VERTICES = 200
 
 
 class GraphVertex(Frozen):
@@ -509,11 +513,20 @@ def parse_graph(text: str) -> DualGraph:
                     raise GraphFormatError(
                         f"line {lineno}: multiplicity {mult} is above the cap {GRAPH_MAX_MULTIPLICITY}"
                     )
+            if len(edges) + mult > GRAPH_MAX_MULTIPLICITY:
+                raise GraphFormatError(
+                    f"line {lineno}: {len(edges) + mult} edges counted with multiplicity,"
+                    f" above the cap {GRAPH_MAX_MULTIPLICITY}"
+                )
             edges.extend([(parts[0], parts[2])] * mult)
             continue
         parts = line.split()
         if len(parts) < 2:
             raise GraphFormatError(f"line {lineno}: expected 'label self_int ...'")
+        if len(vertices) == GRAPH_MAX_VERTICES:
+            raise GraphFormatError(
+                f"line {lineno}: {GRAPH_MAX_VERTICES + 1} vertices, above the cap {GRAPH_MAX_VERTICES}"
+            )
         label = parts[0]
         try:
             shown = int(parts[1])

@@ -63,6 +63,10 @@ class NotStrictlyConvex(InputError):
     pass
 
 
+class NotRational(InputError, ValueError):
+    """A string ``rat`` rejects for a reason its text does not show."""
+
+
 class UnboundedObjective(Exception):
     pass
 
@@ -95,12 +99,26 @@ def rat(value: int | str | Rational) -> Rational:
             whole, frac = (g.replace("_", "") for g in m.group(1, 2))
             e = int(m[3] or 0)
             if len((whole + frac).lstrip("0")) + max(e, 0) > limit or len(frac) - min(e, 0) >= limit:
-                raise ValueError(f"a rational of more than {limit} digits")
+                raise NotRational(f"a rational of more than {limit} digits")
         try:
             return Fraction(text)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise NotRational("zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def read_rational(where: str, value: object) -> Rational:
+    """``rat(value)`` for input read at ``where``, a flag or a JSON path. A
+    rejection is the ParseError ``<where>: not an exact rational: <value>``,
+    the value cut to 40 characters, then rat's reason if it is a NotRational."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError) as err:
+        shown = repr(value)
+        if len(shown) > 40:
+            shown = shown[:37] + "..."
+        reason = f" ({err})" if isinstance(err, NotRational) else ""
+        raise ParseError(f"{where}: not an exact rational: {shown}{reason}") from None
 
 
 def _frac(x: Rational | int, name: str) -> str:
@@ -378,22 +396,12 @@ class Frozen:
         return f"{type(self).__name__}({shown})"
 
 
-class QuadraticForm1D(Frozen):
-    """One-variable quadratic a*t^2 + b*t + c."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int | str | Rational, b: int | str | Rational, c: int | str | Rational) -> None:
-        self._freeze(rat(a), rat(b), rat(c))
-
-    def evaluate(self, t: int | str | Rational) -> Rational:
-        tt = rat(t)
-        return self.a * tt * tt + self.b * tt + self.c
-
-
-def minimize_quadratic(q: QuadraticForm1D) -> tuple[Rational, Rational]:
-    """Return (argmin, min) of a strictly convex 1-D quadratic."""
-    if q.a <= 0:
-        raise NotStrictlyConvex(f"leading coefficient {q.a} is not positive")
-    t_star = -q.b / (2 * q.a)
-    return t_star, q.evaluate(t_star)
+def minimize_quadratic(
+    a: int | str | Rational, b: int | str | Rational, c: int | str | Rational
+) -> tuple[Rational, Rational]:
+    """Return (argmin, min) of the strictly convex a*t^2 + b*t + c."""
+    a, b, c = rat(a), rat(b), rat(c)
+    if a <= 0:
+        raise NotStrictlyConvex(f"leading coefficient {a} is not positive")
+    t_star = -b / (2 * a)
+    return t_star, a * t_star * t_star + b * t_star + c

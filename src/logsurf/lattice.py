@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components, intersection_matrix
+from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components
 from logsurf.exact import Frozen, InputError, Rational, is_negative_definite, rat
 
 
@@ -142,8 +142,7 @@ class IntegralGram(NamedTuple):
 
 
 class SurfaceModel:
-    """A blown-up plane's lattice. Two models are equal when their rank,
-    classes, steps and line count are; what either has cached does not count."""
+    """A blown-up plane's lattice."""
 
     __slots__ = ("rank", "visible", "steps", "num_lines", "gram", "decompositions")
 
@@ -166,11 +165,6 @@ class SurfaceModel:
         self.gram = IntegralGram.of_classes(self.visible)
         #: Zariski decompositions already computed, keyed by (divisor, plus_canonical).
         self.decompositions: dict[tuple[QDivisor, bool], object] = {}
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is SurfaceModel and (
-            self.rank, self.visible, self.steps, self.num_lines
-        ) == (other.rank, other.visible, other.steps, other.num_lines)
 
     @property
     def canonical_class(self) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .dualgraph import classify_germ, contract_and_square
-from .exact import InputError, ParseError, _frac, rat
+from .exact import InputError, ParseError, _frac, read_rational
 from .lattice import (
     RECIPE_MAX_CURVES,
     BlowupRecipe,
@@ -139,12 +139,7 @@ class _SpecReader(NamedTuple):
         value = self.spec[key]
         return parse(f"{self.path}.{key}", value) if parse else value
 
-    @staticmethod
-    def rational(path: str, value: Any) -> Fraction:
-        try:
-            return rat(value)
-        except (TypeError, ValueError):
-            raise ParseError(f"{path}: not an exact rational: {value!r}") from None
+    rational = staticmethod(read_rational)
 
     @staticmethod
     def rationals(path: str, value: Any) -> list[Fraction]:
@@ -230,8 +225,9 @@ def _read_recipe(r: _SpecReader) -> BlowupRecipe:
 
 def _expect_table(
     got: QDivisor, expected: Mapping[str, Fraction], key: str
-) -> tuple[bool, dict[str, str], list[str]]:
-    ok = True
+) -> tuple[dict[str, str], list[str]]:
+    """The coefficients of ``got`` on the expected curves, as printed, and
+    one message for each that differs from its expectation."""
     outputs: dict[str, str] = {}
     wrong: list[str] = []
     for lbl in sorted(expected):
@@ -239,9 +235,8 @@ def _expect_table(
         have = got.coeff(lbl)
         outputs[lbl] = _frac(have, f"{key}.{lbl}")
         if have != want:
-            ok = False
             wrong.append(f"{lbl}: got {outputs[lbl]}, expected {want}")
-    return ok, outputs, wrong
+    return outputs, wrong
 
 
 def _check_volume(r: _SpecReader) -> dict[str, Any]:
@@ -265,8 +260,7 @@ def _check_zariski(r: _SpecReader) -> dict[str, Any]:
     plus = r.read("plus_canonical", r.flag, False)
     expected = r.read("expect_positive", r.curve_values)
     z = zariski(r.m, d, plus_canonical=plus)
-    ok, outputs, wrong = _expect_table(z.positive_coeffs, expected, "positive")
-    details = [f"positive part on {len(outputs)} curves", *wrong]
+    outputs, wrong = _expect_table(z.positive_coeffs, expected, "positive")
     return dict(
         kind="zariski",
         inputs={"divisor": name, "plus_canonical": plus},
@@ -274,8 +268,8 @@ def _check_zariski(r: _SpecReader) -> dict[str, Any]:
             "positive": outputs,
             "negative": {k: _frac(v, f"negative.{k}") for k, v in z.negative_part.coeffs},
         },
-        passed=ok,
-        details=details,
+        passed=not wrong,
+        details=[f"positive part on {len(outputs)} curves", *wrong],
     )
 
 
@@ -286,22 +280,17 @@ def _check_pullback(r: _SpecReader) -> dict[str, Any]:
     expected = r.read("expect_coeffs", r.curve_values)
     want_zero = r.read("expect_class_zero", r.flag, False)
     d, cls = log_pullback(r.m, coeffs)
-    ok, outputs, wrong = _expect_table(d, expected, "coeffs")
+    outputs, wrong = _expect_table(d, expected, "coeffs")
     class_zero = all(x == 0 for x in cls)
     if want_zero and not class_zero:
-        ok = False
         wrong.append(f"class is {tuple(_frac(x, 'class') for x in cls)}, expected zero")
-    details = [
-        "pullback coefficients on "
-        f"{len(outputs)} curves; class {'=' if class_zero else '!='} 0"
-    ]
-    details += wrong
+    summary = f"pullback coefficients on {len(outputs)} curves; class {'=' if class_zero else '!='} 0"
     return dict(
         kind="pullback",
         inputs={"line_coeffs": [_frac(c, "line_coeffs") for c in coeffs]},
         outputs={"coeffs": outputs, "class_zero": class_zero},
-        passed=ok,
-        details=details,
+        passed=not wrong,
+        details=[summary, *wrong],
     )
 
 
@@ -340,24 +329,17 @@ def _check_pet(r: _SpecReader) -> dict[str, Any]:
     base, ray = _contraction_rays(r.m, contract, boundary)
     t = pet(r.m, base, ray, resolution, plus_canonical=True)
     shown = _frac(t.value, "value") if t.value is not None else None
-    ok = t.certified and t.value == want
-    if t.value is None:
-        details = [
-            "no t >= 0 makes K + base + t*ray visible-effective;"
-            " the LP's Farkas vector certifies it"
-        ]
-    else:
-        details = [f"threshold = {shown} (certified)"]
-    if not ok:
-        details.append(f"expected {want}")
+    summary = f"threshold = {shown} (certified)" if t.value is not None else (
+        "no t >= 0 makes K + base + t*ray visible-effective; the LP's Farkas vector certifies it"
+    )
+    wrong = [] if t.certified and t.value == want else [f"expected {want}"]
+    avoids: list[str] = []
     if gap is not None:
         lo, hi = gap
-        gap_ok = t.value is not None and not (lo < t.value < hi)
-        if not gap_ok:
-            ok = False
-            details.append(f"value lies inside the excluded interval ({lo}, {hi})")
+        if t.value is not None and not (lo < t.value < hi):
+            avoids.append(f"value avoids the open interval ({lo}, {hi})")
         else:
-            details.append(f"value avoids the open interval ({lo}, {hi})")
+            wrong.append(f"value lies inside the excluded interval ({lo}, {hi})")
     return dict(
         kind="pet",
         inputs={
@@ -366,8 +348,8 @@ def _check_pet(r: _SpecReader) -> dict[str, Any]:
             "resolution": str(r.spec["resolution"]),
         },
         outputs={"value": shown, "certified": t.certified},
-        passed=ok,
-        details=details,
+        passed=not wrong,
+        details=[summary, *wrong, *avoids],
     )
 
 
@@ -377,18 +359,15 @@ def _check_nt(r: _SpecReader) -> dict[str, Any]:
     base, ray = _contraction_rays(r.m, contract, boundary)
     t = nef_threshold(r.m, base, ray, plus_canonical=True)
     shown = _frac(t.value, "value")
-    ok = t.certified and t.value == want
-    details = [f"nef threshold = {shown}" + ("" if t.certified else " (no effective representative)")]
-    if not ok:
-        details.append(f"expected {want}")
-    if t.binding_constraints:
-        details.append("binding: " + ", ".join(t.binding_constraints))
+    summary = f"nef threshold = {shown}" + ("" if t.certified else " (no effective representative)")
+    wrong = [] if t.certified and t.value == want else [f"expected {want}"]
+    binding = ["binding: " + ", ".join(t.binding_constraints)] if t.binding_constraints else []
     return dict(
         kind="nt",
         inputs={"contract": list(contract), "boundary": dict(r.spec["boundary"])},
         outputs={"value": shown, "binding": list(t.binding_constraints)},
-        passed=ok,
-        details=details,
+        passed=not wrong,
+        details=[summary, *wrong, *binding],
     )
 
 
@@ -431,22 +410,18 @@ def _check_contraction(r: _SpecReader) -> dict[str, Any]:
             want["contracted_square"] = c.read("contracted_square", c.rational)
         expect_clusters.append(want)
     rep = contraction_report(r.m, d, plus_canonical=plus)
-    ok = True
-    details: list[str] = []
+    wrong: list[str] = []
     if rep.picard_number != picard:
-        ok = False
-        details.append(f"Picard number {rep.picard_number}, expected {picard}")
+        wrong.append(f"Picard number {rep.picard_number}, expected {picard}")
     if list(rep.contracted) != sorted(expect_contracted):
-        ok = False
-        details.append(f"contracted {rep.contracted}")
+        wrong.append(f"contracted {rep.contracted}")
     by_labels = {c: i for i, c in enumerate(rep.clusters)}
     cluster_out = []
     for want in expect_clusters:
         labels = want["labels"]
         idx = by_labels.get(labels)
         if idx is None:
-            ok = False
-            details.append(f"no contracted cluster with labels {labels}")
+            wrong.append(f"no contracted cluster with labels {labels}")
             continue
         cls = rep.cluster_classifications[idx]
         desc = _describe_cluster(cls)
@@ -454,29 +429,22 @@ def _check_contraction(r: _SpecReader) -> dict[str, Any]:
         if "cyclic" in want:
             n, q = want["cyclic"]
             if desc != f"cyclic ({n},{q})":
-                ok = False
-                details.append(f"{labels}: {desc}, expected cyclic ({n},{q})")
+                wrong.append(f"{labels}: {desc}, expected cyclic ({n},{q})")
         else:
             if cls.nklt_case != want["nklt_case"]:
-                ok = False
-                details.append(f"{labels}: case {cls.nklt_case}, expected {want['nklt_case']}")
+                wrong.append(f"{labels}: case {cls.nklt_case}, expected {want['nklt_case']}")
             fork = want["fork"]
             coeff = cls.discrepancy_coeffs.get(fork)
             if coeff != want["fork_coeff"]:
-                ok = False
-                details.append(f"{labels}: fork coefficient {coeff}")
+                wrong.append(f"{labels}: fork coefficient {coeff}")
             others = [lbl for lbl in labels if lbl != fork]
             square = contract_and_square(rep.cluster_germs[idx], others, fork)
             if square != want["contracted_square"]:
-                ok = False
-                details.append(f"{labels}: contracted square {square}")
+                wrong.append(f"{labels}: contracted square {square}")
     if len(expect_clusters) != len(rep.clusters):
-        ok = False
-        details.append(f"{len(rep.clusters)} clusters found, {len(expect_clusters)} expected")
-    details.insert(
-        0,
-        f"Picard number {rep.picard_number}; "
-        + "; ".join(f"{{{','.join(c['labels'])}}} {c['type']}" for c in cluster_out),
+        wrong.append(f"{len(rep.clusters)} clusters found, {len(expect_clusters)} expected")
+    summary = f"Picard number {rep.picard_number}; " + "; ".join(
+        f"{{{','.join(c['labels'])}}} {c['type']}" for c in cluster_out
     )
     return dict(
         kind="contraction",
@@ -486,8 +454,8 @@ def _check_contraction(r: _SpecReader) -> dict[str, Any]:
             "contracted": list(rep.contracted),
             "clusters": cluster_out,
         },
-        passed=ok,
-        details=details,
+        passed=not wrong,
+        details=[summary, *wrong],
     )
 
 
@@ -510,32 +478,25 @@ def _check_germ(r: _SpecReader) -> dict[str, Any]:
     want_coeffs = want.read("coeffs", want.curve_rationals, {})
     g = germ_of_cluster(r.m, cluster, boundary)
     cls = classify_germ(g)
-    ok = True
-    details: list[str] = []
+    wrong: list[str] = []
     for key, have in (("is_lc", cls.is_lc), ("is_plt", cls.is_plt)):
         if flags[key] is not None and flags[key] != have:
-            ok = False
-            details.append(f"{key} = {have}")
+            wrong.append(f"{key} = {have}")
     orders = sorted(t.n for t in cls.cyclic_points) if cls.cyclic_points else []
     if want_orders is not None and orders != sorted(want_orders):
-        ok = False
-        details.append(f"orders {orders}, expected {sorted(want_orders)}")
+        wrong.append(f"orders {orders}, expected {sorted(want_orders)}")
     square = None
     if want_square is not None:
         square = Fraction(g.vertex(boundary[0]).self_int)
         if square != want_square:
-            ok = False
-            details.append(f"boundary self-intersection {square}")
+            wrong.append(f"boundary self-intersection {square}")
     for lbl, val in want_coeffs.items():
         have = cls.discrepancy_coeffs.get(lbl)
         if have != val:
-            ok = False
-            details.append(f"coefficient at {lbl}: {have}, expected {val}")
+            wrong.append(f"coefficient at {lbl}: {have}, expected {val}")
     verdict = "plt" if cls.is_plt and not cls.is_klt else _describe_cluster(cls)
-    details.insert(
-        0,
-        f"{verdict}; orders {orders}"
-        + (f"; boundary square {square} in the extended graph" if square is not None else ""),
+    summary = f"{verdict}; orders {orders}" + (
+        f"; boundary square {square} in the extended graph" if square is not None else ""
     )
     return dict(
         kind="germ",
@@ -547,8 +508,8 @@ def _check_germ(r: _SpecReader) -> dict[str, Any]:
             "coeffs": {k: _frac(v, f"coeffs.{k}") for k, v in sorted(cls.discrepancy_coeffs.items())},
             **({"boundary_self_int": _frac(square, "boundary_self_int")} if square is not None else {}),
         },
-        passed=ok,
-        details=details,
+        passed=not wrong,
+        details=[summary, *wrong],
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from logsurf.exact import DimensionMismatch, FeasibilityResult, QuadraticForm1D, UnboundedObjective, rat
+from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat
 from logsurf.lattice import qdiv
 from logsurf.wps import _weight_seq, chart_poly
 
@@ -221,7 +221,8 @@ def projective_equivalence(st, st2) -> bool:
     return s * t2 == s2 * t
 
 
-def quadratic_from_composite(alpha, beta, gamma, delta) -> QuadraticForm1D:
-    """alpha*(beta*t - gamma)^2 + delta*(1 - t)^2, expanded."""
+def quadratic_from_composite(alpha, beta, gamma, delta) -> tuple[Fraction, Fraction, Fraction]:
+    """alpha*(beta*t - gamma)^2 + delta*(1 - t)^2, expanded: the coefficients
+    (a, b, c) of a*t^2 + b*t + c."""
     al, be, ga, de = rat(alpha), rat(beta), rat(gamma), rat(delta)
-    return QuadraticForm1D(al * be * be + de, -2 * al * be * ga - 2 * de, al * ga * ga + de)
+    return al * be * be + de, -2 * al * be * ga - 2 * de, al * ga * ga + de

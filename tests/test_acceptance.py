@@ -151,9 +151,9 @@ def test_c05_nef_threshold_and_quadratic_minima(ex825):
     assert r.value == F(24, 25)
 
     q1 = quadratic_from_composite(F(1, 462), 11, 10, F(1, 3))
-    assert minimize_quadratic(q1) == (F(24, 25), F(1, 825))
+    assert minimize_quadratic(*q1) == (F(24, 25), F(1, 825))
     q2 = quadratic_from_composite(F(1, 260), 13, 12, F(1, 3))
-    assert minimize_quadratic(q2) == (F(56, 59), F(1, 767))
+    assert minimize_quadratic(*q2) == (F(56, 59), F(1, 767))
 
 
 def test_c06_fork_enumeration_and_residues():

@@ -160,6 +160,9 @@ THREE_LINES = {
     "divisors": {"D": {"L0": "1", "L1": "1", "L2": "1"}, "N": {"L0": "-1"}},
 }
 
+#: The reason a rejected rational gives when it has more digits than Python prints.
+TOO_LONG = f"a rational of more than {sys.get_int_max_str_digits()} digits"
+
 # Well-formed checks on THREE_LINES; each bad-input case below breaks one key.
 PET = {"kind": "pet", "contract": ["E1"], "boundary": {"L0": 1}, "resolution": "1", "expect_value": "1"}
 GERM = {"kind": "germ", "cluster": ["E1"], "boundary_curves": ["L0"], "expect": {}}
@@ -203,7 +206,12 @@ def test_scenario_boolean_keys(tmp_path, capsys):
     [
         ({"kind": "volume", "divisor": "D", "expect": 0.5}, "expect", "0.5"),
         ({"kind": "volume", "divisor": "D", "expect": "one"}, "expect", "'one'"),
-        ({"kind": "volume", "divisor": "D", "expect": "1/0"}, "expect", "'1/0'"),
+        pytest.param(
+            {"kind": "volume", "divisor": "D", "expect": "1/0"},
+            "expect",
+            "'1/0' (zero denominator)",
+            id="check2-expect-'1/0'",
+        ),
         (
             {"kind": "nt", "contract": [], "boundary": {}, "expect_value": [1]},
             "expect_value",
@@ -220,7 +228,18 @@ def test_scenario_boolean_keys(tmp_path, capsys):
             "resolution",
             "True",
         ),
-        ({"kind": "volume", "divisor": "D", "expect": "1e5000"}, "expect", "'1e5000'"),
+        pytest.param(
+            {"kind": "volume", "divisor": "D", "expect": "1e5000"},
+            "expect",
+            f"'1e5000' ({TOO_LONG})",
+            id="check5-expect-'1e5000'",
+        ),
+        (
+            {"kind": "volume", "divisor": "D", "expect": "9" * 5000},
+            "expect",
+            f"'{'9' * 36}... ({TOO_LONG})",
+        ),
+        ({"kind": "volume", "divisor": "D", "expect": [0] * 1000}, "expect", "[0" + ", 0" * 11 + ", ..."),
     ],
 )
 def test_scenario_rational_keys(tmp_path, capsys, check, key, shown):
@@ -745,7 +764,6 @@ def _frozen_records() -> list:
     member = wps.classify_hypersurface((1, 0, 1, 1), 1, 0)
     return [
         exact.FeasibilityResult(True, (Fraction(1),)),
-        exact.QuadraticForm1D(1, 0, 0),
         vertex,
         graph,
         dualgraph.shape(graph),
@@ -771,7 +789,7 @@ def test_records_are_immutable():
     """No field of an immutable record can be set, and no new attribute can
     be added. Every ``Frozen`` record is among them."""
     records = _frozen_records()
-    assert len({type(r) for r in records}) == len(records) == 20
+    assert len({type(r) for r in records}) == len(records) == 19
     assert set(exact.Frozen.__subclasses__()) <= {type(r) for r in records}
     for record in records:
         fields = getattr(record, "_fields", None) or type(record).__slots__
@@ -783,10 +801,6 @@ def test_records_are_immutable():
 #: Each ``Frozen`` record: how to build one (a second call rebuilds it from
 #: the same arguments) and the repr it prints, every slot in order.
 FROZEN_EXAMPLES = {
-    exact.QuadraticForm1D: (
-        lambda: exact.QuadraticForm1D(1, "-1/2", 3),
-        "QuadraticForm1D(a=Fraction(1, 1), b=Fraction(-1, 2), c=Fraction(3, 1))",
-    ),
     dualgraph.GraphVertex: (
         lambda: dualgraph.GraphVertex("C", -1, genus=1, is_exceptional=False, node_count=2),
         "GraphVertex(label='C', self_int=-1, genus=1, is_exceptional=False, node_count=2)",
@@ -830,9 +844,8 @@ def test_frozen_records_compare_hash_and_show_their_slots():
 
 def test_only_frozen_writes_the_record_dunders():
     """No class of logsurf but ``Frozen`` defines ``__setattr__``,
-    ``__hash__`` or ``__repr__``, and only ``Frozen`` and ``SurfaceModel``
-    (which leaves its caches out) define ``__eq__``: a record that checks
-    its input subclasses ``Frozen`` instead of writing them again."""
+    ``__hash__``, ``__repr__`` or ``__eq__``: a record that checks its input
+    subclasses ``Frozen`` instead of writing them again."""
     package = Path(logsurf.__file__).parent
     defines: dict[str, set[str]] = {}
     for path in sorted(package.glob("*.py")):
@@ -854,7 +867,7 @@ def test_only_frozen_writes_the_record_dunders():
         "__setattr__": {"Frozen"},
         "__hash__": {"Frozen"},
         "__repr__": {"Frozen"},
-        "__eq__": {"Frozen", "SurfaceModel"},
+        "__eq__": {"Frozen"},
     }
 
 
@@ -903,6 +916,26 @@ def test_no_module_imports_the_front_end():
             if "logsurf.cli" in targets:
                 importers.append(f"{path.name}:{node.lineno}")
     assert importers == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name that a module of logsurf or of the tests imports is read
+    somewhere in that module. ``from __future__`` imports are directives,
+    not names."""
+    paths = [*Path(logsurf.__file__).parent.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    unused = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert unused == []
 
 
 def test_json_report_round_trips(capsys):
@@ -988,6 +1021,27 @@ def test_germ_edge_multiplicity_cap(tmp_path, capsys):
         f"error (GraphFormatError): line 4: multiplicity {GRAPH_MAX_MULTIPLICITY + 1}"
         f" is above the cap {GRAPH_MAX_MULTIPLICITY}"
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # Lines within the cap one by one that add up past it.
+        ("A 2\nB 2\n" + "A -- B 1000\n" * 1000, "line 4: 2000 edges counted with multiplicity, above the cap 1000"),
+        # A chain of 201 vertices.
+        (
+            "".join(f"V{i} 2\n" for i in range(201)) + "".join(f"V{i} -- V{i + 1}\n" for i in range(200)),
+            "line 201: 201 vertices, above the cap 200",
+        ),
+    ],
+    ids=["edges", "vertices"],
+)
+def test_germ_file_caps(tmp_path, capsys, text, message):
+    f = tmp_path / "big.graph"
+    f.write_text(text)
+    code, out, err = run(capsys, "germ", str(f))
+    assert code == 2 and out == ""
+    assert err.strip() == f"error (GraphFormatError): {message}"
 
 
 def test_infeasible_pet_check_names_its_farkas_certificate(tmp_path, capsys):
@@ -1318,9 +1372,10 @@ def test_result_too_long_to_print_is_bad_input(tmp_path, capsys, argv, output):
     ],
 )
 def test_zero_denominator_is_bad_input(capsys, argv, message):
+    """The message echoes the text, then names rat's reason."""
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.strip() == message
+    assert err.strip() == f"{message} (zero denominator)"
 
 
 @pytest.mark.parametrize(
@@ -1330,7 +1385,11 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("wps", "analyze", "--eps", "1,0,1,1", "--s", "abc"), "--s: not an exact rational: 'abc'"),
         (("wps", "analyze", "--eps", "1,0,1,1", "--t", "one"), "--t: not an exact rational: 'one'"),
         (("quadmin", "--a", "x", "--b", "0", "--c", "0"), "--a: not an exact rational: 'x'"),
-        (("quadmin", "--a", "1", "--b", "1/0", "--c", "0"), "--b: not an exact rational: '1/0'"),
+        pytest.param(
+            ("quadmin", "--a", "1", "--b", "1/0", "--c", "0"),
+            "--b: not an exact rational: '1/0' (zero denominator)",
+            id="argv4---b: not an exact rational: '1/0'",
+        ),
         (("quadmin", "--a", "1", "--b", "0", "--c", ""), "--c: not an exact rational: ''"),
         (("wps", "volume", "--weights", "6,11,x,43", "--degree", "86"), "--weights: expected comma-separated integers, got '6,11,x,43'"),
         (("wps", "analyze", "--eps", "1,0,1"), "--eps: expected four 0/1 flags, got '1,0,1'"),
@@ -1341,9 +1400,12 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("wps", "analyze", "--expr", "x3^2 + x9"), "--expr: bad factor 'x9'"),
         (("wps", "analyze", "--expr", "x3^2 +"), "--expr: dangling sign in polynomial"),
         (("wps", "analyze", "--expr", "x3^2 + + x2^3*x1"), "--expr: dangling sign in polynomial"),
-        (("quadmin", "--a", "1e5000", "--b", "0", "--c", "0"), "--a: not an exact rational: '1e5000'"),
-        (("wps", "analyze", "--eps", "1,0,1,1", "--s", "1e5000", "--t", "1"), "--s: not an exact rational: '1e5000'"),
-        (("wps", "normal-form", "--coeffs", "1,0,1,1e-5000,1,0"), "--coeffs: not an exact rational: '1e-5000'"),
+        (("quadmin", "--a", "1e5000", "--b", "0", "--c", "0"), f"--a: not an exact rational: '1e5000' ({TOO_LONG})"),
+        (("wps", "analyze", "--eps", "1,0,1,1", "--s", "1e5000", "--t", "1"), f"--s: not an exact rational: '1e5000' ({TOO_LONG})"),
+        (("wps", "normal-form", "--coeffs", "1,0,1,1e-5000,1,0"), f"--coeffs: not an exact rational: '1e-5000' ({TOO_LONG})"),
+        (("quadmin", "--a", "9" * 5000, "--b", "0", "--c", "0"), f"--a: not an exact rational: '{'9' * 36}... ({TOO_LONG})"),
+        (("quadmin", "--a", "1", "--b", "x" * 38, "--c", "0"), f"--b: not an exact rational: '{'x' * 38}'"),
+        (("quadmin", "--a", "1", "--b", "x" * 39, "--c", "0"), f"--b: not an exact rational: '{'x' * 36}..."),
     ],
 )
 def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
@@ -1359,6 +1421,7 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
         ("weights 0 1 5 7\n1 0 0 0 2\n", "weights must be positive, got (0, 1, 5, 7)"),
         # x3^2 in P(1, 2, 3, 5): not a member of the degree-86 family
         ("weights 1 2 3 5\n1 0 0 0 2\n", "expected degree 86 in P(6, 11, 25, 43), got 10 in P(1, 2, 3, 5)"),
+        ("weights 6 11 25 43\n1/0 0 0 0 2\n", "zero denominator"),
     ):
         f.write_text(text)
         for command in ("analyze", "normal-form"):
@@ -1393,7 +1456,7 @@ def test_scenario_divisor_zero_denominator(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     code, out, err = run(capsys, "scenario", str(path))
     assert code == 2 and out == ""
-    assert err.strip() == "error: divisors.D.L1: not an exact rational: '1/0'"
+    assert err.strip() == "error: divisors.D.L1: not an exact rational: '1/0' (zero denominator)"
 
 
 # --- one-shot reports ---------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from logsurf.dualgraph import (
     CyclicType,
     GRAPH_MAX_MULTIPLICITY,
+    GRAPH_MAX_VERTICES,
     Disconnected,
     DualGraph,
     GraphFormatError,
@@ -403,6 +404,30 @@ def test_parse_graph_multiplicity_cap():
         GraphFormatError, match=rf"^line 3: multiplicity {over} is above the cap {GRAPH_MAX_MULTIPLICITY}$"
     ):
         parse_graph(f"a 2\nb 2\na -- b {over}\n")
+    # The cap counts every edge entry of the file, over all its lines.
+    half = GRAPH_MAX_MULTIPLICITY // 2
+    g = parse_graph(f"a 2\nb 2\nc 2\na -- b {half}\nb -- c {GRAPH_MAX_MULTIPLICITY - half}\n")
+    assert len(g.edges) == GRAPH_MAX_MULTIPLICITY
+    with pytest.raises(
+        GraphFormatError,
+        match=rf"^line 5: {over} edges counted with multiplicity, above the cap {GRAPH_MAX_MULTIPLICITY}$",
+    ):
+        parse_graph(f"a 2\nb 2\nc 2\na -- b {half}\nb -- c {over - half}\n")
+
+
+def test_parse_graph_vertex_cap():
+    """Vertices are capped at GRAPH_MAX_VERTICES; the fault names the line
+    of the first vertex over the cap."""
+    lines = [f"v{i} 2" for i in range(GRAPH_MAX_VERTICES)]
+    lines += [f"v{i} -- v{i + 1}" for i in range(GRAPH_MAX_VERTICES - 1)]
+    assert len(parse_graph("\n".join(lines)).vertices) == GRAPH_MAX_VERTICES
+    lines.insert(GRAPH_MAX_VERTICES, "# one vertex more")
+    lines.insert(GRAPH_MAX_VERTICES + 1, "w 2")
+    with pytest.raises(
+        GraphFormatError,
+        match=rf"^line {GRAPH_MAX_VERTICES + 2}: {GRAPH_MAX_VERTICES + 1} vertices, above the cap {GRAPH_MAX_VERTICES}$",
+    ):
+        parse_graph("\n".join(lines))
 
 
 def test_parse_graph_bad_node_count():
