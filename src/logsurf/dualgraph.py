@@ -148,7 +148,6 @@ class ShapeInfo(NamedTuple):
     is_chain: bool
     has_cycle: bool
     forks: tuple[str, ...]
-    tails: tuple[str, ...]
 
 
 def _components(adj: Mapping[str, Sequence[str]]) -> list[list[str]]:
@@ -184,26 +183,16 @@ def shape(g: DualGraph) -> ShapeInfo:
     has_cycle = len(g.edges) >= len(g.vertices)
     is_chain = not has_cycle and all(val <= 2 for val in valence.values())
     forks = tuple(sorted(v for v, val in valence.items() if val >= 3))
-    tails = tuple(sorted(v for v, val in valence.items() if val == 1))
-    return ShapeInfo(is_chain, has_cycle, forks, tails)
+    return ShapeInfo(is_chain, has_cycle, forks)
 
 
-def _chain_order(g: DualGraph) -> list[str]:
-    """Labels of a chain graph in path order (ties broken toward the smaller end label)."""
-    info = shape(g)
-    if not info.is_chain:
-        raise InvalidChain("graph is not a chain")
-    if len(g.vertices) == 1:
-        return [g.vertices[0].label]
-    adj = g.adjacency()
-    start = min(info.tails)
-    order = [start]
-    prev = None
-    while len(order) < len(g.vertices):
-        nxt = [n for n in adj[order[-1]] if n != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+def _walk(adj: Mapping[str, Sequence[str]], start: str, prev: str | None = None) -> list[str]:
+    """The chain from ``start``, away from ``prev``, until there is no next vertex."""
+    path = [start]
+    while nxt := [n for n in adj[path[-1]] if n != prev]:
+        prev = path[-1]
+        path.append(nxt[0])
+    return path
 
 
 class CyclicType(Frozen):
@@ -237,9 +226,11 @@ def cyclic_type(chain: DualGraph) -> CyclicType:
     """
     if len(chain.vertices) == 0:
         return CyclicType(1, 1)
-    order = _chain_order(chain)
+    if not shape(chain).is_chain:
+        raise InvalidChain("graph is not a chain")
+    adj = chain.adjacency()
     entries = []
-    for lbl in order:
+    for lbl in _walk(adj, min(v for v, nbs in adj.items() if len(nbs) < 2)):
         v = chain.vertex(lbl)
         if v.self_int >= -1:
             raise InvalidChain(f"{lbl} has self-intersection {v.self_int}; chain needs <= -2 throughout")
@@ -292,24 +283,14 @@ class GermClassification(NamedTuple):
 _FORK_BRANCH_TYPES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
 
 
-def _branches_at_fork(g: DualGraph, fork: str) -> list[list[str]]:
-    adj = g.adjacency()
-    branches = []
-    for start in adj[fork]:
-        branch = [start]
-        prev = fork
-        while True:
-            nxt = [n for n in adj[branch[-1]] if n != prev]
-            if not nxt:
-                break
-            prev = branch[-1]
-            branch.append(nxt[0])
-        branches.append(branch)
-    return branches
-
-
 def _nklt_case(g: DualGraph, info: ShapeInfo) -> str:
-    """Shape label for a boundary-free lc germ that is not klt; ``info`` is its shape(g)."""
+    """Shape label for a boundary-free lc germ that is not klt; ``info`` is its shape(g).
+
+    The germ is minimal and negative definite, so in a tree every curve is
+    rational of square <= -2, and each fork branch is a chain whose order is
+    the numerator of its continued fraction read from the fork end (the
+    denominator is its q).
+    """
     verts = g.vertices
     if len(verts) == 1:
         v = verts[0]
@@ -324,40 +305,20 @@ def _nklt_case(g: DualGraph, info: ShapeInfo) -> str:
         raise UnclassifiableShape("cycle-bearing graph is not a plain cycle of rational curves")
     if not all(v.arithmetic_genus == 0 for v in verts):
         raise UnclassifiableShape("tree with positive-genus vertices")
-    if len(info.forks) == 1:
-        fork = info.forks[0]
-        branches = _branches_at_fork(g, fork)
-        if len(branches) == 3:
-            dets = tuple(
-                sorted(int(graph_determinant(g.subgraph(br))) for br in branches)
-            )
-            if dets in _FORK_BRANCH_TYPES:
-                return "d"
-            raise UnclassifiableShape(f"fork branch determinants {dets} are not a unimodular triple")
-        if len(branches) == 4:
-            corners = [br for br in branches if len(br) == 1 and g.vertex(br[0]).self_int == -2]
-            if len(corners) == 4:
-                return "c"
-        raise UnclassifiableShape("fork valence pattern matches no germ case")
-    if len(info.forks) == 2:
-        f1, f2 = info.forks
-        spine = set(g.labels)
-        for f in (f1, f2):
-            tails_here = [
-                n for n in adj[f]
-                if len(adj[n]) == 1 and g.vertex(n).self_int == -2
-            ]
-            if len(tails_here) != 2:
-                raise UnclassifiableShape(f"fork {f} does not carry two (-2) corner tails")
-            spine -= set(tails_here)
-        spine_graph = g.subgraph(spine)
-        spine_info = shape(spine_graph)
-        if spine_info.is_chain:
-            ends = spine_info.tails if len(spine) > 1 else (f1,)
-            if set(info.forks) <= set(ends) or len(spine) == 1:
-                return "c"
-        raise UnclassifiableShape("two-fork graph is not a chain with corner pairs")
-    raise UnclassifiableShape("coefficient-1 tree with no usable fork structure")
+    e = {v.label: -v.self_int for v in verts}
+    forks = info.forks
+    if len(forks) == 1 and len(adj[forks[0]]) == 3:
+        branches = (_walk(adj, start, forks[0]) for start in adj[forks[0]])
+        orders = tuple(sorted(_continued_fraction([e[v] for v in br]).numerator for br in branches))
+        if orders in _FORK_BRANCH_TYPES:
+            return "d"
+        raise UnclassifiableShape(f"fork branch determinants {orders} are not a unimodular triple")
+    # Case c: one fork with four (-2)-leaves, or two forks with two each; in
+    # a tree with no other fork these valences fix the shape.
+    pattern = sorted((len(adj[f]), sum(len(adj[n]) == 1 and e[n] == 2 for n in adj[f])) for f in forks)
+    if pattern in ([(4, 4)], [(3, 2), (3, 2)]):
+        return "c"
+    raise UnclassifiableShape(f"fork valences and (-2)-leaf counts {pattern} match no germ case")
 
 
 def classify_germ(g: DualGraph) -> GermClassification:

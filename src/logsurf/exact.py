@@ -71,8 +71,9 @@ class UnboundedObjective(Exception):
     pass
 
 
-#: A decimal as Fraction reads it: digits, fraction digits, exponent.
-_DECIMAL = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?\d+(?:_\d+)*))?")
+#: A decimal or ``p/q`` as Fraction reads it: digits, fraction digits, then
+#: an exponent or a denominator.
+_DECIMAL = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?\d+(?:_\d+)*)|/([\d_]+))?")
 
 
 def rat(value: int | str | Rational) -> Rational:
@@ -96,9 +97,12 @@ def rat(value: int | str | Rational) -> Rational:
         # could not be printed, and a long exponent makes Fraction slow.
         m, limit = _DECIMAL.fullmatch(text), sys.get_int_max_str_digits()
         if m and limit:
-            whole, frac = (g.replace("_", "") for g in m.group(1, 2))
+            whole, frac, den = (g.replace("_", "") for g in (m[1], m[2], m[4] or ""))
             e = int(m[3] or 0)
-            if len((whole + frac).lstrip("0")) + max(e, 0) > limit or len(frac) - min(e, 0) >= limit:
+            # digits of the numerator, of the 10**k a point or a negative
+            # exponent puts below it, and of a denominator written out
+            digits = len((whole + frac).lstrip("0")) + max(e, 0), len(frac) - min(e, 0) + 1, len(den.lstrip("0"))
+            if max(digits) > limit:
                 raise NotRational(f"a rational of more than {limit} digits")
         try:
             return Fraction(text)

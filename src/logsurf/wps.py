@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import Frozen, InputError, Rational, matrix_rank, rat
+from .exact import Frozen, InputError, Rational, matrix_rank, rat, read_rational
 
 Exponents = tuple[int, int, int, int]
 
@@ -673,29 +673,35 @@ def parse_poly(text: str) -> WeightedPoly:
 
     First line: ``weights`` followed by four integers.  Each further
     non-empty line: a rational coefficient then four exponents.
-    Comments start with '#'.
+    Comments start with '#'.  A bad coefficient or exponent names its line.
     """
     lines = [
-        ln.strip()
-        for ln in text.splitlines()
+        (lineno, ln.strip())
+        for lineno, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    if not lines or not lines[0].startswith("weights"):
+    if not lines or not lines[0][1].startswith("weights"):
         raise ValueError("first line must be 'weights w0 w1 w2 w3'")
-    head = lines[0].split()
+    head = lines[0][1].split()
     if len(head) != 5:
-        raise ValueError(f"bad weights line: {lines[0]!r}")
+        raise ValueError(f"bad weights line: {lines[0][1]!r}")
     weights = Weights(tuple(int(x) for x in head[1:]))
     terms: dict[Exponents, Rational] = {}
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 5:
             raise ValueError(f"bad term line: {ln!r}")
-        coeff = rat(parts[0])
-        exp = tuple(int(x) for x in parts[1:])
+        coeff = read_rational(f"line {lineno}", parts[0])
+        exp = []
+        for x in parts[1:]:
+            try:
+                exp.append(int(x))
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad exponent {x!r}") from None
         if any(e < 0 for e in exp):
             raise ValueError(f"negative exponent in {ln!r}")
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff  # type: ignore[index]
+        key = tuple(exp)
+        terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
     return WeightedPoly.build(weights, terms)
 
 

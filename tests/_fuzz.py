@@ -6,8 +6,10 @@ Each generator takes a ``random.Random`` and yields argument vectors for
 - ``scenario_mutants``: the two built-in scenarios with one to three
   mutations each (a subtree replaced by an atom, a key or item deleted, two
   subtrees swapped, a sign or fraction flipped), written as files;
-- ``germ_graphs``: well-formed dual-graph files of 1-9 vertices, trees and
-  graphs with cycles, some disconnected;
+- ``germ_graphs``: well-formed dual-graph files: single curves of genus 1,
+  cycles, chains with corner leaves and forks with chain branches, which
+  reach every case of the list of lc germs, and random trees and graphs with
+  cycles of 1-9 vertices, some disconnected;
 - ``flag_vectors``: ``quadmin``, ``wps analyze``, ``wps normal-form``,
   ``wps volume`` and ``wps hilbert`` with flag values drawn from valid and
   invalid ones.
@@ -97,9 +99,56 @@ def scenario_mutants(rng: random.Random, folder: Path, count: int) -> Iterator[l
         yield _with_json(rng, ["scenario", str(path)])
 
 
+def _lc_shape(rng: random.Random) -> tuple[list[str], list[tuple[int, int]]]:
+    """Vertex fields (after the label) and edges of a shape from the list of
+    lc germs: one curve of arithmetic genus 1, a cycle, a chain with two
+    (-2)-leaves at each end, or a fork with three or four chain branches.
+    Squares are drawn, so the germ may still fail to be lc or negative
+    definite."""
+    fields: list[str] = []
+    edges: list[tuple[int, int]] = []
+
+    def chain(at: int | None, entries: list) -> list[int]:
+        """Append a chain with these vertex fields, its first curve joined to
+        ``at``; return its vertices."""
+        path = []
+        for entry in entries:
+            fields.append(str(entry))
+            if at is not None:
+                edges.append((at, len(fields) - 1))
+            path.append(at := len(fields) - 1)
+        return path
+
+    def drawn(length: int) -> list[int]:
+        return [2] * length if rng.random() < 0.5 else [rng.choice((2, 2, 3, 4, 6)) for _ in range(length)]
+
+    kind = rng.choice(("curve", "cycle", "corners", "fork", "fork"))
+    if kind == "curve":
+        chain(None, [f"{rng.choice((1, 2, 3))} {rng.choice(('1', 'node', '2'))}"])
+    elif kind == "fork":
+        [center] = chain(None, [rng.choice((2, 3, 3, 4))])
+        # a unimodular triple of branch orders, each chain [n] or n - 1 (-2)s,
+        # or three or four drawn branches
+        for n in rng.choice(((2, 3, 6), (2, 4, 4), (3, 3, 3), (0, 0, 0), (0, 0, 0, 0))):
+            chain(center, rng.choice(([n], [2] * (n - 1))) if n else drawn(rng.randint(1, 5)))
+    elif kind == "corners":
+        spine = chain(None, drawn(rng.randint(1, 4)))
+        for end in (spine[0], spine[0], spine[-1], spine[-1]):
+            chain(end, [2])
+    else:
+        cycle = chain(None, drawn(rng.randint(2, 5)))
+        edges.append((cycle[-1], cycle[0]))
+    return fields, edges
+
+
 def _germ_graph_text(rng: random.Random) -> str:
-    """A well-formed graph file: 1-9 vertices with displayed squares, genera,
-    nodes and boundary marks, a random tree or forest, sometimes extra edges."""
+    """A well-formed graph file. Half the time an lc shape from ``_lc_shape``;
+    otherwise 1-9 vertices with displayed squares, genera, nodes and boundary
+    marks, a random tree or forest, sometimes extra edges."""
+    if rng.random() < 0.5:
+        fields, edges = _lc_shape(rng)
+        lines = [f"V{i} {vertex}" for i, vertex in enumerate(fields)]
+        return "\n".join(lines + [f"V{a} -- V{b}" for a, b in edges]) + "\n"
     n = rng.randint(1, 9)
     lines = []
     for i in range(n):

@@ -1406,6 +1406,8 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("quadmin", "--a", "9" * 5000, "--b", "0", "--c", "0"), f"--a: not an exact rational: '{'9' * 36}... ({TOO_LONG})"),
         (("quadmin", "--a", "1", "--b", "x" * 38, "--c", "0"), f"--b: not an exact rational: '{'x' * 38}'"),
         (("quadmin", "--a", "1", "--b", "x" * 39, "--c", "0"), f"--b: not an exact rational: '{'x' * 36}..."),
+        (("quadmin", "--a", "9" * 5000 + "/7", "--b", "0", "--c", "0"), f"--a: not an exact rational: '{'9' * 36}... ({TOO_LONG})"),
+        (("quadmin", "--a", "1/" + "9" * 5000, "--b", "0", "--c", "0"), f"--a: not an exact rational: '1/{'9' * 34}... ({TOO_LONG})"),
     ],
 )
 def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
@@ -1421,7 +1423,10 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
         ("weights 0 1 5 7\n1 0 0 0 2\n", "weights must be positive, got (0, 1, 5, 7)"),
         # x3^2 in P(1, 2, 3, 5): not a member of the degree-86 family
         ("weights 1 2 3 5\n1 0 0 0 2\n", "expected degree 86 in P(6, 11, 25, 43), got 10 in P(1, 2, 3, 5)"),
-        ("weights 6 11 25 43\n1/0 0 0 0 2\n", "zero denominator"),
+        ("weights 6 11 25 43\n1/0 0 0 0 2\n", "line 2: not an exact rational: '1/0' (zero denominator)"),
+        ("weights 6 11 25 43\n1 0 0 0 x\n", "line 2: bad exponent 'x'"),
+        # the line of the file, counting comments and blank lines
+        ("# member\nweights 6 11 25 43\n\n1 0 0 0 2\n1/2 x 0 0 0\n", "line 5: bad exponent 'x'"),
     ):
         f.write_text(text)
         for command in ("analyze", "normal-form"):
@@ -1726,7 +1731,9 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
     in argparse's usage error or in the message; a value that parses but
     that the computation rejects (a weight list that is not four positive
     ints, ``--a`` not positive, six zero coefficients) is reported with its
-    error class, like a germ that is not negative definite or connected."""
+    error class, like a germ that is not negative definite or connected. The
+    germ runs print each case of the list of lc germs, a to d, so a shape
+    the classifier cannot label (exit 3) would fail here."""
     rng = random.Random(20261019)
     fixed = []
     for k, graph in enumerate(FUZZ_FIXED_GERMS):
@@ -1741,6 +1748,7 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
     )
     kinds = _input_error_names()
     codes = collections.Counter()
+    germ_cases = set()
     for source, argv in cases:
         try:
             code = main(argv)
@@ -1749,6 +1757,8 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
         out, err = capsys.readouterr()
         codes[source, code] += 1
         assert code in (0, 1, 2), (argv, err)
+        if source == "germ":
+            germ_cases.update(re.findall(r"case ([a-d])", out))
         if code != 2:
             if "--json" in argv:
                 assert json.loads(out)["passed"] is (code == 0), argv
@@ -1767,6 +1777,7 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
     # none of the generators is vacuous
     outcomes = {source: {code for (s, code) in codes if s == source} for source, _ in codes}
     assert outcomes == {"fixed": {0}, "scenario": {0, 1, 2}, "germ": {0, 2}, "flags": {0, 2}}
+    assert germ_cases == set("abcd")
 
 
 # --- presentation ------------------------------------------------------------

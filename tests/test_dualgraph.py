@@ -76,7 +76,7 @@ def test_intersection_matrix_and_determinant():
 def test_shape():
     info = shape(chain([2, 3, 2]))
     assert info.is_chain and not info.has_cycle
-    assert info.forks == () and set(info.tails) == {"c0", "c2"}
+    assert info.forks == ()
     fork = star(2, [[2], [3], [2, 2]])
     si = shape(fork)
     assert not si.has_cycle and not si.is_chain and si.forks == ("f",)
@@ -206,6 +206,13 @@ def test_classify_case_c_dumbbell():
     degen = star(3, [[2], [2], [2], [2]])
     cls2 = classify_germ(degen)
     assert cls2.nklt_case == "c" and cls2.discrepancy_coeffs["f"] == 1
+    # A chain of three curves, the forks at its ends.
+    spine = chain([3, 2, 3], "s")
+    pairs = tuple((f"p{i}", f"s{2 * (i // 2)}") for i in range(4))
+    long = DualGraph(spine.vertices + tuple(GraphVertex(f"p{i}", -2) for i in range(4)), spine.edges + pairs)
+    cls3 = classify_germ(long)
+    assert cls3.nklt_case == "c"
+    assert cls3.discrepancy_coeffs == {"s0": 1, "s1": 1, "s2": 1, **dict.fromkeys(("p0", "p1", "p2", "p3"), F(1, 2))}
 
 
 def test_classify_case_d_forks():
@@ -217,6 +224,9 @@ def test_classify_case_d_forks():
     cls2 = classify_germ(no2)
     assert cls2.nklt_case == "d"
     assert cls2.discrepancy_coeffs["f"] == 1
+    # Branch orders (2, 4, 4): a (-4) curve and three (-2) curves.
+    cls3 = classify_germ(star(2, [[2], [4], [2, 2, 2]]))
+    assert cls3.nklt_case == "d" and cls3.discrepancy_coeffs["f"] == 1
 
 
 def test_classify_klt_chain():
