@@ -151,6 +151,17 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
+def _naming(flag: str, compute: Callable[..., Any], *args: Any) -> Any:
+    """``compute(*args)``; a value it rejects is reported under ``flag``, as a
+    scenario reports one under ``checks[i]``. A ParseError names its place."""
+    try:
+        return compute(*args)
+    except InputError as err:
+        if not isinstance(err, ParseError):
+            err.args = (f"{flag}: {err}",)
+        raise
+
+
 def _poly_coeffs(args) -> tuple[Fraction, ...]:
     """The coefficient vector of the degree-86 member in ``--poly FILE``, or in
     ``--expr`` over the weights 6, 11, 25, 43."""
@@ -189,7 +200,8 @@ def wps_analyze_cmd(args) -> _Outcome:
     from . import wps
 
     eps, s, t = _wps_member_from_args(args)
-    c = wps.classify_hypersurface(eps, s, t)
+    flag = "--poly" if args.poly else "--expr" if args.expr else "--eps"
+    c = _naming(flag, wps.classify_hypersurface, eps, s, t)
     inputs = {"eps": list(eps), "s": _frac(s, "s"), "t": _frac(t, "t")}
     verdict = "klt" if c.is_klt else ("lc, not klt" if c.is_lc else "not lc")
     details = [f"{verdict} (eps={','.join(map(str, eps))}, s={inputs['s']}, t={inputs['t']})"]
@@ -233,7 +245,7 @@ def wps_normal_form_cmd(args) -> _Outcome:
         coeffs = _poly_coeffs(args)
     else:
         raise ParseError("need --coeffs a1,..,a6 or --poly FILE")
-    nf = wps.normal_form(coeffs)
+    nf = _naming("--coeffs" if args.coeffs else "--poly", wps.normal_form, coeffs)
     tr = nf.transform
     s, t = _frac(nf.s, "s"), _frac(nf.t, "t")
     shown = {
@@ -258,7 +270,7 @@ def wps_hilbert_cmd(args) -> _Outcome:
         raise ParseError(f"--n {n} is above the cap {HILBERT_MAX_N}")
     weights = _ints_arg("--weights", args.weights)
     degree = _at_least("--degree", args.degree, 1)
-    h = wps.hilbert_coefficient(weights, degree, _at_least("--n", n, 0))
+    h = _naming("--weights", wps.hilbert_coefficient, weights, degree, _at_least("--n", n, 0))
     details = [f"h({n}) = {h}"]
     outputs: dict[str, Any] = {"n": n, "h": str(h)}
     if args.ratio:
@@ -284,7 +296,8 @@ def wps_volume_cmd(args) -> _Outcome:
     from . import wps
 
     weights = _ints_arg("--weights", args.weights)
-    v = _frac(wps.wps_volume(weights, _at_least("--degree", args.degree, 1), args.twist), "volume")
+    degree = _at_least("--degree", args.degree, 1)
+    v = _frac(_naming("--weights", wps.wps_volume, weights, degree, args.twist), "volume")
     inputs = {"weights": list(weights), "degree": args.degree, "twist": args.twist}
     return "wps volume", "wps-volume", inputs, {"volume": v}, [f"volume = {v}"]
 
@@ -310,7 +323,7 @@ def enumerate_cmd(args) -> _Outcome:
 
 def quadmin_cmd(args) -> _Outcome:
     a, b, c = read_rational("--a", args.a), read_rational("--b", args.b), read_rational("--c", args.c)
-    t_star, value = minimize_quadratic(a, b, c)
+    t_star, value = _naming("--a", minimize_quadratic, a, b, c)
     inputs = {"a": _frac(a, "a"), "b": _frac(b, "b"), "c": _frac(c, "c")}
     outputs = {"argmin": _frac(t_star, "argmin"), "min": _frac(value, "min")}
     details = [f"minimum {outputs['min']} at t = {outputs['argmin']}"]

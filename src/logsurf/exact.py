@@ -74,6 +74,9 @@ class UnboundedObjective(Exception):
 #: A decimal or ``p/q`` as Fraction reads it: digits, fraction digits, then
 #: an exponent or a denominator.
 _DECIMAL = re.compile(r"[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?\d+(?:_\d+)*)|/([\d_]+))?")
+#: Leading zeros of a whole part, an exponent or a denominator: they leave the
+#: value as it is, but Python's integer conversion counts them as digits.
+_LEADING_ZEROS = re.compile(r"(?<![\d_.])(?:0_?)+(?=\d)")
 
 
 def rat(value: int | str | Rational) -> Rational:
@@ -91,7 +94,7 @@ def rat(value: int | str | Rational) -> Rational:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
+        text = _LEADING_ZEROS.sub("", value.strip())
         # Fraction builds M * 10**e from a decimal, then reduces. Reject one
         # whose integers would have more digits than Python prints: the result
         # could not be printed, and a long exponent makes Fraction slow.
@@ -101,7 +104,7 @@ def rat(value: int | str | Rational) -> Rational:
             e = int(m[3] or 0)
             # digits of the numerator, of the 10**k a point or a negative
             # exponent puts below it, and of a denominator written out
-            digits = len((whole + frac).lstrip("0")) + max(e, 0), len(frac) - min(e, 0) + 1, len(den.lstrip("0"))
+            digits = len((whole + frac).lstrip("0")) + max(e, 0), len(frac) - min(e, 0) + 1, len(den)
             if max(digits) > limit:
                 raise NotRational(f"a rational of more than {limit} digits")
         try:
@@ -111,18 +114,21 @@ def rat(value: int | str | Rational) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
+def _shown(value: object) -> str:
+    """The repr of an input value, cut to 40 characters, for an error message."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else shown[:37] + "..."
+
+
 def read_rational(where: str, value: object) -> Rational:
     """``rat(value)`` for input read at ``where``, a flag or a JSON path. A
     rejection is the ParseError ``<where>: not an exact rational: <value>``,
-    the value cut to 40 characters, then rat's reason if it is a NotRational."""
+    the value cut by ``_shown``, then rat's reason if it is a NotRational."""
     try:
         return rat(value)
     except (TypeError, ValueError) as err:
-        shown = repr(value)
-        if len(shown) > 40:
-            shown = shown[:37] + "..."
         reason = f" ({err})" if isinstance(err, NotRational) else ""
-        raise ParseError(f"{where}: not an exact rational: {shown}{reason}") from None
+        raise ParseError(f"{where}: not an exact rational: {_shown(value)}{reason}") from None
 
 
 def _frac(x: Rational | int, name: str) -> str:

@@ -97,54 +97,11 @@ class BlowupRecipe(NamedTuple):
     steps: tuple[tuple[str, str], ...]
 
 
-class IntegralGram(NamedTuple):
-    """Intersection numbers of the visible curves, as ints: ``products[a][b]``
-    is C_a.C_b and ``k_dot[a]`` is K.C_a. Intersections of divisors supported
-    on visible curves are taken in curve coordinates, D.C = sum_i d_i C_i.C."""
-
-    products: Mapping[str, Mapping[str, int]]
-    k_dot: Mapping[str, int]
-
-    @classmethod
-    def of_classes(cls, visible: Mapping[str, Sequence[int]]) -> IntegralGram:
-        # nonzero entries of x against the form diag(1, -1, ..., -1)
-        signed = {
-            lbl: [(i, c if i == 0 else -c) for i, c in enumerate(x) if c] for lbl, x in visible.items()
-        }
-        products = {
-            a: {b: sum(c * y[i] for i, c in signed[a]) for b, y in visible.items()} for a in visible
-        }
-        return cls(products, {lbl: -3 * x[0] - sum(x[1:]) for lbl, x in visible.items()})
-
-    def at(self, a: str, b: str) -> int:
-        try:
-            return self.products[a][b]
-        except KeyError as err:
-            raise UnknownLabel(err.args[0]) from None
-
-    def matrix(self, labels: Sequence[str]) -> list[list[int]]:
-        return [[self.at(a, b) for b in labels] for a in labels]
-
-    def dots(
-        self, d: QDivisor, labels: Iterable[str], plus_canonical: bool = False
-    ) -> dict[str, Rational]:
-        """([K +] D).C for each label C, over one common denominator."""
-        q = lcm(*(c.denominator for _, c in d.coeffs))
-        k = q if plus_canonical else 0
-        try:
-            terms = [(self.products[lbl], c.numerator * q // c.denominator) for lbl, c in d.coeffs]
-            return {
-                lbl: Fraction(k * self.k_dot[lbl] + sum(a * row[lbl] for row, a in terms), q)
-                for lbl in labels
-            }
-        except KeyError as err:
-            raise UnknownLabel(err.args[0]) from None
-
-
 class SurfaceModel:
-    """A blown-up plane's lattice."""
+    """A blown-up plane's lattice. Intersections of divisors supported on
+    visible curves are taken in curve coordinates, D.C = sum_i d_i C_i.C."""
 
-    __slots__ = ("rank", "visible", "steps", "num_lines", "gram", "decompositions")
+    __slots__ = ("rank", "visible", "steps", "num_lines", "products", "k_dot", "decompositions")
 
     def __init__(
         self,
@@ -161,8 +118,13 @@ class SurfaceModel:
         self.visible = {lbl: tuple(map(int, vec)) for lbl, vec in visible.items()}
         self.steps = steps
         self.num_lines = num_lines
-        #: Integer Gram matrix and K.C of the visible curves, computed once.
-        self.gram = IntegralGram.of_classes(self.visible)
+        vis = self.visible
+        # nonzero entries of each class against the form diag(1, -1, ..., -1)
+        signed = {lbl: [(i, c if i == 0 else -c) for i, c in enumerate(x) if c] for lbl, x in vis.items()}
+        #: Intersection numbers of the visible curves as ints, computed once:
+        #: ``products[a][b]`` is C_a.C_b and ``k_dot[a]`` is K.C_a.
+        self.products = {a: {b: sum(c * y[i] for i, c in signed[a]) for b, y in vis.items()} for a in vis}
+        self.k_dot = {lbl: -3 * x[0] - sum(x[1:]) for lbl, x in vis.items()}
         #: Zariski decompositions already computed, keyed by (divisor, plus_canonical).
         self.decompositions: dict[tuple[QDivisor, bool], object] = {}
 
@@ -183,6 +145,28 @@ class SurfaceModel:
             return self.visible[label]
         except KeyError:
             raise UnknownLabel(label) from None
+
+    def at(self, a: str, b: str) -> int:
+        try:
+            return self.products[a][b]
+        except KeyError as err:
+            raise UnknownLabel(err.args[0]) from None
+
+    def matrix(self, labels: Sequence[str]) -> list[list[int]]:
+        return [[self.at(a, b) for b in labels] for a in labels]
+
+    def dots(self, d: QDivisor, labels: Iterable[str], plus_canonical: bool = False) -> dict[str, Rational]:
+        """([K +] D).C for each label C, over one common denominator."""
+        q = lcm(*(c.denominator for _, c in d.coeffs))
+        k = q if plus_canonical else 0
+        try:
+            terms = [(self.products[lbl], c.numerator * q // c.denominator) for lbl, c in d.coeffs]
+            return {
+                lbl: Fraction(k * self.k_dot[lbl] + sum(a * row[lbl] for row, a in terms), q)
+                for lbl in labels
+            }
+        except KeyError as err:
+            raise UnknownLabel(err.args[0]) from None
 
 
 def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
@@ -220,11 +204,13 @@ def build_from_recipe(recipe: BlowupRecipe) -> SurfaceModel:
     )
 
 
-def divisor_class(m: SurfaceModel, d: QDivisor | Mapping[str, Rational]) -> tuple[Rational, ...]:
-    """The class of d, summed in integer numerators over one common denominator."""
+def divisor_class(
+    m: SurfaceModel, d: QDivisor | Mapping[str, Rational], plus_canonical: bool = False
+) -> tuple[Rational, ...]:
+    """The class of [K +] d, summed in integer numerators over one common denominator."""
     dd = qdiv(d)
     q = lcm(*(c.denominator for _, c in dd.coeffs))
-    total = [0] * m.rank
+    total = [q * k for k in m.canonical_class] if plus_canonical else [0] * m.rank
     for lbl, c in dd.coeffs:
         a = c.numerator * (q // c.denominator)
         for i, x in enumerate(m.visible_class(lbl)):
@@ -248,9 +234,7 @@ def log_pullback(
     for s, (a, b) in enumerate(m.steps, start=1):
         coeffs[f"E{s}"] = coeffs[a] + coeffs[b] - 1
     d = QDivisor.from_dict(coeffs)
-    cls = divisor_class(m, d)
-    k = m.canonical_class
-    return d, tuple(x + y for x, y in zip(k, cls))
+    return d, divisor_class(m, d, plus_canonical=True)
 
 
 def germ_of_cluster(
@@ -268,17 +252,16 @@ def germ_of_cluster(
     cl = list(dict.fromkeys(cluster))
     bd = [b for b in dict.fromkeys(boundary) if b not in cl]
     labels = cl + bd
-    gram = m.gram
     verts = [
-        GraphVertex(lbl, gram.at(lbl, lbl), genus=0, is_exceptional=i < len(cl))
+        GraphVertex(lbl, m.at(lbl, lbl), genus=0, is_exceptional=i < len(cl))
         for i, lbl in enumerate(labels)
     ]
-    if not is_negative_definite(gram.matrix(cl)):
+    if not is_negative_definite(m.matrix(cl)):
         raise NotContractible("cluster intersection matrix is not negative definite")
     edges: list[tuple[str, str]] = []
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
-            prod = gram.at(a, b)
+            prod = m.at(a, b)
             if prod < 0:
                 raise ValueError(f"unexpected intersection {prod} between {a} and {b}")
             edges.extend([(a, b)] * prod)

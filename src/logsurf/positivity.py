@@ -8,8 +8,8 @@ non-negatively, any curve outside the representative's support meets it
 non-negatively for free.
 
 A divisor K + D is passed as D with ``plus_canonical=True``. Intersection
-numbers come from ``m.gram``; only the LPs of psef_test and pet take classes,
-whose visible columns are integer vectors.
+numbers come from the model's ``dots``, ``matrix`` and ``at``; only the LPs
+of psef_test and pet take classes, whose visible columns are integer vectors.
 """
 
 from __future__ import annotations
@@ -63,13 +63,6 @@ class NotPseudoEffective(NotNegativeDefinite):
     negative definite, so the divisor is not pseudo-effective."""
 
 
-def _target_class(m: SurfaceModel, d, plus_canonical: bool) -> tuple[Rational, ...]:
-    cls = divisor_class(m, d)
-    if plus_canonical:
-        cls = tuple(a + b for a, b in zip(m.canonical_class, cls))
-    return cls
-
-
 class ZariskiResult(NamedTuple):
     positive_coeffs: QDivisor
     #: ([K +] P).C for every visible curve C.
@@ -115,7 +108,7 @@ def _fujita(
 ) -> ZariskiResult:
     """The iteration behind ``zariski``, in curve coordinates: each round takes
     ([K +] P).C, P = D - N, from the integer Gram matrix in one pass."""
-    d_dot = p_dot = m.gram.dots(dd, labels, plus)
+    d_dot = p_dot = m.dots(dd, labels, plus)
     support: list[str] = []
     n_div, p_div = QDivisor(()), dd
     while True:
@@ -123,7 +116,7 @@ def _fujita(
         if not violators:
             break
         support.extend(violators[:1] if one_at_a_time else violators)
-        n_vals = solve_negative_definite(m.gram.matrix(support), tuple(d_dot[lbl] for lbl in support))
+        n_vals = solve_negative_definite(m.matrix(support), tuple(d_dot[lbl] for lbl in support))
         if n_vals is None:
             raise NotPseudoEffective(
                 f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
@@ -133,7 +126,7 @@ def _fujita(
                 raise NegativeCoefficient(f"negative part coefficient {v} at {lbl}")
         n_div = QDivisor.from_dict(dict(zip(support, n_vals)))
         p_div = dd.sub(n_div)
-        p_dot = m.gram.dots(p_div, labels, plus)
+        p_dot = m.dots(p_div, labels, plus)
 
     if any(p_dot[lbl] != 0 for lbl in support):
         raise AssertionError("positive part meets its own negative support")
@@ -154,13 +147,13 @@ def volume(m: SurfaceModel, d: QDivisor | Mapping, plus_canonical: bool = False)
         return Fraction(0)
     vol = sum((c * z.positive_dots[lbl] for lbl, c in z.positive_coeffs.coeffs), Fraction(0))
     if z.includes_canonical:
-        vol += 10 - m.rank + sum(c * m.gram.k_dot[lbl] for lbl, c in z.positive_coeffs.coeffs)
+        vol += 10 - m.rank + sum(c * m.k_dot[lbl] for lbl, c in z.positive_coeffs.coeffs)
     return vol
 
 
 def psef_test(m: SurfaceModel, d, plus_canonical: bool = False) -> FeasibilityResult:
     """Is the class a nonnegative combination of visible curves? Exact LP."""
-    target = _target_class(m, d, plus_canonical)
+    target = divisor_class(m, d, plus_canonical)
     labels = sorted(m.visible)
     a = [[m.visible_class(lbl)[i] for lbl in labels] for i in range(m.rank)]
     return lp_feasible(a, target)
@@ -175,7 +168,7 @@ def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> QDiviso
     cover all curves on the surface: anything else meets the representative's
     support properly, hence non-negatively.
     """
-    inters = m.gram.dots(qdiv(d), sorted(m.visible), plus_canonical)
+    inters = m.dots(qdiv(d), sorted(m.visible), plus_canonical)
     for lbl, v in inters.items():
         if v < 0:
             raise NegativeIntersection(f"{lbl}: intersection {v} < 0")
@@ -191,8 +184,11 @@ class ThresholdResult(NamedTuple):
     #: The effective divisor at the value: nef_certificate's representative
     #: for nef_threshold, the LP witness for pet.
     certificate_at_value: QDivisor | None = None
-    certified: bool = True
     farkas_below: tuple[Rational, ...] | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.certificate_at_value is not None
 
 
 def nef_threshold(
@@ -211,8 +207,8 @@ def nef_threshold(
     """
     base_d, ray_d = qdiv(base), qdiv(ray)
     labels = sorted(m.visible)
-    base_dot = m.gram.dots(base_d, labels, plus_canonical)
-    ray_dot = m.gram.dots(ray_d, labels)
+    base_dot = m.dots(base_d, labels, plus_canonical)
+    ray_dot = m.dots(ray_d, labels)
     constraints = [(lbl, base_dot[lbl], ray_dot[lbl]) for lbl in labels]
     for lbl in sorted(set(base_d.support()) | set(ray_d.support())):
         # coefficient bound: base_l + s*ray_l <= 1
@@ -241,7 +237,6 @@ def nef_threshold(
         value=lo,
         binding_constraints=binding,
         certificate_at_value=cert,
-        certified=cert is not None,
     )
 
 
@@ -269,13 +264,13 @@ def pet(
     base_d, ray_d = qdiv(base), qdiv(ray)
     if not ray_d.is_effective():
         raise ValueError("ray must be effective: upward closure of the feasible set depends on it")
-    base_class = _target_class(m, base_d, plus_canonical)
+    base_class = divisor_class(m, base_d, plus_canonical)
     ray_class = divisor_class(m, ray_d)
     labels = sorted(m.visible)
     a = [[m.visible_class(lbl)[i] for lbl in labels] + [-ray_class[i]] for i in range(m.rank)]
     res = lp_feasible(a, base_class, cost=(0,) * len(labels) + (1,))
     if not res.feasible:
-        return ThresholdResult(value=None, certified=False, farkas_below=res.y)
+        return ThresholdResult(value=None, farkas_below=res.y)
     t = res.x[-1]
     return ThresholdResult(
         value=t,
@@ -300,8 +295,8 @@ def pullback_after_contraction(
     dd = qdiv(d) if d is not None else QDivisor(())
     if set(dd.support()) & set(cset):
         raise ValueError("divisor must be supported away from the contracted curves")
-    t_dot = m.gram.dots(dd, cset, plus_canonical=True)
-    sol = solve_negative_definite(m.gram.matrix(cset), tuple(-t_dot[lbl] for lbl in cset))
+    t_dot = m.dots(dd, cset, plus_canonical=True)
+    sol = solve_negative_definite(m.matrix(cset), tuple(-t_dot[lbl] for lbl in cset))
     if sol is None:
         raise NotNegativeDefinite("contracted set is not negative definite")
     return dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
@@ -324,7 +319,7 @@ def contraction_report(
     adj: dict[str, list[str]] = {lbl: [] for lbl in contracted}
     for i, x in enumerate(contracted):
         for y in contracted[i + 1 :]:
-            if m.gram.at(x, y) > 0:
+            if m.at(x, y) > 0:
                 adj[x].append(y)
                 adj[y].append(x)
     clusters = sorted(tuple(sorted(comp)) for comp in _components(adj))

@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
-from .exact import Frozen, InputError, Rational, matrix_rank, rat, read_rational
+from .exact import Frozen, InputError, Rational, _shown, matrix_rank, rat, read_rational
 
 Exponents = tuple[int, int, int, int]
 
@@ -684,25 +684,27 @@ def parse_poly(text: str) -> WeightedPoly:
         raise ValueError("first line must be 'weights w0 w1 w2 w3'")
     head = lines[0][1].split()
     if len(head) != 5:
-        raise ValueError(f"bad weights line: {lines[0][1]!r}")
-    weights = Weights(tuple(int(x) for x in head[1:]))
+        raise ValueError(f"bad weights line: {_shown(lines[0][1])}")
+    weights = Weights(tuple(_int_token(lines[0][0], "weight", x) for x in head[1:]))
     terms: dict[Exponents, Rational] = {}
     for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 5:
-            raise ValueError(f"bad term line: {ln!r}")
+            raise ValueError(f"bad term line: {_shown(ln)}")
         coeff = read_rational(f"line {lineno}", parts[0])
-        exp = []
-        for x in parts[1:]:
-            try:
-                exp.append(int(x))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad exponent {x!r}") from None
+        exp = [_int_token(lineno, "exponent", x) for x in parts[1:]]
         if any(e < 0 for e in exp):
-            raise ValueError(f"negative exponent in {ln!r}")
+            raise ValueError(f"negative exponent in {_shown(ln)}")
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
     return WeightedPoly.build(weights, terms)
+
+
+def _int_token(lineno: int, what: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad {what} {_shown(token)}") from None
 
 
 _FACTOR_RE = re.compile(r"^x([0-3])(?:\^(\d+))?$")
@@ -726,13 +728,13 @@ def parse_poly_human(
         exp = [0, 0, 0, 0]
         for factor in chunk.split("*"):
             m = _FACTOR_RE.match(factor)
-            if m:
-                exp[int(m.group(1))] += int(m.group(2) or "1")
-            else:
-                try:
+            try:
+                if m:
+                    exp[int(m.group(1))] += int(m.group(2) or "1")
+                else:
                     coeff *= rat(factor)
-                except ValueError as err:
-                    raise ValueError(f"bad factor {factor!r}") from err
+            except ValueError as err:
+                raise ValueError(f"bad factor {_shown(factor)}") from err
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
     return WeightedPoly.build(weights, terms)

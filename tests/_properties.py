@@ -113,7 +113,7 @@ def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
                 assert prod >= 0
                 if z.negative_part.coeff(lbl) != 0:
                     assert prod == 0
-            assert is_negative_definite(m.gram.matrix(z.negative_part.support()))
+            assert is_negative_definite(m.matrix(z.negative_part.support()))
             # P + N adds back up to D.
             assert z.positive_coeffs.add(z.negative_part).as_dict() == div.as_dict()
 
@@ -132,7 +132,8 @@ def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
 
 def gram_matches_pairing(seed: int, cases: int) -> int:
     """The model's integer Gram matrix, its K.C and curve-coordinate D.C agree
-    with pairing class vectors, on random recipes of 4 lines and 17 steps."""
+    with pairing class vectors, and the class of K + D is K plus the class of
+    D, on random recipes of 4 lines and 17 steps."""
     rng = random.Random(seed)
     for _ in range(cases):
         m = build_from_recipe(random_recipe(rng, max_steps=17, full=True))
@@ -140,14 +141,17 @@ def gram_matches_pairing(seed: int, cases: int) -> int:
         assert len(labels) == 21
         for a in labels:
             cls = m.visible_class(a)
-            assert m.gram.k_dot[a] == m.pairing(m.canonical_class, cls)
+            assert m.k_dot[a] == m.pairing(m.canonical_class, cls)
             for b in labels:
-                assert m.gram.at(a, b) == m.pairing(cls, m.visible_class(b))
+                assert m.at(a, b) == m.pairing(cls, m.visible_class(b))
         d = QDivisor.from_dict(
             {lbl: Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for lbl in labels}
         )
         k_d = tuple(k + c for k, c in zip(m.canonical_class, _reference.divisor_class(m, d)))
-        dots = m.gram.dots(d, labels, plus_canonical=True)
+        assert divisor_class(m, d, plus_canonical=True) == tuple(
+            k + c for k, c in zip(m.canonical_class, divisor_class(m, d))
+        )
+        dots = m.dots(d, labels, plus_canonical=True)
         assert dots == {lbl: m.pairing(k_d, m.visible_class(lbl)) for lbl in labels}
     return cases
 

@@ -97,7 +97,8 @@ def test_rat_zero_denominator_is_bad_input():
 
 def test_rat_rejects_what_python_cannot_print():
     """A string whose value would need more digits than str() prints is bad
-    input, and a long exponent is rejected before Fraction computes it."""
+    input, and a long exponent is rejected before Fraction computes it.
+    Leading zeros are not digits of the value."""
     limit = sys.get_int_max_str_digits()
     too_long = [
         "1e5000",
@@ -120,6 +121,10 @@ def test_rat_rejects_what_python_cannot_print():
         "1_000e1_0": F(10**13),
         " -0.5 ": F(-1, 2),
         "7/3": F(7, 3),
+        # leading zeros do not count: each reads as the value it writes
+        "0" * 5000 + "1": F(1),
+        "1/" + "0" * 4400 + "3": F(1, 3),
+        "1e" + "0" * 5000 + "5": F(10**5),
     }
     for text, value in fits.items():
         assert rat(text) == value
@@ -176,7 +181,7 @@ def test_integer_matrices_stay_integer():
 
     m = build_from_recipe(BlowupRecipe(3, (("L0", "L1"),)))
     labels = sorted(m.visible)
-    gram = m.gram.matrix(labels)
+    gram = m.matrix(labels)
     assert gram[labels.index("E1")][labels.index("E1")] == -1
     g = DualGraph((GraphVertex("a", -2), GraphVertex("b", -3)), (("a", "b"),))
     for rows in (gram, intersection_matrix(g)):

@@ -50,19 +50,19 @@ def test_plane_with_no_blowups():
     m = build_from_recipe(BlowupRecipe(2, ()))
     assert m.rank == 1
     assert m.canonical_class == (F(-3),)
-    assert m.gram.at("L0", "L1") == 1
-    assert m.gram.at("L0", "L0") == 1
+    assert m.at("L0", "L1") == 1
+    assert m.at("L0", "L0") == 1
 
 
 def test_single_blowup():
     m = build_from_recipe(BlowupRecipe(2, (("L0", "L1"),)))
     assert m.rank == 2
-    assert m.gram.at("L0", "L0") == 0
-    assert m.gram.at("L1", "L1") == 0
-    assert m.gram.at("L0", "L1") == 0
-    assert m.gram.at("E1", "E1") == -1
-    assert m.gram.at("E1", "L0") == 1
-    assert m.gram.k_dot["E1"] == -1
+    assert m.at("L0", "L0") == 0
+    assert m.at("L1", "L1") == 0
+    assert m.at("L0", "L1") == 0
+    assert m.at("E1", "E1") == -1
+    assert m.at("E1", "L0") == 1
+    assert m.k_dot["E1"] == -1
     # the new curve meets both of its lines, which no longer meet each other
     assert build_from_recipe(BlowupRecipe(2, (("L0", "L1"), ("E1", "L0")))).rank == 3
 
@@ -103,14 +103,14 @@ def test_ex462_self_intersections(ex462):
     m = ex462.model
     assert set(m.visible) == set(EX462_SELF_INTS)
     for lbl, expected in EX462_SELF_INTS.items():
-        assert m.gram.at(lbl, lbl) == expected, lbl
+        assert m.at(lbl, lbl) == expected, lbl
 
 
 def test_ex825_self_intersections(ex825):
     m = ex825.model
     assert set(m.visible) == set(EX825_SELF_INTS)
     for lbl, expected in EX825_SELF_INTS.items():
-        assert m.gram.at(lbl, lbl) == expected, lbl
+        assert m.at(lbl, lbl) == expected, lbl
 
 
 def test_ex462_incidence_chains(ex462):
@@ -124,22 +124,22 @@ def test_ex462_incidence_chains(ex462):
     ]
     for chain in chains:
         for a, b in zip(chain, chain[1:]):
-            assert m.gram.at(a, b) == 1, (a, b)
+            assert m.at(a, b) == 1, (a, b)
     # unblown original nodes
-    assert m.gram.at("L0", "L2") == 1
-    assert m.gram.at("L1", "L3") == 1
+    assert m.at("L0", "L2") == 1
+    assert m.at("L1", "L3") == 1
     # blown-up pairs are separated
-    assert m.gram.at("L0", "L1") == 0
-    assert m.gram.at("L2", "L3") == 0
+    assert m.at("L0", "L1") == 0
+    assert m.at("L2", "L3") == 0
 
 
 def test_ex825_extra_chain(ex825):
     m = ex825.model
     chain = ("L0", "E12", "E13", "E14", "E15", "E16", "E17", "L2")
     for a, b in zip(chain, chain[1:]):
-        assert m.gram.at(a, b) == 1, (a, b)
-    assert m.gram.at("L0", "L2") == 0
-    assert m.gram.at("L1", "L3") == 1
+        assert m.at(a, b) == 1, (a, b)
+    assert m.at("L0", "L2") == 0
+    assert m.at("L1", "L3") == 1
 
 
 def test_divisor_class_additivity(ex462):
@@ -150,7 +150,7 @@ def test_divisor_class_additivity(ex462):
     two_e1 = tuple(2 * c for c in m.visible_class("E1"))
     assert cls == tuple(a + b for a, b in zip(half_l0, two_e1))
     assert m.pairing(cls, m.visible_class("L0")) == F(1, 2) * (-1) + 2
-    assert m.gram.dots(d, ["L0"]) == {"L0": F(1, 2) * (-1) + 2}
+    assert m.dots(d, ["L0"]) == {"L0": F(1, 2) * (-1) + 2}
 
 
 def test_log_pullback_spot_values(ex825):
@@ -242,10 +242,10 @@ def test_hand_built_model_gets_an_integral_gram():
     )
     assert m.visible == {"A": (1, -1), "E": (0, 1)}
     assert all(type(x) is int for cls in m.visible.values() for x in cls)
-    assert m.gram.products == {"A": {"A": 0, "E": 1}, "E": {"A": 1, "E": -1}}
-    assert m.gram.k_dot == {"A": -2, "E": -1}
+    assert m.products == {"A": {"A": 0, "E": 1}, "E": {"A": 1, "E": -1}}
+    assert m.k_dot == {"A": -2, "E": -1}
     with pytest.raises(UnknownLabel):
-        m.gram.at("A", "Z")
+        m.at("A", "Z")
 
 
 @pytest.mark.parametrize(

@@ -295,7 +295,7 @@ def test_nef_certificate_ex825(ex825):
     m = ex825.model
     z = zariski(m, ex825.divisors["C_tilde"], plus_canonical=True)
     rep = nef_certificate(m, z.positive_coeffs, plus_canonical=True)
-    dots = m.gram.dots(z.positive_coeffs, sorted(m.visible), plus_canonical=True)
+    dots = m.dots(z.positive_coeffs, sorted(m.visible), plus_canonical=True)
     assert all(v >= 0 for v in dots.values())
     assert rep.is_effective()
     assert divisor_class(m, rep) == positive_class(m, z)
@@ -331,7 +331,7 @@ def test_nef_certificate_target_forms_agree():
         if plus:
             cls = tuple(k + c for k, c in zip(m.canonical_class, cls))
         assert divisor_class(m, rep) == cls
-        dots = m.gram.dots(d, sorted(m.visible), plus_canonical=plus)
+        dots = m.dots(d, sorted(m.visible), plus_canonical=plus)
         assert dots == {lbl: m.pairing(cls, m.visible_class(lbl)) for lbl in sorted(m.visible)}
 
 
@@ -352,8 +352,8 @@ def test_nef_threshold_y_model(ex825):
     # the nef interval ends at s = 1: there K + base + s*ray meets L0 in 0 and
     # L0 reaches coefficient 1, and past it L0 is met negatively
     at_one = base.add(ray)
-    assert m.gram.dots(at_one, ["L0"], plus_canonical=True)["L0"] == 0
-    assert m.gram.dots(ray, ["L0"])["L0"] < 0
+    assert m.dots(at_one, ["L0"], plus_canonical=True)["L0"] == 0
+    assert m.dots(ray, ["L0"])["L0"] < 0
     assert at_one.coeff("L0") == 1
 
     v = volume(m, d, plus_canonical=True)
