@@ -486,15 +486,19 @@ def _in_var(f: dict, k: int) -> list[list[int]]:
 
 
 def _eliminants(p: WeightedPoly, i: int) -> list[list[int]] | None:
-    """Elimination data of the certificate on chart i: the gcd of the six
-    pairwise resultants of f, f_u, f_v and the Hessian eliminating v, then
-    the one eliminating u.  f is the x3 = 0 slice of the chart polynomial
-    with integer coefficients.  None when f is zero or an axis test fails."""
+    """Elimination data of the certificate on chart i, eliminating v and then
+    u: the running gcd of the pairwise resultants of f, f_u, f_v and the
+    Hessian, up to the first one that is c*u^k, or of all six.  f is the
+    x3 = 0 slice of the chart polynomial with integer coefficients.  None
+    when f is zero or an axis test fails; [1] twice when f is a nonzero
+    constant, whose zero locus is empty."""
     chart = chart_poly(p, i)
     pos3 = tuple(j for j in range(4) if j != i).index(3)
     flat = {tuple(e[k] for k in range(3) if k != pos3): c for e, c in chart.items() if e[pos3] == 0}
     if not flat:
         return None  # the x3 = 0 slice is identically zero
+    if list(flat) == [(0, 0)]:
+        return [[1], [1]]  # the slice is a nonzero constant: nothing to clear
     den = math.lcm(*(c.denominator for c in flat.values()))
     f = {e: c.numerator * (den // c.denominator) for e, c in flat.items()}
     gens = [f, _diff(f, 0), _diff(f, 1), _hessian(f)]
@@ -504,7 +508,15 @@ def _eliminants(p: WeightedPoly, i: int) -> list[list[int]] | None:
         axis = [q[0] for q in polys if q and q[0]]
         if not axis or not _is_monomial(reduce(_gcd, axis)):
             return None
-    return [reduce(_gcd, (_resultant(a, b) for a, b in combinations(polys, 2)), []) for polys in by_var]
+    gcds = []
+    for polys in by_var:
+        g: list[int] = []
+        for a, b in combinations(polys, 2):  # the pairs with f, the cheapest, first
+            g = _gcd(g, _resultant(a, b))
+            if _is_monomial(g):
+                break  # gcd(c*u^k, r) is a monomial for every r: the verdict is settled
+        gcds.append(g)
+    return gcds
 
 
 def node_only_certificate(p: WeightedPoly, i: int) -> str:
@@ -518,11 +530,14 @@ def node_only_certificate(p: WeightedPoly, i: int) -> str:
     generators' restrictions must be c*u^k (or c*v^k): otherwise there is a
     common zero off the origin, or the whole axis is singular, and the
     claim is genuinely false: "failed".  Every pairwise resultant lies in
-    the elimination ideal, so the gcd of the six resultants (per eliminated
+    the elimination ideal, so any gcd of some of them (per eliminated
     variable, taken by subresultant remainder sequences over Z[u], with no
-    point evaluation) vanishes on the projection of that locus; when both
-    gcds are c*u^k, the locus is contained in the origin: "certified".
-    Anything else: "inconclusive".
+    point evaluation) vanishes on the projection of that locus.  The
+    resultants are taken one pair at a time and the running gcd stops at
+    the first c*u^k, which the rest cannot change.  When both gcds are
+    c*u^k, the locus is contained in the origin: "certified".  A nonzero
+    constant f has no zeros at all: "certified".  Anything else, after all
+    six resultants: "inconclusive".
     """
     if i not in (0, 1, 2):
         raise ValueError(f"chart index must be 0, 1 or 2, got {i}")
@@ -680,9 +695,9 @@ def parse_poly(text: str) -> WeightedPoly:
         for lineno, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    if not lines or not lines[0][1].startswith("weights"):
+    head = lines[0][1].split() if lines else []
+    if head[:1] != ["weights"]:
         raise ValueError("first line must be 'weights w0 w1 w2 w3'")
-    head = lines[0][1].split()
     if len(head) != 5:
         raise ValueError(f"bad weights line: {_shown(lines[0][1])}")
     weights = Weights(tuple(_int_token(lines[0][0], "weight", x) for x in head[1:]))

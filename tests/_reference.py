@@ -141,14 +141,16 @@ def lp_feasible(a: Rows, b: Sequence[Fraction], cost: Sequence[Fraction] | None 
 # --- node-only certificate through sympy ------------------------------------
 #
 # The certificate as it ran before it moved to integer subresultants: the
-# x3 = 0 slice over QQ, sympy's resultants and gcds. It computes both
-# per-variable gcds whenever the axis tests pass, so that the tests can compare
-# them, and reads "certified" when both are c * u**k.
+# x3 = 0 slice over QQ, sympy's resultants and gcds. Whenever the axis tests
+# pass it computes the gcd of all six resultants per variable, so that the
+# tests can compare it with the program's running gcd, which stops at the
+# first c * u**k. It reads "certified" when both gcds are c * u**k, or when
+# the slice is a nonzero constant (gcds 1 and 1).
 
 
 def node_only_certificate(p, i):
     """(verdict, gcds): gcds is None unless elimination is reached, else the
-    gcd of the six resultants eliminating v and then u, each as a list of
+    gcd of all six resultants eliminating v and then u, each as a list of
     Fraction coefficients (lowest degree first) in the remaining variable."""
     import sympy  # only this oracle needs it
 
@@ -162,6 +164,8 @@ def node_only_certificate(p, i):
     f = sympy.expand(f)
     if f == 0:
         return "failed", None
+    if f.is_number:
+        return "certified", ([Fraction(1)], [Fraction(1)])  # V(f) is empty
     hess = sympy.diff(f, u, 2) * sympy.diff(f, v, 2) - sympy.diff(f, u, v) ** 2
     gens = [sympy.expand(g) for g in (f, sympy.diff(f, u), sympy.diff(f, v), hess)]
 

@@ -1424,6 +1424,7 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
     f = tmp_path / "member.poly"
     for text, message in (
         ("1 0 0 0 2\n", "first line must be 'weights w0 w1 w2 w3'"),
+        ("weightsXYZ 6 11 25 43\n1 0 0 0 2\n", "first line must be 'weights w0 w1 w2 w3'"),
         ("weights 0 1 5 7\n1 0 0 0 2\n", "weights must be positive, got (0, 1, 5, 7)"),
         # x3^2 in P(1, 2, 3, 5): not a member of the degree-86 family
         ("weights 1 2 3 5\n1 0 0 0 2\n", "expected degree 86 in P(6, 11, 25, 43), got 10 in P(1, 2, 3, 5)"),

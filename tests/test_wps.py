@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from logsurf import wps
 from logsurf.wps import (
     COEFF_MONOMIALS,
     FLAGSHIP_DEGREE,
@@ -39,6 +40,7 @@ from logsurf.wps import (
 )
 
 from _properties import (
+    CUSP,
     basis_vs_slow_enumeration,
     hilbert_coefficient_vs_series,
     hilbert_vs_counting,
@@ -267,17 +269,35 @@ def test_node_only_chart_validation():
 def test_node_only_leaves_a_cusp_inconclusive():
     """(x1 - x0)^3 - (x2 - x0)^2*x0 + x3*x0^2 has a cusp at (1 : 1 : 1 : 0),
     off every axis: the certificate can neither clear nor refute it."""
-    cusp = parse_poly_human(
-        "x1^3 - 3*x1^2*x0 + 3*x1*x0^2 - 2*x0^3 - x2^2*x0 + 2*x2*x0^2 + x3*x0^2", (1, 1, 1, 1)
-    )
+    cusp = parse_poly_human(CUSP, (1, 1, 1, 1))
     assert [node_only_certificate(cusp, i) for i in (0, 1, 2)] == ["inconclusive"] * 3
+
+
+def test_node_only_certifies_a_constant_slice():
+    """On chart 1 of x1^3 + x2*x3^2 the x3 = 0 slice is the constant 1: it has
+    no zeros, so there is nothing to clear. On charts 0 and 2 the slice x1^3
+    is singular along a whole axis."""
+    p = parse_poly_human("x1^3 + x2*x3^2", (1, 1, 1, 1))
+    assert [node_only_certificate(p, i) for i in (0, 1, 2)] == ["failed", "certified", "failed"]
+
+
+@pytest.mark.parametrize("st, count", [((1, 0), 14), ((1, 1), 18)])
+def test_node_only_stops_at_the_first_monomial_gcd(monkeypatch, st, count):
+    """Each chart forms resultants only until the running gcd is c*u^k: the
+    klt members below need 14 and 18 over charts 0-2, not 2 x 6 x 3 = 36."""
+    calls = []
+    resultant = wps._resultant
+    monkeypatch.setattr(wps, "_resultant", lambda a, b: calls.append(1) or resultant(a, b))
+    member = standard_member((1, 0, 1, 1), *st)
+    assert [node_only_certificate(member, i) for i in (0, 1, 2)] == ["certified"] * 3
+    assert len(calls) == count
 
 
 def test_node_only_matches_the_sympy_reference():
     verdicts = node_only_vs_reference(14001)
-    # 12 valid eps x 9 pairs (s, t), less the zero member; 8 vectors, 6 klt
-    # members and 40 sparse ones: each on charts 0-2.
-    assert sum(verdicts.values()) == 3 * (107 + 8 + 6 + 40)
+    # 12 valid eps x 9 pairs (s, t), less the zero member; the cusp; 8
+    # vectors, 6 klt members and 40 sparse ones: each on charts 0-2.
+    assert sum(verdicts.values()) == 3 * (107 + 1 + 8 + 6 + 40)
     assert set(verdicts) == {"certified", "failed", "inconclusive"}, verdicts
 
 
