@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from logsurf.exact import (
     Frozen,
@@ -55,7 +55,11 @@ GRAPH_MAX_VERTICES = 200
 
 
 class GraphVertex(Frozen):
-    __slots__ = ("label", "self_int", "genus", "is_exceptional", "node_count")
+    label: str
+    self_int: int
+    genus: int
+    is_exceptional: bool
+    node_count: int
 
     def __init__(
         self, label: str, self_int: int, genus: int = 0, is_exceptional: bool = True, node_count: int = 0
@@ -72,7 +76,8 @@ class GraphVertex(Frozen):
 class DualGraph(Frozen):
     """Vertices plus a multiset of unordered edges (pairs of labels)."""
 
-    __slots__ = ("vertices", "edges")
+    vertices: tuple[GraphVertex, ...]
+    edges: tuple[tuple[str, str], ...]
 
     def __init__(self, vertices: tuple[GraphVertex, ...], edges: tuple[tuple[str, str], ...]) -> None:
         labels = [v.label for v in vertices]
@@ -144,7 +149,7 @@ def graph_determinant(g: DualGraph) -> Rational:
     return determinant([[-e for e in row] for row in intersection_matrix(g)])
 
 
-class ShapeInfo(NamedTuple):
+class ShapeInfo(Frozen):
     is_chain: bool
     has_cycle: bool
     forks: tuple[str, ...]
@@ -198,7 +203,8 @@ def _walk(adj: Mapping[str, Sequence[str]], start: str, prev: str | None = None)
 class CyclicType(Frozen):
     """Cyclic quotient singularity of type (n, q): 1/n with weights (1, q)."""
 
-    __slots__ = ("n", "q")
+    n: int
+    q: int
 
     def __init__(self, n: int, q: int) -> None:
         if n < 1 or q < 1:
@@ -269,7 +275,7 @@ def solve_discrepancies(g: DualGraph) -> dict[str, Rational]:
     return dict(zip(exc, sol))
 
 
-class GermClassification(NamedTuple):
+class GermClassification(Frozen):
     is_lc: bool
     is_klt: bool
     is_plt: bool

@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 Rational = Fraction
 #: A matrix as a sequence of equal-length rows.
@@ -266,7 +266,57 @@ def matrix_rank(m: Rows) -> int:
     return len(_eliminate(_integral(m)[0], _width(m)))
 
 
-class FeasibilityResult(NamedTuple):
+class Frozen:
+    """Base of every record. A record lists its fields as class annotations,
+    in order; one given a value in the class body may be left out.
+    ``Name(*values, **fields)`` fills the fields as a call fills parameters,
+    and a missing or unknown field is a TypeError. A record that checks its
+    input writes an ``__init__`` that ends in ``self._freeze(...)`` with
+    every field in order. A record refuses assignment and deletion, and
+    compares, hashes and prints by its fields, ``Name(field=value, ...)``:
+    it equals only a record of its own class, never a plain tuple."""
+
+    def __init_subclass__(cls) -> None:
+        # strings under ``from __future__ import annotations``: nothing is evaluated
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values: object, **fields: object) -> None:
+        names = self._fields
+        if fields or len(values) != len(names):
+            record, rest, defaults = type(self).__name__, names[len(values) :], vars(type(self))
+            if len(values) > len(names):
+                raise TypeError(f"{record} has {len(names)} fields, got {len(values)} values")
+            for name in fields:
+                if name not in rest:
+                    why = "got field {!r} twice" if name in names else "has no field {!r}"
+                    raise TypeError(f"{record} {why.format(name)}")
+            for name in rest:
+                if name not in fields and name not in defaults:
+                    raise TypeError(f"{record} is missing field {name!r}")
+            values += tuple(fields[name] if name in fields else defaults[name] for name in rest)
+        vars(self).update(zip(names, values))
+
+    def _freeze(self, *values: object) -> None:
+        vars(self).update(zip(self._fields, values, strict=True))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({shown})"
+
+
+class FeasibilityResult(Frozen):
     """Outcome of lp_feasible.
 
     When feasible, x is a nonnegative solution of A x = b; when infeasible,
@@ -376,34 +426,6 @@ def lp_feasible(
     # costs, times D0 / C to undo the scaling of the rows and the costs.
     y = None if cost is None else tuple(Fraction(-s * tab[m][n + i] * scale, d * cscale) for i, s in enumerate(signs))
     return FeasibilityResult(feasible=True, x=tuple(x), y=y)
-
-
-class Frozen:
-    """Base of a record that checks its input. Its ``__init__`` checks, then
-    ends in ``self._freeze(...)``, which sets its ``__slots__`` once, in
-    order. The record then refuses assignment, and compares, hashes and
-    prints by its slots: ``Name(slot=value, ...)``."""
-
-    __slots__ = ()
-
-    def _freeze(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({shown})"
 
 
 def minimize_quadratic(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components
 from logsurf.exact import Frozen, InputError, Rational, is_negative_definite, rat
@@ -42,7 +42,7 @@ class QDivisor(Frozen):
     """Formal rational combination of visible curves; absent label means 0.
     Equal divisors hash alike: a model keys its Zariski decompositions by them."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[tuple[str, Rational], ...]
 
     def __init__(self, coeffs: Iterable[tuple[str, int | str | Rational]]) -> None:
         parsed = ((lbl, rat(c)) for lbl, c in coeffs)
@@ -92,7 +92,7 @@ def qdiv(d: Mapping[str, int | str | Rational] | QDivisor) -> QDivisor:
     return d if isinstance(d, QDivisor) else QDivisor.from_dict(d)
 
 
-class BlowupRecipe(NamedTuple):
+class BlowupRecipe(Frozen):
     num_lines: int
     steps: tuple[tuple[str, str], ...]
 

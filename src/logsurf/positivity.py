@@ -15,7 +15,7 @@ of psef_test and pet take classes, whose visible columns are integer vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from logsurf.dualgraph import (
     DualGraph,
@@ -26,6 +26,7 @@ from logsurf.dualgraph import (
 )
 from logsurf.exact import (
     FeasibilityResult,
+    Frozen,
     InputError,
     Rational,
     lp_feasible,
@@ -63,7 +64,7 @@ class NotPseudoEffective(NotNegativeDefinite):
     negative definite, so the divisor is not pseudo-effective."""
 
 
-class ZariskiResult(NamedTuple):
+class ZariskiResult(Frozen):
     positive_coeffs: QDivisor
     #: ([K +] P).C for every visible curve C.
     positive_dots: Mapping[str, Rational]
@@ -178,7 +179,7 @@ def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> QDiviso
     return QDivisor.from_dict(dict(zip(sorted(m.visible), feas.x)))
 
 
-class ThresholdResult(NamedTuple):
+class ThresholdResult(Frozen):
     value: Rational | None
     binding_constraints: tuple[str, ...] = ()
     #: The effective divisor at the value: nef_certificate's representative
@@ -302,7 +303,7 @@ def pullback_after_contraction(
     return dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
 
 
-class ContractionReport(NamedTuple):
+class ContractionReport(Frozen):
     contracted: tuple[str, ...]
     clusters: tuple[tuple[str, ...], ...]
     picard_number: int

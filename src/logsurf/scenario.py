@@ -14,10 +14,10 @@ import os
 import time
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Mapping, Sequence
 
 from .dualgraph import classify_germ, contract_and_square
-from .exact import InputError, ParseError, _frac, read_rational
+from .exact import Frozen, InputError, ParseError, _frac, read_rational
 from .lattice import (
     RECIPE_MAX_CURVES,
     BlowupRecipe,
@@ -110,7 +110,7 @@ def read_scenario(text: str) -> tuple[dict[str, Any], SurfaceModel, dict[str, QD
 _REQUIRED = object()
 
 
-class _SpecReader(NamedTuple):
+class _SpecReader(Frozen):
     """An object of the scenario file (the recipe, the divisor tables, a
     check's spec or an object inside it), read one key at a time.
 
@@ -198,7 +198,7 @@ class _SpecReader(NamedTuple):
     def nested(self, path: str, value: Any) -> "_SpecReader":
         if not isinstance(value, dict):
             raise ParseError(f"{path}: expected an object")
-        return self._replace(path=path, spec=value, missing="missing")
+        return _SpecReader(path, value, "missing", self.m, self.divisors)
 
 
 def _read_recipe(r: _SpecReader) -> BlowupRecipe:
@@ -401,7 +401,7 @@ def _check_contraction(r: _SpecReader) -> dict[str, Any]:
             if not (isinstance(n_q, list) and len(n_q) == 2 and all(type(x) is int for x in n_q)):
                 raise c.fault("cyclic", f"expected two integers, got {n_q!r}")
         else:
-            c = c._replace(missing="missing for a cluster without 'cyclic'")
+            c = _SpecReader(c.path, c.spec, "missing for a cluster without 'cyclic'", c.m, c.divisors)
             want["nklt_case"] = c.read("nklt_case")
             want["fork"] = c.read("fork")
             if want["fork"] not in want["labels"]:

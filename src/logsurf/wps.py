@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .exact import Frozen, InputError, Rational, _shown, matrix_rank, rat, read_rational
 
@@ -60,7 +60,7 @@ def _weight_seq(weights: Weights | Sequence[int]) -> tuple[int, ...]:
 class Weights(Frozen):
     """Four positive pairwise-coprime weights for a weighted P^3."""
 
-    __slots__ = ("w",)
+    w: tuple[int, ...]
 
     def __init__(self, w: Weights | Sequence[int]) -> None:
         ws = _weight_seq(w)
@@ -114,7 +114,7 @@ def check_homogeneous(
     return degree
 
 
-class WeightedPoly(NamedTuple):
+class WeightedPoly(Frozen):
     """A weighted-homogeneous polynomial with exact coefficients."""
 
     weights: Weights
@@ -180,7 +180,7 @@ def _check_eps(eps: Sequence[int]) -> tuple[int, int, int, int]:
     return e  # type: ignore[return-value]
 
 
-class Transform(NamedTuple):
+class Transform(Frozen):
     """Coordinate change x_i -> c_i x_i (i<=2), x3 -> c3 x3 + d x2 x0^3."""
 
     c: tuple[Rational, Rational, Rational, Rational]
@@ -188,7 +188,7 @@ class Transform(NamedTuple):
     lam: Rational
 
 
-class NormalForm(NamedTuple):
+class NormalForm(Frozen):
     eps: tuple[int, int, int, int]
     s: Rational
     t: Rational
@@ -283,7 +283,7 @@ def chart_poly(
     return out
 
 
-class ChartDossier(NamedTuple):
+class ChartDossier(Frozen):
     """What exact local analysis at a chart origin could conclude.
 
     ``multiplicity`` is 0 when the origin is off the surface, and
@@ -627,7 +627,7 @@ def hilbert_coefficient(weights: Weights | Sequence[int], d: int, n: int) -> int
     return count(n) - count(n - d)
 
 
-class HypersurfaceClassification(NamedTuple):
+class HypersurfaceClassification(Frozen):
     is_lc: bool
     is_klt: bool
     charts: tuple[ChartDossier, ...]
@@ -689,6 +689,8 @@ def parse_poly(text: str) -> WeightedPoly:
     First line: ``weights`` followed by four integers.  Each further
     non-empty line: a rational coefficient then four exponents.
     Comments start with '#'.  A bad coefficient or exponent names its line.
+    Both parsers read a member of degree 86, so an exponent e of x_i with
+    e * w_i above 86 is rejected before any degree is formed from it.
     """
     lines = [
         (lineno, ln.strip())
@@ -710,6 +712,10 @@ def parse_poly(text: str) -> WeightedPoly:
         exp = [_int_token(lineno, "exponent", x) for x in parts[1:]]
         if any(e < 0 for e in exp):
             raise ValueError(f"negative exponent in {_shown(ln)}")
+        for i, (token, e, w) in enumerate(zip(parts[1:], exp, weights.w)):
+            if e * w > FLAGSHIP_DEGREE:
+                shown = f"exponent {_shown(token)} of x{i}"
+                raise ValueError(f"line {lineno}: {shown} puts the degree above {FLAGSHIP_DEGREE}")
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
     return WeightedPoly.build(weights, terms)
@@ -731,6 +737,7 @@ def parse_poly_human(
     """Parse the human form ``x3^2 + x2^3*x1 + 1/2*x2^2*x0^6 - x1^4*x0^7``."""
     # A '-' that does not follow a '+' starts a term; every chunk must hold one.
     cleaned = re.sub(r"(?<=[^+])-", "+-", text.replace(" ", ""))
+    ws = _weight_seq(weights)
     terms: dict[Exponents, Rational] = {}
     for chunk in cleaned.split("+"):
         sign = Fraction(1)
@@ -745,11 +752,14 @@ def parse_poly_human(
             m = _FACTOR_RE.match(factor)
             try:
                 if m:
-                    exp[int(m.group(1))] += int(m.group(2) or "1")
+                    i = int(m.group(1))
+                    exp[i] += int(m.group(2) or "1")
                 else:
                     coeff *= rat(factor)
             except ValueError as err:
                 raise ValueError(f"bad factor {_shown(factor)}") from err
+            if m and exp[i] * ws[i] > FLAGSHIP_DEGREE:
+                raise ValueError(f"factor {_shown(factor)} puts the degree above {FLAGSHIP_DEGREE}")
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
     return WeightedPoly.build(weights, terms)

@@ -658,10 +658,10 @@ def _attributes_read(node: ast.AST):
 
 def _members(cls: ast.ClassDef):
     """(index in the class body, name) of each method and each record field:
-    the annotated fields of a dataclass or a NamedTuple and the ``__slots__``
-    names of a plain class; dunders aside."""
+    the annotated fields of a ``Frozen`` record, a dataclass or a NamedTuple
+    and the ``__slots__`` names of a plain class; dunders aside."""
     record = any(
-        name in ("dataclass", "NamedTuple")
+        name in ("Frozen", "dataclass", "NamedTuple")
         for node in (*cls.decorator_list, *cls.bases)
         for name in _referenced_names(node)
     )
@@ -754,8 +754,7 @@ def test_every_src_definition_is_reached():
 
 
 def _frozen_records() -> list:
-    """One instance of each immutable record: the NamedTuples and every
-    ``Frozen`` record."""
+    """One instance of each record, each built as the program builds it."""
     vertex = dualgraph.GraphVertex("E1", -2)
     graph = dualgraph.DualGraph((vertex,), ())
     germ = dualgraph.classify_germ(graph)
@@ -785,20 +784,32 @@ def _frozen_records() -> list:
 
 
 def test_records_are_immutable():
-    """No field of an immutable record can be set, and no new attribute can
+    """No field of a record can be set or deleted, and no new attribute can
     be added. Every ``Frozen`` record is among them."""
     records = _frozen_records()
     assert len({type(r) for r in records}) == len(records) == 18
-    assert set(exact.Frozen.__subclasses__()) <= {type(r) for r in records}
+    assert set(exact.Frozen.__subclasses__()) == {type(r) for r in records}
     for record in records:
-        fields = getattr(record, "_fields", None) or type(record).__slots__
-        for name in (*fields, "extra"):
+        for name in (*record._fields, "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
 
+
+_GRAPH = dualgraph.DualGraph((dualgraph.GraphVertex("E1", -2),), ())
+_TRANSFORM = wps.Transform((Fraction(1),) * 4, Fraction(0), Fraction(1))
+_GERM_REPR = (
+    "GermClassification(is_lc=True, is_klt=True, is_plt=True, discrepancy_coeffs=mappingproxy({}),"
+    " order=2, nklt_case=None, cyclic_points=(CyclicType(n=2, q=1),))"
+)
+_GRAPH_REPR = (
+    "DualGraph(vertices=(GraphVertex(label='E1', self_int=-2, genus=0, is_exceptional=True, node_count=0),),"
+    " edges=())"
+)
 
 #: Each ``Frozen`` record: how to build one (a second call rebuilds it from
-#: the same arguments) and the repr it prints, every slot in order.
+#: the same arguments) and the repr it prints, every field in order.
 FROZEN_EXAMPLES = {
     dualgraph.GraphVertex: (
         lambda: dualgraph.GraphVertex("C", -1, genus=1, is_exceptional=False, node_count=2),
@@ -818,27 +829,106 @@ FROZEN_EXAMPLES = {
         "QDivisor(coeffs=(('E1', Fraction(1, 1)), ('E2', Fraction(1, 2))))",
     ),
     wps.Weights: (lambda: wps.Weights((6, 11, 25, 43)), "Weights(w=(6, 11, 25, 43))"),
+    exact.FeasibilityResult: (
+        lambda: exact.FeasibilityResult(False, y=(Fraction(1), Fraction(-1, 2))),
+        "FeasibilityResult(feasible=False, x=None, y=(Fraction(1, 1), Fraction(-1, 2)))",
+    ),
+    dualgraph.ShapeInfo: (
+        lambda: dualgraph.ShapeInfo(False, False, ("E2",)),
+        "ShapeInfo(is_chain=False, has_cycle=False, forks=('E2',))",
+    ),
+    dualgraph.GermClassification: (
+        lambda: dualgraph.GermClassification(True, True, True, order=2, cyclic_points=(dualgraph.CyclicType(2, 1),)),
+        _GERM_REPR,
+    ),
+    lattice.BlowupRecipe: (
+        lambda: lattice.BlowupRecipe(2, (("L0", "L1"),)),
+        "BlowupRecipe(num_lines=2, steps=(('L0', 'L1'),))",
+    ),
+    positivity.ZariskiResult: (
+        lambda: positivity.ZariskiResult(
+            lattice.QDivisor((("L0", 1),)), {"L0": Fraction(-1)}, lattice.QDivisor(()), True
+        ),
+        "ZariskiResult(positive_coeffs=QDivisor(coeffs=(('L0', Fraction(1, 1)),)),"
+        " positive_dots={'L0': Fraction(-1, 1)}, negative_part=QDivisor(coeffs=()), includes_canonical=True)",
+    ),
+    positivity.ThresholdResult: (
+        lambda: positivity.ThresholdResult(Fraction(24, 25), ("L0",)),
+        "ThresholdResult(value=Fraction(24, 25), binding_constraints=('L0',), certificate_at_value=None,"
+        " farkas_below=None)",
+    ),
+    positivity.ContractionReport: (
+        lambda: positivity.ContractionReport(("E1",), (("E1",),), 3, (_GRAPH,), ()),
+        f"ContractionReport(contracted=('E1',), clusters=(('E1',),), picard_number=3, cluster_germs=({_GRAPH_REPR},),"
+        " cluster_classifications=())",
+    ),
+    scenario._SpecReader: (
+        lambda: scenario._SpecReader("checks[0]", {"kind": "nt"}),
+        "_SpecReader(path='checks[0]', spec={'kind': 'nt'}, missing='missing', m=None, divisors=mappingproxy({}))",
+    ),
+    wps.WeightedPoly: (
+        lambda: wps.WeightedPoly.build((1, 1, 1, 1), {(2, 0, 0, 0): 1}),
+        "WeightedPoly(weights=Weights(w=(1, 1, 1, 1)), degree=2, terms=(((2, 0, 0, 0), Fraction(1, 1)),))",
+    ),
+    wps.Transform: (
+        lambda: wps.Transform((Fraction(1),) * 4, Fraction(0), Fraction(1)),
+        "Transform(c=(Fraction(1, 1), Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)), d=Fraction(0, 1),"
+        " lam=Fraction(1, 1))",
+    ),
+    wps.NormalForm: (
+        lambda: wps.NormalForm((1, 0, 1, 1), Fraction(1), Fraction(0), _TRANSFORM),
+        "NormalForm(eps=(1, 0, 1, 1), s=Fraction(1, 1), t=Fraction(0, 1), transform=Transform(c=(Fraction(1, 1),"
+        " Fraction(1, 1), Fraction(1, 1), Fraction(1, 1)), d=Fraction(0, 1), lam=Fraction(1, 1)))",
+    ),
+    wps.ChartDossier: (lambda: wps.ChartDossier(0, 2), "ChartDossier(chart_index=0, multiplicity=2, quadratic_rank=None)"),
+    wps.HypersurfaceClassification: (
+        lambda: wps.HypersurfaceClassification(True, True, (wps.ChartDossier(1, 0),), ()),
+        "HypersurfaceClassification(is_lc=True, is_klt=True,"
+        " charts=(ChartDossier(chart_index=1, multiplicity=0, quadratic_rank=None),), deferred=())",
+    ),
 }
 
 
 def test_frozen_records_compare_hash_and_show_their_slots():
-    """A ``Frozen`` record rebuilt from the same arguments is equal and
-    hashes alike; a record of another class is not equal; the repr names
-    every slot in order; no slot can be set."""
+    """A ``Frozen`` record rebuilt from the same arguments, or from its
+    fields by name, is equal and hashes alike unless it holds a table; a
+    record of another class, or the plain tuple of its fields, is not equal;
+    the repr names every field in order; no field can be set; a missing or
+    unknown field is a TypeError that names the record and the field."""
     assert set(FROZEN_EXAMPLES) == set(exact.Frozen.__subclasses__())
     built = {cls: make() for cls, (make, _) in FROZEN_EXAMPLES.items()}
+    unhashable = set()
     for cls, (make, shown) in FROZEN_EXAMPLES.items():
         record, twin = built[cls], make()
-        assert twin is not record and twin == record and hash(twin) == hash(record)
+        fields = {name: getattr(record, name) for name in cls._fields}
+        assert twin is not record and twin == record == cls(**fields)
         assert not twin != record
-        for other in built.values():
+        try:
+            assert hash(twin) == hash(record)
+        except TypeError:  # as a tuple that holds a dict
+            unhashable.add(cls)
+        for other in (*built.values(), tuple(fields.values())):
             if other is not record:
                 assert record != other and other != record
         assert repr(record) == shown
-        for name in (*cls.__slots__, "extra"):
+        for name in (*cls._fields, "extra"):
             with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable: cannot set '{name}'$"):
                 setattr(record, name, None)
+        first, *rest = cls._fields
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'{first}'"):
+            cls(**{name: fields[name] for name in rest})
+        with pytest.raises(TypeError, match=f"{cls.__name__}.*'extra'"):
+            cls(**fields, extra=None)
+    assert unhashable == {dualgraph.GermClassification, positivity.ZariskiResult, scenario._SpecReader}
     assert lattice.QDivisor((("E1", 1),)) != lattice.QDivisor((("E1", 2),))
+    with pytest.raises(TypeError, match="^ShapeInfo is missing field 'forks'$"):
+        dualgraph.ShapeInfo(True, has_cycle=False)
+    with pytest.raises(TypeError, match="^ShapeInfo has no field 'extra'$"):
+        dualgraph.ShapeInfo(True, False, (), extra=None)
+    with pytest.raises(TypeError, match="^ShapeInfo got field 'is_chain' twice$"):
+        dualgraph.ShapeInfo(True, False, is_chain=True)
+    with pytest.raises(TypeError, match="^ShapeInfo has 3 fields, got 4 values$"):
+        dualgraph.ShapeInfo(True, False, (), None)
 
 
 def test_only_frozen_writes_the_record_dunders():
@@ -868,6 +958,15 @@ def test_only_frozen_writes_the_record_dunders():
         "__repr__": {"Frozen"},
         "__eq__": {"Frozen"},
     }
+    bases = {
+        name
+        for path in package.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for base in cls.bases
+        for name in _referenced_names(base)
+    }
+    assert "NamedTuple" not in bases
 
 
 def test_equal_divisors_share_one_decomposition():
@@ -1068,7 +1167,8 @@ def test_nt_check_needs_its_certificate(monkeypatch, capsys):
     real = scenario.nef_threshold
 
     def uncertified(*args, **kwargs):
-        return real(*args, **kwargs)._replace(certificate_at_value=None)
+        t = real(*args, **kwargs)
+        return positivity.ThresholdResult(t.value, t.binding_constraints, None, t.farkas_below)
 
     monkeypatch.setattr(scenario, "nef_threshold", uncertified)
     code, out, _ = run(capsys, "scenario", "ex-825")
@@ -1412,6 +1512,7 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("quadmin", "--a", "1/" + "9" * 5000, "--b", "0", "--c", "0"), f"--a: not an exact rational: '1/{'9' * 34}... ({TOO_LONG})"),
         (("wps", "analyze", "--expr", "x3^2 + " + "y" * 100), f"--expr: bad factor '{'y' * 36}..."),
         (("wps", "analyze", "--expr", "x3^" + "9" * 5000), f"--expr: bad factor 'x3^{'9' * 33}..."),
+        (("wps", "analyze", "--expr", "x3^" + "9" * 4299), f"--expr: factor 'x3^{'9' * 33}... puts the degree above 86"),
     ],
 )
 def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
@@ -1439,6 +1540,8 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
         ("weights 6 11 25 43\n" + "1 " * 30 + "\n", f"bad term line: '{'1 ' * 18}..."),
         ("weights" + " 1" * 30 + "\n", f"bad weights line: '{'weights' + ' 1' * 14} ..."),
         ("weights 6 11 25 43\n1/" + "1" * 40 + " 0 0 0 -2\n", f"negative exponent in '1/{'1' * 34}..."),
+        # an exponent whose degree alone passes 86, before the degree is formed
+        ("weights 6 11 25 43\n1 0 0 0 " + "9" * 4000 + "\n", f"line 2: exponent '{'9' * 36}... of x3 puts the degree above 86"),
     ):
         f.write_text(text)
         for command in ("analyze", "normal-form"):
