@@ -180,6 +180,35 @@ def _pivot(tab: list[list[int]], r: int, j: int, d: int) -> int:
     return p
 
 
+def _sylvester(p: int, k: int) -> bool:
+    """Sylvester's sign rule. Pivot k (from 0) of a symmetric matrix eliminated
+    without row swaps is its (k+1)-th leading principal minor times a positive
+    scale, and the matrix is negative definite exactly when every pivot k has
+    the sign of (-1)^(k+1)."""
+    return p < 0 if k % 2 == 0 else p > 0
+
+
+def _grow_definite(tab: list[list[int]], cols: list[int], row: Sequence[int], j: int, d: int) -> int | None:
+    """Border the elimination in tab with one more row of its starting integer
+    table, then pivot it in column j. The pivot rows are the last len(cols)
+    of tab, pivoted in the columns cols over the denominator d; each holds d
+    in its own column and 0 in the others, so d*row - sum_i row[cols_i] *
+    (pivot row i) is the row as elimination would have left it, found with
+    no division. Returns the new denominator, or None, leaving tab and cols
+    as they were, when its pivot breaks Sylvester's rule: the symmetric
+    matrix on cols and j is not negative definite."""
+    new = [d * x for x in row]
+    for c, prow in zip(cols, tab[len(tab) - len(cols) :]):
+        f = row[c]
+        if f:
+            new = [x - f * y for x, y in zip(new, prow)]
+    if not _sylvester(new[j], len(cols)):
+        return None
+    tab.append(new)
+    cols.append(j)
+    return _pivot(tab, len(tab) - 1, j, d)
+
+
 def _eliminate(tab: list[list[int]], ncols: int) -> list[tuple[int, bool]]:
     """Gauss-Jordan elimination of the integer table tab, in place, over its
     first ncols columns. Each column takes the first remaining row with a
@@ -231,14 +260,12 @@ def solve_linear(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, 
 def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...] | None:
     """Solve m @ x = v when the symmetric m is negative definite; None when it is not.
 
-    Sylvester's test reads the pivots of the same elimination. Without row
-    swaps pivot k is the k-th leading principal minor times a positive scale,
-    so m is negative definite exactly when the n pivots alternate in sign from
-    negative. A swap means a leading minor vanished, and fewer than n pivots
-    means m is singular; either rules out definiteness.
+    Sylvester's test (_sylvester) reads the pivots of the same elimination. A
+    swap means a leading minor vanished, and fewer than n pivots means m is
+    singular; either rules out definiteness.
     """
     pivots, x = _solve(m, v, symmetric=True)
-    if x is None or any(swapped or (p < 0) != (k % 2 == 0) for k, (p, swapped) in enumerate(pivots)):
+    if x is None or any(swapped or not _sylvester(p, k) for k, (p, swapped) in enumerate(pivots)):
         return None
     return x
 

@@ -157,14 +157,18 @@ class SurfaceModel:
 
     def dots(self, d: QDivisor, labels: Iterable[str], plus_canonical: bool = False) -> dict[str, Rational]:
         """([K +] D).C for each label C, over one common denominator."""
+        q, nums = self.dot_numerators(d, labels, plus_canonical)
+        return {lbl: Fraction(v, q) for lbl, v in nums.items()}
+
+    def dot_numerators(
+        self, d: QDivisor, labels: Iterable[str], plus_canonical: bool = False
+    ) -> tuple[int, dict[str, int]]:
+        """(q, q([K +] D).C for each label C), q the lcm of D's denominators."""
         q = lcm(*(c.denominator for _, c in d.coeffs))
         k = q if plus_canonical else 0
         try:
             terms = [(self.products[lbl], c.numerator * q // c.denominator) for lbl, c in d.coeffs]
-            return {
-                lbl: Fraction(k * self.k_dot[lbl] + sum(a * row[lbl] for row, a in terms), q)
-                for lbl in labels
-            }
+            return q, {lbl: k * self.k_dot[lbl] + sum(a * row[lbl] for row, a in terms) for lbl in labels}
         except KeyError as err:
             raise UnknownLabel(err.args[0]) from None
 

@@ -8,8 +8,10 @@ non-negatively, any curve outside the representative's support meets it
 non-negatively for free.
 
 A divisor K + D is passed as D with ``plus_canonical=True``. Intersection
-numbers come from the model's ``dots``, ``matrix`` and ``at``; only the LPs
-of psef_test and pet take classes, whose visible columns are integer vectors.
+numbers come from the model: ``dots``, ``matrix`` and ``at``, and for the
+Zariski decomposition its integer Gram rows and ``dot_numerators``. Only the
+LPs of psef_test and pet take classes, whose visible columns are integer
+vectors.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from logsurf.exact import (
     Frozen,
     InputError,
     Rational,
+    _grow_definite,
     lp_feasible,
     rat,
     solve_negative_definite,
@@ -107,32 +110,41 @@ def zariski(
 def _fujita(
     m: SurfaceModel, dd: QDivisor, plus: bool, labels: list[str], one_at_a_time: bool
 ) -> ZariskiResult:
-    """The iteration behind ``zariski``, in curve coordinates: each round takes
-    ([K +] P).C, P = D - N, from the integer Gram matrix in one pass."""
-    d_dot = p_dot = m.dots(dd, labels, plus)
+    """The iteration behind ``zariski``, on one fraction-free table that grows
+    with the support (exact._grow_definite): each support curve is pivoted
+    once. Row 0 starts as q([K +] D).C for every curve C in scan order, q the
+    lcm of D's denominators, then 0; a support curve s adds its Gram row and
+    q([K +] D).s. Over the table's denominator d, row 0 holds q d ([K +] P).C
+    and a support row ends in q d N_s, so each round reads signs off integers.
+    """
+    q, rhs = m.dot_numerators(dd, labels, plus)
+    column = {lbl: j for j, lbl in enumerate(labels)}
+    tab, cols, d = [[*(rhs[c] for c in labels), 0]], [], 1
     support: list[str] = []
-    n_div, p_div = QDivisor(()), dd
     while True:
-        violators = [lbl for lbl in labels if lbl not in support and p_dot[lbl] < 0]
+        # support columns of row 0 are 0: each pivot clears its own
+        violators = [lbl for lbl, v in zip(labels, tab[0]) if v * d < 0]
         if not violators:
             break
-        support.extend(violators[:1] if one_at_a_time else violators)
-        n_vals = solve_negative_definite(m.matrix(support), tuple(d_dot[lbl] for lbl in support))
-        if n_vals is None:
-            raise NotPseudoEffective(
-                f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
-            )
-        for lbl, v in zip(support, n_vals):
-            if v < 0:
-                raise NegativeCoefficient(f"negative part coefficient {v} at {lbl}")
-        n_div = QDivisor.from_dict(dict(zip(support, n_vals)))
-        p_div = dd.sub(n_div)
-        p_dot = m.dots(p_div, labels, plus)
+        added = violators[:1] if one_at_a_time else violators
+        support.extend(added)
+        for lbl in added:
+            gram = m.products[lbl]
+            d = _grow_definite(tab, cols, [*(gram[c] for c in labels), rhs[lbl]], column[lbl], d)
+            if d is None:
+                raise NotPseudoEffective(
+                    f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
+                )
+        for lbl, row in zip(support, tab[1:]):
+            if row[-1] * d < 0:
+                raise NegativeCoefficient(f"negative part coefficient {Fraction(row[-1], q * d)} at {lbl}")
 
+    p_dot = {lbl: Fraction(v, q * d) for lbl, v in zip(labels, tab[0])}
     if any(p_dot[lbl] != 0 for lbl in support):
         raise AssertionError("positive part meets its own negative support")
+    n_div = QDivisor(tuple((lbl, Fraction(row[-1], q * d)) for lbl, row in zip(support, tab[1:])))
     return ZariskiResult(
-        positive_coeffs=p_div,
+        positive_coeffs=dd.sub(n_div),
         positive_dots=p_dot,
         negative_part=n_div,
         includes_canonical=plus,

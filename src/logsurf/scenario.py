@@ -334,9 +334,10 @@ def _check_pet(r: _SpecReader) -> dict[str, Any]:
     )
     wrong = [] if t.certified and t.value == want else [f"expected {want}"]
     avoids: list[str] = []
-    if gap is not None:
+    # with no value (an infeasible LP) there is nothing to place against the gap
+    if gap is not None and t.value is not None:
         lo, hi = gap
-        if t.value is not None and not (lo < t.value < hi):
+        if not (lo < t.value < hi):
             avoids.append(f"value avoids the open interval ({lo}, {hi})")
         else:
             wrong.append(f"value lies inside the excluded interval ({lo}, {hi})")

@@ -23,7 +23,7 @@ from logsurf.dualgraph import (
 )
 from logsurf.exact import is_negative_definite, lp_feasible
 from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe, divisor_class
-from logsurf.positivity import NotPseudoEffective, pet, psef_test, volume, zariski
+from logsurf.positivity import NegativeCoefficient, NotPseudoEffective, pet, psef_test, volume, zariski
 from logsurf.wps import (
     WeightedPoly,
     _eliminants,
@@ -129,6 +129,41 @@ def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
     # were not pseudo-effective
     assert 2 * with_k > done and not_psef > 0
     return done
+
+
+def _zariski_outcome(fn, m, div, plus, order, one_at_a_time):
+    """A decomposition as (result, key order of positive_dots), or a refusal
+    as (exception type, message)."""
+    try:
+        z = fn(m, div, plus, scan_order=order, one_at_a_time=one_at_a_time)
+    except (NotPseudoEffective, NegativeCoefficient) as err:
+        return type(err), str(err)
+    return z, list(z.positive_dots)
+
+
+def zariski_matches_reference(seed: int, cases: int) -> int:
+    """The program's Zariski decomposition equals the per-round reference on
+    random recipes of 4 lines and 17 steps: the same P, N and positive_dots
+    (in the same key order), or the same exception and message. Each recipe
+    tries D, K + D and K + B + D (B every visible curve once) in four orders:
+    default, reversed, shuffled, and one curve at a time in the shuffled
+    order. Some K + D must be refused as not pseudo-effective."""
+    rng = random.Random(seed)
+    refused = 0
+    for _ in range(cases):
+        m = build_from_recipe(random_recipe(rng, max_steps=17, full=True))
+        labels = sorted(m.visible)
+        d = random_effective_divisor(rng, labels)
+        shuffled = labels[:]
+        rng.shuffle(shuffled)
+        log_d = d.add(QDivisor.from_dict({lbl: 1 for lbl in labels}))
+        for plus, div in ((False, d), (True, d), (True, log_d)):
+            for order, one in ((None, False), (labels[::-1], False), (shuffled, False), (shuffled, True)):
+                got = _zariski_outcome(zariski, m, div, plus, order, one)
+                assert got == _zariski_outcome(_reference.zariski, m, div, plus, order, one)
+                refused += got[0] is NotPseudoEffective
+    assert refused > 0
+    return cases
 
 
 def gram_matches_pairing(seed: int, cases: int) -> int:

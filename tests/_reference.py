@@ -11,6 +11,11 @@ answers.
 ``divisor_class`` sums a divisor's class one Fraction at a time, the oracle
 for the integer sum over one common denominator in ``logsurf.lattice``.
 
+``zariski`` is Fujita's iteration as it ran before the program grew one table
+per decomposition: every round solves the whole support's Gram system afresh
+and pairs the new P with every curve. The program must return the same
+result and raise the same exception with the same message.
+
 ``node_only_certificate`` is the node-only certificate computed with sympy's
 resultants and gcds over QQ, the oracle for the integer one in ``logsurf.wps``.
 
@@ -24,8 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat
-from logsurf.lattice import qdiv
+from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat, solve_negative_definite
+from logsurf.lattice import QDivisor, qdiv
+from logsurf.positivity import NegativeCoefficient, NotPseudoEffective, ZariskiResult
 from logsurf.wps import _weight_seq, chart_poly
 
 Rows = Sequence[Sequence[Fraction]]
@@ -69,6 +75,39 @@ def divisor_class(m, d) -> tuple[Fraction, ...]:
         for i in range(m.rank):
             total[i] += c * cls[i]
     return tuple(total)
+
+
+def zariski(m, d, plus_canonical=False, scan_order=None, one_at_a_time=False) -> ZariskiResult:
+    """Zariski decomposition of [K +] d by Fujita's iteration, solving the
+    support's system from scratch each round; the default order is sorted."""
+    dd, plus = qdiv(d), plus_canonical
+    labels = list(scan_order) if scan_order is not None else sorted(m.visible)
+    d_dot = p_dot = m.dots(dd, labels, plus)
+    support: list[str] = []
+    n_div, p_div = QDivisor(()), dd
+    while True:
+        violators = [lbl for lbl in labels if lbl not in support and p_dot[lbl] < 0]
+        if not violators:
+            break
+        support.extend(violators[:1] if one_at_a_time else violators)
+        n_vals = solve_negative_definite(m.matrix(support), tuple(d_dot[lbl] for lbl in support))
+        if n_vals is None:
+            raise NotPseudoEffective(
+                f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
+            )
+        for lbl, v in zip(support, n_vals):
+            if v < 0:
+                raise NegativeCoefficient(f"negative part coefficient {v} at {lbl}")
+        n_div = QDivisor.from_dict(dict(zip(support, n_vals)))
+        p_div = dd.sub(n_div)
+        p_dot = m.dots(p_div, labels, plus)
+    assert all(p_dot[lbl] == 0 for lbl in support)
+    return ZariskiResult(
+        positive_coeffs=p_div,
+        positive_dots=p_dot,
+        negative_part=n_div,
+        includes_canonical=plus,
+    )
 
 
 def _pivot(tab: list[list[Fraction]], r: int, j: int) -> None:

@@ -1162,6 +1162,22 @@ def test_infeasible_pet_check_names_its_farkas_certificate(tmp_path, capsys):
     assert json.loads(out)["checks"][0]["outputs"] == {"certified": False, "value": None}
 
 
+def test_infeasible_pet_check_places_no_value_against_its_gap(tmp_path, capsys):
+    """With no value, an expect_not_in_open gap adds no interval line."""
+    check = {
+        "kind": "pet", "contract": [], "boundary": {}, "resolution": "1",
+        "expect_value": "0", "expect_not_in_open": ["0", "1"],
+    }
+    path = tmp_path / "pet.json"
+    path.write_text(json.dumps({"name": "pet", "recipe": {"lines": 1, "steps": []}, "checks": [check]}))
+    code, out, _ = run(capsys, "scenario", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["details"] == [
+        "no t >= 0 makes K + base + t*ray visible-effective; the LP's Farkas vector certifies it",
+        "expected 0",
+    ]
+
+
 def test_nt_check_needs_its_certificate(monkeypatch, capsys):
     """An nt value without an effective representative is a FAIL, as for pet."""
     real = scenario.nef_threshold

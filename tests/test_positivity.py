@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from logsurf import lattice, positivity
+from logsurf import exact, lattice, positivity
 from logsurf.cli import main
 from logsurf.dualgraph import NotNegativeDefinite
 from logsurf.lattice import (
@@ -431,6 +433,52 @@ def test_zariski_random_invariants():
 
 def test_zariski_random_invariants_flagship_size():
     assert _properties.zariski_invariants(seed=20261019, cases=40, max_steps=17) == 40
+
+
+def test_zariski_matches_the_per_round_reference_flagship_size():
+    assert _properties.zariski_matches_reference(seed=20261020, cases=40) == 40
+
+
+@pytest.mark.parametrize("name, support", [("ex-462", 10), ("ex-825", 15)])
+def test_replay_pivots_each_support_curve_once(name, support, monkeypatch):
+    """The one decomposition of a built-in replay pivots once per curve of its
+    negative support; solving the whole support afresh every round took 23
+    pivots for ex-462 and 60 for ex-825."""
+    runs, pivots, inside = [], [], [False]
+    real_fujita, real_pivot = positivity._fujita, exact._pivot
+
+    def counted_fujita(*args):
+        runs.append(args[1])
+        inside[0] = True
+        try:
+            return real_fujita(*args)
+        finally:
+            inside[0] = False
+
+    def counted_pivot(*args):
+        pivots.append(inside[0])
+        return real_pivot(*args)
+
+    monkeypatch.setattr(positivity, "_fujita", counted_fujita)
+    monkeypatch.setattr(exact, "_pivot", counted_pivot)
+    assert main(["scenario", name, "--json"]) == 0
+    assert len(runs) == 1
+    assert sum(pivots) == support
+
+
+def test_one_at_a_time_at_the_size_cap():
+    """4 lines and 196 steps, the most curves a recipe may ask for: one curve
+    per round took about 6 s when every round solved the whole support afresh."""
+    rng = random.Random(20261020)
+    m = build_from_recipe(_properties.random_recipe(rng, max_lines=4, max_steps=196, full=True))
+    assert len(m.visible) == lattice.RECIPE_MAX_CURVES
+    d = _properties.random_effective_divisor(rng, sorted(m.visible))
+    z = zariski(m, d)
+    start = time.perf_counter()
+    z_one = zariski(m, d, one_at_a_time=True)
+    assert time.perf_counter() - start < 3.0
+    assert z_one.negative_part == z.negative_part
+    assert len(z.negative_part.coeffs) > 100
 
 
 def test_scenario_replay_runs_each_decomposition_once(monkeypatch):
