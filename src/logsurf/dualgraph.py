@@ -460,6 +460,9 @@ def parse_graph(text: str) -> DualGraph:
     """
     vertices: list[GraphVertex] = []
     edges: list[tuple[str, str]] = []
+    labels: set[str] = set()
+    # an edge may come before its vertices: its line is kept until they are known
+    edge_lines: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -468,6 +471,8 @@ def parse_graph(text: str) -> DualGraph:
             parts = line.split()
             if len(parts) not in (3, 4) or parts[1] != "--":
                 raise GraphFormatError(f"line {lineno}: expected 'A -- B [mult]'")
+            if parts[0] == parts[2]:
+                raise GraphFormatError(f"line {lineno}: self-loop at {parts[0]}; record nodes via node_count instead")
             mult = 1
             if len(parts) == 4:
                 try:
@@ -486,6 +491,7 @@ def parse_graph(text: str) -> DualGraph:
                     f" above the cap {GRAPH_MAX_MULTIPLICITY}"
                 )
             edges.extend([(parts[0], parts[2])] * mult)
+            edge_lines.append((lineno, parts[0], parts[2]))
             continue
         parts = line.split()
         if len(parts) < 2:
@@ -495,6 +501,8 @@ def parse_graph(text: str) -> DualGraph:
                 f"line {lineno}: {GRAPH_MAX_VERTICES + 1} vertices, above the cap {GRAPH_MAX_VERTICES}"
             )
         label = parts[0]
+        if label in labels:
+            raise GraphFormatError(f"line {lineno}: duplicate vertex label {label}")
         try:
             shown = int(parts[1])
         except ValueError as exc:
@@ -524,7 +532,8 @@ def parse_graph(text: str) -> DualGraph:
             else:
                 raise GraphFormatError(f"line {lineno}: unknown flag {tok!r}")
         vertices.append(GraphVertex(label, self_int, genus, is_exceptional, node_count))
-    try:
-        return DualGraph(tuple(vertices), tuple(edges))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+        labels.add(label)
+    for lineno, a, b in edge_lines:
+        if a not in labels or b not in labels:
+            raise GraphFormatError(f"line {lineno}: edge ({a},{b}) references unknown vertex")
+    return DualGraph(tuple(vertices), tuple(edges))

@@ -5,9 +5,10 @@ are ints, Fractions or "p/q" strings; results are fractions.Fraction.
 Floats are rejected at the boundary: a float carries rounding error that
 would poison every certificate built on top of it. Inside, elimination and
 the simplex share one fraction-free pivot: an integer table over one common
-denominator, where every update is an exact integer division. An integer
-matrix reaches that table as it is; Fractions are built only when a result
-is read out.
+denominator, where every update is an exact integer division. Elimination
+borders one row at a time onto that table, with no row swaps; a definite
+solve stops at the first leading minor of the wrong sign. An integer matrix
+reaches the table as it is; Fractions are built only to read a result out.
 """
 
 from __future__ import annotations
@@ -181,27 +182,33 @@ def _pivot(tab: list[list[int]], r: int, j: int, d: int) -> int:
 
 
 def _sylvester(p: int, k: int) -> bool:
-    """Sylvester's sign rule. Pivot k (from 0) of a symmetric matrix eliminated
-    without row swaps is its (k+1)-th leading principal minor times a positive
-    scale, and the matrix is negative definite exactly when every pivot k has
-    the sign of (-1)^(k+1)."""
+    """Sylvester's sign rule. Pivot k (from 0) of a symmetric matrix bordered
+    in row order, each row pivoted in its own column, is its (k+1)-th leading
+    principal minor times a positive scale, and the matrix is negative
+    definite exactly when every pivot k has the sign of (-1)^(k+1)."""
     return p < 0 if k % 2 == 0 else p > 0
 
 
-def _grow_definite(tab: list[list[int]], cols: list[int], row: Sequence[int], j: int, d: int) -> int | None:
-    """Border the elimination in tab with one more row of its starting integer
-    table, then pivot it in column j. The pivot rows are the last len(cols)
-    of tab, pivoted in the columns cols over the denominator d; each holds d
-    in its own column and 0 in the others, so d*row - sum_i row[cols_i] *
-    (pivot row i) is the row as elimination would have left it, found with
-    no division. Returns the new denominator, or None, leaving tab and cols
-    as they were, when its pivot breaks Sylvester's rule: the symmetric
-    matrix on cols and j is not negative definite."""
+def _border(tab: list[list[int]], cols: list[int], row: Sequence[int], d: int) -> list[int]:
+    """One more row of the starting integer table, reduced against the
+    elimination in tab. The pivot rows are the last len(cols) of tab, pivoted
+    in the columns cols over the denominator d; each holds d in its own column
+    and 0 in the others, so d*row - sum_i row[cols_i] * (pivot row i) is the
+    row as elimination would have left it, found with no division."""
     new = [d * x for x in row]
     for c, prow in zip(cols, tab[len(tab) - len(cols) :]):
         f = row[c]
         if f:
             new = [x - f * y for x, y in zip(new, prow)]
+    return new
+
+
+def _grow_definite(tab: list[list[int]], cols: list[int], row: Sequence[int], j: int, d: int) -> int | None:
+    """Border tab with row (_border) and pivot it in column j. Returns the new
+    denominator, or None, leaving tab and cols as they were, when its pivot
+    breaks Sylvester's rule: the symmetric matrix on cols and j is not
+    negative definite."""
+    new = _border(tab, cols, row, d)
     if not _sylvester(new[j], len(cols)):
         return None
     tab.append(new)
@@ -209,78 +216,74 @@ def _grow_definite(tab: list[list[int]], cols: list[int], row: Sequence[int], j:
     return _pivot(tab, len(tab) - 1, j, d)
 
 
-def _eliminate(tab: list[list[int]], ncols: int) -> list[tuple[int, bool]]:
-    """Gauss-Jordan elimination of the integer table tab, in place, over its
-    first ncols columns. Each column takes the first remaining row with a
-    nonzero entry as its pivot row, swapped up; a column with no such row is
-    skipped. Returns (pivot, swapped) for each pivot, in order, so the number
-    of pivots is the rank of those columns. Pivot k is the k x k minor of the
-    row-swapped table on the pivot rows and columns so far, and the table ends
-    over the last pivot, which every pivot row then holds in its pivot column.
-    """
-    pivots: list[tuple[int, bool]] = []
-    r, d = 0, 1
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(tab)) if tab[i][col]), None)
-        if piv is None:
-            continue
-        tab[r], tab[piv] = tab[piv], tab[r]
-        d = _pivot(tab, r, col, d)
-        pivots.append((d, piv != r))
-        r += 1
-    return pivots
+def _eliminate(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """Gauss-Jordan elimination of integer rows over their first ncols
+    columns: each row is bordered (_border) and pivoted in its first nonzero
+    column, and a row that reduces to zero there is dropped. Returns (pivot
+    rows, pivot columns, denominator). The number of pivots is the rank of
+    those columns, and the denominator is the minor of the kept rows on the
+    pivot columns, in pivot order."""
+    tab, cols, d = [], [], 1
+    for row in rows:
+        new = _border(tab, cols, row, d)
+        j = next((j for j in range(ncols) if new[j]), None)
+        if j is not None:
+            tab.append(new)
+            cols.append(j)
+            d = _pivot(tab, len(tab) - 1, j, d)
+    return tab, cols, d
 
 
-def _solve(
-    m: Rows, v: Sequence[int | str | Rational], symmetric: bool = False
-) -> tuple[list[tuple[int, bool]], tuple[Rational, ...] | None]:
-    """Eliminate [m | v]: (pivots, the solution of m @ x = v, or None when m is
-    singular). With ``symmetric``, m must also be symmetric."""
+def _system(m: Rows, v: Sequence[int | str | Rational]) -> list[list[int]]:
+    """The integer rows of [m | v], for a square m and a v of its size."""
     n = len(m)
     if _width(m) != n:
         raise NonSquare(f"solving needs a square matrix, got {n}x{_width(m)}")
     if len(v) != n:
         raise DimensionMismatch("right-hand side length does not match matrix")
-    tab = _integral([[*row, x] for row, x in zip(m, v)])[0]
-    if symmetric and any(tab[i][j] != tab[j][i] for i in range(n) for j in range(i)):
-        raise NonSymmetric("definiteness is only defined for symmetric matrices here")
-    pivots = _eliminate(tab, n)
-    d = pivots[-1][0] if pivots else 1
-    return pivots, tuple(Fraction(row[n], d) for row in tab) if len(pivots) == n else None
+    return _integral([[*row, x] for row, x in zip(m, v)])[0]
 
 
 def solve_linear(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...]:
     """Solve m @ x = v exactly. Raises SingularMatrix when no unique solution exists."""
-    x = _solve(m, v)[1]
-    if x is None:
+    n = len(m)
+    tab, cols, d = _eliminate(_system(m, v), n)
+    if len(cols) < n:
         raise SingularMatrix("matrix is singular")
-    return x
+    return tuple(Fraction(row[n], d) for _, row in sorted(zip(cols, tab)))
 
 
 def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...] | None:
     """Solve m @ x = v when the symmetric m is negative definite; None when it is not.
 
-    Sylvester's test (_sylvester) reads the pivots of the same elimination. A
-    swap means a leading minor vanished, and fewer than n pivots means m is
-    singular; either rules out definiteness.
+    Row j is bordered and pivoted in column j (_grow_definite), so Sylvester's
+    test reads each leading minor as it appears, and the first with the wrong
+    sign, or zero, stops the elimination there.
     """
-    pivots, x = _solve(m, v, symmetric=True)
-    if x is None or any(swapped or not _sylvester(p, k) for k, (p, swapped) in enumerate(pivots)):
-        return None
-    return x
+    rows = _system(m, v)
+    n = len(rows)
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise NonSymmetric("definiteness is only defined for symmetric matrices here")
+    tab, cols, d = [], [], 1
+    for j, row in enumerate(rows):
+        d = _grow_definite(tab, cols, row, j, d)
+        if d is None:
+            return None
+    return tuple(Fraction(row[n], d) for row in tab)
 
 
 def determinant(m: Rows) -> Rational:
-    """Exact determinant. The empty 0x0 matrix has determinant 1."""
+    """Exact determinant. The empty 0x0 matrix has determinant 1. Elimination
+    gives it with the columns in pivot order, a permutation of its own."""
     n = len(m)
     if _width(m) != n:
         raise NonSquare(f"determinant needs a square matrix, got {n}x{_width(m)}")
     tab, scale = _integral(m)
-    pivots = _eliminate(tab, n)
-    if len(pivots) < n:
+    cols, d = _eliminate(tab, n)[1:]
+    if len(cols) < n:
         return Fraction(0)
-    swaps = sum(swapped for _, swapped in pivots)
-    return Fraction((-1) ** swaps * (pivots[-1][0] if pivots else 1), scale**n)
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+    return Fraction((-1) ** inversions * d, scale**n)
 
 
 def is_negative_definite(m: Rows) -> bool:
@@ -290,7 +293,7 @@ def is_negative_definite(m: Rows) -> bool:
 
 def matrix_rank(m: Rows) -> int:
     """Exact rank of a (possibly rectangular) matrix."""
-    return len(_eliminate(_integral(m)[0], _width(m)))
+    return len(_eliminate(_integral(m)[0], _width(m))[1])
 
 
 class Frozen:

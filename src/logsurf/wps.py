@@ -701,17 +701,17 @@ def parse_poly(text: str) -> WeightedPoly:
     if head[:1] != ["weights"]:
         raise ValueError("first line must be 'weights w0 w1 w2 w3'")
     if len(head) != 5:
-        raise ValueError(f"bad weights line: {_shown(lines[0][1])}")
+        raise ValueError(f"line {lines[0][0]}: bad weights line: {_shown(lines[0][1])}")
     weights = Weights(tuple(_int_token(lines[0][0], "weight", x) for x in head[1:]))
     terms: dict[Exponents, Rational] = {}
     for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 5:
-            raise ValueError(f"bad term line: {_shown(ln)}")
+            raise ValueError(f"line {lineno}: bad term line: {_shown(ln)}")
         coeff = read_rational(f"line {lineno}", parts[0])
         exp = [_int_token(lineno, "exponent", x) for x in parts[1:]]
         if any(e < 0 for e in exp):
-            raise ValueError(f"negative exponent in {_shown(ln)}")
+            raise ValueError(f"line {lineno}: negative exponent in {_shown(ln)}")
         for i, (token, e, w) in enumerate(zip(parts[1:], exp, weights.w)):
             if e * w > FLAGSHIP_DEGREE:
                 shown = f"exponent {_shown(token)} of x{i}"

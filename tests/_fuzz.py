@@ -6,10 +6,10 @@ Each generator takes a ``random.Random`` and yields argument vectors for
 - ``scenario_mutants``: the two built-in scenarios with one to three
   mutations each (a subtree replaced by an atom, a key or item deleted, two
   subtrees swapped, a sign or fraction flipped), written as files;
-- ``germ_graphs``: well-formed dual-graph files: single curves of genus 1,
-  cycles, chains with corner leaves and forks with chain branches, which
-  reach every case of the list of lc germs, and random trees and graphs with
-  cycles of 1-9 vertices, some disconnected;
+- ``germ_graphs``: dual-graph files: single curves of genus 1, cycles,
+  chains with corner leaves and forks with chain branches, which reach every
+  case of the list of lc germs, and random trees and graphs with cycles of
+  1-9 vertices, some disconnected; one in ten has a malformed line put in;
 - ``flag_vectors``: ``quadmin``, ``wps analyze``, ``wps normal-form``,
   ``wps volume`` and ``wps hilbert`` with flag values drawn from valid and
   invalid ones.
@@ -168,10 +168,21 @@ def _germ_graph_text(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Lines that make a graph file malformed, each a fault the parser reports
+#: with its line: a self-loop, an edge to a missing vertex (which may come
+#: before every vertex line), a repeated label, and lines that do not parse.
+MALFORMED_LINES = ("V0 -- V0", "V0 -- W9", "V0 2", "V0 --", "V0 -- W9 x", "W1", "W1 two")
+
+
 def germ_graphs(rng: random.Random, folder: Path, count: int) -> Iterator[list[str]]:
     for k in range(count):
+        text = _germ_graph_text(rng)
+        if rng.random() < 0.1:
+            lines = text.splitlines()
+            lines.insert(rng.randint(0, len(lines)), rng.choice(MALFORMED_LINES))
+            text = "\n".join(lines) + "\n"
         path = folder / f"germ{k}.txt"
-        path.write_text(_germ_graph_text(rng), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         yield _with_json(rng, ["germ", str(path)])
 
 

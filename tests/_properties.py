@@ -21,7 +21,7 @@ from logsurf.dualgraph import (
     intersection_matrix,
     solve_discrepancies,
 )
-from logsurf.exact import is_negative_definite, lp_feasible
+from logsurf.exact import lp_feasible
 from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe, divisor_class
 from logsurf.positivity import NegativeCoefficient, NotPseudoEffective, pet, psef_test, volume, zariski
 from logsurf.wps import (
@@ -114,7 +114,8 @@ def zariski_invariants(seed: int, cases: int, max_steps: int = 6) -> int:
                 assert prod >= 0
                 if z.negative_part.coeff(lbl) != 0:
                     assert prod == 0
-            assert is_negative_definite(m.matrix(z.negative_part.support()))
+            support = z.negative_part.support()
+            assert _reference.negative_definite_solve(m.matrix(support), [0] * len(support)) is not None
             # P + N adds back up to D.
             assert z.positive_coeffs.add(z.negative_part).as_dict() == div.as_dict()
 

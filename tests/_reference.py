@@ -6,15 +6,19 @@ row is divided through by its pivot. The integer simplex must make the same
 pivots and return the same ``x`` and ``y``.
 
 The matrix helpers build and multiply the matrices the tests use to re-verify
-answers.
+answers. ``negative_definite_solve`` is an LDL^T solve over Fractions, with
+the pivots taken down the diagonal, and ``rank_and_det`` a Gaussian
+elimination with row swaps; both divide every pivot row through by its pivot,
+on the Fraction ``_pivot`` the reference simplex runs on.
 
 ``divisor_class`` sums a divisor's class one Fraction at a time, the oracle
 for the integer sum over one common denominator in ``logsurf.lattice``.
 
 ``zariski`` is Fujita's iteration as it ran before the program grew one table
-per decomposition: every round solves the whole support's Gram system afresh
-and pairs the new P with every curve. The program must return the same
-result and raise the same exception with the same message.
+per decomposition: every round solves the whole support's Gram system afresh,
+with ``negative_definite_solve``, and pairs the new P with every curve. The
+program must return the same result and raise the same exception with the
+same message.
 
 ``node_only_certificate`` is the node-only certificate computed with sympy's
 resultants and gcds over QQ, the oracle for the integer one in ``logsurf.wps``.
@@ -29,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat, solve_negative_definite
+from logsurf.exact import DimensionMismatch, FeasibilityResult, UnboundedObjective, rat
 from logsurf.lattice import QDivisor, qdiv
 from logsurf.positivity import NegativeCoefficient, NotPseudoEffective, ZariskiResult
 from logsurf.wps import _weight_seq, chart_poly
@@ -90,7 +94,7 @@ def zariski(m, d, plus_canonical=False, scan_order=None, one_at_a_time=False) ->
         if not violators:
             break
         support.extend(violators[:1] if one_at_a_time else violators)
-        n_vals = solve_negative_definite(m.matrix(support), tuple(d_dot[lbl] for lbl in support))
+        n_vals = negative_definite_solve(m.matrix(support), tuple(d_dot[lbl] for lbl in support))
         if n_vals is None:
             raise NotPseudoEffective(
                 f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
@@ -117,6 +121,38 @@ def _pivot(tab: list[list[Fraction]], r: int, j: int) -> None:
         f = row[j]
         if i != r and f != 0:
             tab[i] = [x - f * y for x, y in zip(row, prow)]
+
+
+def negative_definite_solve(m: Rows, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """x with m @ x = v for the symmetric m, or None when m is not negative
+    definite. Pivot k, taken on the diagonal in order, is entry k of D in
+    m = L D L^T, and m is negative definite exactly when every one is < 0."""
+    n = len(m)
+    tab = [[rat(x) for x in row] + [rat(b)] for row, b in zip(m, v)]
+    for k in range(n):
+        if tab[k][k] >= 0:
+            return None
+        _pivot(tab, k, k)
+    return tuple(row[n] for row in tab)
+
+
+def rank_and_det(m: Rows) -> tuple[int, Fraction]:
+    """(rank of m, determinant of the square m, 0 when it is singular), by
+    Gaussian elimination with row swaps."""
+    tab = [[rat(x) for x in row] for row in m]
+    rank, det = 0, Fraction(1)
+    for j in range(len(tab[0]) if tab else 0):
+        i = next((i for i in range(rank, len(tab)) if tab[i][j]), None)
+        if i is None:
+            det = Fraction(0)
+            continue
+        if i != rank:
+            tab[rank], tab[i] = tab[i], tab[rank]
+            det = -det
+        det *= tab[rank][j]
+        _pivot(tab, rank, j)
+        rank += 1
+    return rank, det
 
 
 def _simplex(tab: list[list[Fraction]], basis: list[int], n: int) -> bool:

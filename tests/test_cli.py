@@ -442,6 +442,14 @@ def test_scenario_top_level_shape(tmp_path, capsys, change, message):
     assert err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("text", ["[1]", '"recipe"', '{"checks": []}'])
+def test_scenario_without_a_recipe(tmp_path, capsys, text):
+    path = tmp_path / "norecipe.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "scenario", str(path))
+    assert (code, out, err) == (2, "", "error: scenario must be an object with a 'recipe' entry\n")
+
+
 def test_disconnected_germ_is_bad_input(tmp_path, capsys):
     path = tmp_path / "disconnected.json"
     check = {**GERM, "boundary_curves": ["L2"]}
@@ -1178,6 +1186,23 @@ def test_infeasible_pet_check_places_no_value_against_its_gap(tmp_path, capsys):
     ]
 
 
+def test_pet_value_inside_the_excluded_interval_fails(tmp_path, capsys):
+    """ex-462's pet threshold 10/11 lies inside a gap of (0, 1): a FAIL that
+    says so, with the value itself as expected."""
+    obj = json.loads(builtin_scenario_text("ex-462"))
+    (pet,) = [check for check in obj["checks"] if check["kind"] == "pet"]
+    pet["expect_not_in_open"] = ["0", "1"]
+    obj["checks"] = [pet]
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "scenario", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["checks"][0]["details"] == [
+        "threshold = 10/11 (certified)",
+        "value lies inside the excluded interval (0, 1)",
+    ]
+
+
 def test_nt_check_needs_its_certificate(monkeypatch, capsys):
     """An nt value without an effective representative is a FAIL, as for pet."""
     real = scenario.nef_threshold
@@ -1553,9 +1578,9 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
         ("# member\nweights 6 11 25 x\n1 0 0 0 2\n", "line 2: bad weight 'x'"),
         # every echoed token or line is cut to 40 characters
         ("weights 6 11 25 43\n1 0 0 0 " + "9" * 5000 + "\n", f"line 2: bad exponent '{'9' * 36}..."),
-        ("weights 6 11 25 43\n" + "1 " * 30 + "\n", f"bad term line: '{'1 ' * 18}..."),
-        ("weights" + " 1" * 30 + "\n", f"bad weights line: '{'weights' + ' 1' * 14} ..."),
-        ("weights 6 11 25 43\n1/" + "1" * 40 + " 0 0 0 -2\n", f"negative exponent in '1/{'1' * 34}..."),
+        ("weights 6 11 25 43\n" + "1 " * 30 + "\n", f"line 2: bad term line: '{'1 ' * 18}..."),
+        ("weights" + " 1" * 30 + "\n", f"line 1: bad weights line: '{'weights' + ' 1' * 14} ..."),
+        ("weights 6 11 25 43\n1/" + "1" * 40 + " 0 0 0 -2\n", f"line 2: negative exponent in '1/{'1' * 34}..."),
         # an exponent whose degree alone passes 86, before the degree is formed
         ("weights 6 11 25 43\n1 0 0 0 " + "9" * 4000 + "\n", f"line 2: exponent '{'9' * 36}... of x3 puts the degree above 86"),
     ):
@@ -1862,9 +1887,10 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
     flag, in argparse's usage error or in the message; a value that parses
     but that the computation rejects (a weight list that is not four positive
     ints, ``--a`` not positive, six zero coefficients) also names its error
-    class, like a germ that is not negative definite or connected. The
-    germ runs print each case of the list of lc germs, a to d, so a shape
-    the classifier cannot label (exit 3) would fail here."""
+    class, like a germ that is not negative definite or connected, and a
+    malformed graph file names its line. The germ runs print each case of
+    the list of lc germs, a to d, so a shape the classifier cannot label
+    (exit 3) would fail here."""
     rng = random.Random(20261019)
     fixed = []
     for k, graph in enumerate(FUZZ_FIXED_GERMS):
@@ -1880,6 +1906,7 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
     kinds = _input_error_names()
     codes = collections.Counter()
     germ_cases = set()
+    malformed = 0
     for source, argv in cases:
         try:
             code = main(argv)
@@ -1905,7 +1932,11 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
             assert re.match(r"(scenario|recipe|divisors|checks)\b", message), (argv, err)
         elif source == "flags":
             assert re.search(r"--[a-z]", message), (argv, err)
+        if kind == "GraphFormatError":
+            assert message.startswith("line "), (argv, err)
+            malformed += 1
     # none of the generators is vacuous
+    assert malformed > 10
     outcomes = {source: {code for (s, code) in codes if s == source} for source, _ in codes}
     assert outcomes == {"fixed": {0}, "scenario": {0, 1, 2}, "germ": {0, 2}, "flags": {0, 2}}
     assert germ_cases == set("abcd")

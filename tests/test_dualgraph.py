@@ -406,6 +406,27 @@ def test_parse_graph_errors():
         parse_graph("a -- b")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a 2\nb 2\na -- b -- a", "line 3: expected 'A -- B [mult]'"),
+        ("a 2\nb 2\na --", "line 3: expected 'A -- B [mult]'"),
+        ("a 2\nb 2\na -- b two", "line 3: bad multiplicity 'two'"),
+        ("a 2\n# no square\nb", "line 3: expected 'label self_int ...'"),
+        ("a 2\nb minus2", "line 2: bad self-intersection 'minus2'"),
+        # the three faults of the whole graph name their line too
+        ("a 2\nb 2\na -- a", "line 3: self-loop at a; record nodes via node_count instead"),
+        ("a 2\nb 2\na -- c\nc 2\nb -- d", "line 5: edge (b,d) references unknown vertex"),
+        ("a -- d\na 2\nb 2", "line 1: edge (a,d) references unknown vertex"),
+        ("a 2\nb 2\n\na 3", "line 4: duplicate vertex label a"),
+    ],
+)
+def test_parse_graph_faults_name_their_line(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_parse_graph_multiplicity_cap():
     g = parse_graph(f"a 2\nb 2\na -- b {GRAPH_MAX_MULTIPLICITY}\n")
     assert g.edge_multiplicity("a", "b") == GRAPH_MAX_MULTIPLICITY

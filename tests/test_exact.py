@@ -246,11 +246,14 @@ def test_determinant_values():
     assert determinant([]) == 1
     assert determinant([[5]]) == 5
     assert determinant([[-2, 1], [1, -2]]) == 3
-    # each row swap flips the sign
+    # pivot columns in an odd order flip the sign
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[0, 0, 2], [0, 3, 0], [5, 0, 0]]) == -30
     assert determinant([[0, 2, 0], [3, 0, 0], [0, 0, 5]]) == -30
     assert determinant([[0, 1], [0, 1]]) == 0
+    # a zero leading entry, and a first column zero in every row
+    assert determinant([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+    assert determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
     with pytest.raises(NonSquare):
         determinant([[1, 2, 3]])
 
@@ -308,6 +311,22 @@ def test_negative_definiteness():
         is_negative_definite([[1, 2]])
 
 
+def flagship_grams(rng, count):
+    """Gram matrices of both built-in models: of every visible curve, of the
+    exceptional curves, and of ``count`` random sets of 10 to 20 visible
+    curves each."""
+    from logsurf.scenario import builtin_scenario_text, read_scenario
+
+    grams = []
+    for name in ("ex-462", "ex-825"):
+        m = read_scenario(builtin_scenario_text(name))[1]
+        labels = sorted(m.visible)
+        sets = [labels, [lbl for lbl in labels if lbl.startswith("E")]]
+        sets += [rng.sample(labels, rng.randint(10, min(20, len(labels)))) for _ in range(count)]
+        grams += [m.matrix(curves) for curves in sets]
+    return grams
+
+
 def test_negative_definite_matches_minor_signs():
     # Sylvester's criterion with leading minors from cofactor expansion, so
     # the reference shares no code with the elimination kernel.
@@ -321,6 +340,13 @@ def test_negative_definite_matches_minor_signs():
         assert is_negative_definite(sym) == expected
         outcomes[expected] += 1
     assert min(outcomes.values()) > 20
+    # sizes 10 to 20 and the flagship Gram matrices, against the Fraction LDL^T
+    outcomes = {True: 0, False: 0}
+    for sym in [random_symmetric(rng, rng.randint(10, 20)) for _ in range(60)] + flagship_grams(rng, 30):
+        expected = _reference.negative_definite_solve(sym, [0] * len(sym)) is not None
+        assert is_negative_definite(sym) == expected
+        outcomes[expected] += 1
+    assert min(outcomes.values()) > 20, outcomes
 
 
 def test_solve_negative_definite_is_one_test_and_one_solve():
@@ -338,12 +364,55 @@ def test_solve_negative_definite_is_one_test_and_one_solve():
             assert apply(m, x) == v
         outcomes[definite] += 1
     assert min(outcomes.values()) > 20
+    # sizes 10 to 20 and the flagship Gram matrices, against the Fraction LDL^T
+    outcomes = {True: 0, False: 0}
+    for m in [random_symmetric(rng, rng.randint(10, 20)) for _ in range(60)] + flagship_grams(rng, 30):
+        v = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(len(m)))
+        x = solve_negative_definite(m, v)
+        assert x == _reference.negative_definite_solve(m, v)
+        assert (x is not None) == is_negative_definite(m)
+        if x is not None:
+            assert apply(m, x) == v
+        outcomes[x is not None] += 1
+    assert min(outcomes.values()) > 20, outcomes
     with pytest.raises(NonSymmetric):
         solve_negative_definite([[-1, 2], [0, -1]], (F(0), F(0)))
     with pytest.raises(NonSquare):
         solve_negative_definite([[1, 2]], (F(0),))
     with pytest.raises(DimensionMismatch):
         solve_negative_definite([[-1]], ())
+
+
+def chain(n):
+    """The Gram matrix of a chain of n (-2)-curves: negative definite, with
+    k-th leading minor (-1)^k (k + 1)."""
+    return [[F(-2) if i == j else F(int(abs(i - j) == 1)) for j in range(n)] for i in range(n)]
+
+
+def test_definite_solve_stops_at_the_first_wrong_minor(monkeypatch):
+    """Row k is pivoted only when the (k+1)-th leading minor has the sign
+    Sylvester's rule asks for. A 20 x 20 matrix whose (0,0) entry is
+    positive makes no pivot, one whose k-th leading minor is the first with
+    the wrong sign makes k - 1, and a definite one makes 20."""
+    from logsurf import exact
+
+    n, pivots = 20, []
+    monkeypatch.setattr(exact, "_pivot", recorded(pivots, exact._pivot))
+    assert not is_negative_definite(identity(n))
+    assert pivots == []
+    for k in (1, 2, 7, 19, 20):
+        m = chain(n)
+        m[k - 1][k - 1] = F(50)  # the k-th leading minor becomes (-1)^(k-1) (51k - 1)
+        minors = [_reference.rank_and_det(submatrix(m, range(j), range(j)))[1] for j in range(1, n + 1)]
+        assert [j for j, minor in enumerate(minors, 1) if minor * (-1) ** j <= 0][0] == k
+        v = tuple(F(j) for j in range(n))
+        for call in (is_negative_definite, lambda m: solve_negative_definite(m, v)):
+            pivots.clear()
+            assert not call(m)
+            assert len(pivots) == k - 1
+    pivots.clear()
+    assert is_negative_definite(chain(n))
+    assert len(pivots) == n
 
 
 def test_matrix_rank():
@@ -362,6 +431,42 @@ def test_matrix_rank():
         rows = [[sum(left[i][r] * right[r][j] for r in range(k)) for j in range(ncols)] for i in range(nrows)]
         rank = matrix_rank(rows)
         assert rank == minor_rank(rows) <= k
+
+
+def test_determinant_and_rank_match_fraction_elimination():
+    """Square and rectangular matrices of up to 12 rows and columns, with
+    rational entries, zero leading entries, a zero first column and forced
+    dependent rows, against Fraction elimination with row swaps."""
+    rng = random.Random(196831)
+    seen = Counter()
+    for _ in range(240):
+        nrows = rng.randint(1, 12)
+        ncols = nrows if rng.random() < 0.5 else rng.randint(1, 12)
+        rows = [
+            [rng.choice((0, rng.randint(-4, 4), F(rng.randint(-5, 5), rng.randint(1, 3)))) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        kind = rng.choice(("plain", "zero leads", "zero column", "repeat", "combination"))
+        if kind == "zero leads":
+            for row in rows[: rng.randint(1, nrows)]:
+                row[0] = 0
+        elif kind == "zero column":
+            for row in rows:
+                row[0] = 0
+        elif kind == "repeat":
+            rows[-1] = list(rows[0])
+        elif kind == "combination" and nrows > 2:
+            rows[-1] = [a - F(3, 2) * b for a, b in zip(rows[0], rows[1])]
+        rank, det = _reference.rank_and_det(rows)
+        assert matrix_rank(rows) == rank
+        if nrows == ncols:
+            assert determinant(rows) == det
+            seen["singular" if det == 0 else "nonsingular"] += 1
+        else:
+            seen["rectangular", rank < min(nrows, ncols)] += 1
+            with pytest.raises(NonSquare):
+                determinant(rows)
+    assert len(seen) == 4 and min(seen.values()) > 20, seen
 
 
 def test_lp_feasible_example():
