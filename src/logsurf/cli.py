@@ -174,7 +174,7 @@ def _poly_coeffs(args) -> tuple[Fraction, ...]:
         else:
             p = wps.parse_poly_human(args.expr, wps.FLAGSHIP_WEIGHTS)
         return wps.poly_to_coeffs(p)
-    except (ValueError, ParseError) as err:
+    except (InputError, UnicodeDecodeError) as err:
         raise ParseError(f"{'--poly' if args.poly else '--expr'}: {err}") from err
 
 

@@ -19,6 +19,7 @@ from logsurf.exact import (
     Frozen,
     InputError,
     Rational,
+    _shown,
     determinant,
     rat,
     solve_negative_definite,
@@ -449,6 +450,17 @@ def residue_search(value: Rational, moduli: Sequence[int]) -> dict[tuple[int, ..
     return hits
 
 
+def _count(lineno: int, what: str, token: str) -> int:
+    """A genus or node count of a graph line: ASCII digits that Python reads
+    as an int, or a GraphFormatError naming the line."""
+    try:
+        if token.isascii() and token.isdigit():
+            return int(token)
+    except ValueError:  # more digits than Python reads
+        pass
+    raise GraphFormatError(f"line {lineno}: bad {what} {_shown(token)}")
+
+
 def parse_graph(text: str) -> DualGraph:
     """Parse the plain-text graph format.
 
@@ -456,7 +468,8 @@ def parse_graph(text: str) -> DualGraph:
     lines: ``labelA -- labelB [multiplicity]``. ``#`` starts a comment.
     Self-intersections written as positive integers follow the display
     convention for resolution graphs and are negated on input; negative
-    values are taken literally.
+    values are taken literally. A fault names its line, and echoes each
+    token or label cut to 40 characters.
     """
     vertices: list[GraphVertex] = []
     edges: list[tuple[str, str]] = []
@@ -472,18 +485,20 @@ def parse_graph(text: str) -> DualGraph:
             if len(parts) not in (3, 4) or parts[1] != "--":
                 raise GraphFormatError(f"line {lineno}: expected 'A -- B [mult]'")
             if parts[0] == parts[2]:
-                raise GraphFormatError(f"line {lineno}: self-loop at {parts[0]}; record nodes via node_count instead")
+                raise GraphFormatError(
+                    f"line {lineno}: self-loop at {_shown(parts[0], str)}; record nodes via node_count instead"
+                )
             mult = 1
             if len(parts) == 4:
                 try:
                     mult = int(parts[3])
                 except ValueError as exc:
-                    raise GraphFormatError(f"line {lineno}: bad multiplicity {parts[3]!r}") from exc
+                    raise GraphFormatError(f"line {lineno}: bad multiplicity {_shown(parts[3])}") from exc
                 if mult < 1:
                     raise GraphFormatError(f"line {lineno}: multiplicity must be >= 1")
                 if mult > GRAPH_MAX_MULTIPLICITY:
                     raise GraphFormatError(
-                        f"line {lineno}: multiplicity {mult} is above the cap {GRAPH_MAX_MULTIPLICITY}"
+                        f"line {lineno}: multiplicity {_shown(mult)} is above the cap {GRAPH_MAX_MULTIPLICITY}"
                     )
             if len(edges) + mult > GRAPH_MAX_MULTIPLICITY:
                 raise GraphFormatError(
@@ -502,11 +517,11 @@ def parse_graph(text: str) -> DualGraph:
             )
         label = parts[0]
         if label in labels:
-            raise GraphFormatError(f"line {lineno}: duplicate vertex label {label}")
+            raise GraphFormatError(f"line {lineno}: duplicate vertex label {_shown(label, str)}")
         try:
             shown = int(parts[1])
         except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: bad self-intersection {parts[1]!r}") from exc
+            raise GraphFormatError(f"line {lineno}: bad self-intersection {_shown(parts[1])}") from exc
         if shown == 0:
             raise GraphFormatError(f"line {lineno}: self-intersection 0 is ambiguous in this format")
         self_int = -shown if shown > 0 else shown
@@ -515,9 +530,7 @@ def parse_graph(text: str) -> DualGraph:
         node_count = 0
         rest = parts[2:]
         if rest and rest[0].lstrip("-").isdigit():
-            if not (rest[0].isascii() and rest[0].isdigit()):
-                raise GraphFormatError(f"line {lineno}: bad genus {rest[0]!r}")
-            genus = int(rest[0])
+            genus = _count(lineno, "genus", rest[0])
             rest = rest[1:]
         for tok in rest:
             if tok == "boundary":
@@ -525,15 +538,12 @@ def parse_graph(text: str) -> DualGraph:
             elif tok == "node":
                 node_count = 1
             elif tok.startswith("node="):
-                count = tok.split("=", 1)[1]
-                if not (count.isascii() and count.isdigit()):
-                    raise GraphFormatError(f"line {lineno}: bad node count {count!r}")
-                node_count = int(count)
+                node_count = _count(lineno, "node count", tok.split("=", 1)[1])
             else:
-                raise GraphFormatError(f"line {lineno}: unknown flag {tok!r}")
+                raise GraphFormatError(f"line {lineno}: unknown flag {_shown(tok)}")
         vertices.append(GraphVertex(label, self_int, genus, is_exceptional, node_count))
         labels.add(label)
     for lineno, a, b in edge_lines:
         if a not in labels or b not in labels:
-            raise GraphFormatError(f"line {lineno}: edge ({a},{b}) references unknown vertex")
+            raise GraphFormatError(f"line {lineno}: edge ({_shown(a, str)},{_shown(b, str)}) references unknown vertex")
     return DualGraph(tuple(vertices), tuple(edges))

@@ -17,7 +17,7 @@ import re
 import sys
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 Rational = Fraction
 #: A matrix as a sequence of equal-length rows.
@@ -115,9 +115,9 @@ def rat(value: int | str | Rational) -> Rational:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def _shown(value: object) -> str:
-    """The repr of an input value, cut to 40 characters, for an error message."""
-    shown = repr(value)
+def _shown(value: object, form: Callable[[object], str] = repr) -> str:
+    """The repr (or ``form``) of an input value, cut to 40 characters, for an error message."""
+    shown = form(value)
     return shown if len(shown) <= 40 else shown[:37] + "..."
 
 
@@ -362,7 +362,7 @@ class FeasibilityResult(Frozen):
 
 def _simplex(tab: list[list[int]], basis: list[int], n: int, d: int) -> int | None:
     """Bland's rule on the structural columns 0..n-1 until the objective row
-    (the last row of tab) has no negative reduced cost. The integer table sits
+    (row len(basis) of tab) has no negative reduced cost. The integer table sits
     over the positive denominator d, so signs and ratios read off numerators.
     Returns the final denominator at the optimum, or None when an entering
     column is bounded by no constraint row (the objective is unbounded below)."""
@@ -385,6 +385,16 @@ def _simplex(tab: list[list[int]], basis: list[int], n: int, d: int) -> int | No
         basis[leave] = entering
 
 
+def _duals(
+    rows: list[list[int]], signs: list[int], basis: list[int], n: int, costs: Sequence[int | Rational]
+) -> tuple[Rational, ...]:
+    """y with y^T B = c_B (V. Chvatal, Linear Programming, 1983, ch. 7), then
+    row i's sign flip undone. Basic k gives B column k of rows if k < n, else
+    the unit column k - n, and c_B costs[k]."""
+    bt = [[row[k] for row in rows] if k < n else [int(i == k - n) for i in range(len(rows))] for k in basis]
+    return tuple(v if s > 0 else -v for s, v in zip(signs, solve_linear(bt, [costs[k] for k in basis])))
+
+
 def lp_feasible(
     a: Rows, b: Sequence[int | str | Rational], cost: Sequence[int | str | Rational] | None = None
 ) -> FeasibilityResult:
@@ -392,15 +402,17 @@ def lp_feasible(
     also minimize cost . x over it.
 
     Two-phase simplex with Bland's rule, so termination is guaranteed. The
-    tableau is [A | b] times D0, the lcm of its denominators, beside identity
-    artificial columns, pivoted fraction-free (see _pivot). The reduced costs
-    are one tableau row, pivoted with the constraint rows, and the artificial
-    columns carry the basis inverse, so every dual is read off that row.
-    Phase 1 minimizes the sum of artificials; a departed artificial never
-    re-enters. A positive phase-1 optimum gives the Farkas vector. Phase 2
-    starts from the phase-1 basis after pivoting every artificial still basic
-    (at level 0) out of its row; an artificial left behind sits on a
+    table is [A | b] times D0, the lcm of its denominators, pivoted
+    fraction-free (see _pivot). Artificial i has no column: it is basis entry
+    n + i until it leaves, and never re-enters. Below the rows sit the phase-1
+    row (cost 1 on each artificial) and, with a cost, the row C * cost, C the
+    lcm of its denominators, pivoted along so that phase 2 starts priced.
+    Phase 2 starts from the phase-1 basis after pivoting every artificial
+    still basic (at level 0) out of its row; one left behind sits on a
     redundant row, whose structural entries stay zero, so it stays at 0.
+    Both certificates solve y^T B = c_B on the final basis (_duals): the
+    Farkas vector of a positive phase-1 optimum under the phase-1 costs, and
+    the optimal dual under D0 * cost, as the rows are D0 times those of A.
     Raises UnboundedObjective when cost . x has no lower bound.
     """
     m, n = len(a), _width(a)
@@ -408,26 +420,24 @@ def lp_feasible(
         raise DimensionMismatch("b length does not match number of rows")
     if cost is not None and len(cost) != n:
         raise DimensionMismatch("cost length does not match number of columns")
-    # Columns: n structural, m artificial (identity), then the rhs. Rows with
-    # a negative rhs are negated so the artificial basis starts feasible.
+    # Rows with a negative rhs are negated so the artificial basis starts
+    # feasible. _pivot replaces rows and never changes one, so start keeps them.
     tab, scale = _integral([[*row, v] for row, v in zip(a, b)])
     signs = [-1 if row[n] < 0 else 1 for row in tab]
     tab = [[s * v for v in row] for s, row in zip(signs, tab)]
-    tab = [row[:n] + [int(k == i) for k in range(m)] + row[n:] for i, row in enumerate(tab)]
-    # Phase-1 costs are 1 on each artificial, 0 elsewhere.
-    obj = [-sum(row[j] for row in tab) for j in range(n + m + 1)]
-    obj[n : n + m] = [0] * m
-    tab.append(obj)
+    start = list(tab)
+    tab.append([-sum(row[j] for row in start) for j in range(n + 1)])
+    if cost is not None:
+        (costs,), cscale = _integral([cost])
+        tab.append([*costs, 0])
     basis = list(range(n, n + m))
     d = _simplex(tab, basis, n, 1)
     if d is None:
         raise AssertionError("phase-1 objective is bounded; no unbounded ray can appear")
     if tab[m][-1] != 0:
-        # y = (artificial costs) - (their reduced costs), with row flips undone.
-        return FeasibilityResult(
-            feasible=False, y=tuple(s * (1 - Fraction(tab[m][n + i], d)) for i, s in enumerate(signs))
-        )
+        return FeasibilityResult(feasible=False, y=_duals(start, signs, basis, n, [0] * n + [1] * m))
     if cost is not None:
+        del tab[m]
         for i in range(m):
             if basis[i] >= n:
                 j = next((j for j in range(n) if tab[i][j] != 0), None)
@@ -437,14 +447,6 @@ def lp_feasible(
                     if d < 0:
                         tab[:] = [[-v for v in row] for row in tab]
                         d = -d
-        # C * cost over the denominator d, C the lcm of the cost denominators,
-        # with the basic columns priced out.
-        (costs,), cscale = _integral([cost])
-        full = [c * d for c in costs] + [0] * (m + 1)
-        for i, bi in enumerate(basis):
-            if bi < n and costs[bi] != 0:
-                full = [x - costs[bi] * y for x, y in zip(full, tab[i])]
-        tab[m] = full
         d = _simplex(tab, basis, n, d)
         if d is None:
             raise UnboundedObjective("cost is unbounded below on the feasible set")
@@ -452,9 +454,7 @@ def lp_feasible(
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = Fraction(tab[i][-1], d)
-    # Artificial costs are 0 in phase 2, so the dual is minus their reduced
-    # costs, times D0 / C to undo the scaling of the rows and the costs.
-    y = None if cost is None else tuple(Fraction(-s * tab[m][n + i] * scale, d * cscale) for i, s in enumerate(signs))
+    y = None if cost is None else _duals(start, signs, basis, n, [Fraction(c * scale, cscale) for c in costs] + [0] * m)
     return FeasibilityResult(feasible=True, x=tuple(x), y=y)
 
 

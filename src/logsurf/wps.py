@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .exact import Frozen, InputError, Rational, _shown, matrix_rank, rat, read_rational
+from .exact import Frozen, InputError, ParseError, Rational, _shown, matrix_rank, rat, read_rational
 
 Exponents = tuple[int, int, int, int]
 
@@ -40,6 +40,10 @@ class NotHomogeneous(InputError, ValueError):
 
 class AllZero(InputError, ValueError):
     """Normal form of the identically zero polynomial is undefined."""
+
+
+class BadPoly(InputError, ValueError):
+    """Polynomial text, terms or a member that the readers reject."""
 
 
 def _weight_seq(weights: Weights | Sequence[int]) -> tuple[int, ...]:
@@ -94,14 +98,15 @@ def check_homogeneous(
 ) -> int:
     """Return the common weighted degree of ``terms`` or raise.
 
-    Raises NotHomogeneous when two terms disagree, and ValueError on an
-    empty term map (the zero polynomial has no well-defined degree).
+    Raises NotHomogeneous when two terms disagree, and BadPoly on a bad
+    exponent tuple or an empty term map (the zero polynomial has no
+    well-defined degree).
     """
     ws = _weight_seq(weights)
     degree: int | None = None
     for exp in terms:
         if len(exp) != len(ws) or any(e < 0 for e in exp):
-            raise ValueError(f"bad exponent tuple {exp!r}")
+            raise BadPoly(f"bad exponent tuple {exp!r}")
         d = sum(e * w for e, w in zip(exp, ws))
         if degree is None:
             degree = d
@@ -110,7 +115,7 @@ def check_homogeneous(
                 f"term {exp} has weighted degree {d}, expected {degree}"
             )
     if degree is None:
-        raise ValueError("no terms: the zero polynomial has no degree")
+        raise BadPoly("no terms: the zero polynomial has no degree")
     return degree
 
 
@@ -151,7 +156,7 @@ def coeffs_to_poly(coeffs: Sequence[Rational]) -> WeightedPoly:
 def poly_to_coeffs(p: WeightedPoly) -> tuple[Rational, ...]:
     """Read a degree-86 member of P(6, 11, 25, 43) back into its coefficient vector."""
     if p.weights != FLAGSHIP_WEIGHTS or p.degree != FLAGSHIP_DEGREE:
-        raise ValueError(f"expected degree 86 in P(6, 11, 25, 43), got {p.degree} in P{p.weights.w}")
+        raise BadPoly(f"expected degree 86 in P(6, 11, 25, 43), got {p.degree} in P{p.weights.w}")
     # m1..m6 are the whole degree-86 basis, so every term is one of them.
     return tuple(p.coeff(m) for m in COEFF_MONOMIALS)
 
@@ -688,7 +693,8 @@ def parse_poly(text: str) -> WeightedPoly:
 
     First line: ``weights`` followed by four integers.  Each further
     non-empty line: a rational coefficient then four exponents.
-    Comments start with '#'.  A bad coefficient or exponent names its line.
+    Comments start with '#'.  A fault of the weights line or of a term line
+    names its line, counting comments and blank lines.
     Both parsers read a member of degree 86, so an exponent e of x_i with
     e * w_i above 86 is rejected before any degree is formed from it.
     """
@@ -697,25 +703,34 @@ def parse_poly(text: str) -> WeightedPoly:
         for lineno, ln in enumerate(text.splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    head = lines[0][1].split() if lines else []
-    if head[:1] != ["weights"]:
-        raise ValueError("first line must be 'weights w0 w1 w2 w3'")
+    if not lines:
+        raise BadPoly("first line must be 'weights w0 w1 w2 w3'")
+    lineno, first = lines[0]
+    head = first.split()
+    if head[0] != "weights":
+        raise BadPoly(f"line {lineno}: first line must be 'weights w0 w1 w2 w3'")
     if len(head) != 5:
-        raise ValueError(f"line {lines[0][0]}: bad weights line: {_shown(lines[0][1])}")
-    weights = Weights(tuple(_int_token(lines[0][0], "weight", x) for x in head[1:]))
+        raise BadPoly(f"line {lineno}: bad weights line: {_shown(first)}")
+    try:
+        weights = Weights(tuple(_int_token(lineno, "weight", x) for x in head[1:]))
+    except BadWeights as err:
+        raise BadWeights(f"line {lineno}: {err}") from None
     terms: dict[Exponents, Rational] = {}
     for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 5:
-            raise ValueError(f"line {lineno}: bad term line: {_shown(ln)}")
-        coeff = read_rational(f"line {lineno}", parts[0])
+            raise BadPoly(f"line {lineno}: bad term line: {_shown(ln)}")
+        try:
+            coeff = read_rational(f"line {lineno}", parts[0])
+        except ParseError as err:
+            raise BadPoly(str(err)) from None
         exp = [_int_token(lineno, "exponent", x) for x in parts[1:]]
         if any(e < 0 for e in exp):
-            raise ValueError(f"line {lineno}: negative exponent in {_shown(ln)}")
+            raise BadPoly(f"line {lineno}: negative exponent in {_shown(ln)}")
         for i, (token, e, w) in enumerate(zip(parts[1:], exp, weights.w)):
             if e * w > FLAGSHIP_DEGREE:
                 shown = f"exponent {_shown(token)} of x{i}"
-                raise ValueError(f"line {lineno}: {shown} puts the degree above {FLAGSHIP_DEGREE}")
+                raise BadPoly(f"line {lineno}: {shown} puts the degree above {FLAGSHIP_DEGREE}")
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
     return WeightedPoly.build(weights, terms)
@@ -725,7 +740,7 @@ def _int_token(lineno: int, what: str, token: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"line {lineno}: bad {what} {_shown(token)}") from None
+        raise BadPoly(f"line {lineno}: bad {what} {_shown(token)}") from None
 
 
 _FACTOR_RE = re.compile(r"^x([0-3])(?:\^(\d+))?$")
@@ -745,7 +760,7 @@ def parse_poly_human(
             sign = Fraction(-1)
             chunk = chunk[1:]
         if not chunk:
-            raise ValueError("dangling sign in polynomial")
+            raise BadPoly("dangling sign in polynomial")
         coeff = sign
         exp = [0, 0, 0, 0]
         for factor in chunk.split("*"):
@@ -757,9 +772,9 @@ def parse_poly_human(
                 else:
                     coeff *= rat(factor)
             except ValueError as err:
-                raise ValueError(f"bad factor {_shown(factor)}") from err
+                raise BadPoly(f"bad factor {_shown(factor)}") from err
             if m and exp[i] * ws[i] > FLAGSHIP_DEGREE:
-                raise ValueError(f"factor {_shown(factor)} puts the degree above {FLAGSHIP_DEGREE}")
+                raise BadPoly(f"factor {_shown(factor)} puts the degree above {FLAGSHIP_DEGREE}")
         key = tuple(exp)
         terms[key] = terms.get(key, Fraction(0)) + coeff  # type: ignore[index]
     return WeightedPoly.build(weights, terms)

@@ -170,8 +170,21 @@ def _germ_graph_text(rng: random.Random) -> str:
 
 #: Lines that make a graph file malformed, each a fault the parser reports
 #: with its line: a self-loop, an edge to a missing vertex (which may come
-#: before every vertex line), a repeated label, and lines that do not parse.
-MALFORMED_LINES = ("V0 -- V0", "V0 -- W9", "V0 2", "V0 --", "V0 -- W9 x", "W1", "W1 two")
+#: before every vertex line), a repeated label, and lines that do not parse,
+#: some with a label or token of thousands of characters.
+MALFORMED_LINES = (
+    "V0 -- V0",
+    "V0 -- W9",
+    "V0 2",
+    "V0 --",
+    "V0 -- W9 x",
+    "W1",
+    "W1 two",
+    "V0 -- " + "W" * 3000,
+    "W1 " + "9" * 5000,
+    "W1 2 " + "9" * 5000,
+    "W1 2 " + "x" * 3000,
+)
 
 
 def germ_graphs(rng: random.Random, folder: Path, count: int) -> Iterator[list[str]]:

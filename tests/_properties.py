@@ -8,7 +8,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import _reference
 
@@ -211,6 +211,41 @@ def integer_classes(seed: int, cases: int) -> int:
         assert got == _reference.divisor_class(m, d)
         assert all(type(x) is Fraction for x in got)
     return cases
+
+
+def _blowup_view(m, d: QDivisor, plus: bool, labels) -> tuple:
+    """What a blow-up keeps of [K +] d: the volume, whether it is a
+    nonnegative visible combination, and the P-coefficient of each of labels
+    (None when the decomposition finds it not pseudo-effective)."""
+    try:
+        z = zariski(m, d, plus_canonical=plus)
+        p_coeffs = [z.positive_coeffs.coeff(lbl) for lbl in labels]
+    except NotPseudoEffective:
+        p_coeffs = None
+    return volume(m, d, plus_canonical=plus), psef_test(m, d, plus_canonical=plus).feasible, p_coeffs
+
+
+def blowup_invariance(rng: random.Random, m, d: QDivisor, plus: bool, blowups: int) -> int:
+    """Blow up m ``blowups`` times in a row, each time at a point where two
+    visible curves meet, with coefficients a and b in d. The new curve gets
+    max(0, a + b - 1) with K and a + b without, half of the time plus a
+    random slack. Then [K +] d pulls back to [K +] the new divisor minus an
+    effective exceptional divisor, which keeps the volume, the P-coefficient
+    of every old curve and pseudo-effectivity: each extension is compared
+    with m. Returns the number of comparisons."""
+    labels = sorted(m.visible)
+    want = _blowup_view(m, d, plus, labels)
+    steps, coeffs, model = m.steps, d.as_dict(), m
+    for _ in range(blowups):
+        a, b = rng.choice([pair for pair in combinations(sorted(model.visible), 2) if model.at(*pair) > 0])
+        steps += ((a, b),)
+        c = max(Fraction(0), coeffs.get(a, 0) + coeffs.get(b, 0) - (1 if plus else 0))
+        if rng.random() < 0.5:
+            c += Fraction(rng.randint(1, 4), rng.randint(1, 3))
+        coeffs[f"E{len(steps)}"] = c
+        model = build_from_recipe(BlowupRecipe(m.num_lines, steps))
+        assert _blowup_view(model, QDivisor.from_dict(coeffs), plus, labels) == want, (steps, coeffs)
+    return blowups
 
 
 def pet_certificates(seed: int, cases: int, max_steps: int = 17) -> int:

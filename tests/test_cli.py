@@ -606,15 +606,30 @@ def test_entry_points_report_bad_input_alike(tmp_path, change, message):
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n"), entry
 
 
-@pytest.mark.parametrize("fault", [KeyError, ValueError, ZeroDivisionError], ids=lambda e: e.__name__)
-def test_internal_error_is_not_bad_input(tmp_path, monkeypatch, capsys, fault):
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        *(pytest.param("scenario", e, id=e.__name__) for e in (KeyError, ValueError, ZeroDivisionError)),
+        # a ValueError of the program on the --poly/--expr path is not bad input either
+        pytest.param("--poly", ValueError, id="poly-ValueError"),
+        pytest.param("--expr", ValueError, id="expr-ValueError"),
+    ],
+)
+def test_internal_error_is_not_bad_input(tmp_path, monkeypatch, capsys, entry, fault):
     def broken(*args, **kwargs):
         raise fault("internal")
 
-    monkeypatch.setattr("logsurf.scenario.volume", broken)
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(TINY_SCENARIO))
-    code, out, err = run(capsys, "scenario", str(path))
+    if entry == "scenario":
+        monkeypatch.setattr("logsurf.scenario.volume", broken)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY_SCENARIO))
+        argv = ["scenario", str(path)]
+    else:
+        monkeypatch.setattr("logsurf.wps.poly_to_coeffs", broken)
+        path = tmp_path / "member.poly"
+        path.write_text("weights 6 11 25 43\n1 0 0 0 2\n1 0 1 3 0\n")
+        argv = ["wps", "analyze", entry, str(path) if entry == "--poly" else "x3^2 + x2^3*x1"]
+    code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("Traceback (most recent call last):")
     assert err.splitlines()[-1].startswith(f"{fault.__name__}: ")
@@ -1554,6 +1569,7 @@ def test_zero_denominator_is_bad_input(capsys, argv, message):
         (("wps", "analyze", "--expr", "x3^2 + " + "y" * 100), f"--expr: bad factor '{'y' * 36}..."),
         (("wps", "analyze", "--expr", "x3^" + "9" * 5000), f"--expr: bad factor 'x3^{'9' * 33}..."),
         (("wps", "analyze", "--expr", "x3^" + "9" * 4299), f"--expr: factor 'x3^{'9' * 33}... puts the degree above 86"),
+        (("wps", "analyze", "--expr", "0"), "--expr: no terms: the zero polynomial has no degree"),
     ],
 )
 def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
@@ -1565,9 +1581,16 @@ def test_cli_flags_name_themselves_in_errors(capsys, argv, message):
 def test_poly_file_errors_name_the_flag(tmp_path, capsys):
     f = tmp_path / "member.poly"
     for text, message in (
-        ("1 0 0 0 2\n", "first line must be 'weights w0 w1 w2 w3'"),
-        ("weightsXYZ 6 11 25 43\n1 0 0 0 2\n", "first line must be 'weights w0 w1 w2 w3'"),
-        ("weights 0 1 5 7\n1 0 0 0 2\n", "weights must be positive, got (0, 1, 5, 7)"),
+        ("1 0 0 0 2\n", "line 1: first line must be 'weights w0 w1 w2 w3'"),
+        ("weightsXYZ 6 11 25 43\n1 0 0 0 2\n", "line 1: first line must be 'weights w0 w1 w2 w3'"),
+        ("weights 0 1 5 7\n1 0 0 0 2\n", "line 1: weights must be positive, got (0, 1, 5, 7)"),
+        # a header fault names the first line that is not a comment or blank
+        ("# member\n\n1 0 0 0 2\n", "line 3: first line must be 'weights w0 w1 w2 w3'"),
+        ("# m\nweights 0 1 5 7\n", "line 2: weights must be positive, got (0, 1, 5, 7)"),
+        ("\n# m\nweights 6 11 14 43\n", "line 3: weights 6 and 14 share the factor 2"),
+        # a file with no such line has no line to name
+        ("", "first line must be 'weights w0 w1 w2 w3'"),
+        ("# member\n\n", "first line must be 'weights w0 w1 w2 w3'"),
         # x3^2 in P(1, 2, 3, 5): not a member of the degree-86 family
         ("weights 1 2 3 5\n1 0 0 0 2\n", "expected degree 86 in P(6, 11, 25, 43), got 10 in P(1, 2, 3, 5)"),
         ("weights 6 11 25 43\n1/0 0 0 0 2\n", "line 2: not an exact rational: '1/0' (zero denominator)"),
@@ -1589,6 +1612,11 @@ def test_poly_file_errors_name_the_flag(tmp_path, capsys):
             code, out, err = run(capsys, "wps", command, "--poly", str(f))
             assert code == 2 and out == ""
             assert err.strip() == f"error: --poly: {message}"
+    # a file that is not UTF-8 is bad input too, and names the flag
+    f.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "wps", "analyze", "--poly", str(f))
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: --poly: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 @pytest.mark.parametrize(
@@ -1933,7 +1961,8 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
         elif source == "flags":
             assert re.search(r"--[a-z]", message), (argv, err)
         if kind == "GraphFormatError":
-            assert message.startswith("line "), (argv, err)
+            # it names its line, and echoes no token or label of more than 40 characters
+            assert message.startswith("line ") and len(message) <= 160, (argv, err)
             malformed += 1
     # none of the generators is vacuous
     assert malformed > 10

@@ -419,6 +419,17 @@ def test_parse_graph_errors():
         ("a 2\nb 2\na -- c\nc 2\nb -- d", "line 5: edge (b,d) references unknown vertex"),
         ("a -- d\na 2\nb 2", "line 1: edge (a,d) references unknown vertex"),
         ("a 2\nb 2\n\na 3", "line 4: duplicate vertex label a"),
+        # a token is echoed cut to 40 characters, and a label the same way without quotes
+        pytest.param("A " + "9" * 5000, f"line 1: bad self-intersection '{'9' * 36}...", id="long square"),
+        pytest.param("A 2 " + "x" * 3000, f"line 1: unknown flag '{'x' * 36}...", id="long flag"),
+        pytest.param("A 2 " + "9" * 5000, f"line 1: bad genus '{'9' * 36}...", id="long genus"),
+        pytest.param("A 2 node=" + "9" * 5000, f"line 1: bad node count '{'9' * 36}...", id="long node count"),
+        pytest.param("A 2\nB 2\nA -- B " + "x" * 3000, f"line 3: bad multiplicity '{'x' * 36}...", id="long multiplicity"),
+        pytest.param("A 2\nB 2\nA -- B " + "9" * 4000, f"line 3: multiplicity {'9' * 37}... is above the cap {GRAPH_MAX_MULTIPLICITY}", id="multiplicity of 4000 digits"),
+        pytest.param("A 2\nA -- " + "b" * 3000, f"line 2: edge (A,{'b' * 37}...) references unknown vertex", id="long label"),
+        pytest.param("A 2\nA -- " + "b" * 40, f"line 2: edge (A,{'b' * 40}) references unknown vertex", id="label of 40"),
+        pytest.param("b" * 41 + " 2\n" + "b" * 41 + " 3", f"line 2: duplicate vertex label {'b' * 37}...", id="long duplicate label"),
+        pytest.param("c" * 3000 + " -- " + "c" * 3000, f"line 1: self-loop at {'c' * 37}...; record nodes via node_count instead", id="long self-loop"),
     ],
 )
 def test_parse_graph_faults_name_their_line(text, message):

@@ -654,6 +654,9 @@ def recorded(calls: list, fn):
 
 @pytest.mark.parametrize("scenario, pivots", [("ex-825", 18), ("ex-462", 19)])
 def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
+    """The simplex pivots its own table as the reference does. The optimal
+    dual of ex-462's LP is one solve on the final basis, which pivots a table
+    of its own; ex-825's LP is a feasibility test and needs none."""
     from logsurf import exact, positivity
     from logsurf.scenario import run_scenario
 
@@ -666,8 +669,10 @@ def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
     monkeypatch.setattr(exact, "_pivot", recorded(got, exact._pivot))
     monkeypatch.setattr(_reference, "_pivot", recorded(want, _reference._pivot))
     assert lp_feasible(*args, **kwargs) == _reference.lp_feasible(*args, **kwargs)
-    assert [call[0][1:3] for call in got] == [call[0][1:3] for call in want]
-    assert len(got) == pivots
+    simplex = [call for call in got if call[0][0] is got[0][0][0]]
+    assert [call[0][1:3] for call in simplex] == [call[0][1:3] for call in want]
+    dual_pivots = {"ex-825": 0, "ex-462": 12}[scenario]
+    assert (len(simplex), len(got) - len(simplex)) == (pivots, dual_pivots)
 
 
 def test_rationals_come_out_as_fractions():

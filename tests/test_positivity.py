@@ -439,6 +439,30 @@ def test_zariski_matches_the_per_round_reference_flagship_size():
     assert _properties.zariski_matches_reference(seed=20261020, cases=40) == 40
 
 
+def test_blowup_invariance(ex462, ex825):
+    """Blowing up a point where two visible curves meet keeps the volume, the
+    P-coefficient of every old curve and pseudo-effectivity: on the divisor
+    of each built-in's volume check, then on seeded flagship-size recipes
+    (for K + D, D plus every visible curve once, which is big half of the
+    time), each with K and without."""
+    rng = random.Random(20261021)
+    done = big = 0
+    for builtin in (ex462, ex825):
+        check = next(c for c in builtin.data["checks"] if c["kind"] == "volume")
+        d = builtin.divisors[check["divisor"]]
+        for plus in (True, False):
+            for _ in range(3):
+                done += _properties.blowup_invariance(rng, builtin.model, d, plus, blowups=6)
+    for _ in range(30):
+        m = build_from_recipe(_properties.random_recipe(rng, max_steps=17))
+        d = _properties.random_effective_divisor(rng, sorted(m.visible))
+        log_d = d.add(QDivisor.from_dict({lbl: 1 for lbl in m.visible}))
+        for plus, div in ((True, log_d), (False, d)):
+            big += volume(m, div, plus_canonical=plus) > 0
+            done += _properties.blowup_invariance(rng, m, div, plus, blowups=rng.randint(1, 4))
+    assert done > 150 and big > 20
+
+
 @pytest.mark.parametrize("name, support", [("ex-462", 10), ("ex-825", 15)])
 def test_replay_pivots_each_support_curve_once(name, support, monkeypatch):
     """The one decomposition of a built-in replay pivots once per curve of its
@@ -479,6 +503,24 @@ def test_one_at_a_time_at_the_size_cap():
     assert time.perf_counter() - start < 3.0
     assert z_one.negative_part == z.negative_part
     assert len(z.negative_part.coeffs) > 100
+
+
+def test_psef_lp_at_the_size_cap():
+    """K + D on the recipe above is not a nonnegative visible combination, so
+    the LP ends on a 197-row basis and its Farkas vector comes from one dual
+    solve on that basis: y.C <= 0 for every visible curve and y.(K + D) > 0.
+    It takes 1.0-1.2 s on a shared 2-core host, where carrying an identity
+    block through every pivot took 1.4-1.6 s."""
+    rng = random.Random(20261020)
+    m = build_from_recipe(_properties.random_recipe(rng, max_lines=4, max_steps=196, full=True))
+    d = _properties.random_effective_divisor(rng, sorted(m.visible))
+    start = time.perf_counter()
+    res = psef_test(m, d, plus_canonical=True)
+    assert time.perf_counter() - start < 10.0
+    assert not res.feasible and res.x is None and len(res.y) == m.rank == 197
+    for lbl in m.visible:
+        assert sum(a * c for a, c in zip(res.y, m.visible_class(lbl))) <= 0
+    assert sum(a * c for a, c in zip(res.y, divisor_class(m, d, plus_canonical=True))) > 0
 
 
 def test_scenario_replay_runs_each_decomposition_once(monkeypatch):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from logsurf import wps
+from logsurf.exact import InputError
 from logsurf.wps import (
     COEFF_MONOMIALS,
     FLAGSHIP_DEGREE,
@@ -646,6 +647,41 @@ def test_parse_poly_errors():
         parse_poly("1 0 0 0 2\n")  # missing header
     with pytest.raises(ValueError):
         parse_poly("weights 6 11 25 43\n1 0 0 2\n")  # short term line
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_poly(""),
+        lambda: parse_poly("1 0 0 0 2\n"),
+        lambda: parse_poly("weights 6 11 25\n"),
+        lambda: parse_poly("weights 6 11 25 x\n"),
+        lambda: parse_poly("weights 0 11 25 43\n"),
+        lambda: parse_poly("weights 6 11 25 43\n1 0 0 2\n"),
+        lambda: parse_poly("weights 6 11 25 43\nx 0 0 0 2\n"),
+        lambda: parse_poly("weights 6 11 25 43\n1 0 0 -1 2\n"),
+        lambda: parse_poly("weights 6 11 25 43\n1 0 0 0 3\n"),
+        lambda: parse_poly("weights 6 11 25 43\n1 0 0 1 1\n1 0 0 0 2\n"),
+        lambda: parse_poly_human("x3^2 + + x1", FLAGSHIP_WEIGHTS),
+        lambda: parse_poly_human("x3^2 + y", FLAGSHIP_WEIGHTS),
+        lambda: parse_poly_human("x3^3", FLAGSHIP_WEIGHTS),
+        lambda: parse_poly_human("0", FLAGSHIP_WEIGHTS),
+        lambda: check_homogeneous({}, FLAGSHIP_WEIGHTS),
+        lambda: check_homogeneous({(0, 0, -1, 2): F(1)}, FLAGSHIP_WEIGHTS),
+        lambda: poly_to_coeffs(WeightedPoly.build((1, 2, 3, 5), {(0, 0, 0, 2): 1})),
+    ],
+    ids=[
+        "empty", "no header", "short header", "bad weight", "zero weight", "short term", "bad coefficient",
+        "negative exponent", "exponent over 86", "not homogeneous", "dangling sign", "bad factor",
+        "factor over 86", "zero", "no terms", "bad exponent tuple", "not degree 86",
+    ],
+)
+def test_poly_reader_faults_are_bad_input(call):
+    """A fault of the readers is an InputError, so the command line can tell
+    it from a fault of the program; it stays a ValueError for callers."""
+    with pytest.raises(InputError) as err:
+        call()
+    assert isinstance(err.value, ValueError)
 
 
 def test_parse_poly_human():
