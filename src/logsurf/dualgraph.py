@@ -34,10 +34,6 @@ class InvalidChain(InputError):
     pass
 
 
-class NotNegativeDefinite(InputError):
-    pass
-
-
 class UnclassifiableShape(Exception):
     pass
 
@@ -257,7 +253,7 @@ def solve_discrepancies(g: DualGraph) -> dict[str, Rational]:
 
     Uses K.C = 2 p_a(C) - 2 - C^2. Non-exceptional vertices enter with
     coefficient 1. The exceptional intersection matrix must be negative
-    definite, which makes the solution unique.
+    definite, which makes the solution unique (NotNegativeDefinite otherwise).
     """
     exc = g.exceptional_labels()
     bnd = g.boundary_labels()
@@ -270,10 +266,7 @@ def solve_discrepancies(g: DualGraph) -> dict[str, Rational]:
         k_dot = 2 * v.arithmetic_genus - 2 - v.self_int
         bterm = sum(g.edge_multiplicity(b, lbl) for b in bnd)
         rhs.append(Fraction(-k_dot - bterm))
-    sol = solve_negative_definite(intersection_matrix(sub), tuple(rhs))
-    if sol is None:
-        raise NotNegativeDefinite("exceptional intersection matrix is not negative definite")
-    return dict(zip(exc, sol))
+    return dict(zip(exc, solve_negative_definite(intersection_matrix(sub), tuple(rhs))))
 
 
 class GermClassification(Frozen):
@@ -338,7 +331,9 @@ def classify_germ(g: DualGraph) -> GermClassification:
     b (cycle of rational curves), c (chain with a (-2)-pair at each end),
     or d (fork whose branch determinants are (2,3,6), (2,4,4) or (3,3,3)).
     The labels describe minimal resolutions: a graph with a smooth rational
-    (-1)-curve gets none.
+    (-1)-curve gets none. This is the one gate of a germ: Disconnected when
+    the graph is not connected, NotNegativeDefinite when its exceptional
+    curves are not negative definite.
     """
     info = shape(g)  # also the connectivity gate
     bnd = g.boundary_labels()
@@ -393,8 +388,6 @@ def contract_and_square(g: DualGraph, contracted: Iterable[str], curve: str) -> 
     sub = g.subgraph(cset)
     v = tuple(Fraction(g.edge_multiplicity(curve, lbl)) for lbl in cset)
     x = solve_negative_definite(intersection_matrix(sub), v)
-    if x is None:
-        raise NotNegativeDefinite("contracted configuration is not negative definite")
     return Fraction(g.vertex(curve).self_int) - sum((xi * vi for xi, vi in zip(x, v)), Fraction(0))
 
 

@@ -60,6 +60,11 @@ class DimensionMismatch(Exception):
     pass
 
 
+class NotNegativeDefinite(InputError):
+    """A symmetric matrix that a definite solve needs negative definite, and
+    is not: a curve set with this intersection matrix does not contract."""
+
+
 class NotStrictlyConvex(InputError):
     pass
 
@@ -253,12 +258,12 @@ def solve_linear(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, 
     return tuple(Fraction(row[n], d) for _, row in sorted(zip(cols, tab)))
 
 
-def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...] | None:
-    """Solve m @ x = v when the symmetric m is negative definite; None when it is not.
+def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...]:
+    """Solve m @ x = v for a negative definite symmetric m.
 
     Row j is bordered and pivoted in column j (_grow_definite), so Sylvester's
-    test reads each leading minor as it appears, and the first with the wrong
-    sign, or zero, stops the elimination there.
+    test reads each leading minor as it appears. The first with the wrong
+    sign, or zero, stops the elimination, and NotNegativeDefinite names it.
     """
     rows = _system(m, v)
     n = len(rows)
@@ -268,7 +273,7 @@ def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple
     for j, row in enumerate(rows):
         d = _grow_definite(tab, cols, row, j, d)
         if d is None:
-            return None
+            raise NotNegativeDefinite(f"not negative definite: leading minor {j + 1} of {n} has the wrong sign")
     return tuple(Fraction(row[n], d) for row in tab)
 
 
@@ -288,7 +293,11 @@ def determinant(m: Rows) -> Rational:
 
 def is_negative_definite(m: Rows) -> bool:
     """Sylvester test; see solve_negative_definite."""
-    return solve_negative_definite(m, (0,) * len(m)) is not None
+    try:
+        solve_negative_definite(m, (0,) * len(m))
+    except NotNegativeDefinite:
+        return False
+    return True
 
 
 def matrix_rank(m: Rows) -> int:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from logsurf.dualgraph import Disconnected, DualGraph, GraphVertex, _components
-from logsurf.exact import Frozen, InputError, Rational, is_negative_definite, rat
+from logsurf.dualgraph import DualGraph, GraphVertex
+from logsurf.exact import Frozen, InputError, Rational, rat
 
 
 #: Most visible curves (lines plus blow-up steps) a recipe may ask for. The
@@ -31,10 +31,6 @@ class UnknownLabel(InputError):
 
 
 class PairNotIncident(InputError):
-    pass
-
-
-class NotContractible(InputError):
     pass
 
 
@@ -246,12 +242,13 @@ def germ_of_cluster(
     cluster: Iterable[str],
     boundary: Iterable[str] = (),
 ) -> DualGraph:
-    """Export a contractible cluster of visible curves as a dual graph.
+    """Export a cluster of visible curves as a dual graph.
 
     Cluster curves become exceptional vertices, boundary curves plain ones.
     Edges come from pairwise intersection numbers, so the graph's Gram matrix
-    reproduces the lattice one. The cluster must be negative definite
-    (NotContractible otherwise) and the whole picture connected.
+    reproduces the lattice one. This only exports: classify_germ checks that
+    the picture is connected (Disconnected) and the cluster negative definite
+    (NotNegativeDefinite).
     """
     cl = list(dict.fromkeys(cluster))
     bd = [b for b in dict.fromkeys(boundary) if b not in cl]
@@ -260,8 +257,6 @@ def germ_of_cluster(
         GraphVertex(lbl, m.at(lbl, lbl), genus=0, is_exceptional=i < len(cl))
         for i, lbl in enumerate(labels)
     ]
-    if not is_negative_definite(m.matrix(cl)):
-        raise NotContractible("cluster intersection matrix is not negative definite")
     edges: list[tuple[str, str]] = []
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
@@ -269,8 +264,5 @@ def germ_of_cluster(
             if prod < 0:
                 raise ValueError(f"unexpected intersection {prod} between {a} and {b}")
             edges.extend([(a, b)] * prod)
-    g = DualGraph(tuple(verts), tuple(edges))
-    if len(_components(g.adjacency())) > 1:
-        raise Disconnected("cluster plus boundary is not connected")
-    return g
+    return DualGraph(tuple(verts), tuple(edges))
 

@@ -19,17 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from logsurf.dualgraph import (
-    DualGraph,
-    GermClassification,
-    NotNegativeDefinite,
-    _components,
-    classify_germ,
-)
+from logsurf.dualgraph import DualGraph, GermClassification, _components, classify_germ
 from logsurf.exact import (
     FeasibilityResult,
     Frozen,
     InputError,
+    NotNegativeDefinite,
     Rational,
     _grow_definite,
     lp_feasible,
@@ -302,7 +297,8 @@ def pullback_after_contraction(
     Solves for coefficients on the contracted curves so that K plus the
     total meets each of them in zero: K plus the returned divisor is the
     numerical pullback of the image of K + d from the contracted surface.
-    d must be supported away from the contracted set.
+    d must be supported away from the contracted set, and that set must be
+    negative definite (NotNegativeDefinite otherwise).
     """
     cset = list(dict.fromkeys(contracted))
     dd = qdiv(d) if d is not None else QDivisor(())
@@ -310,8 +306,6 @@ def pullback_after_contraction(
         raise ValueError("divisor must be supported away from the contracted curves")
     t_dot = m.dots(dd, cset, plus_canonical=True)
     sol = solve_negative_definite(m.matrix(cset), tuple(-t_dot[lbl] for lbl in cset))
-    if sol is None:
-        raise NotNegativeDefinite("contracted set is not negative definite")
     return dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
 
 
@@ -326,17 +320,17 @@ class ContractionReport(Frozen):
 def contraction_report(
     m: SurfaceModel, d: QDivisor | Mapping, plus_canonical: bool = False
 ) -> ContractionReport:
-    """What the ample model of [K +] d contracts, cluster by cluster."""
+    """What the ample model of [K +] d contracts, cluster by cluster.
+
+    The contracted curves are exported once (germ_of_cluster); each cluster
+    is a connected component of that graph, and classify_germ checks that it
+    is negative definite (NotNegativeDefinite otherwise).
+    """
     z = zariski(m, d, plus_canonical)
     contracted = tuple(sorted(lbl for lbl, v in z.positive_dots.items() if v == 0))
-    adj: dict[str, list[str]] = {lbl: [] for lbl in contracted}
-    for i, x in enumerate(contracted):
-        for y in contracted[i + 1 :]:
-            if m.at(x, y) > 0:
-                adj[x].append(y)
-                adj[y].append(x)
-    clusters = sorted(tuple(sorted(comp)) for comp in _components(adj))
-    germs = tuple(germ_of_cluster(m, cl) for cl in clusters)
+    whole = germ_of_cluster(m, contracted)
+    clusters = sorted(tuple(sorted(comp)) for comp in _components(whole.adjacency()))
+    germs = tuple(whole.subgraph(cl) for cl in clusters)
     return ContractionReport(
         contracted=contracted,
         clusters=tuple(clusters),

@@ -5,7 +5,8 @@ Each generator takes a ``random.Random`` and yields argument vectors for
 
 - ``scenario_mutants``: the two built-in scenarios with one to three
   mutations each (a subtree replaced by an atom, a key or item deleted, two
-  subtrees swapped, a sign or fraction flipped), written as files;
+  subtrees swapped, a sign or fraction flipped, a curve list replaced by a
+  random sample of the recipe's curves), written as files;
 - ``germ_graphs``: dual-graph files: single curves of genus 1, cycles,
   chains with corner leaves and forks with chain branches, which reach every
   case of the list of lc germs, and random trees and graphs with cycles of
@@ -64,12 +65,21 @@ def _flip(value: Any) -> Any:
     return value[1:] if value.startswith("-") else f"-{value}"
 
 
-def _mutate(rng: random.Random, obj: dict) -> dict:
+#: Keys of the curve lists that decide which curves a germ gate or a
+#: contraction sees.
+CURVE_LISTS = ("cluster", "boundary_curves", "contract")
+
+
+def _mutate(rng: random.Random, obj: dict, curves: list[str]) -> dict:
     paths = list(_paths(obj))[1:]
-    kind = rng.choice(("atom", "delete", "swap", "flip"))
+    kind = rng.choice(("atom", "delete", "swap", "flip", "curves"))
+    if kind == "curves":
+        paths = [p for p in paths if p[-1] in CURVE_LISTS and isinstance(_at(obj, p), list)] or paths
     path = rng.choice(paths)
     parent, key = _at(obj, path[:-1]), path[-1]
-    if kind == "atom":
+    if kind == "curves":
+        parent[key] = rng.sample(curves, rng.randint(1, len(curves)))
+    elif kind == "atom":
         parent[key] = copy.deepcopy(rng.choice(ATOMS))
     elif kind == "delete":
         del parent[key]
@@ -92,8 +102,10 @@ def scenario_mutants(rng: random.Random, folder: Path, count: int) -> Iterator[l
     originals = {name: builtin_scenario_text(name) for name in sorted(BUILTIN_CHECKSUMS)}
     for k in range(count):
         obj = json.loads(originals[rng.choice(sorted(originals))])
+        recipe = obj["recipe"]
+        curves = [f"L{i}" for i in range(recipe["lines"])] + [f"E{s}" for s in range(1, len(recipe["steps"]) + 1)]
         for _ in range(rng.randint(1, 3)):
-            obj = _mutate(rng, obj)
+            obj = _mutate(rng, obj, curves)
         path = folder / f"mutant{k}.json"
         path.write_text(json.dumps(obj), encoding="utf-8")
         yield _with_json(rng, ["scenario", str(path)])

@@ -13,17 +13,34 @@ from itertools import combinations, product
 import _reference
 
 from logsurf.dualgraph import (
+    Disconnected,
     DualGraph,
     GraphVertex,
-    NotNegativeDefinite,
+    classify_germ,
     cyclic_type,
     graph_determinant,
     intersection_matrix,
     solve_discrepancies,
 )
-from logsurf.exact import lp_feasible
-from logsurf.lattice import BlowupRecipe, QDivisor, build_from_recipe, divisor_class
-from logsurf.positivity import NegativeCoefficient, NotPseudoEffective, pet, psef_test, volume, zariski
+from logsurf.exact import NotNegativeDefinite, lp_feasible
+from logsurf.lattice import (
+    RECIPE_MAX_CURVES,
+    BlowupRecipe,
+    QDivisor,
+    build_from_recipe,
+    divisor_class,
+    germ_of_cluster,
+    log_pullback,
+)
+from logsurf.positivity import (
+    NegativeCoefficient,
+    NotPseudoEffective,
+    contraction_report,
+    pet,
+    psef_test,
+    volume,
+    zariski,
+)
 from logsurf.wps import (
     WeightedPoly,
     _eliminants,
@@ -281,6 +298,77 @@ def pet_certificates(seed: int, cases: int, max_steps: int = 17) -> int:
         assert sum(a * c for a, c in zip(y, at(r.value))) >= 0
         positive += 1
     return positive
+
+
+def _connected(m, labels) -> bool:
+    """Whether the curves meet in one connected picture: a breadth-first
+    search over the model's intersection numbers."""
+    seen, todo = {labels[0]}, [labels[0]]
+    while todo:
+        a = todo.pop()
+        for b in labels:
+            if b not in seen and m.at(a, b) > 0:
+                seen.add(b)
+                todo.append(b)
+    return len(seen) == len(labels)
+
+
+def germ_gate(seed: int, cases: int) -> Counter:
+    """classify_germ is the one gate of an exported germ. On random recipes
+    with a random cluster and boundary, classify_germ(germ_of_cluster(...))
+    raises Disconnected exactly when cluster and boundary do not meet in one
+    connected picture; otherwise NotNegativeDefinite exactly when the
+    Fraction LDL^T says the cluster's matrix is not negative definite,
+    naming its first wrong leading minor; otherwise it classifies. Counts
+    the outcomes, with "zero minor" for a rejection at a leading minor that
+    vanishes: a semidefinite cluster."""
+    rng = random.Random(seed)
+    seen: Counter = Counter()
+    for _ in range(cases):
+        m = build_from_recipe(random_recipe(rng, max_lines=5, max_steps=10))
+        labels = sorted(m.visible)
+        picked = rng.sample(labels, rng.randint(1, min(6, len(labels))))
+        split = rng.randint(1, len(picked))
+        cl, bd = picked[:split], picked[split:]
+        g = germ_of_cluster(m, cl, bd)
+        wrong = _reference.first_wrong_minor(m.matrix(cl))
+        if not _connected(m, picked):
+            outcome = "disconnected"
+            try:
+                classify_germ(g)
+            except Disconnected:
+                pass
+            else:
+                raise AssertionError(f"{cl} + {bd}: not connected, yet classified")
+        elif wrong is not None:
+            try:
+                classify_germ(g)
+            except NotNegativeDefinite as err:
+                assert f"leading minor {wrong} of {len(cl)} " in str(err), (cl, err)
+            else:
+                raise AssertionError(f"{cl}: not negative definite, yet classified")
+            minor = _reference.rank_and_det(m.matrix(cl[:wrong]))[1]
+            outcome = "zero minor" if minor == 0 else "wrong sign"
+        else:
+            outcome = "classified"
+            assert set(classify_germ(g).discrepancy_coeffs) == set(cl)
+        seen[outcome] += 1
+    return seen
+
+
+def contraction_germs_at_cap(seed: int) -> tuple[int, int]:
+    """At the recipe cap (5 lines and 195 blow-ups), contraction_report of the
+    log pullback of K + every line, which has volume 4, exports the
+    contracted curves once; its germs equal those of germ_of_cluster on each
+    cluster. Returns (contracted curves, clusters)."""
+    rng = random.Random(seed)
+    m = build_from_recipe(random_recipe(rng, max_lines=5, max_steps=RECIPE_MAX_CURVES - 5, full=True))
+    assert len(m.visible) == RECIPE_MAX_CURVES
+    d = log_pullback(m, [1] * 5)[0]
+    assert volume(m, d, plus_canonical=True) == 4
+    rep = contraction_report(m, d, plus_canonical=True)
+    assert rep.cluster_germs == tuple(germ_of_cluster(m, cl) for cl in rep.clusters)
+    return len(rep.contracted), len(rep.clusters)
 
 
 def random_tree(rng: random.Random, max_vertices: int = 7) -> DualGraph:

@@ -123,17 +123,30 @@ def _pivot(tab: list[list[Fraction]], r: int, j: int) -> None:
             tab[i] = [x - f * y for x, y in zip(row, prow)]
 
 
-def negative_definite_solve(m: Rows, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """x with m @ x = v for the symmetric m, or None when m is not negative
-    definite. Pivot k, taken on the diagonal in order, is entry k of D in
-    m = L D L^T, and m is negative definite exactly when every one is < 0."""
-    n = len(m)
+def _ldl(m: Rows, v: Sequence[Fraction]) -> tuple[list[list[Fraction]], int | None]:
+    """Diagonal pivots, in order, on [m | v] for the symmetric m. Pivot k is
+    entry k of D in m = L D L^T, the ratio of the k-th leading minor to the
+    one before it. Returns the table and the first k (from 1) whose pivot is
+    not < 0, so that the k-th leading minor is the first to break Sylvester's
+    rule, or None when every pivot is < 0: m is negative definite."""
     tab = [[rat(x) for x in row] + [rat(b)] for row, b in zip(m, v)]
-    for k in range(n):
+    for k in range(len(m)):
         if tab[k][k] >= 0:
-            return None
+            return tab, k + 1
         _pivot(tab, k, k)
-    return tuple(row[n] for row in tab)
+    return tab, None
+
+
+def negative_definite_solve(m: Rows, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """x with m @ x = v for the symmetric m, or None when m is not negative definite."""
+    tab, wrong = _ldl(m, v)
+    return None if wrong else tuple(row[-1] for row in tab)
+
+
+def first_wrong_minor(m: Rows) -> int | None:
+    """The k of the first leading minor of the symmetric m whose sign breaks
+    Sylvester's rule, or None when m is negative definite."""
+    return _ldl(m, [0] * len(m))[1]
 
 
 def rank_and_det(m: Rows) -> tuple[int, Fraction]:

@@ -456,7 +456,7 @@ def test_disconnected_germ_is_bad_input(tmp_path, capsys):
     path.write_text(json.dumps({**THREE_LINES, "checks": [check]}))
     code, out, err = run(capsys, "scenario", str(path))
     assert code == 2 and out == ""
-    assert err.strip() == "error (Disconnected): checks[0]: cluster plus boundary is not connected"
+    assert err.strip() == "error (Disconnected): checks[0]: 2 components: [['E1'], ['L2']]"
 
     graph = tmp_path / "two.graph"
     graph.write_text("E 2\nF 2\n")
@@ -470,11 +470,20 @@ def test_disconnected_germ_is_bad_input(tmp_path, capsys):
     [
         (
             {**CONTRACTION, "divisor": "Z"},
-            "error (NotContractible): checks[1]: cluster intersection matrix is not negative definite",
+            "error (NotNegativeDefinite): checks[1]: not negative definite: leading minor 2 of 4 has the wrong sign",
         ),
         (
             {"kind": "nt", "contract": [], "boundary": {}, "expect_value": "1"},
             "error (EmptyInterval): checks[1]: constraint E1 fails for every s",
+        ),
+        # L2^2 = 1: the pullback through a contraction of L2 stops at its first minor
+        (
+            {"kind": "nt", "contract": ["L2"], "boundary": {}, "expect_value": "1"},
+            "error (NotNegativeDefinite): checks[1]: not negative definite: leading minor 1 of 1 has the wrong sign",
+        ),
+        (
+            {**PET, "contract": ["E1", "L2"]},
+            "error (NotNegativeDefinite): checks[1]: not negative definite: leading minor 2 of 2 has the wrong sign",
         ),
     ],
 )
@@ -1057,6 +1066,37 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
     assert unused == []
+
+
+def test_only_the_definite_solve_rejects_a_matrix_that_is_not_negative_definite():
+    """exact.solve_negative_definite is the one home of that decision: no
+    other module of logsurf constructs NotNegativeDefinite, and none compares
+    a solve_negative_definite result with None, directly or through the name
+    it was assigned to."""
+
+    def called(node, name):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+    faults = []
+    for path in sorted(Path(logsurf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        solved = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and called(node.value, "solve_negative_definite")
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if called(node, "NotNegativeDefinite") and path.name != "exact.py":
+                faults.append(f"{path.name}:{node.lineno} constructs NotNegativeDefinite")
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                none = any(isinstance(x, ast.Constant) and x.value is None for x in sides)
+                solve = any(called(x, "solve_negative_definite") or getattr(x, "id", None) in solved for x in sides)
+                if none and solve:
+                    faults.append(f"{path.name}:{node.lineno} compares a definite solve with None")
+    assert faults == []
 
 
 def test_json_report_round_trips(capsys):
@@ -1918,7 +1958,9 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
     class, like a germ that is not negative definite or connected, and a
     malformed graph file names its line. The germ runs print each case of
     the list of lc germs, a to d, so a shape the classifier cannot label
-    (exit 3) would fail here."""
+    (exit 3) would fail here. Scenario mutants whose curve lists are random
+    samples reach the germ gate: some are rejected as not connected and some
+    as not negative definite."""
     rng = random.Random(20261019)
     fixed = []
     for k, graph in enumerate(FUZZ_FIXED_GERMS):
@@ -1934,6 +1976,7 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
     kinds = _input_error_names()
     codes = collections.Counter()
     germ_cases = set()
+    scenario_kinds = set()
     malformed = 0
     for source, argv in cases:
         try:
@@ -1958,14 +2001,16 @@ def test_fuzzed_inputs_exit_0_1_or_2(tmp_path, capsys):
         assert kind is None or kind in kinds, (argv, err)
         if source == "scenario":
             assert re.match(r"(scenario|recipe|divisors|checks)\b", message), (argv, err)
+            scenario_kinds.add(kind)
         elif source == "flags":
             assert re.search(r"--[a-z]", message), (argv, err)
         if kind == "GraphFormatError":
             # it names its line, and echoes no token or label of more than 40 characters
             assert message.startswith("line ") and len(message) <= 160, (argv, err)
             malformed += 1
-    # none of the generators is vacuous
+    # none of the generators is vacuous, and sampled curve lists reach the germ gate
     assert malformed > 10
+    assert {"Disconnected", "NotNegativeDefinite"} <= scenario_kinds
     outcomes = {source: {code for (s, code) in codes if s == source} for source, _ in codes}
     assert outcomes == {"fixed": {0}, "scenario": {0, 1, 2}, "germ": {0, 2}, "flags": {0, 2}}
     assert germ_cases == set("abcd")

@@ -16,7 +16,6 @@ from logsurf.dualgraph import (
     GraphFormatError,
     GraphVertex,
     InvalidChain,
-    NotNegativeDefinite,
     classify_germ,
     contract_and_square,
     cyclic_type,
@@ -28,6 +27,7 @@ from logsurf.dualgraph import (
     shape,
     solve_discrepancies,
 )
+from logsurf.exact import NotNegativeDefinite
 
 from _reference import apply
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from logsurf.exact import (
     DimensionMismatch,
     NonSquare,
     NonSymmetric,
+    NotNegativeDefinite,
     NotStrictlyConvex,
     SingularMatrix,
     UnboundedObjective,
@@ -349,31 +351,49 @@ def test_negative_definite_matches_minor_signs():
     assert min(outcomes.values()) > 20, outcomes
 
 
+def definite_solve(m, v):
+    """solve_negative_definite(m, v), or, when it raises NotNegativeDefinite,
+    the k of the leading minor its message names."""
+    try:
+        return solve_negative_definite(m, v)
+    except NotNegativeDefinite as err:
+        shown = re.fullmatch(r"not negative definite: leading minor (\d+) of (\d+) has the wrong sign", str(err))
+        assert shown and int(shown[2]) == len(m), err
+        return int(shown[1])
+
+
 def test_solve_negative_definite_is_one_test_and_one_solve():
+    """A definite m gets its solution; any other raises NotNegativeDefinite
+    naming the first leading minor that breaks Sylvester's rule."""
     rng = random.Random(1968)
     outcomes = {True: 0, False: 0}
     for _ in range(160):
         n = rng.randint(0, 6)
         m = random_symmetric(rng, n) if n else []
         v = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
-        definite = is_negative_definite(m)
-        x = solve_negative_definite(m, v)
-        assert (x is not None) == definite
-        if definite:
+        wrong = _reference.first_wrong_minor(m)
+        x = definite_solve(m, v)
+        assert is_negative_definite(m) == (wrong is None)
+        if wrong is None:
             assert x == solve_linear(m, v)
             assert apply(m, x) == v
-        outcomes[definite] += 1
+        else:
+            assert x == wrong
+        outcomes[wrong is None] += 1
     assert min(outcomes.values()) > 20
     # sizes 10 to 20 and the flagship Gram matrices, against the Fraction LDL^T
     outcomes = {True: 0, False: 0}
     for m in [random_symmetric(rng, rng.randint(10, 20)) for _ in range(60)] + flagship_grams(rng, 30):
         v = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(len(m)))
-        x = solve_negative_definite(m, v)
-        assert x == _reference.negative_definite_solve(m, v)
-        assert (x is not None) == is_negative_definite(m)
-        if x is not None:
+        wrong = _reference.first_wrong_minor(m)
+        x = definite_solve(m, v)
+        assert is_negative_definite(m) == (wrong is None)
+        if wrong is None:
+            assert x == _reference.negative_definite_solve(m, v)
             assert apply(m, x) == v
-        outcomes[x is not None] += 1
+        else:
+            assert x == wrong
+        outcomes[wrong is None] += 1
     assert min(outcomes.values()) > 20, outcomes
     with pytest.raises(NonSymmetric):
         solve_negative_definite([[-1, 2], [0, -1]], (F(0), F(0)))
@@ -393,12 +413,13 @@ def test_definite_solve_stops_at_the_first_wrong_minor(monkeypatch):
     """Row k is pivoted only when the (k+1)-th leading minor has the sign
     Sylvester's rule asks for. A 20 x 20 matrix whose (0,0) entry is
     positive makes no pivot, one whose k-th leading minor is the first with
-    the wrong sign makes k - 1, and a definite one makes 20."""
+    the wrong sign makes k - 1, and NotNegativeDefinite names minor k; a
+    definite one makes 20."""
     from logsurf import exact
 
     n, pivots = 20, []
     monkeypatch.setattr(exact, "_pivot", recorded(pivots, exact._pivot))
-    assert not is_negative_definite(identity(n))
+    assert definite_solve(identity(n), (0,) * n) == 1
     assert pivots == []
     for k in (1, 2, 7, 19, 20):
         m = chain(n)
@@ -406,10 +427,12 @@ def test_definite_solve_stops_at_the_first_wrong_minor(monkeypatch):
         minors = [_reference.rank_and_det(submatrix(m, range(j), range(j)))[1] for j in range(1, n + 1)]
         assert [j for j, minor in enumerate(minors, 1) if minor * (-1) ** j <= 0][0] == k
         v = tuple(F(j) for j in range(n))
-        for call in (is_negative_definite, lambda m: solve_negative_definite(m, v)):
-            pivots.clear()
-            assert not call(m)
-            assert len(pivots) == k - 1
+        pivots.clear()
+        assert not is_negative_definite(m)
+        assert len(pivots) == k - 1
+        pivots.clear()
+        assert definite_solve(m, v) == k
+        assert len(pivots) == k - 1
     pivots.clear()
     assert is_negative_definite(chain(n))
     assert len(pivots) == n

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from logsurf.dualgraph import Disconnected, graph_determinant
+from logsurf.dualgraph import Disconnected, classify_germ, graph_determinant
+from logsurf.exact import NotNegativeDefinite
 from logsurf.lattice import (
     BlowupRecipe,
-    NotContractible,
     PairNotIncident,
     QDivisor,
     RECIPE_MAX_CURVES,
@@ -23,7 +24,7 @@ from logsurf.lattice import (
 )
 from logsurf.scenario import read_scenario
 
-from _properties import gram_matches_pairing, integer_classes
+from _properties import contraction_germs_at_cap, germ_gate, gram_matches_pairing, integer_classes
 
 F = Fraction
 
@@ -205,11 +206,25 @@ def test_germ_of_cluster_with_boundary(ex462):
 
 
 def test_germ_of_cluster_rejections(ex462):
+    """germ_of_cluster only exports; classify_germ rejects the germ."""
     m = ex462.model
-    with pytest.raises(NotContractible):
-        germ_of_cluster(m, sorted(m.visible))
+    with pytest.raises(NotNegativeDefinite):
+        classify_germ(germ_of_cluster(m, sorted(m.visible)))
     with pytest.raises(Disconnected):
-        germ_of_cluster(m, ("E1", "E9"))
+        classify_germ(germ_of_cluster(m, ("E1", "E9")))
+
+
+def test_classify_germ_is_the_one_germ_gate():
+    seen = germ_gate(seed=20261020, cases=300)
+    assert min(seen[k] for k in ("disconnected", "zero minor", "wrong sign", "classified")) > 20, seen
+
+
+def test_contraction_report_exports_the_contracted_curves_once_at_the_cap():
+    t0 = time.perf_counter()
+    contracted, clusters = contraction_germs_at_cap(seed=20261020)
+    assert contracted == RECIPE_MAX_CURVES - 5 and clusters > 1
+    # about 0.1 s on a shared 2-core host
+    assert time.perf_counter() - t0 < 10
 
 
 def test_recipe_cap_admits_its_own_size():

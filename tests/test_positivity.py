@@ -9,7 +9,7 @@ import pytest
 
 from logsurf import exact, lattice, positivity
 from logsurf.cli import main
-from logsurf.dualgraph import NotNegativeDefinite
+from logsurf.exact import NotNegativeDefinite
 from logsurf.lattice import (
     BlowupRecipe,
     QDivisor,
