@@ -16,7 +16,7 @@ _HOME = {
         " minimize_quadratic rat solve_linear solve_negative_definite",
         "lattice": "BlowupRecipe QDivisor SurfaceModel build_from_recipe divisor_class"
         " germ_of_cluster log_pullback qdiv",
-        "positivity": "ContractionReport ThresholdResult ZariskiResult contraction_report"
+        "positivity": "ContractionReport ThresholdResult ZariskiResult contraction_rays contraction_report"
         " nef_certificate nef_threshold pet psef_test pullback_after_contraction volume zariski",
         "wps": "ChartDossier WeightedPoly Weights analyze_origin chart_poly check_homogeneous"
         " classify_hypersurface hilbert_coefficient hilbert_series node_only_certificate"

@@ -4,11 +4,14 @@ A matrix is a sequence of equal-length rows. Entries and vector components
 are ints, Fractions or "p/q" strings; results are fractions.Fraction.
 Floats are rejected at the boundary: a float carries rounding error that
 would poison every certificate built on top of it. Inside, elimination and
-the simplex share one fraction-free pivot: an integer table over one common
-denominator, where every update is an exact integer division. Elimination
-borders one row at a time onto that table, with no row swaps; a definite
-solve stops at the first leading minor of the wrong sign. An integer matrix
-reaches the table as it is; Fractions are built only to read a result out.
+the simplex share one fraction-free update: an integer table over one
+common denominator, where every update is an exact integer division.
+Elimination borders one row at a time onto that table, with no row swaps; a
+definite solve stops at the first leading minor of the wrong sign. The
+simplex keeps only its nonbasic columns, starts on the unit columns of A
+where it can, and reads both of its certificates off the final table. An
+integer matrix reaches the table as it is; Fractions are built only to read
+a result out.
 """
 
 from __future__ import annotations
@@ -163,6 +166,8 @@ def _integral(rows: Rows) -> tuple[list[list[int]], int]:
     The one place where matrix entries are coerced: a plain int is taken as
     it is, anything else goes through rat, so floats and bools are rejected.
     """
+    if all(type(v) is int for row in rows for v in row):
+        return [list(row) for row in rows], 1
     table = [[v if type(v) is int else rat(v) for v in row] for row in rows]
     scale = lcm(*(v.denominator for row in table for v in row))
     return [[v.numerator * (scale // v.denominator) for v in row] for row in table], scale
@@ -239,14 +244,14 @@ def _eliminate(rows: Sequence[Sequence[int]], ncols: int) -> tuple[list[list[int
     return tab, cols, d
 
 
-def _system(m: Rows, v: Sequence[int | str | Rational]) -> list[list[int]]:
-    """The integer rows of [m | v], for a square m and a v of its size."""
+def _system(m: Rows, *vs: Sequence[int | str | Rational]) -> list[list[int]]:
+    """The integer rows of [m | v ...], for a square m and each v of its size."""
     n = len(m)
     if _width(m) != n:
         raise NonSquare(f"solving needs a square matrix, got {n}x{_width(m)}")
-    if len(v) != n:
+    if any(len(v) != n for v in vs):
         raise DimensionMismatch("right-hand side length does not match matrix")
-    return _integral([[*row, x] for row, x in zip(m, v)])[0]
+    return _integral([[*row, *(v[i] for v in vs)] for i, row in enumerate(m)])[0]
 
 
 def solve_linear(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...]:
@@ -259,14 +264,20 @@ def solve_linear(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, 
 
 
 def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple[Rational, ...]:
-    """Solve m @ x = v for a negative definite symmetric m.
+    """Solve m @ x = v for a negative definite symmetric m (see _solve_definite)."""
+    return _solve_definite(m, v)[0]
+
+
+def _solve_definite(m: Rows, *vs: Sequence[int | str | Rational]) -> list[tuple[Rational, ...]]:
+    """Solve m @ x = v for each v and a negative definite symmetric m, on one
+    table that carries every v as a column.
 
     Row j is bordered and pivoted in column j (_grow_definite), so Sylvester's
     test reads each leading minor as it appears. The first with the wrong
     sign, or zero, stops the elimination, and NotNegativeDefinite names it.
     """
-    rows = _system(m, v)
-    n = len(rows)
+    rows = _system(m, *vs)
+    n = len(m)
     if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise NonSymmetric("definiteness is only defined for symmetric matrices here")
     tab, cols, d = [], [], 1
@@ -274,7 +285,7 @@ def solve_negative_definite(m: Rows, v: Sequence[int | str | Rational]) -> tuple
         d = _grow_definite(tab, cols, row, j, d)
         if d is None:
             raise NotNegativeDefinite(f"not negative definite: leading minor {j + 1} of {n} has the wrong sign")
-    return tuple(Fraction(row[n], d) for row in tab)
+    return [tuple(Fraction(row[c], d) for row in tab) for c in range(n, n + len(vs))]
 
 
 def determinant(m: Rows) -> Rational:
@@ -369,39 +380,51 @@ class FeasibilityResult(Frozen):
     y: tuple[Rational, ...] | None = None
 
 
-def _simplex(tab: list[list[int]], basis: list[int], n: int, d: int) -> int | None:
-    """Bland's rule on the structural columns 0..n-1 until the objective row
-    (row len(basis) of tab) has no negative reduced cost. The integer table sits
-    over the positive denominator d, so signs and ratios read off numerators.
-    Returns the final denominator at the optimum, or None when an entering
-    column is bounded by no constraint row (the objective is unbounded below)."""
+def _exchange(tab: list[list[int]], basis: list[int], cols: list[int], r: int, c: int, d: int) -> int:
+    """Fraction-free pivot of a condensed table over the denominator d (A. W.
+    Tucker's tableau): its columns are the nonbasic variables cols, then the
+    right-hand side, and basic basis[r] trades places with nonbasic cols[c].
+    Entries off row r and column c update as in _pivot, and row r keeps its
+    entries. Column c becomes the leaving variable's: d in row r, and minus
+    its old entry in every other row. Returns the pivot, the table's new
+    denominator."""
+    prow = tab[r]
+    p = prow[c]
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[c]
+            if f:
+                tab[i] = row = [(p * x - f * y) // d for x, y in zip(row, prow)]
+                row[c] = -f
+            elif p != d:
+                tab[i] = [p * x // d for x in row]
+    prow[c] = d
+    basis[r], cols[c] = cols[c], basis[r]
+    return p
+
+
+def _simplex(tab: list[list[int]], basis: list[int], cols: list[int], n: int, d: int) -> int | None:
+    """Bland's rule on the structural variables 0..n-1 until the objective row
+    (row len(basis) of the condensed table, see _exchange) has no negative
+    reduced cost. The table sits over the positive denominator d, so signs
+    and ratios read off numerators. Returns the final denominator at the
+    optimum, or None when an entering column is bounded by no constraint row
+    (the objective is unbounded below)."""
     m = len(basis)
     while True:
-        entering = next((j for j in range(n) if tab[m][j] < 0), None)
+        entering = min((k for k, v in zip(cols, tab[m]) if k < n and v < 0), default=None)
         if entering is None:
             return d
+        c = cols.index(entering)
         leave = None
         for i in range(m):
-            a = tab[i][entering]
+            a = tab[i][c]
             # least ratio rhs_i / a, cross-multiplied; ties go to the lower basis index
-            if a > 0 and (
-                leave is None or (tab[i][-1] * tab[leave][entering], basis[i]) < (tab[leave][-1] * a, basis[leave])
-            ):
+            if a > 0 and (leave is None or (tab[i][-1] * tab[leave][c], basis[i]) < (tab[leave][-1] * a, basis[leave])):
                 leave = i
         if leave is None:
             return None
-        d = _pivot(tab, leave, entering, d)
-        basis[leave] = entering
-
-
-def _duals(
-    rows: list[list[int]], signs: list[int], basis: list[int], n: int, costs: Sequence[int | Rational]
-) -> tuple[Rational, ...]:
-    """y with y^T B = c_B (V. Chvatal, Linear Programming, 1983, ch. 7), then
-    row i's sign flip undone. Basic k gives B column k of rows if k < n, else
-    the unit column k - n, and c_B costs[k]."""
-    bt = [[row[k] for row in rows] if k < n else [int(i == k - n) for i in range(len(rows))] for k in basis]
-    return tuple(v if s > 0 else -v for s, v in zip(signs, solve_linear(bt, [costs[k] for k in basis])))
+        d = _exchange(tab, basis, cols, leave, c, d)
 
 
 def lp_feasible(
@@ -410,18 +433,25 @@ def lp_feasible(
     """Decide whether {x >= 0 : A x = b} is nonempty, exactly; with ``cost``,
     also minimize cost . x over it.
 
-    Two-phase simplex with Bland's rule, so termination is guaranteed. The
-    table is [A | b] times D0, the lcm of its denominators, pivoted
-    fraction-free (see _pivot). Artificial i has no column: it is basis entry
-    n + i until it leaves, and never re-enters. Below the rows sit the phase-1
-    row (cost 1 on each artificial) and, with a cost, the row C * cost, C the
-    lcm of its denominators, pivoted along so that phase 2 starts priced.
-    Phase 2 starts from the phase-1 basis after pivoting every artificial
-    still basic (at level 0) out of its row; one left behind sits on a
-    redundant row, whose structural entries stay zero, so it stays at 0.
-    Both certificates solve y^T B = c_B on the final basis (_duals): the
-    Farkas vector of a positive phase-1 optimum under the phase-1 costs, and
-    the optimal dual under D0 * cost, as the rows are D0 times those of A.
+    Two-phase simplex with Bland's rule, so termination is guaranteed, on a
+    condensed fraction-free integer table (see _exchange). Each column of A
+    is scaled to integers on its own, and b as a whole: that rescales the
+    variables, not the rows, so a column equal to e_i stays one. Rows with a
+    negative rhs are negated. A row i with such a column (the first) and
+    b_i >= 0 starts with it basic; every other row starts with its
+    artificial n + i, whose column e_i appears only once it leaves, and
+    never re-enters. Below the rows sit the phase-1 row (cost 1 on each
+    artificial) and, with a cost, the cost row times C, the lcm of its
+    denominators, priced at the starting basis and exchanged along so that
+    phase 2 starts priced. Phase 2 starts from the phase-1 basis after
+    exchanging every artificial still basic (at level 0) out of its row; one
+    left behind sits on a redundant row, whose structural entries stay zero,
+    so it stays at 0.
+    Both certificates are read off the final table (V. Chvatal, Linear
+    Programming, 1983, ch. 7): row i's starting basic column u is e_i, so
+    y_i = cost(u) - reduced cost(u), up to the row's sign; under the phase-1
+    costs for the Farkas vector of a positive phase-1 optimum, and under
+    ``cost`` for the optimal dual. A basic u has reduced cost 0.
     Raises UnboundedObjective when cost . x has no lower bound.
     """
     m, n = len(a), _width(a)
@@ -429,41 +459,59 @@ def lp_feasible(
         raise DimensionMismatch("b length does not match number of rows")
     if cost is not None and len(cost) != n:
         raise DimensionMismatch("cost length does not match number of columns")
-    # Rows with a negative rhs are negated so the artificial basis starts
-    # feasible. _pivot replaces rows and never changes one, so start keeps them.
-    tab, scale = _integral([[*row, v] for row, v in zip(a, b)])
-    signs = [-1 if row[n] < 0 else 1 for row in tab]
-    tab = [[s * v for v in row] for s, row in zip(signs, tab)]
-    start = list(tab)
-    tab.append([-sum(row[j] for row in start) for j in range(n + 1)])
+    columns, scales = list(zip(*a)), [1] * n
+    for j, col in enumerate(columns):
+        if not all(type(v) is int for v in col):
+            (columns[j],), scales[j] = _integral([col])
+    (rhs,), q = _integral([b])
+    unit: dict[int, int] = {}
+    for j, (col, c) in enumerate(zip(columns, scales)):
+        if c == 1 and col.count(0) == m - 1 and 1 in col:
+            unit.setdefault(col.index(1), j)
+    signs = [-1 if v < 0 else 1 for v in rhs]
+    start = [unit[i] if i in unit and v >= 0 else n + i for i, v in enumerate(rhs)]
+    basis = list(start)
+    cols = [j for j in range(n) if j not in set(start)]
+    tab = [[s * columns[j][i] for j in cols] + [s * v] for i, (s, v) in enumerate(zip(signs, rhs))]
+    art = [row for row, k in zip(tab, basis) if k >= n]
+    tab.append([-sum(col) for col in zip(*art)] if art else [0] * (len(cols) + 1))
     if cost is not None:
-        (costs,), cscale = _integral([cost])
-        tab.append([*costs, 0])
-    basis = list(range(n, n + m))
-    d = _simplex(tab, basis, n, 1)
+        (costs,), cscale = _integral([[v if c == 1 else rat(v) * c for v, c in zip(cost, scales)]])
+        priced = [costs[j] for j in cols] + [0]
+        for row, k in zip(tab, basis):
+            if k < n and costs[k]:
+                priced = [x - costs[k] * y for x, y in zip(priced, row)]
+        tab.append(priced)
+
+    def certificate(price: Callable[[int], int], scale: int, d: int) -> tuple[Rational, ...]:
+        """y_i = s_i (cost - reduced cost) at row i's starting basic column,
+        the objective row holding scale times the reduced costs over d."""
+        reduced = dict(zip(cols, tab[m]))
+        return tuple(Fraction(s * (price(k) * d - reduced.get(k, 0)), scale * d) for s, k in zip(signs, start))
+
+    d = _simplex(tab, basis, cols, n, 1)
     if d is None:
         raise AssertionError("phase-1 objective is bounded; no unbounded ray can appear")
     if tab[m][-1] != 0:
-        return FeasibilityResult(feasible=False, y=_duals(start, signs, basis, n, [0] * n + [1] * m))
+        return FeasibilityResult(feasible=False, y=certificate(lambda k: int(k >= n), 1, d))
     if cost is not None:
         del tab[m]
         for i in range(m):
             if basis[i] >= n:
-                j = next((j for j in range(n) if tab[i][j] != 0), None)
-                if j is not None:
-                    d = _pivot(tab, i, j, d)
-                    basis[i] = j
+                k = min((k for k, v in zip(cols, tab[i]) if k < n and v), default=None)
+                if k is not None:
+                    d = _exchange(tab, basis, cols, i, cols.index(k), d)
                     if d < 0:
                         tab[:] = [[-v for v in row] for row in tab]
                         d = -d
-        d = _simplex(tab, basis, n, d)
+        d = _simplex(tab, basis, cols, n, d)
         if d is None:
             raise UnboundedObjective("cost is unbounded below on the feasible set")
     x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = Fraction(tab[i][-1], d)
-    y = None if cost is None else _duals(start, signs, basis, n, [Fraction(c * scale, cscale) for c in costs] + [0] * m)
+    for i, k in enumerate(basis):
+        if k < n:
+            x[k] = Fraction(scales[k] * tab[i][-1], q * d)
+    y = None if cost is None else certificate(lambda k: costs[k] if k < n else 0, cscale, d)
     return FeasibilityResult(feasible=True, x=tuple(x), y=y)
 
 

@@ -219,6 +219,39 @@ def divisor_class(
     return tuple(Fraction(t, q) for t in total)
 
 
+def _tower_parents(m: SurfaceModel) -> list[tuple[int, ...]]:
+    """For each step s, from 1: the indices in the tower basis (L0, E1, ...,
+    Ek) of the curves it blows up at, L0 at 0 and Ej at j; a line Li with
+    i > 0 has none."""
+    index = {"L0": 0, **{f"E{s}": s for s in range(1, len(m.steps) + 1)}}
+    return [tuple(index[c] for c in pair if c in index) for pair in m.steps]
+
+
+def tower_coordinates(m: SurfaceModel, rows: Sequence[Sequence[Rational]]) -> list[list[Rational]]:
+    """Rows indexed by (h, e1, ..., ek), rewritten in the tower basis
+    (L0, E1, ..., Ek): each column of rows is a class, and comes out as the
+    coefficients a with sum a_s B_s equal to it. The basis is unit lower
+    triangular in (h, e), and row s of it has -1 at each curve that step s
+    blows up at, so a_s is v_s plus a_p for each such p, in step order. L0
+    and each Es come out as unit vectors. With no steps it is the identity."""
+    out = [list(row) for row in rows]
+    for s, parents in enumerate(_tower_parents(m), start=1):
+        for p in parents:
+            out[s] = [x + y for x, y in zip(out[s], out[p])]
+    return out
+
+
+def dual_from_tower(m: SurfaceModel, y: Sequence[Rational]) -> tuple[Rational, ...]:
+    """A dual vector y' on tower coordinates as the y on (h, e) with
+    y.v = y'.(tower_coordinates of v) for every class v: for s from k down to
+    1, each curve that step s blows up at gains y_s."""
+    out = list(y)
+    for s, parents in reversed(list(enumerate(_tower_parents(m), start=1))):
+        for p in parents:
+            out[p] += out[s]
+    return tuple(out)
+
+
 def log_pullback(
     m: SurfaceModel, line_coeffs: Sequence[int | str | Rational]
 ) -> tuple[QDivisor, tuple[Rational, ...]]:

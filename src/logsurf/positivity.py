@@ -10,8 +10,9 @@ non-negatively for free.
 A divisor K + D is passed as D with ``plus_canonical=True``. Intersection
 numbers come from the model: ``dots``, ``matrix`` and ``at``, and for the
 Zariski decomposition its integer Gram rows and ``dot_numerators``. Only the
-LPs of psef_test and pet take classes, whose visible columns are integer
-vectors.
+LPs of psef_test and pet take classes, in tower coordinates
+(lattice.tower_coordinates): there the visible columns are integer vectors,
+and those of L0 and each Es are unit vectors that the simplex starts from.
 """
 
 from __future__ import annotations
@@ -27,16 +28,20 @@ from logsurf.exact import (
     NotNegativeDefinite,
     Rational,
     _grow_definite,
+    _integral,
+    _shown,
+    _solve_definite,
     lp_feasible,
     rat,
-    solve_negative_definite,
 )
 from logsurf.lattice import (
     QDivisor,
     SurfaceModel,
     divisor_class,
+    dual_from_tower,
     germ_of_cluster,
     qdiv,
+    tower_coordinates,
 )
 
 
@@ -128,7 +133,8 @@ def _fujita(
             d = _grow_definite(tab, cols, [*(gram[c] for c in labels), rhs[lbl]], column[lbl], d)
             if d is None:
                 raise NotPseudoEffective(
-                    f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
+                    f"{'K + ' if plus else ''}D is not pseudo-effective: its support of {len(support)} curves,"
+                    f" {_shown(support)}, is not negative definite"
                 )
         for lbl, row in zip(support, tab[1:]):
             if row[-1] * d < 0:
@@ -159,12 +165,26 @@ def volume(m: SurfaceModel, d: QDivisor | Mapping, plus_canonical: bool = False)
     return vol
 
 
+def _tower_lp(m: SurfaceModel, labels: list[str], *classes: Sequence[Rational]) -> tuple[list[list], list]:
+    """(A, b) in tower coordinates (lattice.tower_coordinates): the columns of
+    A are the classes of labels and then classes[:-1], and b is classes[-1].
+    There L0 and each Es are unit columns, which lp_feasible starts its basis
+    from. Each class is mapped as integers over its own denominator."""
+    scaled = [_integral([cls]) for cls in classes]
+    columns = [*(m.visible[lbl] for lbl in labels), *(c for (c,), _ in scaled)]
+    rows = tower_coordinates(m, [list(row) for row in zip(*columns)])
+    k = len(labels)
+    table = [row[:k] + [Fraction(v, q) for v, (_, q) in zip(row[k:], scaled)] for row in rows]
+    return [row[:-1] for row in table], [row[-1] for row in table]
+
+
 def psef_test(m: SurfaceModel, d, plus_canonical: bool = False) -> FeasibilityResult:
-    """Is the class a nonnegative combination of visible curves? Exact LP."""
-    target = divisor_class(m, d, plus_canonical)
-    labels = sorted(m.visible)
-    a = [[m.visible_class(lbl)[i] for lbl in labels] for i in range(m.rank)]
-    return lp_feasible(a, target)
+    """Is the class a nonnegative combination of visible curves? One exact LP,
+    in tower coordinates (_tower_lp). The witness x is in curve coordinates
+    as it is; a Farkas vector y comes back to (h, e) coordinates
+    (dual_from_tower), where y.C <= 0 for every visible C and y.class > 0."""
+    res = lp_feasible(*_tower_lp(m, sorted(m.visible), divisor_class(m, d, plus_canonical)))
+    return res if res.feasible else FeasibilityResult(feasible=False, y=dual_from_tower(m, res.y))
 
 
 def nef_certificate(m: SurfaceModel, d, plus_canonical: bool = False) -> QDivisor:
@@ -266,24 +286,25 @@ def pet(
     y.ray >= 0 and y.(class at 0) > 0, so no t >= 0 works. The ray must be
     effective, which makes the feasible set upward closed. ``resolution``
     must be positive but no longer affects the result: the optimum is exact.
+    The LP runs in tower coordinates (_tower_lp), and y comes back to
+    (h, e) coordinates (dual_from_tower); x is in curve coordinates as it is.
     """
     if rat(resolution) <= 0:
         raise ValueError("resolution must be positive")
     base_d, ray_d = qdiv(base), qdiv(ray)
     if not ray_d.is_effective():
         raise ValueError("ray must be effective: upward closure of the feasible set depends on it")
-    base_class = divisor_class(m, base_d, plus_canonical)
-    ray_class = divisor_class(m, ray_d)
     labels = sorted(m.visible)
-    a = [[m.visible_class(lbl)[i] for lbl in labels] + [-ray_class[i]] for i in range(m.rank)]
-    res = lp_feasible(a, base_class, cost=(0,) * len(labels) + (1,))
+    a, b = _tower_lp(m, labels, [-c for c in divisor_class(m, ray_d)], divisor_class(m, base_d, plus_canonical))
+    res = lp_feasible(a, b, cost=(0,) * len(labels) + (1,))
+    y = dual_from_tower(m, res.y)
     if not res.feasible:
-        return ThresholdResult(value=None, farkas_below=res.y)
+        return ThresholdResult(value=None, farkas_below=y)
     t = res.x[-1]
     return ThresholdResult(
         value=t,
         certificate_at_value=QDivisor.from_dict(dict(zip(labels, res.x))),
-        farkas_below=res.y if t > 0 else None,
+        farkas_below=y if t > 0 else None,
     )
 
 
@@ -300,13 +321,22 @@ def pullback_after_contraction(
     d must be supported away from the contracted set, and that set must be
     negative definite (NotNegativeDefinite otherwise).
     """
+    base, ray = contraction_rays(m, contracted, qdiv(d) if d is not None else QDivisor(()))
+    return base.add(ray)
+
+
+def contraction_rays(m: SurfaceModel, contracted: Iterable[str], d: QDivisor) -> tuple[QDivisor, QDivisor]:
+    """(base, ray): K + base and ray pull K and d back through the
+    contraction of the given curves, each meeting every one of them in zero,
+    so K + base + t*ray is the pullback of K + t*d. One definite solve
+    carries both right-hand sides. The same conditions on d and on the
+    contracted set as in pullback_after_contraction."""
     cset = list(dict.fromkeys(contracted))
-    dd = qdiv(d) if d is not None else QDivisor(())
-    if set(dd.support()) & set(cset):
+    if set(d.support()) & set(cset):
         raise ValueError("divisor must be supported away from the contracted curves")
-    t_dot = m.dots(dd, cset, plus_canonical=True)
-    sol = solve_negative_definite(m.matrix(cset), tuple(-t_dot[lbl] for lbl in cset))
-    return dd.add(QDivisor.from_dict(dict(zip(cset, sol))))
+    d_dot = m.dots(d, cset)
+    base, n = _solve_definite(m.matrix(cset), [-m.k_dot[c] for c in cset], [-d_dot[c] for c in cset])
+    return QDivisor(tuple(zip(cset, base))), d.add(QDivisor(tuple(zip(cset, n))))
 
 
 class ContractionReport(Frozen):

@@ -14,7 +14,7 @@ import os
 import time
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .dualgraph import classify_germ, contract_and_square
 from .exact import Frozen, InputError, ParseError, _frac, read_rational
@@ -29,10 +29,10 @@ from .lattice import (
     qdiv,
 )
 from .positivity import (
+    contraction_rays,
     contraction_report,
     nef_threshold,
     pet,
-    pullback_after_contraction,
     volume,
     zariski,
 )
@@ -304,12 +304,6 @@ def _read_rays(r: _SpecReader) -> tuple[list[str], dict[str, Fraction]]:
     return contract, boundary
 
 
-def _contraction_rays(m, contract: Sequence[str], boundary: Mapping[str, Fraction]):
-    base = pullback_after_contraction(m, contract)
-    full = pullback_after_contraction(m, contract, qdiv(boundary))
-    return base, full.sub(base)
-
-
 def _check_pet(r: _SpecReader) -> dict[str, Any]:
     contract, boundary = _read_rays(r)
     for lbl, c in boundary.items():
@@ -326,7 +320,7 @@ def _check_pet(r: _SpecReader) -> dict[str, Any]:
         if not (isinstance(gap, list) and len(gap) == 2):
             raise r.fault("expect_not_in_open", f"expected two rationals, got {gap!r}")
         gap = r.rationals(f"{r.path}.expect_not_in_open", gap)
-    base, ray = _contraction_rays(r.m, contract, boundary)
+    base, ray = contraction_rays(r.m, contract, qdiv(boundary))
     t = pet(r.m, base, ray, resolution, plus_canonical=True)
     shown = _frac(t.value, "value") if t.value is not None else None
     summary = f"threshold = {shown} (certified)" if t.value is not None else (
@@ -357,7 +351,7 @@ def _check_pet(r: _SpecReader) -> dict[str, Any]:
 def _check_nt(r: _SpecReader) -> dict[str, Any]:
     contract, boundary = _read_rays(r)
     want = r.read("expect_value", r.rational)
-    base, ray = _contraction_rays(r.m, contract, boundary)
+    base, ray = contraction_rays(r.m, contract, qdiv(boundary))
     t = nef_threshold(r.m, base, ray, plus_canonical=True)
     shown = _frac(t.value, "value")
     summary = f"nef threshold = {shown}" + ("" if t.certified else " (no effective representative)")

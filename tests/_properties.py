@@ -29,8 +29,10 @@ from logsurf.lattice import (
     QDivisor,
     build_from_recipe,
     divisor_class,
+    dual_from_tower,
     germ_of_cluster,
     log_pullback,
+    tower_coordinates,
 )
 from logsurf.positivity import (
     NegativeCoefficient,
@@ -568,6 +570,92 @@ def node_fuzz(seed: int, cases: int) -> int:
         assert dossier.verdict == "ordinary node (A1)"
         done += 1
     return done
+
+
+def _dot(y, v) -> Fraction:
+    return sum((a * b for a, b in zip(y, v)), Fraction(0))
+
+
+def _tower_maps(rng: random.Random, m) -> None:
+    """The forward map sends L0 and each Es to its unit vector (with no steps
+    it is the identity), and the back map is its transpose: y.v equals
+    y'.(tower coordinates of v) for y the back map of y', on every visible
+    class and a random one."""
+    tower = [f"L{i}" for i in range(min(m.num_lines, 1))] + [f"E{s}" for s in range(1, len(m.steps) + 1)]
+    labels = tower if m.steps else sorted(m.visible)
+    basis = [list(row) for row in zip(*(m.visible[lbl] for lbl in labels))]
+    want = [[int(i == j) for j in range(len(labels))] for i in range(m.rank)] if m.steps else basis
+    assert tower_coordinates(m, basis) == want
+    columns = [m.visible[lbl] for lbl in sorted(m.visible)] + [tuple(rng.randint(-9, 9) for _ in range(m.rank))]
+    mapped = tower_coordinates(m, [list(row) for row in zip(*columns)])
+    y_tower = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m.rank)]
+    y = dual_from_tower(m, y_tower)
+    for j, v in enumerate(columns):
+        assert _dot(y, v) == _dot(y_tower, [row[j] for row in mapped])
+
+
+def _psef_certified(m, cls, res) -> None:
+    """The witness or the Farkas vector of psef_test, in (h, e) coordinates."""
+    labels = sorted(m.visible)
+    if res.feasible:
+        assert all(x >= 0 for x in res.x)
+        assert tuple(_dot(res.x, row) for row in zip(*(m.visible[lbl] for lbl in labels))) == cls
+    else:
+        assert all(_dot(res.y, m.visible[lbl]) <= 0 for lbl in labels) and _dot(res.y, cls) > 0
+
+
+def _pet_certified(m, base_cls, ray_cls, r) -> None:
+    """pet's witness at t*, and its dual or Farkas vector, in (h, e) coordinates."""
+    y = r.farkas_below
+    if y is not None:
+        assert all(_dot(y, m.visible[lbl]) <= 0 for lbl in m.visible)
+    if r.value is None:
+        assert _dot(y, ray_cls) >= 0 and _dot(y, base_cls) > 0
+        return
+    cert = r.certificate_at_value
+    assert cert.is_effective()
+    assert _reference.divisor_class(m, cert) == tuple(b + r.value * c for b, c in zip(base_cls, ray_cls))
+    if r.value > 0:
+        assert _dot(y, ray_cls) >= -1 and _dot(y, base_cls) == r.value
+
+
+def tower_lps(seed: int, cases: int, models=(), cap: bool = False) -> Counter:
+    """psef_test and pet in tower coordinates, with K and without, on random
+    recipes of 5-17 steps, on the given models and, with ``cap``, on one
+    recipe at the size cap. On each model the tower maps pass _tower_maps;
+    every certificate holds in (h, e) coordinates; and, below the cap, the
+    verdict and the pet optimum equal the reference simplex's on the (h, e)
+    table. Returns a count of the outcomes seen."""
+    rng = random.Random(seed)
+    seen = Counter()
+    recipes = [random_recipe(rng, max_steps=rng.randint(5, 17), full=True) for _ in range(cases)]
+    if cap:
+        recipes.append(random_recipe(rng, max_lines=4, max_steps=RECIPE_MAX_CURVES - 4, full=True))
+    for m in [*models, *map(build_from_recipe, recipes)]:
+        _tower_maps(rng, m)
+        labels = sorted(m.visible)
+        a = [list(row) for row in zip(*(m.visible[lbl] for lbl in labels))]
+        at_cap = len(labels) == RECIPE_MAX_CURVES
+        for plus in (True, False):
+            d = random_effective_divisor(rng, labels)
+            cls = divisor_class(m, d, plus)
+            res = psef_test(m, d, plus_canonical=plus)
+            _psef_certified(m, cls, res)
+            if not at_cap:
+                assert res.feasible == _reference.lp_feasible(a, cls).feasible
+            seen["psef", res.feasible] += 1
+            base = QDivisor.from_dict({lbl: Fraction(rng.randint(-3, 3)) for lbl in labels if rng.random() < 0.5})
+            ray = QDivisor.from_dict({lbl: Fraction(rng.randint(1, 4), 2) for lbl in labels if rng.random() < 0.4})
+            r = pet(m, base, ray, Fraction(1, 1000), plus_canonical=plus)
+            base_cls, ray_cls = divisor_class(m, base, plus), divisor_class(m, ray)
+            _pet_certified(m, base_cls, ray_cls, r)
+            if not at_cap:
+                want = _reference.lp_feasible(
+                    [row + [-c] for row, c in zip(a, ray_cls)], base_cls, (0,) * len(labels) + (1,)
+                )
+                assert r.value == (want.x[-1] if want.feasible else None)
+            seen["pet", "none" if r.value is None else "zero" if r.value == 0 else "positive"] += 1
+    return seen
 
 
 def lp_certificates(seed: int, cases: int) -> tuple[int, int]:

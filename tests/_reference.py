@@ -2,8 +2,10 @@
 
 ``lp_feasible`` here is a Fraction tableau simplex with the same two phases
 and the same Bland's rule as the integer one in ``logsurf.exact``, but every
-row is divided through by its pivot. The integer simplex must make the same
-pivots and return the same ``x`` and ``y``.
+row is divided through by its pivot, and every row carries its artificial
+column. It starts from the same basis: a row's first column equal to e_i
+when b_i >= 0, its artificial otherwise. The integer simplex must make the
+same pivots and return the same ``x`` and ``y``.
 
 The matrix helpers build and multiply the matrices the tests use to re-verify
 answers. ``negative_definite_solve`` is an LDL^T solve over Fractions, with
@@ -96,8 +98,10 @@ def zariski(m, d, plus_canonical=False, scan_order=None, one_at_a_time=False) ->
         support.extend(violators[:1] if one_at_a_time else violators)
         n_vals = negative_definite_solve(m.matrix(support), tuple(d_dot[lbl] for lbl in support))
         if n_vals is None:
+            shown = repr(support) if len(repr(support)) <= 40 else repr(support)[:37] + "..."
             raise NotPseudoEffective(
-                f"{'K + ' if plus else ''}D is not pseudo-effective: support {support} is not negative definite"
+                f"{'K + ' if plus else ''}D is not pseudo-effective: its support of {len(support)} curves,"
+                f" {shown}, is not negative definite"
             )
         for lbl, v in zip(support, n_vals):
             if v < 0:
@@ -194,10 +198,17 @@ def lp_feasible(a: Rows, b: Sequence[Fraction], cost: Sequence[Fraction] | None 
         [s * rat(v) for v in a[i]] + [Fraction(int(k == i)) for k in range(m)] + [s * rhs[i]]
         for i, s in enumerate(signs)
     ]
-    obj = [-sum((row[j] for row in tab), Fraction(0)) for j in range(n + m + 1)]
-    obj[n : n + m] = [Fraction(0)] * m
+    unit: dict[int, int] = {}
+    for j in range(n):
+        column = [rat(a[i][j]) for i in range(m)]
+        if sorted(column) == [0] * (m - 1) + [1]:
+            unit.setdefault(column.index(1), j)
+    basis = [unit[i] if i in unit and rhs[i] >= 0 else n + i for i in range(m)]
+    # phase-1 costs: 1 on every artificial column, 0 on the structural ones
+    art = [row for row, k in zip(tab, basis) if k >= n]
+    obj = [-sum((row[j] for row in art), Fraction(0)) for j in range(n + m + 1)]
+    obj[n : n + m] = [Fraction(basis[i] < n) for i in range(m)]
     tab.append(obj)
-    basis = list(range(n, n + m))
     assert _simplex(tab, basis, n)
     if tab[m][-1] != 0:
         return FeasibilityResult(

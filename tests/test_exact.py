@@ -665,6 +665,41 @@ def test_integer_simplex_matches_fraction_reference():
     assert len(seen) == 5 and min(seen.values()) > 100, seen
 
 
+def test_unit_columns_start_the_basis_as_in_the_reference(monkeypatch):
+    """Random LPs with columns e_i planted among rational ones. A row with
+    b_i >= 0 starts on its first unit column and every other row on its
+    artificial, in the integer simplex and in the reference alike: both make
+    the same pivots and return the same x and y."""
+    from logsurf import exact
+
+    got, want = [], []
+    monkeypatch.setattr(exact, "_exchange", recorded_exchanges(got, exact._exchange))
+    monkeypatch.setattr(_reference, "_pivot", recorded(want, _reference._pivot))
+    rng = random.Random(20261021)
+    seen = Counter()
+    for _ in range(1500):
+        a, b, cost = random_lp(rng)
+        for i in rng.sample(range(len(a)), rng.randint(1, len(a))):
+            j = rng.randint(0, len(a[0]))
+            for k, row in enumerate(a):
+                row.insert(j, F(int(k == i)))
+            if cost is not None:
+                cost = (*cost[:j], F(rng.randint(-3, 3), rng.choice((1, 2))), *cost[j:])
+        got.clear()
+        want.clear()
+        try:
+            res = _reference.lp_feasible(a, b, cost)
+        except UnboundedObjective:
+            with pytest.raises(UnboundedObjective):
+                lp_feasible(a, b, cost)
+            seen["unbounded"] += 1
+            continue
+        assert lp_feasible(a, b, cost) == res
+        assert got == [call[0][1:3] for call in want]
+        seen[res.feasible, cost is not None] += 1
+    assert len(seen) == 5 and min(seen.values()) > 50, seen
+
+
 def recorded(calls: list, fn):
     """fn, appending the arguments of every call to calls."""
 
@@ -675,11 +710,23 @@ def recorded(calls: list, fn):
     return wrapper
 
 
-@pytest.mark.parametrize("scenario, pivots", [("ex-825", 18), ("ex-462", 19)])
+def recorded_exchanges(calls: list, exchange):
+    """exact._exchange, appending (row, entering variable) of every call to calls."""
+
+    def wrapper(tab, basis, cols, r, c, d):
+        calls.append((r, cols[c]))
+        return exchange(tab, basis, cols, r, c, d)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("scenario, pivots", [("ex-825", 8), ("ex-462", 9)])
 def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
-    """The simplex pivots its own table as the reference does. The optimal
-    dual of ex-462's LP is one solve on the final basis, which pivots a table
-    of its own; ex-825's LP is a feasibility test and needs none."""
+    """The simplex makes the reference's pivots, from the same starting basis:
+    the tower curves' unit columns. Each exchange on the condensed table
+    brings in the variable the reference's pivot column holds, in the same
+    row. ex-825's LP is a feasibility test, ex-462's has a cost; both read
+    their certificates off the final table, so no other table is pivoted."""
     from logsurf import exact, positivity
     from logsurf.scenario import run_scenario
 
@@ -688,14 +735,13 @@ def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
     run_scenario(scenario)
     assert len(lps) == 1
     (args, kwargs), = lps
-    got, want = [], []
-    monkeypatch.setattr(exact, "_pivot", recorded(got, exact._pivot))
+    got, want, eliminations = [], [], []
+    monkeypatch.setattr(exact, "_exchange", recorded_exchanges(got, exact._exchange))
+    monkeypatch.setattr(exact, "_pivot", recorded(eliminations, exact._pivot))
     monkeypatch.setattr(_reference, "_pivot", recorded(want, _reference._pivot))
     assert lp_feasible(*args, **kwargs) == _reference.lp_feasible(*args, **kwargs)
-    simplex = [call for call in got if call[0][0] is got[0][0][0]]
-    assert [call[0][1:3] for call in simplex] == [call[0][1:3] for call in want]
-    dual_pivots = {"ex-825": 0, "ex-462": 12}[scenario]
-    assert (len(simplex), len(got) - len(simplex)) == (pivots, dual_pivots)
+    assert got == [call[0][1:3] for call in want]
+    assert (len(got), len(eliminations)) == (pivots, 0)
 
 
 def test_rationals_come_out_as_fractions():

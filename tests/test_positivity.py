@@ -23,6 +23,7 @@ from logsurf.positivity import (
     NegativeIntersection,
     NoEffectiveRepresentative,
     NotPseudoEffective,
+    contraction_rays,
     contraction_report,
     nef_certificate,
     nef_threshold,
@@ -197,6 +198,8 @@ def test_pullback_after_contraction_ex462(ex462):
     ray_cls = divisor_class(m, ray)
     assert m.pairing(ray_cls, ray_cls) == F(11, 42)
     assert m.pairing(base_cls, ray_cls) == F(-5, 21)
+    # a scenario's pet check takes both from one definite solve
+    assert contraction_rays(m, EX462_CONTRACTED, qdiv({"L0": 1})) == (base, ray)
 
 
 def test_pullback_after_contraction_validation(ex462):
@@ -506,11 +509,13 @@ def test_one_at_a_time_at_the_size_cap():
 
 
 def test_psef_lp_at_the_size_cap():
-    """K + D on the recipe above is not a nonnegative visible combination, so
-    the LP ends on a 197-row basis and its Farkas vector comes from one dual
-    solve on that basis: y.C <= 0 for every visible curve and y.(K + D) > 0.
-    It takes 1.0-1.2 s on a shared 2-core host, where carrying an identity
-    block through every pivot took 1.4-1.6 s."""
+    """K + D on the recipe above is not a nonnegative visible combination. In
+    tower coordinates the LP starts with the unit columns of L0 and E1-E196
+    basic wherever the right-hand side allows, and stops after 2 pivots; the
+    Farkas vector is read off the final table and mapped back to (h, e):
+    y.C <= 0 for every visible curve and y.(K + D) > 0. It takes about
+    0.02 s on a shared 2-core host, where the all-artificial start took 398
+    pivots and 1.0-1.7 s, half of it in a dual solve on the final basis."""
     rng = random.Random(20261020)
     m = build_from_recipe(_properties.random_recipe(rng, max_lines=4, max_steps=196, full=True))
     d = _properties.random_effective_divisor(rng, sorted(m.visible))
@@ -521,6 +526,23 @@ def test_psef_lp_at_the_size_cap():
     for lbl in m.visible:
         assert sum(a * c for a, c in zip(res.y, m.visible_class(lbl))) <= 0
     assert sum(a * c for a, c in zip(res.y, divisor_class(m, d, plus_canonical=True))) > 0
+    # D alone is effective: its witness (89 pivots, 227 from the all-artificial start)
+    res = psef_test(m, d)
+    assert res.feasible and min(res.x) >= 0
+    assert divisor_class(m, QDivisor.from_dict(dict(zip(sorted(m.visible), res.x)))) == divisor_class(m, d)
+    # Fujita's support grows to 190 curves; the message gives the count and cuts the labels
+    with pytest.raises(NotPseudoEffective, match=r"its support of 190 curves, \['E1', .*\.\.\., is not") as err:
+        zariski(m, d, plus_canonical=True)
+    assert len(str(err.value)) < 130
+
+
+def test_tower_lps_match_the_reference_and_certify():
+    """psef_test and pet in tower coordinates, on seeded recipes of 5-17
+    steps, one at the cap, and the hand-built models whose rows have no tower
+    basis (line_model) or no unit column (neg_curve_model): see
+    _properties.tower_lps. Every outcome of both LPs comes up."""
+    seen = _properties.tower_lps(20261021, 30, models=(line_model(), neg_curve_model()), cap=True)
+    assert set(seen) == {("psef", True), ("psef", False), ("pet", "none"), ("pet", "zero"), ("pet", "positive")}
 
 
 def test_scenario_replay_runs_each_decomposition_once(monkeypatch):
