@@ -98,7 +98,7 @@ def scenario_cmd(args) -> dict[str, Any]:
 
 
 def classify_germ_cmd(args) -> _Outcome:
-    from .dualgraph import classify_germ, contract_and_square, parse_graph
+    from .dualgraph import classify_germ, contract_and_square, parse_graph, shape
 
     with open(args.file, encoding="utf-8") as fh:
         g = parse_graph(fh.read())
@@ -113,8 +113,7 @@ def classify_germ_cmd(args) -> _Outcome:
         if cls.nklt_case:
             bits.append(f"case {cls.nklt_case}")
         if cls.nklt_case == "d":
-            adj = g.adjacency()
-            fork = next(lbl for lbl, nb in adj.items() if len(nb) >= 3)
+            (fork,) = shape(g).forks
             if cls.discrepancy_coeffs.get(fork) == 1:
                 bits.append("fork is lc place")
             others = [lbl for lbl in g.labels if lbl != fork]

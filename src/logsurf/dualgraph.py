@@ -94,16 +94,6 @@ class DualGraph(Frozen):
     def labels(self) -> tuple[str, ...]:
         return tuple(v.label for v in self.vertices)
 
-    def vertex(self, label: str) -> GraphVertex:
-        for v in self.vertices:
-            if v.label == label:
-                return v
-        raise KeyError(label)
-
-    def edge_multiplicity(self, a: str, b: str) -> int:
-        key = (a, b) if a <= b else (b, a)
-        return sum(1 for e in self.edges if e == key)
-
     def adjacency(self) -> dict[str, list[str]]:
         """Neighbors with multiplicity (a double edge lists the neighbor twice)."""
         adj: dict[str, list[str]] = {v.label: [] for v in self.vertices}
@@ -211,62 +201,59 @@ class CyclicType(Frozen):
         self._freeze(n, q)
 
 
-def _continued_fraction(entries: Sequence[int]) -> Fraction:
-    """Evaluate e1 - 1/(e2 - 1/(... - 1/ek)) exactly."""
-    val = Fraction(entries[-1])
-    for e in reversed(entries[:-1]):
-        val = e - 1 / val
-    return val
+def _continued_fraction(entries: Sequence[int]) -> tuple[int, int]:
+    """(n, q) with n/q = e1 - 1/(e2 - 1/(... - 1/ek)), by the convergent
+    recursion n, q = e*n - q, n from ek back to e1, starting at (1, 0). Each
+    step has determinant 1, so n and q are coprime."""
+    n, q = 1, 0
+    for e in reversed(entries):
+        n, q = e * n - q, n
+    return n, q
 
 
 def cyclic_type(chain: DualGraph) -> CyclicType:
     """Cyclic quotient type of a chain of rational curves, all with C^2 <= -2.
 
-    n/q is the continued-fraction value of the chain read from one end; the
-    other end gives the inverse of q mod n, and the smaller of the two is
-    returned so the type has one canonical spelling. The empty chain is the
-    smooth point (1, 1).
+    (n, q) is the continued fraction of the chain read from one end; read
+    from the other end it gives the inverse of q mod n, and the smaller of
+    the two is returned so the type has one canonical spelling. The empty
+    chain is the smooth point (1, 1).
     """
     if len(chain.vertices) == 0:
         return CyclicType(1, 1)
     if not shape(chain).is_chain:
         raise InvalidChain("graph is not a chain")
     adj = chain.adjacency()
+    verts = {v.label: v for v in chain.vertices}
     entries = []
     for lbl in _walk(adj, min(v for v, nbs in adj.items() if len(nbs) < 2)):
-        v = chain.vertex(lbl)
+        v = verts[lbl]
         if v.self_int >= -1:
             raise InvalidChain(f"{lbl} has self-intersection {v.self_int}; chain needs <= -2 throughout")
         if v.genus != 0 or v.node_count != 0:
             raise InvalidChain(f"{lbl} is not a smooth rational curve")
         entries.append(-v.self_int)
-    forward = _continued_fraction(entries)
-    backward = _continued_fraction(list(reversed(entries)))
-    n, q = forward.numerator, forward.denominator
-    qb = backward.denominator
-    assert backward.numerator == n
-    return CyclicType(n, min(q, qb))
+    n, q = _continued_fraction(entries)
+    return CyclicType(n, min(q, pow(q, -1, n)))
 
 
 def solve_discrepancies(g: DualGraph) -> dict[str, Rational]:
     """Coefficients b with (K + sum b_i E_i + boundary) . E_i = 0 for all exceptional E_i.
 
-    Uses K.C = 2 p_a(C) - 2 - C^2. Non-exceptional vertices enter with
-    coefficient 1. The exceptional intersection matrix must be negative
-    definite, which makes the solution unique (NotNegativeDefinite otherwise).
+    Read off one intersection matrix: by K.C = 2 p_a(C) - 2 - C^2, row i is
+    sum_j b_j E_i.E_j = E_i^2 + 2 - 2 p_a(E_i) - sum_B E_i.B, with B over the
+    non-exceptional (boundary) vertices, which enter with coefficient 1. The
+    exceptional block must be negative definite, which makes the solution
+    unique (NotNegativeDefinite otherwise).
     """
-    exc = g.exceptional_labels()
-    bnd = g.boundary_labels()
+    mat = intersection_matrix(g)
+    exc = [i for i, v in enumerate(g.vertices) if v.is_exceptional]
     if not exc:
         return {}
-    sub = g.subgraph(exc)
-    rhs = []
-    for lbl in exc:
-        v = g.vertex(lbl)
-        k_dot = 2 * v.arithmetic_genus - 2 - v.self_int
-        bterm = sum(g.edge_multiplicity(b, lbl) for b in bnd)
-        rhs.append(Fraction(-k_dot - bterm))
-    return dict(zip(exc, solve_negative_definite(intersection_matrix(sub), tuple(rhs))))
+    bnd = [i for i, v in enumerate(g.vertices) if not v.is_exceptional]
+    rhs = [mat[i][i] + 2 - 2 * g.vertices[i].arithmetic_genus - sum(mat[i][b] for b in bnd) for i in exc]
+    coeffs = solve_negative_definite([[mat[i][j] for j in exc] for i in exc], rhs)
+    return {g.vertices[i].label: b for i, b in zip(exc, coeffs)}
 
 
 class GermClassification(Frozen):
@@ -309,7 +296,7 @@ def _nklt_case(g: DualGraph, info: ShapeInfo) -> str:
     forks = info.forks
     if len(forks) == 1 and len(adj[forks[0]]) == 3:
         branches = (_walk(adj, start, forks[0]) for start in adj[forks[0]])
-        orders = tuple(sorted(_continued_fraction([e[v] for v in br]).numerator for br in branches))
+        orders = tuple(sorted(_continued_fraction([e[v] for v in br])[0] for br in branches))
         if orders in _FORK_BRANCH_TYPES:
             return "d"
         raise UnclassifiableShape(f"fork branch determinants {orders} are not a unimodular triple")
@@ -378,17 +365,20 @@ def classify_germ(g: DualGraph) -> GermClassification:
 def contract_and_square(g: DualGraph, contracted: Iterable[str], curve: str) -> Rational:
     """Self-intersection of the image of `curve` after contracting `contracted`.
 
-    Computed from the pullback: if M is the (negative definite) intersection
-    matrix of the contracted curves and v the intersection vector of the
-    curve with them, the image square is C^2 - v^T M^{-1} v.
+    Computed from the pullback, on one intersection matrix: if M is its
+    (negative definite) block on the contracted curves and v the curve's row
+    on those columns, the image square is C^2 - v^T M^{-1} v, with C^2 the
+    row's diagonal entry.
     """
     cset = list(dict.fromkeys(contracted))
     if curve in cset:
         raise ValueError("curve to track cannot itself be contracted")
-    sub = g.subgraph(cset)
-    v = tuple(Fraction(g.edge_multiplicity(curve, lbl)) for lbl in cset)
-    x = solve_negative_definite(intersection_matrix(sub), v)
-    return Fraction(g.vertex(curve).self_int) - sum((xi * vi for xi, vi in zip(x, v)), Fraction(0))
+    idx = {v.label: i for i, v in enumerate(g.vertices)}
+    cols = [idx[lbl] for lbl in cset]
+    mat, k = intersection_matrix(g), idx[curve]
+    v = [mat[k][j] for j in cols]
+    x = solve_negative_definite([[mat[i][j] for j in cols] for i in cols], v)
+    return mat[k][k] - sum((xi * vi for xi, vi in zip(x, v)), Fraction(0))
 
 
 def enumerate_fork_squares(target: Rational = Fraction(-1, 3)) -> frozenset[tuple[int, int, int, int, int, int]]:

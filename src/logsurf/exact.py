@@ -384,21 +384,14 @@ def _exchange(tab: list[list[int]], basis: list[int], cols: list[int], r: int, c
     """Fraction-free pivot of a condensed table over the denominator d (A. W.
     Tucker's tableau): its columns are the nonbasic variables cols, then the
     right-hand side, and basic basis[r] trades places with nonbasic cols[c].
-    Entries off row r and column c update as in _pivot, and row r keeps its
-    entries. Column c becomes the leaving variable's: d in row r, and minus
-    its old entry in every other row. Returns the pivot, the table's new
-    denominator."""
-    prow = tab[r]
-    p = prow[c]
-    for i, row in enumerate(tab):
-        if i != r:
-            f = row[c]
-            if f:
-                tab[i] = row = [(p * x - f * y) // d for x, y in zip(row, prow)]
-                row[c] = -f
-            elif p != d:
-                tab[i] = [p * x // d for x in row]
-    prow[c] = d
+    It is _pivot on entry (r, c), after which column c becomes the leaving
+    variable's: d in row r, and minus its old entry in every other row.
+    Returns the pivot, the table's new denominator."""
+    old = [row[c] for row in tab]
+    p = _pivot(tab, r, c, d)
+    for row, f in zip(tab, old):
+        row[c] = -f
+    tab[r][c] = d
     basis[r], cols[c] = cols[c], basis[r]
     return p
 

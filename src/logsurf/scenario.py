@@ -482,7 +482,7 @@ def _check_germ(r: _SpecReader) -> dict[str, Any]:
         wrong.append(f"orders {orders}, expected {sorted(want_orders)}")
     square = None
     if want_square is not None:
-        square = Fraction(g.vertex(boundary[0]).self_int)
+        square = Fraction(r.m.at(boundary[0], boundary[0]))
         if square != want_square:
             wrong.append(f"boundary self-intersection {square}")
     for lbl, val in want_coeffs.items():

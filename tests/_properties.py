@@ -13,10 +13,12 @@ from itertools import combinations, product
 import _reference
 
 from logsurf.dualgraph import (
+    CyclicType,
     Disconnected,
     DualGraph,
     GraphVertex,
     classify_germ,
+    contract_and_square,
     cyclic_type,
     graph_determinant,
     intersection_matrix,
@@ -374,18 +376,29 @@ def contraction_germs_at_cap(seed: int) -> tuple[int, int]:
 
 
 def random_tree(rng: random.Random, max_vertices: int = 7) -> DualGraph:
+    """A tree of exceptional curves of square -2 to -6, some of positive
+    genus or with nodes, and up to two boundary curves meeting it, each with
+    up to three edge entries; vertices in random order."""
     k = rng.randint(1, max_vertices)
     verts = []
     edges = []
     for i in range(k):
-        verts.append(GraphVertex(f"v{i}", -rng.randint(2, 6)))
+        genus, nodes = rng.choice((0, 0, 0, 1, 2)), rng.choice((0, 0, 1))
+        verts.append(GraphVertex(f"v{i}", -rng.randint(2, 6), genus, node_count=nodes))
         if i > 0:
             edges.append((f"v{rng.randint(0, i - 1)}", f"v{i}"))
+    for j in range(rng.randint(0, 2)):
+        verts.append(GraphVertex(f"b{j}", -rng.randint(1, 4), rng.randint(0, 1), is_exceptional=False))
+        edges.extend((f"b{j}", f"v{rng.randrange(k)}") for _ in range(rng.randint(1, 3)))
+    rng.shuffle(verts)
     return DualGraph(tuple(verts), tuple(edges))
 
 
 def discrepancy_residuals(seed: int, cases: int) -> int:
-    """Solved discrepancies satisfy their defining equations exactly."""
+    """Solved discrepancies satisfy their defining equations exactly, with
+    every boundary curve at coefficient 1; contract_and_square agrees with
+    the reference solve, for a random (possibly empty) set of exceptional
+    curves and a curve outside it."""
     rng = random.Random(seed)
     done = 0
     while done < cases:
@@ -397,28 +410,44 @@ def discrepancy_residuals(seed: int, cases: int) -> int:
             # Rarely the random tree is only semi-definite; skip those.
             continue
         labels = g.labels
-        for i, lbl in enumerate(labels):
-            v = g.vertex(lbl)
-            k_dot = 2 * v.arithmetic_genus - 2 - v.self_int
-            total = k_dot
-            for j, other in enumerate(labels):
-                total += coeffs[other] * mat[i][j]
-            assert total == 0, f"residual {total} at {lbl}"
+        exc = g.exceptional_labels()
+        assert tuple(coeffs) == exc
+        for i, v in enumerate(g.vertices):
+            if v.is_exceptional:
+                total = 2 * v.arithmetic_genus - 2 - v.self_int
+                for j, other in enumerate(labels):
+                    total += coeffs.get(other, 1) * mat[i][j]
+                assert total == 0, f"residual {total} at {v.label}"
+        curve = rng.choice(labels)
+        cut = [lbl for lbl in exc if lbl != curve]
+        contracted = rng.sample(cut, rng.randint(0, len(cut)))
+        rows = [labels.index(lbl) for lbl in contracted]
+        k = labels.index(curve)
+        vec = [Fraction(mat[k][j]) for j in rows]
+        x = _reference.negative_definite_solve([[Fraction(mat[i][j]) for j in rows] for i in rows], vec)
+        want = mat[k][k] - sum((a * b for a, b in zip(x, vec)), Fraction(0))
+        assert contract_and_square(g, contracted, curve) == want
         done += 1
     return done
 
 
 def cyclic_vs_determinant(seed: int, cases: int) -> int:
-    """cyclic_type's n equals the chain's graph determinant."""
+    """cyclic_type's n equals the chain's graph determinant. Read from either
+    end, the chain gives q and q' (the determinants of the chain less that
+    end), with q*q' = 1 mod n; both readings give the type (n, min(q, q'))."""
+
+    def chain(es: list[int]) -> DualGraph:
+        verts = tuple(GraphVertex(f"c{i}", -e) for i, e in enumerate(es))
+        return DualGraph(verts, tuple((f"c{i}", f"c{i+1}") for i in range(len(es) - 1)))
+
     rng = random.Random(seed)
     done = 0
     while done < cases:
         entries = [rng.randint(2, 9) for _ in range(rng.randint(1, 8))]
-        verts = tuple(GraphVertex(f"c{i}", -e) for i, e in enumerate(entries))
-        edges = tuple((f"c{i}", f"c{i+1}") for i in range(len(entries) - 1))
-        g = DualGraph(verts, edges)
-        t = cyclic_type(g)
-        assert t.n == graph_determinant(g)
+        g, back = chain(entries), chain(entries[::-1])
+        n, q, q_back = (int(graph_determinant(chain(es))) for es in (entries, entries[1:], entries[:-1]))
+        assert q * q_back % n == 1
+        assert cyclic_type(g) == cyclic_type(back) == CyclicType(n, min(q, q_back))
         done += 1
     return done
 

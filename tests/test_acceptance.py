@@ -128,7 +128,7 @@ def test_c03_volume_brackets_and_boundary_germ_462(ex462):
     cls = classify_germ(g)
     assert cls.is_plt and not cls.is_klt
     assert sorted(t.n for t in cls.cyclic_points) == [2, 3, 7]
-    assert g.vertex("L0").self_int == -1  # boundary square in the extended graph
+    assert {v.label: v for v in g.vertices}["L0"].self_int == -1  # boundary square in the extended graph
 
 
 def test_c04_pet_certifies_10_over_11(ex462):

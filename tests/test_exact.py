@@ -726,7 +726,9 @@ def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
     the tower curves' unit columns. Each exchange on the condensed table
     brings in the variable the reference's pivot column holds, in the same
     row. ex-825's LP is a feasibility test, ex-462's has a cost; both read
-    their certificates off the final table, so no other table is pivoted."""
+    their certificates off the final table, so no other table is pivoted:
+    every _pivot call is the elimination of one exchange, on its entry and
+    over its denominator."""
     from logsurf import exact, positivity
     from logsurf.scenario import run_scenario
 
@@ -735,13 +737,14 @@ def test_flagship_lps_make_the_reference_pivots(scenario, pivots, monkeypatch):
     run_scenario(scenario)
     assert len(lps) == 1
     (args, kwargs), = lps
-    got, want, eliminations = [], [], []
-    monkeypatch.setattr(exact, "_exchange", recorded_exchanges(got, exact._exchange))
+    got, want, exchanges, eliminations = [], [], [], []
+    monkeypatch.setattr(exact, "_exchange", recorded_exchanges(got, recorded(exchanges, exact._exchange)))
     monkeypatch.setattr(exact, "_pivot", recorded(eliminations, exact._pivot))
     monkeypatch.setattr(_reference, "_pivot", recorded(want, _reference._pivot))
     assert lp_feasible(*args, **kwargs) == _reference.lp_feasible(*args, **kwargs)
     assert got == [call[0][1:3] for call in want]
-    assert (len(got), len(eliminations)) == (pivots, 0)
+    assert (len(got), len(eliminations)) == (pivots, pivots)
+    assert [call[0][1:] for call in eliminations] == [call[0][3:] for call in exchanges]
 
 
 def test_rationals_come_out_as_fractions():
